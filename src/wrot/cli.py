@@ -31,6 +31,7 @@ from .classifier import (
     sgd_train,
 )
 from .data_io import (
+    _load_features,
     load_dataset,
     load_embedding_file,
     load_grouping,
@@ -58,15 +59,9 @@ def _metric_config(family, k, lambda_m):
     return None  # w22: fixed identity metric
 
 
-def _load_points(path):
-    from .data_io import _load_features
-
-    return _load_features(path)
-
-
 def cmd_distance(args) -> int:
-    src = make_measure(_load_points(args.src))
-    tgt = make_measure(_load_points(args.tgt))
+    src = make_measure(_load_features(args.src))
+    tgt = make_measure(_load_features(args.tgt))
     sink = SinkhornConfig(lambda_beta=args.lambda_beta)
     if args.family == "w22":
         value = w22_distance(src, tgt, sink)

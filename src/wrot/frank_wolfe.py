@@ -7,7 +7,9 @@ gradient is the pairwise Mahalanobis cost matrix under the current worst-case
 metric, the linear minimization oracle is an entropy-regularized transport
 solve with that cost, and the step size is the standard ``2 / (t + 2)``
 schedule. Iterates therefore stay strictly inside the polytope and the
-reported duality gap is measured against the regularized oracle.
+reported duality gap is measured against the regularized oracle. The loop,
+:func:`_frank_wolfe`, also solves the label-embedding loss of
+:mod:`wrot.rot_loss`, which passes its own oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .measures import (
     DiscreteMeasure,
     FeatureGrouping,
     TransportPlan,
-    _grouped_moment_arrays,
+    _coupled_arrays,
     _grouped_reshape,
     _moment_arrays,
+    _pair_costs_full,
 )
 from .metric_solvers import (
     AdversarialMetric,
@@ -81,20 +84,28 @@ class RotResult:
     converged: bool
 
 
-def _pair_costs_full(src_pts, tgt_pts, metric):
-    es = np.einsum("id,de,ie->i", src_pts, metric, src_pts, optimize=True)
-    et = np.einsum("jd,de,je->j", tgt_pts, metric, tgt_pts, optimize=True)
-    cross = src_pts @ metric @ tgt_pts.T
-    return es[:, None] + et[None, :] - 2.0 * cross
+def _frank_wolfe(worst_case, gradient, oracle, gamma, max_iter, gap_tol):
+    """Frank-Wolfe over the transport polytope from the plan ``gamma``.
 
-
-def _pair_costs_grouped(src_resh, tgt_resh, metric):
-    sb = np.einsum("iap,pq->iaq", src_resh, metric, optimize=True)
-    tb = np.einsum("jap,pq->jaq", tgt_resh, metric, optimize=True)
-    es = np.einsum("iaq,iaq->i", sb, src_resh, optimize=True)
-    et = np.einsum("jaq,jaq->j", tb, tgt_resh, optimize=True)
-    cross = np.einsum("iaq,jaq->ij", sb, tgt_resh, optimize=True)
-    return es[:, None] + et[None, :] - 2.0 * cross
+    Each iteration takes the worst case at the iterate (``worst_case(gamma)``),
+    its gradient in the plan (``gradient(worst)``) and the oracle's minimizer
+    of that linear cost (``oracle(grad)``, a plan matrix), records the duality
+    gap ``<gamma - lmo, grad>``, and stops once it is at most ``gap_tol``;
+    otherwise it steps ``2 / (t + 2)`` towards the oracle plan. Returns
+    ``(gamma, worst, gaps, converged)`` with ``worst`` taken at the returned
+    ``gamma``.
+    """
+    gaps: list[float] = []
+    for t in range(max_iter):
+        worst = worst_case(gamma)
+        grad = gradient(worst)
+        lmo = oracle(grad)
+        gaps.append(float(np.sum((gamma - lmo) * grad)))
+        if gaps[-1] <= gap_tol:
+            return gamma, worst, gaps, True
+        theta = 2.0 / (t + 2.0)
+        gamma = (1.0 - theta) * gamma + theta * lmo
+    return gamma, worst_case(gamma), gaps, False
 
 
 def gradient_wrt_plan(
@@ -112,25 +123,12 @@ def gradient_wrt_plan(
     so the max function is differentiable). With a grouping, ``metric`` must
     be the r x r block factor and the displacement is taken in reshaped form.
     """
-    if plan.shape != (src.size, tgt.size):
-        raise ValueError(
-            f"plan shape {plan.shape} does not match measures ({src.size}, {tgt.size})"
-        )
-    if src.dim != tgt.dim:
-        raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
+    src_arr, tgt_arr = _coupled_arrays(plan, src, tgt, grouping)
     m = metric.matrix
-    if grouping is None:
-        if m.shape != (src.dim, src.dim):
-            raise ValueError(f"metric is {m.shape}, expected {(src.dim, src.dim)}")
-        return _pair_costs_full(src.points, tgt.points, m)
-    r = grouping.group_count
-    if m.shape != (r, r):
-        raise ValueError(f"grouped metric is {m.shape}, expected {(r, r)}")
-    return _pair_costs_grouped(
-        _grouped_reshape(src.points, grouping),
-        _grouped_reshape(tgt.points, grouping),
-        m,
-    )
+    side = src_arr.shape[-1]
+    if m.shape != (side, side):
+        raise ValueError(f"metric is {m.shape}, expected {(side, side)}")
+    return _pair_costs_full(src_arr, tgt_arr, m)
 
 
 def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -> RotResult:
@@ -144,52 +142,34 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     if src.dim != tgt.dim:
         raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
     p, q = src.weights, tgt.weights
-    grouping = config.grouping
-    if grouping is None:
-        src_arr, tgt_arr = src.points, tgt.points
+    src_arr, tgt_arr = src.points, tgt.points
+    if config.grouping is not None:
+        src_arr = _grouped_reshape(src_arr, config.grouping)
+        tgt_arr = _grouped_reshape(tgt_arr, config.grouping)
+    power = 2 * config.metric.k if config.objective_power == "norm_2k" else None
 
-        def moment(g):
-            return _moment_arrays(g, src_arr, tgt_arr)
+    def worst_case(gamma):
+        return adversarial_value(_moment_arrays(gamma, src_arr, tgt_arr), config.metric)
 
-        def pair_costs(m):
-            return _pair_costs_full(src_arr, tgt_arr, m)
+    def gradient(worst):
+        grad = _pair_costs_full(src_arr, tgt_arr, worst.matrix)
+        if power is not None:
+            grad = grad * (power * worst.value ** (power - 1))
+        return grad
 
-    else:
-        src_arr = _grouped_reshape(src.points, grouping)
-        tgt_arr = _grouped_reshape(tgt.points, grouping)
+    def oracle(grad):
+        # A cold solve each step. Warm-starting it from the previous step's
+        # scalings, as the loss does, lets a not yet converged oracle return
+        # plans that make the measured gap negative and stop the loop early.
+        return entropic_ot(grad, p, q, config.sinkhorn)[0].matrix
 
-        def moment(g):
-            return _grouped_moment_arrays(g, src_arr, tgt_arr)
-
-        def pair_costs(m):
-            return _pair_costs_grouped(src_arr, tgt_arr, m)
-
-    power_scale = None
-    if config.objective_power == "norm_2k":
-        power_scale = 2 * config.metric.k
-
-    gamma = np.outer(p, q)
-    gaps: list[float] = []
-    converged = False
-    for t in range(config.max_iter):
-        worst = adversarial_value(moment(gamma), config.metric)
-        grad = pair_costs(worst.matrix)
-        if power_scale is not None:
-            grad = grad * (power_scale * worst.value ** (power_scale - 1))
-        lmo, _ = entropic_ot(grad, p, q, config.sinkhorn)
-        gap = float(np.sum((gamma - lmo.matrix) * grad))
-        gaps.append(gap)
-        if gap <= config.gap_tol:
-            converged = True
-            break
-        theta = 2.0 / (t + 2.0)
-        gamma = (1.0 - theta) * gamma + theta * lmo.matrix
-
-    final = adversarial_value(moment(gamma), config.metric)
+    gamma, worst, gaps, converged = _frank_wolfe(
+        worst_case, gradient, oracle, np.outer(p, q), config.max_iter, config.gap_tol
+    )
     return RotResult(
-        value=final.value,
+        value=worst.value,
         plan=TransportPlan(matrix=gamma),
-        metric=final,
+        metric=worst,
         gap_history=tuple(gaps),
         iterations_used=len(gaps),
         converged=converged,

@@ -192,24 +192,64 @@ def independent_coupling(src: DiscreteMeasure, tgt: DiscreteMeasure) -> Transpor
     return TransportPlan(matrix=matrix, row_marginal=src.weights, col_marginal=tgt.weights)
 
 
+def _check_simplex(w, name, size):
+    """Validate a probability vector of the given length."""
+    w = _as_float_array(w, name, 1)
+    if w.shape[0] != size:
+        raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
+    if np.any(w < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    if abs(w.sum() - 1.0) > 1e-8:
+        raise ValueError(f"{name} must sum to 1")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Array-level kernels. These skip object validation and are shared with the
-# solver loops, which call them once per iteration.
+# solver loops, which call them once per iteration. Both take point arrays of
+# shape (n, d1, k), each point a d1 x k matrix; plain (n, d) points are the
+# d1 = 1 case and may be passed as they are.
 # ---------------------------------------------------------------------------
 
 
 def _moment_arrays(gamma: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    # sum_ij g_ij (s_i - t_j)(s_i - t_j)^T via the marginal decomposition:
-    # S^T diag(a) S + T^T diag(b) T - S^T g T - (S^T g T)^T.
-    a = gamma.sum(axis=1)
-    b = gamma.sum(axis=0)
-    cross = src.T @ gamma @ tgt
-    v = (src * a[:, None]).T @ src + (tgt * b[:, None]).T @ tgt - cross - cross.T
+    # sum_ij g_ij (S_i - T_j)^T (S_i - T_j) via the marginal decomposition
+    # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j;
+    # when tgt is src the two weighted Gram terms merge into one.
+    k = src.shape[-1]
+    s = src.reshape(src.shape[0], -1)
+    t = tgt.reshape(tgt.shape[0], -1)
+    a = gamma.sum(axis=1)[:, None]
+    b = gamma.sum(axis=0)[:, None]
+    cross = s.reshape(-1, k).T @ (gamma @ t).reshape(-1, k)
+    if tgt is src:
+        gram = ((a + b) * s).reshape(-1, k).T @ s.reshape(-1, k)
+    else:
+        gram = (a * s).reshape(-1, k).T @ s.reshape(-1, k)
+        gram += (b * t).reshape(-1, k).T @ t.reshape(-1, k)
+    v = gram - cross - cross.T
     return 0.5 * (v + v.T)
 
 
+def _pair_costs_full(src: np.ndarray, tgt: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    # Entry (i, j) is tr((S_i - T_j) M (S_i - T_j)^T) = e_i + e_j - 2 <S_i M, T_j>
+    # for a symmetric metric M.
+    k = metric.shape[0]
+    s = src.reshape(src.shape[0], -1)
+    sm = (src.reshape(-1, k) @ metric).reshape(s.shape)
+    if tgt is src:
+        cross = sm @ s.T
+        es = et = np.diagonal(cross)
+    else:
+        t = tgt.reshape(tgt.shape[0], -1)
+        cross = sm @ t.T
+        es = np.sum(sm * s, axis=1)
+        et = np.sum((tgt.reshape(-1, k) @ metric).reshape(t.shape) * t, axis=1)
+    return es[:, None] + et[None, :] - 2.0 * cross
+
+
 def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarray:
-    """Permute, pad, and reshape an (n, d) array to (n, d1, r)."""
+    """Permute, pad, and reshape an (n, d) array to a contiguous (n, d1, r)."""
     n = points.shape[0]
     if points.shape[1] != grouping.dim:
         raise ValueError(
@@ -223,21 +263,22 @@ def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarra
         padded = points
     permuted = padded[:, grouping.permutation]
     r, d1 = grouping.group_count, grouping.rows_per_group
-    return permuted.reshape(n, r, d1).transpose(0, 2, 1)
+    return np.ascontiguousarray(permuted.reshape(n, r, d1).transpose(0, 2, 1))
 
 
-def _grouped_moment_arrays(
-    gamma: np.ndarray, src_resh: np.ndarray, tgt_resh: np.ndarray
-) -> np.ndarray:
-    # Same decomposition in the reshaped space: entries are r x r Gram blocks.
-    a = gamma.sum(axis=1)
-    b = gamma.sum(axis=0)
-    t_src = np.einsum("i,iap,iaq->pq", a, src_resh, src_resh, optimize=True)
-    t_tgt = np.einsum("j,jap,jaq->pq", b, tgt_resh, tgt_resh, optimize=True)
-    mixed = np.tensordot(gamma, tgt_resh, axes=(1, 0))  # (m, d1, r)
-    cross = np.einsum("iap,iaq->pq", src_resh, mixed, optimize=True)
-    u = t_src + t_tgt - cross - cross.T
-    return 0.5 * (u + u.T)
+def _coupled_arrays(plan, src, tgt, grouping=None):
+    """Check that ``plan`` couples ``src`` and ``tgt``; return their point
+    arrays, reshaped to (n, d1, r) when a grouping is given."""
+    if plan.shape != (src.size, tgt.size):
+        raise ValueError(
+            f"plan shape {plan.shape} does not match measures "
+            f"({src.size}, {tgt.size})"
+        )
+    if src.dim != tgt.dim:
+        raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
+    if grouping is None:
+        return src.points, tgt.points
+    return _grouped_reshape(src.points, grouping), _grouped_reshape(tgt.points, grouping)
 
 
 def displacement_second_moment(
@@ -248,14 +289,7 @@ def displacement_second_moment(
     Returns ``sum_ij plan_ij (s_i - t_j)(s_i - t_j)^T``, a symmetric positive
     semidefinite matrix that is linear in the plan.
     """
-    if plan.shape != (src.size, tgt.size):
-        raise ValueError(
-            f"plan shape {plan.shape} does not match measures "
-            f"({src.size}, {tgt.size})"
-        )
-    if src.dim != tgt.dim:
-        raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
-    return _moment_arrays(plan.matrix, src.points, tgt.points)
+    return _moment_arrays(plan.matrix, *_coupled_arrays(plan, src, tgt))
 
 
 def grouped_second_moment(
@@ -271,13 +305,4 @@ def grouped_second_moment(
     ``U`` is this matrix, so the reduced moment carries all the information a
     grouped metric can see.
     """
-    if plan.shape != (src.size, tgt.size):
-        raise ValueError(
-            f"plan shape {plan.shape} does not match measures "
-            f"({src.size}, {tgt.size})"
-        )
-    if src.dim != tgt.dim:
-        raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
-    src_resh = _grouped_reshape(src.points, grouping)
-    tgt_resh = _grouped_reshape(tgt.points, grouping)
-    return _grouped_moment_arrays(plan.matrix, src_resh, tgt_resh)
+    return _moment_arrays(plan.matrix, *_coupled_arrays(plan, src, tgt, grouping))

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .measures import _as_float_array, _freeze
-from .sinkhorn import symmetric_scaling
+from .sinkhorn import _EXP_LIMIT, _logsumexp, symmetric_scaling
 
 __all__ = [
     "PNormConfig",
@@ -46,9 +45,6 @@ __all__ = [
     "feature_weights",
     "feature_selection_objective",
 ]
-
-_EXP_LIMIT = 700.0
-
 
 def _check_moment(v) -> np.ndarray:
     v = _as_float_array(v, "moment", 2)
@@ -71,6 +67,18 @@ def _check_reference(m0, dim, strictly_positive):
     elif np.any(m0 < 0):
         raise ValueError("m0 must be entrywise nonnegative")
     return m0
+
+
+def _check_penalty(config, strictly_positive):
+    # lambda_m and the reference m0 of the KL-penalized families
+    if not config.lambda_m > 0:
+        raise ValueError("lambda_m must be positive")
+    if config.m0 is not None:
+        m0 = _as_float_array(config.m0, "m0", 2)
+        m0 = _check_reference(m0, m0.shape[0], strictly_positive)
+        if np.min(np.linalg.eigvalsh(m0)) < -1e-10:
+            raise ValueError("m0 must be positive semidefinite")
+        object.__setattr__(config, "m0", _freeze(m0))
 
 
 @dataclass(frozen=True)
@@ -96,14 +104,7 @@ class KLConfig:
     m0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.lambda_m > 0:
-            raise ValueError("lambda_m must be positive")
-        if self.m0 is not None:
-            m0 = _as_float_array(self.m0, "m0", 2)
-            m0 = _check_reference(m0, m0.shape[0], strictly_positive=False)
-            if np.min(np.linalg.eigvalsh(m0)) < -1e-10:
-                raise ValueError("m0 must be positive semidefinite")
-            object.__setattr__(self, "m0", _freeze(m0))
+        _check_penalty(self, strictly_positive=False)
 
 
 @dataclass(frozen=True)
@@ -120,18 +121,11 @@ class DSConfig:
     scaling_max_iter: int = 10_000
 
     def __post_init__(self):
-        if not self.lambda_m > 0:
-            raise ValueError("lambda_m must be positive")
+        _check_penalty(self, strictly_positive=True)
         if not self.scaling_tol > 0:
             raise ValueError("scaling_tol must be positive")
         if self.scaling_max_iter < 1:
             raise ValueError("scaling_max_iter must be at least 1")
-        if self.m0 is not None:
-            m0 = _as_float_array(self.m0, "m0", 2)
-            m0 = _check_reference(m0, m0.shape[0], strictly_positive=True)
-            if np.min(np.linalg.eigvalsh(m0)) < -1e-10:
-                raise ValueError("m0 must be positive semidefinite")
-            object.__setattr__(self, "m0", _freeze(m0))
 
 
 MetricSolverConfig = PNormConfig | KLConfig | DSConfig
@@ -170,6 +164,26 @@ def pnorm_metric(moment: np.ndarray, k: int = 1) -> AdversarialMetric:
     return AdversarialMetric(matrix=matrix, value=norm, family="pnorm")
 
 
+def _kl_tilt(moment, lambda_m, m0, default_m0, strictly_positive):
+    # The checked moment v, the reference m0 (default_m0(d) when None) and the
+    # tilted kernel m0 * exp(v / lambda_m), refusing exponents beyond the
+    # float range.
+    if not lambda_m > 0:
+        raise ValueError("lambda_m must be positive")
+    v = _check_moment(moment)
+    d = v.shape[0]
+    if m0 is None:
+        m0 = default_m0(d)
+    else:
+        m0 = _check_reference(m0, d, strictly_positive)
+    scaled = v / lambda_m
+    if np.max(np.abs(scaled)) > _EXP_LIMIT:
+        raise OverflowError(
+            "moment / lambda_m exceeds the exp range; increase lambda_m"
+        )
+    return v, m0, m0 * np.exp(scaled)
+
+
 def kl_metric(
     moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
 ) -> AdversarialMetric:
@@ -180,20 +194,7 @@ def kl_metric(
     ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
     float exponent range raise ``OverflowError`` rather than produce inf.
     """
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    v = _check_moment(moment)
-    d = v.shape[0]
-    if m0 is None:
-        m0 = np.eye(d)
-    else:
-        m0 = _check_reference(m0, d, strictly_positive=False)
-    scaled = v / lambda_m
-    if np.max(np.abs(scaled)) > _EXP_LIMIT:
-        raise OverflowError(
-            "moment / lambda_m exceeds the exp range; increase lambda_m"
-        )
-    matrix = m0 * np.exp(scaled)
+    _, m0, matrix = _kl_tilt(moment, lambda_m, m0, np.eye, strictly_positive=False)
     value = lambda_m * float(matrix.sum() - m0.sum())
     return AdversarialMetric(matrix=matrix, value=value, family="kl")
 
@@ -220,20 +221,9 @@ def ds_metric(
     convergence error (with residual) if the kernel cannot be balanced within
     the iteration budget.
     """
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    v = _check_moment(moment)
-    d = v.shape[0]
-    if m0 is None:
-        m0 = np.full((d, d), 1.0 / d)
-    else:
-        m0 = _check_reference(m0, d, strictly_positive=True)
-    scaled = v / lambda_m
-    if np.max(np.abs(scaled)) > _EXP_LIMIT:
-        raise OverflowError(
-            "moment / lambda_m exceeds the exp range; increase lambda_m"
-        )
-    kernel = m0 * np.exp(scaled)
+    v, m0, kernel = _kl_tilt(
+        moment, lambda_m, m0, lambda d: np.full((d, d), 1.0 / d), strictly_positive=True
+    )
     diag = symmetric_scaling(kernel, tol=scaling_tol, max_iter=scaling_max_iter)
     matrix = diag[:, None] * kernel * diag[None, :]
     matrix = 0.5 * (matrix + matrix.T)
@@ -298,4 +288,4 @@ def feature_selection_objective(moment: np.ndarray, lambda_m: float = 1.0) -> fl
     v = _check_moment(moment)
     diag = np.diag(v) / lambda_m
     d = v.shape[0]
-    return float(lambda_m * (logsumexp(diag) - (d - 1)))
+    return float(lambda_m * (_logsumexp(diag, axis=0) - (d - 1)))

@@ -39,14 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frank_wolfe import _frank_wolfe
 from .measures import (
     FeatureGrouping,
     TransportPlan,
     _as_float_array,
+    _check_simplex,
     _freeze,
-    _grouped_moment_arrays,
     _grouped_reshape,
     _moment_arrays,
+    _pair_costs_full,
 )
 from .metric_solvers import (
     AdversarialMetric,
@@ -85,20 +87,19 @@ class LabelSpace:
         if np.max(np.abs(norms - 1.0)) > 1e-8:
             raise ValueError("embedding rows must have unit 2-norm")
         object.__setattr__(self, "embeddings", _freeze(emb))
+        # the point array the kernels see: the embeddings, or their (L, d1, r)
+        # reshape under a grouping
+        points = self.embeddings
+        pair = None
         if self.grouping is not None:
-            resh = _grouped_reshape(emb, self.grouping)
-            object.__setattr__(self, "_resh", _freeze(resh))
+            points = _freeze(_grouped_reshape(emb, self.grouping))
             n = self.size
             r = self.grouping.group_count
             if n * n * r * r <= _PAIR_CACHE_MAX_ENTRIES:
-                diff = resh[:, None, :, :] - resh[None, :, :, :]  # (L, L, d1, r)
-                pair = np.einsum("pqar,pqas->pqrs", diff, diff, optimize=True)
-                object.__setattr__(self, "_pair_gram", _freeze(pair))
-            else:
-                object.__setattr__(self, "_pair_gram", None)
-        else:
-            object.__setattr__(self, "_resh", None)
-            object.__setattr__(self, "_pair_gram", None)
+                diff = points[:, None, :, :] - points[None, :, :, :]  # (L, L, d1, r)
+                pair = _freeze(np.einsum("pqar,pqas->pqrs", diff, diff, optimize=True))
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_pair_gram", pair)
 
     @property
     def size(self) -> int:
@@ -111,36 +112,23 @@ class LabelSpace:
     @property
     def metric_dim(self) -> int:
         """Side length of the displacement moment this space produces."""
-        if self.grouping is None:
-            return self.dim
-        return self.grouping.group_count
+        return self._points.shape[-1]
 
     def _moment(self, plan: np.ndarray) -> np.ndarray:
-        if self.grouping is None:
-            return _moment_arrays(plan, self.embeddings, self.embeddings)
-        if self._pair_gram is not None:
-            mask = plan > _PLAN_SPARSITY_EPS
-            if np.count_nonzero(mask) < 0.25 * plan.size:
-                idx = np.nonzero(mask)
-                m = np.einsum(
-                    "k,krs->rs", plan[idx], self._pair_gram[idx], optimize=True
-                )
-            else:
-                m = np.einsum("pq,pqrs->rs", plan, self._pair_gram, optimize=True)
-            return 0.5 * (m + m.T)
-        return _grouped_moment_arrays(plan, self._resh, self._resh)
+        if self._pair_gram is None:
+            return _moment_arrays(plan, self._points, self._points)
+        mask = plan > _PLAN_SPARSITY_EPS
+        if np.count_nonzero(mask) < 0.25 * plan.size:
+            idx = np.nonzero(mask)
+            m = np.einsum("k,krs->rs", plan[idx], self._pair_gram[idx], optimize=True)
+        else:
+            m = np.einsum("pq,pqrs->rs", plan, self._pair_gram, optimize=True)
+        return 0.5 * (m + m.T)
 
     def _pair_costs(self, metric: np.ndarray) -> np.ndarray:
-        if self.grouping is None:
-            gram = self.embeddings @ metric @ self.embeddings.T
-            diag = np.diag(gram)
-            return diag[:, None] + diag[None, :] - gram - gram.T
-        if self._pair_gram is not None:
-            return np.einsum("pqrs,rs->pq", self._pair_gram, metric, optimize=True)
-        sb = np.einsum("par,rs->pas", self._resh, metric, optimize=True)
-        cross = np.einsum("pas,qas->pq", sb, self._resh, optimize=True)
-        diag = np.einsum("pas,pas->p", sb, self._resh, optimize=True)
-        return diag[:, None] + diag[None, :] - cross - cross.T
+        if self._pair_gram is None:
+            return _pair_costs_full(self._points, self._points, metric)
+        return np.einsum("pqrs,rs->pq", self._pair_gram, metric, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -189,53 +177,43 @@ def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
     return (1.0 - alpha) * raw / total + alpha / size
 
 
-def _check_simplex(w, name, size):
-    w = _as_float_array(w, name, 1)
-    if w.shape[0] != size:
-        raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
-    if np.any(w < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError(f"{name} must sum to 1")
-    return w
-
-
 def _worst_case(moment, config):
     if config.metric is None:
         return euclidean_metric(moment)
     return adversarial_value(moment, config.metric)
 
 
-def _solve(h, y, labels, config):
+def _solve(predicted, target, labels, config):
     # Composite Frank-Wolfe: only the robust term is linearized; the plan
     # entropy lives in the oracle's own regularizer. At the fixed point the
     # iterate solves min <V(plan), M*> + lambda_beta * sum plan log plan, so
     # running the oracle with lambda_beta equal to lambda_gamma (and enough
-    # iterations) lands on the exact regularized optimum.
-    gamma = np.outer(h, y)
+    # iterations) lands on the exact regularized optimum. The oracle
+    # warm-starts from the previous solve's scalings; a gap tolerance of
+    # -inf runs exactly fw_iters steps. Returns the loss and the oracle.
+    h = _check_simplex(predicted, "predicted", labels.size)
+    y = _check_simplex(target, "target", labels.size)
     warm = None
-    for t in range(config.fw_iters):
-        worst = _worst_case(labels._moment(gamma), config)
-        costs = labels._pair_costs(worst.matrix)
+
+    def oracle(costs):
+        nonlocal warm
         lmo, _, warm = _entropic_core(
             costs, h, y, config.sinkhorn, state=warm, stop_tol=1e-13
         )
-        theta = 2.0 / (t + 2.0)
-        gamma = (1.0 - theta) * gamma + theta * lmo.matrix
-    worst = _worst_case(labels._moment(gamma), config)
+        return lmo.matrix
+
+    gamma, worst, _, _ = _frank_wolfe(
+        lambda plan: _worst_case(labels._moment(plan), config),
+        lambda worst: labels._pair_costs(worst.matrix),
+        oracle,
+        np.outer(h, y),
+        config.fw_iters,
+        -np.inf,
+    )
     pos = gamma > 0
     entropy_term = float(np.sum(gamma[pos] * np.log(gamma[pos])))
     value = worst.value + config.lambda_gamma * entropy_term
-    # One more oracle solve at the final costs. Its log is the dual-potential
-    # expression of the entropic subproblem, so the gradient formula applied
-    # to it decomposes additively even before full convergence; the averaged
-    # iterate's near-zero entries instead carry stale logarithms dominated by
-    # early iterations, which would pollute the gradient's row means.
-    oracle_plan, _, _ = _entropic_core(
-        labels._pair_costs(worst.matrix), h, y, config.sinkhorn,
-        state=warm, stop_tol=1e-13,
-    )
-    return gamma, worst, value, oracle_plan.matrix
+    return LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=worst), oracle
 
 
 def rot_loss(
@@ -249,10 +227,7 @@ def rot_loss(
     """
     if config is None:
         config = RotLossConfig()
-    h = _check_simplex(predicted, "predicted", labels.size)
-    y = _check_simplex(target, "target", labels.size)
-    gamma, worst, value, _ = _solve(h, y, labels, config)
-    return LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=worst)
+    return _solve(predicted, target, labels, config)[0]
 
 
 def _tangent_row_mean(a: np.ndarray) -> np.ndarray:
@@ -284,19 +259,24 @@ def rot_loss_gradient(
     """
     if config is None:
         config = RotLossConfig()
-    h = _check_simplex(predicted, "predicted", labels.size)
-    y = _check_simplex(target, "target", labels.size)
-    gamma, worst, value, oracle_plan = _solve(h, y, labels, config)
+    loss, oracle = _solve(predicted, target, labels, config)
+    # One more oracle solve at the final costs. Its log is the dual-potential
+    # expression of the entropic subproblem, so the gradient formula applied
+    # to it decomposes additively even before full convergence; the averaged
+    # iterate's near-zero entries instead carry stale logarithms dominated by
+    # early iterations, which would pollute the gradient's row means.
+    costs = labels._pair_costs(loss.metric.matrix)
+    oracle_plan = oracle(costs)
     if np.any(oracle_plan <= 0):
         raise ValueError(
             "gradient undefined: the transport plan has zero entries; "
             "enable target smoothing (target_smoothing_alpha > 0) and use "
             "strictly positive predictions"
         )
-    a = labels._pair_costs(worst.matrix) + config.sinkhorn.lambda_beta * (
+    a = costs + config.sinkhorn.lambda_beta * (
         np.log(oracle_plan) + 1.0
     )
     grad = _tangent_row_mean(a)
     if return_loss:
-        return grad, LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=worst)
+        return grad, loss
     return grad

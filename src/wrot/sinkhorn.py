@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import TransportPlan, _as_float_array
+from .measures import TransportPlan, _as_float_array, _check_simplex
 
 __all__ = [
     "SinkhornConfig",
@@ -66,17 +66,6 @@ class SinkhornConfig:
         if self.log_domain is None:
             return self.lambda_beta < _LOG_DOMAIN_THRESHOLD
         return self.log_domain
-
-
-def _check_weights(w, name, size):
-    w = _as_float_array(w, name, 1)
-    if w.shape[0] != size:
-        raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
-    if np.any(w < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError(f"{name} must sum to 1")
-    return w
 
 
 def _plain_iterations(kernel, p, q, iterations, state=None, stop_tol=0.0):
@@ -174,8 +163,8 @@ def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=
         config = SinkhornConfig()
     cost = _as_float_array(cost, "cost", 2)
     m, n = cost.shape
-    p = _check_weights(row_weights, "row_weights", m)
-    q = _check_weights(col_weights, "col_weights", n)
+    p = _check_simplex(row_weights, "row_weights", m)
+    q = _check_simplex(col_weights, "col_weights", n)
 
     rows = p > 0
     cols = q > 0
@@ -260,8 +249,8 @@ def exact_ot_small(cost: np.ndarray, row_weights, col_weights) -> tuple[Transpor
     m, n = cost.shape
     if m * n > 16:
         raise ValueError(f"exact_ot_small is limited to m*n <= 16, got {m}x{n}")
-    p = _check_weights(row_weights, "row_weights", m)
-    q = _check_weights(col_weights, "col_weights", n)
+    p = _check_simplex(row_weights, "row_weights", m)
+    q = _check_simplex(col_weights, "col_weights", n)
 
     # Equality constraints: every row sum and all but one column sum (the last
     # is implied by total mass).

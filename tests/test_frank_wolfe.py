@@ -219,6 +219,33 @@ class TestConvergence:
         assert all(g >= -1e-12 for g in result.gap_history)
 
 
+class TestReturnedWorstCase:
+    """The returned metric and value are the worst case at the returned plan,
+    whether the loop stops on the gap or at ``max_iter``."""
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["plain", "grouped"])
+    @pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+    def test_metric_and_value_at_returned_plan(self, grouped, capped):
+        rng = np.random.default_rng(10)
+        src, tgt = random_instance(rng, 4, 5, 4)
+        grouping = make_grouping(4, 2, seed=3) if grouped else None
+        metric = PNormConfig(k=1)
+        cfg = converged_config(metric, grouping=grouping)
+        if capped:
+            # one step: the returned worst case must be the one after it
+            cfg = FWConfig(metric=metric, sinkhorn=cfg.sinkhorn, max_iter=1, grouping=grouping)
+        result = rot_distance(src, tgt, cfg)
+        assert result.converged is not capped
+        assert result.iterations_used == (1 if capped else len(result.gap_history))
+        if grouped:
+            moment = grouped_second_moment(result.plan, src, tgt, grouping)
+        else:
+            moment = displacement_second_moment(result.plan, src, tgt)
+        want = adversarial_value(moment, metric)
+        assert result.value == pytest.approx(want.value, rel=1e-12)
+        assert_allclose(result.metric.matrix, want.matrix, rtol=1e-12, atol=1e-15)
+
+
 class TestGrouping:
     def test_trivial_grouping_matches_full_trajectory(self):
         """rows_per_group=1 with identity permutation reproduces the

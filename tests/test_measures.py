@@ -12,6 +12,7 @@ from wrot import (
     make_grouping,
     make_measure,
 )
+from wrot.measures import _moment_arrays, _pair_costs_full
 
 
 def brute_force_moment(gamma, src, tgt):
@@ -157,6 +158,57 @@ class TestGroupedMoment:
         src, tgt = random_instance(rng, 5, 4, 7)
         u = grouped_second_moment(independent_coupling(src, tgt), src, tgt, grouping)
         assert np.linalg.eigvalsh(u).min() >= -1e-10
+
+
+class TestArrayKernels:
+    """The moment and pair-cost kernels against per-pair sums, for plain
+    (n, d) points and (n, d1, r) arrays, and with ``tgt is src``."""
+
+    @staticmethod
+    def arrays(rng, shape_src, shape_tgt, same):
+        src = rng.normal(size=shape_src)
+        tgt = src if same else rng.normal(size=shape_tgt)
+        gamma = rng.uniform(size=(src.shape[0], tgt.shape[0]))
+        return gamma / gamma.sum(), src, tgt
+
+    @staticmethod
+    def pair_matrices(src, tgt):
+        # each point as a d1 x k matrix; plain points are single rows
+        k = src.shape[-1]
+        return src.reshape(src.shape[0], -1, k), tgt.reshape(tgt.shape[0], -1, k)
+
+    CASES = [
+        ((4, 3), (5, 3), False),
+        ((4, 3), None, True),
+        ((4, 2, 3), (5, 2, 3), False),
+        ((5, 3, 2), None, True),
+    ]
+    IDS = ["points", "points-self", "reshaped", "reshaped-self"]
+
+    @pytest.mark.parametrize("shape_src,shape_tgt,same", CASES, ids=IDS)
+    def test_moment_matches_pair_sum(self, shape_src, shape_tgt, same):
+        rng = np.random.default_rng(40)
+        gamma, src, tgt = self.arrays(rng, shape_src, shape_tgt, same)
+        s3, t3 = self.pair_matrices(src, tgt)
+        want = np.zeros((src.shape[-1],) * 2)
+        for i in range(len(s3)):
+            for j in range(len(t3)):
+                diff = s3[i] - t3[j]
+                want += gamma[i, j] * diff.T @ diff
+        assert_allclose(_moment_arrays(gamma, src, tgt), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape_src,shape_tgt,same", CASES, ids=IDS)
+    def test_pair_costs_match_pair_sum(self, shape_src, shape_tgt, same):
+        rng = np.random.default_rng(41)
+        _, src, tgt = self.arrays(rng, shape_src, shape_tgt, same)
+        k = src.shape[-1]
+        root = rng.normal(size=(k, k))
+        metric = root @ root.T
+        s3, t3 = self.pair_matrices(src, tgt)
+        want = np.array(
+            [[np.trace((a - b) @ metric @ (a - b).T) for b in t3] for a in s3]
+        )
+        assert_allclose(_pair_costs_full(src, tgt, metric), want, rtol=1e-12, atol=1e-12)
 
 
 class TestMeasureTypes:
