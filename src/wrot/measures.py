@@ -214,19 +214,15 @@ def _check_simplex(w, name, size):
 
 def _moment_arrays(gamma: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     # sum_ij g_ij (S_i - T_j)^T (S_i - T_j) via the marginal decomposition
-    # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j;
-    # when tgt is src the two weighted Gram terms merge into one.
+    # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j.
     k = src.shape[-1]
     s = src.reshape(src.shape[0], -1)
     t = tgt.reshape(tgt.shape[0], -1)
     a = gamma.sum(axis=1)[:, None]
     b = gamma.sum(axis=0)[:, None]
     cross = s.reshape(-1, k).T @ (gamma @ t).reshape(-1, k)
-    if tgt is src:
-        gram = ((a + b) * s).reshape(-1, k).T @ s.reshape(-1, k)
-    else:
-        gram = (a * s).reshape(-1, k).T @ s.reshape(-1, k)
-        gram += (b * t).reshape(-1, k).T @ t.reshape(-1, k)
+    gram = (a * s).reshape(-1, k).T @ s.reshape(-1, k)
+    gram += (b * t).reshape(-1, k).T @ t.reshape(-1, k)
     v = gram - cross - cross.T
     return 0.5 * (v + v.T)
 
