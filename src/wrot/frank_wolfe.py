@@ -23,9 +23,9 @@ from .measures import (
     FeatureGrouping,
     TransportPlan,
     _coupled_arrays,
-    _grouped_reshape,
     _moment_arrays,
     _pair_costs_full,
+    _point_arrays,
 )
 from .metric_solvers import (
     AdversarialMetric,
@@ -139,13 +139,8 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     when the duality gap reaches ``config.gap_tol`` or after
     ``config.max_iter`` iterations.
     """
-    if src.dim != tgt.dim:
-        raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
     p, q = src.weights, tgt.weights
-    src_arr, tgt_arr = src.points, tgt.points
-    if config.grouping is not None:
-        src_arr = _grouped_reshape(src_arr, config.grouping)
-        tgt_arr = _grouped_reshape(tgt_arr, config.grouping)
+    src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
     power = 2 * config.metric.k if config.objective_power == "norm_2k" else None
 
     def worst_case(gamma):
@@ -185,8 +180,6 @@ def w22_distance(
     returned value is the transport term alone (no entropy), so it upper
     bounds the exact squared 2-Wasserstein distance.
     """
-    if src.dim != tgt.dim:
-        raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
-    cost = _pair_costs_full(src.points, tgt.points, np.eye(src.dim))
+    cost = _pair_costs_full(*_point_arrays(src, tgt), np.eye(src.dim))
     plan, _ = entropic_ot(cost, src.weights, tgt.weights, config)
     return float(np.sum(plan.matrix * cost))

@@ -262,19 +262,25 @@ def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarra
     return np.ascontiguousarray(permuted.reshape(n, r, d1).transpose(0, 2, 1))
 
 
-def _coupled_arrays(plan, src, tgt, grouping=None):
-    """Check that ``plan`` couples ``src`` and ``tgt``; return their point
+def _point_arrays(src, tgt, grouping=None):
+    """Check that ``src`` and ``tgt`` share a dimension; return their point
     arrays, reshaped to (n, d1, r) when a grouping is given."""
-    if plan.shape != (src.size, tgt.size):
-        raise ValueError(
-            f"plan shape {plan.shape} does not match measures "
-            f"({src.size}, {tgt.size})"
-        )
     if src.dim != tgt.dim:
         raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
     if grouping is None:
         return src.points, tgt.points
     return _grouped_reshape(src.points, grouping), _grouped_reshape(tgt.points, grouping)
+
+
+def _coupled_arrays(plan, src, tgt, grouping=None):
+    """:func:`_point_arrays` after checking that ``plan`` couples ``src`` and
+    ``tgt``."""
+    if plan.shape != (src.size, tgt.size):
+        raise ValueError(
+            f"plan shape {plan.shape} does not match measures "
+            f"({src.size}, {tgt.size})"
+        )
+    return _point_arrays(src, tgt, grouping)
 
 
 def displacement_second_moment(

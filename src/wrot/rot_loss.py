@@ -28,9 +28,9 @@ itself, otherwise it is the gradient of the ``lambda_beta``-smoothed loss the
 oracle minimizes. It is exactly tangent to the simplex, and shifting ``A`` by
 any constant leaves it unchanged.
 
-With a :class:`~wrot.measures.FeatureGrouping`, a per-pair Gram cache of the
-reshaped embedding differences is built once; each loss evaluation then costs
-O(L^2 r^2) in the group count ``r`` regardless of the embedding dimension.
+With a :class:`~wrot.measures.FeatureGrouping` the embeddings are reshaped
+once to ``(L, d1, r)``; the moments and pair costs stream over that array, so
+one Frank-Wolfe step costs O(L^2 d + L d r) plus an ``r x r`` adversary.
 """
 
 from __future__ import annotations
@@ -68,15 +68,10 @@ __all__ = [
     "rot_loss_gradient",
 ]
 
-# Pair Gram caches above this entry count fall back to streamed assembly.
-_PAIR_CACHE_MAX_ENTRIES = 2**24
-# Plan entries below this threshold are dropped from moment assembly.
-_PLAN_SPARSITY_EPS = 1e-15
-
 
 @dataclass(frozen=True)
 class LabelSpace:
-    """Unit-norm label embeddings plus the optional grouping and its caches."""
+    """Unit-norm label embeddings plus the optional feature grouping."""
 
     embeddings: np.ndarray
     grouping: FeatureGrouping | None = None
@@ -90,16 +85,9 @@ class LabelSpace:
         # the point array the kernels see: the embeddings, or their (L, d1, r)
         # reshape under a grouping
         points = self.embeddings
-        pair = None
         if self.grouping is not None:
             points = _freeze(_grouped_reshape(emb, self.grouping))
-            n = self.size
-            r = self.grouping.group_count
-            if n * n * r * r <= _PAIR_CACHE_MAX_ENTRIES:
-                diff = points[:, None, :, :] - points[None, :, :, :]  # (L, L, d1, r)
-                pair = _freeze(np.einsum("pqar,pqas->pqrs", diff, diff, optimize=True))
         object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_pair_gram", pair)
 
     @property
     def size(self) -> int:
@@ -115,20 +103,10 @@ class LabelSpace:
         return self._points.shape[-1]
 
     def _moment(self, plan: np.ndarray) -> np.ndarray:
-        if self._pair_gram is None:
-            return _moment_arrays(plan, self._points, self._points)
-        mask = plan > _PLAN_SPARSITY_EPS
-        if np.count_nonzero(mask) < 0.25 * plan.size:
-            idx = np.nonzero(mask)
-            m = np.einsum("k,krs->rs", plan[idx], self._pair_gram[idx], optimize=True)
-        else:
-            m = np.einsum("pq,pqrs->rs", plan, self._pair_gram, optimize=True)
-        return 0.5 * (m + m.T)
+        return _moment_arrays(plan, self._points, self._points)
 
     def _pair_costs(self, metric: np.ndarray) -> np.ndarray:
-        if self._pair_gram is None:
-            return _pair_costs_full(self._points, self._points, metric)
-        return np.einsum("pqrs,rs->pq", self._pair_gram, metric, optimize=True)
+        return _pair_costs_full(self._points, self._points, metric)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 the simplex-tangent gradient, and qualitative contour behavior."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,22 +328,60 @@ class TestGroupingAndCaches:
         assert grouped.value == pytest.approx(plain.value, abs=1e-12)
         np.testing.assert_allclose(grouped.plan.matrix, plain.plan.matrix, atol=1e-12)
 
-    def test_streamed_assembly_matches_cached(self, monkeypatch):
+    def test_streamed_kernels_match_pairwise_gram_oracle(self, monkeypatch):
         rng = np.random.default_rng(33)
         emb = unit_rows(rng, 4, 6)
         grouping = make_grouping(6, 3, seed=1)
         h = rng.dirichlet(np.ones(4))
         y = smooth_target(np.array([0.0, 0.0, 1.0, 0.0]), alpha=0.05)
         cfg = converged_cfg(lam=0.05, fw=60, sk=500)
-        cached = rot_loss(h, y, LabelSpace(embeddings=emb, grouping=grouping), cfg)
-        monkeypatch.setattr(rot_loss_mod, "_PAIR_CACHE_MAX_ENTRIES", 0)
-        streamed_space = LabelSpace(embeddings=emb, grouping=grouping)
-        assert streamed_space._pair_gram is None
-        streamed = rot_loss(h, y, streamed_space, cfg)
-        assert streamed.value == pytest.approx(cached.value, abs=1e-12)
+        labels = LabelSpace(embeddings=emb, grouping=grouping)
+
+        # the oracle: per-pair r x r Grams of the reshaped embedding
+        # differences, group g holding permuted coordinates g*d1 .. g*d1+d1-1
+        d1, r = grouping.rows_per_group, grouping.group_count
+        padded = np.hstack([emb, np.zeros((4, grouping.pad))])
+        points = padded[:, grouping.permutation].reshape(4, r, d1).transpose(0, 2, 1)
+        diff = points[:, None, :, :] - points[None, :, :, :]
+        gram = np.einsum("pqar,pqas->pqrs", diff, diff)
+
+        def gram_moment(self, plan):
+            return np.einsum("pq,pqrs->rs", plan, gram)
+
+        def gram_pair_costs(self, metric):
+            return np.einsum("pqrs,rs->pq", gram, metric)
+
+        plan = rng.dirichlet(np.ones(16)).reshape(4, 4)
+        a = rng.normal(size=(r, r))
+        metric = a @ a.T
         np.testing.assert_allclose(
-            streamed.plan.matrix, cached.plan.matrix, atol=1e-12
+            labels._moment(plan), gram_moment(labels, plan), atol=1e-12
         )
+        np.testing.assert_allclose(
+            labels._pair_costs(metric), gram_pair_costs(labels, metric), atol=1e-12
+        )
+
+        streamed = rot_loss(h, y, labels, cfg)
+        monkeypatch.setattr(LabelSpace, "_moment", gram_moment)
+        monkeypatch.setattr(LabelSpace, "_pair_costs", gram_pair_costs)
+        assembled = rot_loss(h, y, labels, cfg)
+        assert streamed.value == pytest.approx(assembled.value, abs=1e-12)
+        np.testing.assert_allclose(
+            streamed.plan.matrix, assembled.plan.matrix, atol=1e-12
+        )
+
+    def test_grouped_space_holds_no_per_pair_state(self):
+        # 48 labels, d = 200, r = 40: an O(L^2 r^2) per-pair array would be
+        # about 30 MB; the (L, d1, r) reshape and its temporaries are 0.15 MB
+        emb = unit_rows(np.random.default_rng(34), 48, 200)
+        grouping = make_grouping(200, 40, seed=0)
+        tracemalloc.start()
+        try:
+            LabelSpace(embeddings=emb, grouping=grouping)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestContourOrdering:
