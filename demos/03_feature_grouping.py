@@ -33,7 +33,7 @@ rng = np.random.default_rng(21)
 d = 6
 src = make_measure(rng.normal(size=(4, d)))
 tgt = make_measure(rng.normal(size=(5, d)))
-sink = SinkhornConfig(lambda_beta=0.05, iterations=300, log_domain=True)
+sink = SinkhornConfig(lambda_beta=0.05, iterations=300)
 
 full = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1), sinkhorn=sink))
 grouped = rot_distance(

@@ -47,7 +47,7 @@ for name, metric in families:
         metric=metric,
         lambda_gamma=0.05,
         fw_iters=40,
-        sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=400, log_domain=True),
+        sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=400),
     )
     surface = np.full((grid_n, grid_n), np.nan)
     for i, x in enumerate(grid):

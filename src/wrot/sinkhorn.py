@@ -5,12 +5,13 @@ entropy-regularized linear transport problem
 
     min_{plan in Pi(p, q)}  <plan, cost> + lambda_beta * sum plan * log(plan)
 
-by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``,
-either with plain multiplicative updates or in the log domain (stable for
-small regularization). :func:`symmetric_scaling` finds the diagonal that makes
-a symmetric positive kernel doubly stochastic, which the doubly-stochastic
-metric solver relies on. :func:`exact_ot_small` is an exact LP reference for
-tiny instances, used to cross-check the regularized solver.
+by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``:
+plain multiplicative updates while that kernel is representable in float64,
+log-domain updates beyond (Schmitzer, SIAM J. Sci. Comput. 2019).
+:func:`symmetric_scaling` finds the diagonal that makes a symmetric positive
+kernel doubly stochastic, which the doubly-stochastic metric solver relies on.
+:func:`exact_ot_small` is an exact LP reference for tiny instances, used to
+cross-check the regularized solver.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import TransportPlan, _as_float_array, _check_simplex
+from .measures import _MASS_TOL, TransportPlan, _as_float_array, _check_simplex
 
 __all__ = [
     "SinkhornConfig",
@@ -30,9 +31,8 @@ __all__ = [
     "exact_ot_small",
 ]
 
-# Plain multiplicative updates underflow once cost / lambda_beta passes the
-# float64 exponent range; below this regularization we default to log domain.
-_LOG_DOMAIN_THRESHOLD = 0.05
+# exp(x) and exp(-x) stay normal float64 numbers for |x| <= 700 (the range
+# ends near 708).
 _EXP_LIMIT = 700.0
 
 
@@ -46,15 +46,11 @@ class SinkhornConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Settings for :func:`entropic_ot`.
-
-    ``log_domain=None`` picks the domain automatically: log-space updates when
-    ``lambda_beta`` < 0.05, plain multiplicative updates otherwise.
-    """
+    """Settings for :func:`entropic_ot`; each solve picks its domain from
+    ``max|cost| / lambda_beta`` (plain updates up to 700, log domain above)."""
 
     lambda_beta: float = 0.2
     iterations: int = 10
-    log_domain: bool | None = None
 
     def __post_init__(self):
         if not self.lambda_beta > 0:
@@ -62,30 +58,23 @@ class SinkhornConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
-    def resolved_log_domain(self) -> bool:
-        if self.log_domain is None:
-            return self.lambda_beta < _LOG_DOMAIN_THRESHOLD
-        return self.log_domain
 
-
-def _plain_iterations(kernel, p, q, iterations, state=None, stop_tol=0.0):
-    if state is None:
-        u = np.ones_like(p)
+def _plain_iterations(kernel, p, q, iterations, v=None, stop_tol=0.0):
+    # Rounds from the column scaling v (ones when None); returns (plan, v).
+    if v is None:
         v = np.ones_like(q)
-    else:
-        u, v = state
     for _ in range(iterations):
         ku = kernel @ v
         if np.any(ku <= 0):
             raise SinkhornConvergenceError(
-                "kernel column sums underflowed to zero; use log_domain=True",
+                "kernel column sums underflowed to zero in the plain domain",
                 residual=np.inf,
             )
         u = p / ku
         kv = kernel.T @ u
         if np.any(kv <= 0):
             raise SinkhornConvergenceError(
-                "kernel row sums underflowed to zero; use log_domain=True",
+                "kernel row sums underflowed to zero in the plain domain",
                 residual=np.inf,
             )
         v = q / kv
@@ -94,7 +83,7 @@ def _plain_iterations(kernel, p, q, iterations, state=None, stop_tol=0.0):
             row_err = np.max(np.abs(u * (kernel @ v) - p))
             if row_err <= stop_tol:
                 break
-    return u[:, None] * kernel * v[None, :], (u, v)
+    return u[:, None] * kernel * v[None, :], v
 
 
 def _logsumexp(a, axis):
@@ -111,12 +100,10 @@ def _logsumexp(a, axis):
     return out + np.squeeze(shift, axis=axis)
 
 
-def _log_iterations(log_kernel, log_p, log_q, iterations, state=None, stop_tol=0.0):
-    if state is None:
-        f = np.zeros_like(log_p)
+def _log_iterations(log_kernel, log_p, log_q, iterations, g=None, stop_tol=0.0):
+    # The same rounds on f = log u, g = log v from g; returns (plan, g).
+    if g is None:
         g = np.zeros_like(log_q)
-    else:
-        f, g = state
     p = np.exp(log_p)
     for _ in range(iterations):
         f = log_p - _logsumexp(log_kernel + g[None, :], axis=1)
@@ -127,7 +114,7 @@ def _log_iterations(log_kernel, log_p, log_q, iterations, state=None, stop_tol=0
             )
             if np.max(np.abs(row_sums - p)) <= stop_tol:
                 break
-    return np.exp(log_kernel + f[:, None] + g[None, :]), (f, g)
+    return np.exp(log_kernel + f[:, None] + g[None, :]), g
 
 
 def entropic_ot(
@@ -154,10 +141,14 @@ def entropic_ot(
 def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=0.0):
     """Shared body of :func:`entropic_ot` that can warm start.
 
-    ``state`` carries the scaling variables of a previous call with the same
-    marginals (dual potentials in log domain, multiplicative scalings
-    otherwise); ``stop_tol > 0`` ends the rounds early once the row-sum error
-    drops below it. Returns ``(plan, residual, state)``.
+    Runs plain updates when ``max|cost| / lambda_beta`` over the active
+    block is at most ``_EXP_LIMIT``, log-domain updates otherwise. ``state``
+    is the column potential ``g = log v`` of a previous call with the same
+    marginals; both domains read and write it, so a warm start survives a
+    domain switch. ``stop_tol > 0`` ends the rounds early once the row-sum
+    error drops below it. Returns ``(plan, residual, state)``; raises
+    ``OverflowError`` when the scaled cost is too large for float64 potentials
+    to keep the plan's mass at 1.
     """
     if config is None:
         config = SinkhornConfig()
@@ -173,22 +164,29 @@ def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=
     qa = q[cols]
 
     scaled = sub_cost / config.lambda_beta
-    if config.resolved_log_domain():
+    scale = float(np.max(np.abs(scaled)))
+    if scale <= _EXP_LIMIT:
+        # v -> c v leaves the plan unchanged, so shifting g by its maximum
+        # keeps exp(g) in range whatever domain produced it.
+        v = None if state is None else np.exp(state - np.max(state))
+        sub_plan, v = _plain_iterations(
+            np.exp(-scaled), pa, qa, config.iterations, v, stop_tol
+        )
+        state = np.log(v)
+    else:
         sub_plan, state = _log_iterations(
             -scaled, np.log(pa), np.log(qa), config.iterations, state, stop_tol
-        )
-    else:
-        if np.max(np.abs(scaled)) > _EXP_LIMIT:
-            raise OverflowError(
-                "cost / lambda_beta exceeds the exp range for plain updates; "
-                "use log_domain=True or raise lambda_beta"
-            )
-        sub_plan, state = _plain_iterations(
-            np.exp(-scaled), pa, qa, config.iterations, state, stop_tol
         )
 
     plan = np.zeros((m, n))
     plan[np.ix_(rows, cols)] = sub_plan
+    total = plan.sum()
+    if abs(total - 1.0) > _MASS_TOL:
+        raise OverflowError(
+            f"transport plan mass is {total:.10g}, expected 1: max|cost|/lambda_beta "
+            f"= {scale:.3g} is beyond what float64 dual potentials resolve; "
+            "raise lambda_beta, or lambda_m for the KL and DS adversaries"
+        )
     row_sums = plan.sum(axis=1)
     col_sums = plan.sum(axis=0)
     residual = max(

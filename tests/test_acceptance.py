@@ -180,7 +180,7 @@ def test_criterion_4_gradient_suites():
         return RotLossConfig(
             lambda_gamma=lam,
             fw_iters=fw,
-            sinkhorn=SinkhornConfig(lambda_beta=lam, iterations=sk, log_domain=True),
+            sinkhorn=SinkhornConfig(lambda_beta=lam, iterations=sk),
         )
 
     rng = np.random.default_rng(4)
@@ -225,7 +225,7 @@ def test_criterion_5_kronecker_equivalence():
     d = 6
     src = make_measure(rng.normal(size=(4, d)))
     tgt = make_measure(rng.normal(size=(5, d)))
-    sink = SinkhornConfig(lambda_beta=0.05, iterations=300, log_domain=True)
+    sink = SinkhornConfig(lambda_beta=0.05, iterations=300)
 
     # singleton groups reproduce the ungrouped path iterate by iterate
     plain = rot_distance(
@@ -337,12 +337,18 @@ def test_criterion_8_group_count_scaling():
     )
 
     group_counts = (25, 50, 100, 200)
-    per_epoch = []
-    for r in group_counts:
-        labels = LabelSpace(embeddings=emb, grouping=make_grouping(dim, r, seed=0))
-        result = sgd_train(data, labels, TrainConfig(epochs=4))
-        # the first epoch runs cold; time the warmed ones
-        per_epoch.append(min(result.epoch_seconds[1:]))
+    spaces = [
+        LabelSpace(embeddings=emb, grouping=make_grouping(dim, r, seed=0))
+        for r in group_counts
+    ]
+    per_epoch = [np.inf] * len(group_counts)
+    # Each r is timed as the minimum over eight warm epochs, taken in rounds
+    # that visit every r in turn, so a slow phase of a shared machine lands
+    # on all of them alike. The first epoch of each call runs cold.
+    for _ in range(4):
+        for i, labels in enumerate(spaces):
+            result = sgd_train(data, labels, TrainConfig(epochs=3))
+            per_epoch[i] = min(per_epoch[i], *result.epoch_seconds[1:])
 
     t = np.array(per_epoch)
     r_sq = np.array([float(r) ** 2 for r in group_counts])

@@ -159,9 +159,7 @@ class TestSgdTrain:
             lambda_gamma=0.05,
             metric=PNormConfig(k=1),
             fw_iters=80,
-            sinkhorn=SinkhornConfig(
-                lambda_beta=0.05, iterations=600, log_domain=True
-            ),
+            sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=600),
         )
         lr = 1e-3
         out = sgd_train(

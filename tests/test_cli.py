@@ -25,6 +25,8 @@ def cloud_files(tmp_path_factory):
         "separated": str(d / "separated.csv"),
         "a": str(d / "a.csv"),
         "b": str(d / "b.csv"),
+        "wide_a": str(d / "wide_a.csv"),
+        "wide_b": str(d / "wide_b.csv"),
     }
     save_features(paths["src2"], np.array([[0.0, 0.0], [1.0, 1.0]]), binary=False)
     save_features(paths["tgt2"], np.array([[1.0, 0.0], [0.0, 1.0]]), binary=False)
@@ -34,6 +36,11 @@ def cloud_files(tmp_path_factory):
     rng = np.random.default_rng(11)
     save_features(paths["a"], 0.6 * rng.normal(size=(4, 3)), binary=False)
     save_features(paths["b"], 0.6 * rng.normal(size=(5, 3)) + 0.4, binary=False)
+    # standard normals times 30: squared distances in the thousands, so the
+    # default lambda_beta puts max|cost| / lambda_beta far past 700
+    rng = np.random.default_rng(1)
+    save_features(paths["wide_a"], 30.0 * rng.normal(size=(6, 3)), binary=False)
+    save_features(paths["wide_b"], 30.0 * rng.normal(size=(5, 3)), binary=False)
     return paths
 
 
@@ -124,6 +131,16 @@ class TestDistance:
         assert list(result) == ["value", "gap", "iterations", "family"]
         assert result["family"] == family
         assert np.isfinite(result["value"]) and result["value"] > 0
+
+    @pytest.mark.parametrize("family", ["pnorm", "w22"])
+    def test_wide_clouds_solve_at_default_settings(self, cloud_files, family, capsys):
+        code, out, err = invoke(
+            ["distance", "--src", cloud_files["wide_a"], "--tgt", cloud_files["wide_b"],
+             "--family", family, "--json"],
+            capsys,
+        )
+        assert code == 0, err
+        assert np.isfinite(json.loads(out)["value"])
 
     def test_text_output_lists_fields(self, cloud_files, capsys):
         code, out, _ = invoke(

@@ -46,7 +46,7 @@ def converged_config(metric, **overrides):
     # the entropic subproblem leaves a small bias in the duality gap, so the
     # tolerance cannot be pushed arbitrarily low
     defaults = dict(
-        sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=400, log_domain=True),
+        sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=400),
         max_iter=150,
         gap_tol=1e-6,
     )
@@ -217,6 +217,23 @@ class TestConvergence:
         src, tgt = random_instance(rng, 4, 4, 3)
         result = rot_distance(src, tgt, converged_config(KLConfig(lambda_m=2.0)))
         assert all(g >= -1e-12 for g in result.gap_history)
+
+    def test_cost_beyond_float_potentials_names_the_fix(self):
+        """KL at lambda_m 0.01 puts max|cost| / lambda_beta near 1e146, where
+        float64 potentials lose the plan's mass; the error says so."""
+        rng = np.random.default_rng(0)
+        src = make_measure(rng.normal(size=(12, 8)))
+        tgt = make_measure(rng.normal(size=(9, 8)), rng.random(9) + 0.1)
+        cfg = FWConfig(
+            metric=KLConfig(lambda_m=0.01),
+            sinkhorn=SinkhornConfig(lambda_beta=0.02, iterations=10),
+            max_iter=15,
+        )
+        with pytest.raises(
+            OverflowError,
+            match=r"max\|cost\|/lambda_beta = .*raise lambda_beta, or lambda_m",
+        ):
+            rot_distance(src, tgt, cfg)
 
 
 class TestReturnedWorstCase:

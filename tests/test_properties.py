@@ -1,0 +1,108 @@
+"""Property tests for the entropic solver's automatic domain choice.
+
+Examples are derandomized and bounded so the suite stays deterministic and
+fast; each property still sweeps shapes, weights and scales no fixed seed
+covers.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from wrot import (
+    FWConfig,
+    PNormConfig,
+    SinkhornConfig,
+    make_measure,
+    rot_distance,
+    sinkhorn,
+    w22_distance,
+)
+
+bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def vectors(size, low=0.0):
+    return st.lists(st.floats(low, 1.0), min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def instances(draw):
+    """A unit-range m x n matrix and two weight vectors with entries reaching
+    down to about 1e-6."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    unit = draw(vectors(m * n)).reshape(m, n)
+    p = draw(vectors(m, 1e-6))
+    q = draw(vectors(n, 1e-6))
+    return unit, p / p.sum(), q / q.sum()
+
+
+@bounded
+@given(instances(), st.floats(0.005, 2.0), st.floats(1.0, 699.0))
+def test_plain_and_log_iterations_agree_below_the_bound(instance, lam, top):
+    """Wherever the plain kernel is representable, both domains give the
+    same plan."""
+    unit, p, q = instance
+    scaled = (unit * top * lam) / lam
+    assert np.max(scaled) <= sinkhorn._EXP_LIMIT
+    plain, _ = sinkhorn._plain_iterations(np.exp(-scaled), p, q, 30)
+    logd, _ = sinkhorn._log_iterations(-scaled, np.log(p), np.log(q), 30)
+    assert_allclose(plain, logd, rtol=0.0, atol=1e-10)
+
+
+@bounded
+@given(
+    instances(),
+    st.data(),
+    st.floats(0.0, 697.0),
+    st.floats(701.0, 3000.0),
+    st.booleans(),
+)
+def test_warm_start_across_a_domain_switch(instance, data, low, high, up):
+    """A warm start from a solve in the other domain converges to the cold
+    solve's plan.
+
+    Each scaled cost is a row-plus-column offset, whose maximum picks the
+    domain, plus an interaction of at most 3, which sets the plan and keeps
+    the scaling rounds contracting fast.
+    """
+    unit, p, q = instance
+    m, n = unit.shape
+
+    def scaled_cost(top, interaction):
+        rows = data.draw(vectors(m))
+        rows[0] = 1.0
+        offset = rows[:, None] + data.draw(vectors(n))[None, :]
+        return offset * (top / offset.max()) + 3.0 * interaction
+
+    below = scaled_cost(low, unit[::-1, ::-1])
+    above = scaled_cost(high, unit)
+    assert below.max() <= sinkhorn._EXP_LIMIT < above.max()
+    first, second = (below, above) if up else (above, below)
+    # lambda_beta is 1, so these are the scaled costs themselves
+    config = SinkhornConfig(lambda_beta=1.0, iterations=2000)
+    stop_tol = 1e-11
+    _, _, state = sinkhorn._entropic_core(first, p, q, config, stop_tol=stop_tol)
+    warm, warm_res, _ = sinkhorn._entropic_core(
+        second, p, q, config, state=state, stop_tol=stop_tol
+    )
+    cold, cold_res, _ = sinkhorn._entropic_core(second, p, q, config, stop_tol=stop_tol)
+    assert warm_res <= stop_tol and cold_res <= stop_tol
+    assert_allclose(warm.matrix, cold.matrix, rtol=0.0, atol=10 * stop_tol)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(3, 12))
+def test_wide_clouds_solve_with_default_settings(seed, m, n):
+    """Standard normals times 30 put max|cost| / lambda_beta far above 700
+    at the default lambda_beta; both distances still return finite values
+    and a plan with exact column sums."""
+    rng = np.random.default_rng(seed)
+    src = make_measure(30.0 * rng.normal(size=(m, 4)))
+    tgt = make_measure(30.0 * rng.normal(size=(n, 4)), rng.random(n) + 0.1)
+    assert np.isfinite(w22_distance(src, tgt))
+    result = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1), max_iter=10))
+    assert np.isfinite(result.value)
+    assert_allclose(result.plan.matrix.sum(axis=0), tgt.weights, rtol=0.0, atol=1e-9)

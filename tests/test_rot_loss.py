@@ -37,7 +37,7 @@ def converged_cfg(lam=0.02, fw=150, sk=1000, metric=PNormConfig(k=1)):
         lambda_gamma=lam,
         metric=metric,
         fw_iters=fw,
-        sinkhorn=SinkhornConfig(lambda_beta=lam, iterations=sk, log_domain=True),
+        sinkhorn=SinkhornConfig(lambda_beta=lam, iterations=sk),
     )
 
 

@@ -64,23 +64,31 @@ class TestEntropicOT:
 
     def test_log_and_plain_domains_agree(self):
         rng = np.random.default_rng(2)
-        cost = rng.uniform(size=(4, 5))
+        scaled = rng.uniform(size=(4, 5)) / 0.2
         p = np.full(4, 0.25)
         q = np.full(5, 0.2)
-        plain, _ = entropic_ot(
-            cost, p, q,
-            SinkhornConfig(lambda_beta=0.2, iterations=50, log_domain=False),
-        )
-        logd, _ = entropic_ot(
-            cost, p, q,
-            SinkhornConfig(lambda_beta=0.2, iterations=50, log_domain=True),
-        )
-        assert_allclose(plain.matrix, logd.matrix, atol=1e-8)
+        plain, v = sinkhorn._plain_iterations(np.exp(-scaled), p, q, 50)
+        logd, g = sinkhorn._log_iterations(-scaled, np.log(p), np.log(q), 50)
+        assert_allclose(plain, logd, atol=1e-8)
+        # both return the column scaling, up to the free factor v -> c v
+        assert_allclose(np.log(v) - np.log(v[0]), g - g[0], atol=1e-10)
 
-    def test_domain_auto_selection(self):
-        assert SinkhornConfig(lambda_beta=0.01).resolved_log_domain() is True
-        assert SinkhornConfig(lambda_beta=0.2).resolved_log_domain() is False
-        assert SinkhornConfig(lambda_beta=0.2, log_domain=True).resolved_log_domain() is True
+    def test_domain_auto_selection(self, monkeypatch):
+        """The domain follows max|cost| / lambda_beta across the 700 bound."""
+        ran = []
+        for name in ("plain", "log"):
+            inner = getattr(sinkhorn, f"_{name}_iterations")
+
+            def spy(*args, _name=name, _inner=inner):
+                ran.append(_name)
+                return _inner(*args)
+
+            monkeypatch.setattr(sinkhorn, f"_{name}_iterations", spy)
+        for ratio in (699.0, 701.0):
+            cost = np.array([[0.0, ratio], [ratio, 0.0]]) * 0.02
+            plan, _ = entropic_ot(cost, [0.5, 0.5], [0.5, 0.5], SinkhornConfig(0.02))
+            assert_allclose(plan.matrix, np.diag([0.5, 0.5]), atol=1e-300)
+        assert ran == ["plain", "log"]
 
     def test_plan_strictly_positive(self):
         rng = np.random.default_rng(3)
@@ -137,12 +145,15 @@ class TestEntropicOT:
         assert_allclose(plan.matrix[0], q, atol=1e-14)
         assert residual <= 1e-14
 
-    def test_plain_domain_overflow_raises(self):
+    def test_cost_beyond_exp_range_solves(self):
+        """cost / lambda_beta = 2000 has no plain kernel; the log domain
+        returns the identity matching."""
         cost = np.array([[0.0, 1.0], [1.0, 0.0]]) * 2000.0
         p = np.array([0.5, 0.5])
         q = np.array([0.5, 0.5])
-        with pytest.raises(OverflowError):
-            entropic_ot(cost, p, q, SinkhornConfig(1.0, 10, log_domain=False))
+        plan, residual = entropic_ot(cost, p, q, SinkhornConfig(1.0, 10))
+        assert_allclose(plan.matrix, np.diag([0.5, 0.5]), atol=0.0)
+        assert residual == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -175,15 +186,15 @@ class TestLogSumExp:
         assert sinkhorn._logsumexp(a, 1)[0] == -np.inf
 
     @pytest.mark.parametrize("stop_tol", [0.0, 1e-9])
-    def test_log_domain_plan_unchanged_from_scipy(self, monkeypatch, stop_tol):
+    def test_log_iterations_plan_unchanged_from_scipy(self, monkeypatch, stop_tol):
         rng = np.random.default_rng(4)
-        cost = rng.uniform(size=(6, 5)) * 3.0
+        # max cost / lambda_beta sits between 700 and 1000: the log domain runs
+        cost = 14.0 + rng.uniform(size=(6, 5)) * 6.0
         p = rng.uniform(0.5, 1.5, 6)
         p /= p.sum()
         q = rng.uniform(0.5, 1.5, 5)
         q /= q.sum()
         config = SinkhornConfig(lambda_beta=0.02, iterations=400)
-        assert config.resolved_log_domain()
 
         plan, residual, _ = sinkhorn._entropic_core(cost, p, q, config, stop_tol=stop_tol)
         calls = []
@@ -198,6 +209,7 @@ class TestLogSumExp:
         )
         assert_allclose(plan.matrix, ref_plan.matrix, rtol=0.0, atol=1e-12)
         assert residual == pytest.approx(ref_residual, abs=1e-12)
+        assert calls
         if stop_tol > 0.0:
             # three calls per round with the check on; the early stop fired
             assert len(calls) < 3 * config.iterations
