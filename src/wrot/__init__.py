@@ -36,7 +36,6 @@ from .measures import (
     FeatureGrouping,
     TransportPlan,
     displacement_second_moment,
-    grouped_second_moment,
     independent_coupling,
     make_measure,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "feature_selection_objective",
     "feature_weights",
     "gradient_wrt_plan",
-    "grouped_second_moment",
     "independent_coupling",
     "kl_metric",
     "load_dataset",

@@ -101,7 +101,6 @@ class TrainConfig:
     epochs: int = 50
     weight_decay: float = 0.0005
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -133,7 +132,8 @@ def _sample_loss_and_grad(h, target, labels, loss_config):
 def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None = None) -> TrainResult:
     """Train a softmax model on ``dataset`` with per-sample SGD.
 
-    Weights start at zero. Each sample's update is
+    Weights start at zero, and each epoch visits the samples in a fresh
+    permutation drawn from ``config.seed``. Each sample's update is
     ``W <- W - lr * (x (J_softmax grad_h)^T + 2 * weight_decay * W)``, where
     ``grad_h`` is the transport-loss gradient at the current prediction.
     Returns the model with per-epoch mean losses and wall times. Raises
@@ -155,7 +155,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
     epoch_seconds = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for i in order:
             x = features[i]

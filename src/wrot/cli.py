@@ -34,7 +34,6 @@ from .data_io import (
     _load_features,
     load_dataset,
     load_embedding_file,
-    load_grouping,
     make_grouping,
     save_grouping,
 )
@@ -185,8 +184,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model_in)
     dataset = load_dataset(args.features, args.labels, num_labels=model.n_labels)
-    if args.grouping_in:
-        load_grouping(args.grouping_in)  # validates the companion file
     metrics = evaluate(model, dataset)
     print(f"auc {metrics.auc:.6f}")
     print(f"map {metrics.mean_average_precision:.6f}")
@@ -251,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-in", required=True, dest="model_in")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--grouping-in", default=None, dest="grouping_in")
     p.add_argument("--metrics-json", default=None, dest="metrics_json")
     p.set_defaults(func=cmd_eval)
     return parser

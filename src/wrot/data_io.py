@@ -13,14 +13,13 @@ permuted index per line.
 
 from __future__ import annotations
 
-import math
 import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FeatureGrouping, _as_float_array, _freeze
+from .measures import FeatureGrouping, _as_float_array, _freeze, _padded_dim
 
 __all__ = [
     "Dataset",
@@ -320,24 +319,9 @@ def make_grouping(dim: int, group_count: int, seed: int) -> FeatureGrouping:
     Raises if the required padding would fill an entire group (no valid
     grouping exists for such dim/group_count pairs).
     """
-    if dim < 1 or group_count < 1:
-        raise ValueError("dim and group_count must be positive")
-    rows_per_group = math.ceil(dim / group_count)
-    pad = rows_per_group * group_count - dim
-    if pad >= rows_per_group:
-        raise ValueError(
-            f"grouping dim={dim} into {group_count} groups needs pad={pad} >= "
-            f"rows_per_group={rows_per_group}; pick a group count with "
-            "smaller remainder"
-        )
-    permutation = np.random.default_rng(seed).permutation(dim + pad)
+    permutation = np.random.default_rng(seed).permutation(_padded_dim(dim, group_count))
     return FeatureGrouping(
-        dim=dim,
-        group_count=group_count,
-        rows_per_group=rows_per_group,
-        pad=pad,
-        permutation=permutation,
-        seed=seed,
+        dim=dim, group_count=group_count, permutation=permutation, seed=seed
     )
 
 
@@ -368,17 +352,9 @@ def load_grouping(path) -> FeatureGrouping:
                 indices.append(int(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad permutation index") from exc
-    rows_per_group = math.ceil(dim / group_count)
-    pad = rows_per_group * group_count - dim
-    if len(indices) != dim + pad:
-        raise ValueError(
-            f"{path}: permutation has {len(indices)} entries, expected {dim + pad}"
-        )
     return FeatureGrouping(
         dim=dim,
         group_count=group_count,
-        rows_per_group=rows_per_group,
-        pad=pad,
         permutation=np.asarray(indices, dtype=np.int64),
         seed=seed,
     )

@@ -6,8 +6,10 @@ Frank-Wolfe over the transport polytope: at each iterate the objective's
 gradient is the pairwise Mahalanobis cost matrix under the current worst-case
 metric, the linear minimization oracle is an entropy-regularized transport
 solve with that cost, and the step size is the standard ``2 / (t + 2)``
-schedule. Iterates therefore stay strictly inside the polytope and the
-reported duality gap is measured against the regularized oracle. The loop,
+schedule. The entropic oracle matches the column weights exactly but the row
+weights only up to its residual, so iterates can leave the polytope, and the
+reported duality gap, measured against the oracle's own plan, certifies
+nothing. The loop,
 :func:`_frank_wolfe`, also solves the label-embedding loss of
 :mod:`wrot.rot_loss`, which passes its own oracle.
 """
@@ -30,7 +32,6 @@ from .measures import (
 from .metric_solvers import (
     AdversarialMetric,
     MetricSolverConfig,
-    PNormConfig,
     adversarial_value,
 )
 from .sinkhorn import SinkhornConfig, entropic_ot
@@ -40,30 +41,19 @@ __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance", "gradient_wr
 
 @dataclass(frozen=True)
 class FWConfig:
-    """Settings for :func:`rot_distance`.
-
-    ``objective_power="norm_2k"`` minimizes the 2k-th power of the p-norm
-    objective instead of the norm itself. Both have the same minimizers; the
-    power form only rescales the gradient, which changes the path the solver
-    takes. It is meaningful for the p-norm family alone.
-    """
+    """Settings for :func:`rot_distance`."""
 
     metric: MetricSolverConfig
     sinkhorn: SinkhornConfig = SinkhornConfig()
     max_iter: int = 200
     gap_tol: float = 1e-6
     grouping: FeatureGrouping | None = None
-    objective_power: str = "norm"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
-        if self.objective_power not in ("norm", "norm_2k"):
-            raise ValueError("objective_power must be 'norm' or 'norm_2k'")
-        if self.objective_power == "norm_2k" and not isinstance(self.metric, PNormConfig):
-            raise ValueError("objective_power='norm_2k' applies to the p-norm family only")
 
 
 @dataclass(frozen=True)
@@ -72,8 +62,11 @@ class RotResult:
 
     ``value`` is the worst-case transport cost at the final plan, ``metric``
     the worst-case metric there, ``gap_history`` the duality gap measured at
-    each iterate (against the entropic oracle, so it is an approximate
-    certificate), and ``converged`` whether the last gap met the tolerance.
+    each iterate against the entropic oracle's plan, and ``converged``
+    whether the last gap met the tolerance. That oracle misses the row
+    weights by up to its residual, so ``plan`` can leave the polytope,
+    ``value`` can fall below the true distance, and neither the gap nor
+    ``converged`` certifies it.
     """
 
     value: float
@@ -141,16 +134,12 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     """
     p, q = src.weights, tgt.weights
     src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
-    power = 2 * config.metric.k if config.objective_power == "norm_2k" else None
 
     def worst_case(gamma):
         return adversarial_value(_moment_arrays(gamma, src_arr, tgt_arr), config.metric)
 
     def gradient(worst):
-        grad = _pair_costs_full(src_arr, tgt_arr, worst.matrix)
-        if power is not None:
-            grad = grad * (power * worst.value ** (power - 1))
-        return grad
+        return _pair_costs_full(src_arr, tgt_arr, worst.matrix)
 
     def oracle(grad):
         # A cold solve each step. Warm-starting it from the previous step's

@@ -8,14 +8,14 @@ works through it rather than through pairwise cost matrices.
 
 A :class:`FeatureGrouping` reshapes each point into a ``d1 x r`` matrix (after
 a fixed permutation and zero padding) so that block-structured metrics reduce
-to an ``r x r`` problem; :func:`grouped_second_moment` is the matching reduced
-moment. With ``d1 = 1`` and the identity permutation the grouped moment equals
-the full one.
+to an ``r x r`` problem; :func:`displacement_second_moment` with ``grouping=``
+is the matching reduced moment. With ``d1 = 1`` and the identity permutation
+the grouped moment equals the full one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "make_measure",
     "independent_coupling",
     "displacement_second_moment",
-    "grouped_second_moment",
 ]
 
 _MARGINAL_TOL = 1e-8
@@ -129,44 +128,53 @@ class TransportPlan:
         return self.matrix.shape
 
 
+def _padded_dim(dim: int, group_count: int) -> int:
+    """``d1 * r`` with ``d1 = ceil(dim / r)``: a grouping's permutation length."""
+    if dim < 1 or group_count < 1:
+        raise ValueError("dim and group_count must be positive")
+    return -(-dim // group_count) * group_count
+
+
 @dataclass(frozen=True)
 class FeatureGrouping:
     """A partition of (padded) feature coordinates into r groups of size d1.
 
-    ``permutation`` is a bijection on ``dim + pad`` indices; a feature vector
-    is zero-padded, permuted, and filled column-major into a ``d1 x r``
-    matrix, so group ``g`` holds permuted coordinates ``g*d1 .. (g+1)*d1 - 1``.
-    ``seed`` is bookkeeping for serialization (-1 when hand-built).
+    ``rows_per_group`` (d1 = ceil(dim / r)) and ``pad`` (d1 * r - dim) follow
+    from ``dim`` and ``group_count``. ``permutation`` is a bijection on the
+    ``padded_dim = dim + pad`` indices; a feature vector is zero-padded,
+    permuted, and filled column-major into a ``d1 x r`` matrix, so group ``g``
+    holds permuted coordinates ``g*d1 .. (g+1)*d1 - 1``. ``seed`` is
+    bookkeeping for serialization (-1 when hand-built).
     """
 
     dim: int
     group_count: int
-    rows_per_group: int
-    pad: int
     permutation: np.ndarray
     seed: int = -1
 
     def __post_init__(self):
-        if self.dim < 1 or self.group_count < 1 or self.rows_per_group < 1:
-            raise ValueError("dim, group_count and rows_per_group must be positive")
-        if self.pad < 0:
-            raise ValueError("pad must be nonnegative")
-        if self.rows_per_group * self.group_count != self.dim + self.pad:
-            raise ValueError("rows_per_group * group_count must equal dim + pad")
+        n = _padded_dim(self.dim, self.group_count)
         if self.pad >= self.rows_per_group:
             raise ValueError(
-                f"pad ({self.pad}) must be smaller than rows_per_group "
-                f"({self.rows_per_group}); no group may be all padding"
+                f"dim={self.dim} in {self.group_count} groups needs pad={self.pad} >= "
+                f"rows_per_group={self.rows_per_group}; no group may be all padding"
             )
         perm = np.asarray(self.permutation, dtype=np.int64)
-        n = self.dim + self.pad
         if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError(f"permutation must be a bijection on 0..{n - 1}")
+            raise ValueError(f"permutation must list each of the expected {n} indices once")
         object.__setattr__(self, "permutation", _freeze(perm))
 
     @property
     def padded_dim(self) -> int:
-        return self.dim + self.pad
+        return _padded_dim(self.dim, self.group_count)
+
+    @property
+    def rows_per_group(self) -> int:
+        return self.padded_dim // self.group_count
+
+    @property
+    def pad(self) -> int:
+        return self.padded_dim - self.dim
 
 
 def make_measure(points, weights=None) -> DiscreteMeasure:
@@ -251,12 +259,7 @@ def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarra
         raise ValueError(
             f"points have dimension {points.shape[1]}, grouping expects {grouping.dim}"
         )
-    if grouping.pad:
-        padded = np.concatenate(
-            [points, np.zeros((n, grouping.pad))], axis=1
-        )
-    else:
-        padded = points
+    padded = np.concatenate([points, np.zeros((n, grouping.pad))], axis=1)
     permuted = padded[:, grouping.permutation]
     r, d1 = grouping.group_count, grouping.rows_per_group
     return np.ascontiguousarray(permuted.reshape(n, r, d1).transpose(0, 2, 1))
@@ -284,27 +287,19 @@ def _coupled_arrays(plan, src, tgt, grouping=None):
 
 
 def displacement_second_moment(
-    plan: TransportPlan, src: DiscreteMeasure, tgt: DiscreteMeasure
-) -> np.ndarray:
-    """The d x d second moment of displacements under ``plan``.
-
-    Returns ``sum_ij plan_ij (s_i - t_j)(s_i - t_j)^T``, a symmetric positive
-    semidefinite matrix that is linear in the plan.
-    """
-    return _moment_arrays(plan.matrix, *_coupled_arrays(plan, src, tgt))
-
-
-def grouped_second_moment(
     plan: TransportPlan,
     src: DiscreteMeasure,
     tgt: DiscreteMeasure,
-    grouping: FeatureGrouping,
+    grouping: FeatureGrouping | None = None,
 ) -> np.ndarray:
-    """The r x r second moment of reshaped displacements under ``plan``.
+    """The second moment of displacements under ``plan``.
 
-    For block metrics of the form ``kron(B, I_d1)`` (on permuted, padded
-    coordinates) the pairing identity ``<V, kron(B, I)> = <U, B>`` holds, where
-    ``U`` is this matrix, so the reduced moment carries all the information a
-    grouped metric can see.
+    Returns ``sum_ij plan_ij (s_i - t_j)(s_i - t_j)^T``, a symmetric positive
+    semidefinite d x d matrix that is linear in the plan. With a grouping,
+    each displacement is first reshaped to its ``d1 x r`` matrix ``D`` and
+    the sum is of ``D^T D``, an r x r matrix. For block metrics of the form
+    ``kron(B, I_d1)`` (on permuted, padded coordinates) the pairing identity
+    ``<V, kron(B, I)> = <U, B>`` holds, where ``U`` is the reduced moment, so
+    it carries all the information a grouped metric can see.
     """
     return _moment_arrays(plan.matrix, *_coupled_arrays(plan, src, tgt, grouping))

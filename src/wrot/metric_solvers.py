@@ -177,9 +177,11 @@ def _kl_tilt(moment, lambda_m, m0, default_m0, strictly_positive):
     else:
         m0 = _check_reference(m0, d, strictly_positive)
     scaled = v / lambda_m
-    if np.max(np.abs(scaled)) > _EXP_LIMIT:
+    peak = float(np.max(np.abs(v)))
+    if peak / lambda_m > _EXP_LIMIT:
         raise OverflowError(
-            "moment / lambda_m exceeds the exp range; increase lambda_m"
+            f"max|moment|/lambda_m = {peak / lambda_m:.4g} exceeds the exp range; "
+            f"lambda_m must be at least max|moment|/{_EXP_LIMIT:g} = {peak / _EXP_LIMIT:.6g}"
         )
     return v, m0, m0 * np.exp(scaled)
 

@@ -32,7 +32,6 @@ from wrot import (
     exact_ot_small,
     feature_selection_objective,
     gradient_wrt_plan,
-    grouped_second_moment,
     independent_coupling,
     kl_metric,
     make_grouping,
@@ -246,7 +245,7 @@ def test_criterion_5_kronecker_equivalence():
     grouping = make_grouping(d, 3, seed=5)
     assert grouping.pad == 0
     plan = independent_coupling(src, tgt)
-    u = grouped_second_moment(plan, src, tgt, grouping)
+    u = displacement_second_moment(plan, src, tgt, grouping)
     v = displacement_second_moment(plan, src, tgt)
     perm = grouping.permutation
     v_perm = v[np.ix_(perm, perm)]

@@ -119,7 +119,6 @@ class TestSgdTrain:
             loss=RotLossConfig(metric=None),
             learning_rate=0.01,
             epochs=12,
-            shuffle=False,
         )
         trace = sgd_train(ds, labels, cfg).epoch_losses
         assert len(trace) == 12
@@ -138,7 +137,6 @@ class TestSgdTrain:
             loss=RotLossConfig(metric=None),
             learning_rate=1e-4,
             epochs=2,
-            shuffle=False,
         )
         trace = sgd_train(ds, labels, cfg).epoch_losses
         assert trace[1] < trace[0]
@@ -170,7 +168,6 @@ class TestSgdTrain:
                 learning_rate=lr,
                 epochs=1,
                 weight_decay=0.0,
-                shuffle=False,
             ),
         )
         trainer_grad = -np.asarray(out.model.weights) / lr

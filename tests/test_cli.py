@@ -330,8 +330,7 @@ class TestTrainEval:
         code, out, _ = invoke(
             ["eval", "--model-in", model_out,
              "--features", blob_files["features"],
-             "--labels", blob_files["labels"],
-             "--grouping-in", grouping_out],
+             "--labels", blob_files["labels"]],
             capsys,
         )
         assert code == 0

@@ -12,7 +12,6 @@ from wrot import (
     adversarial_value,
     displacement_second_moment,
     exact_ot_small,
-    grouped_second_moment,
     gradient_wrt_plan,
     independent_coupling,
     make_grouping,
@@ -73,30 +72,6 @@ class TestTwoPointInstance:
         src, tgt = two_point_instance()
         assert w22_distance(src, tgt) == pytest.approx(1.0, abs=1e-3)
 
-    def test_norm_2k_mode_same_argmin(self):
-        """Optimizing the 2k-th power picks the same plan as the norm."""
-        src, tgt = two_point_instance()
-        norm_run = rot_distance(src, tgt, converged_config(PNormConfig(k=1)))
-        power_run = rot_distance(
-            src, tgt,
-            converged_config(PNormConfig(k=1), objective_power="norm_2k"),
-        )
-        assert_allclose(power_run.plan.matrix, norm_run.plan.matrix, atol=2e-2)
-        assert power_run.value == pytest.approx(norm_run.value, rel=1e-3)
-
-    def test_norm_2k_random_instance_same_value(self):
-        rng = np.random.default_rng(0)
-        src, tgt = random_instance(rng, 3, 3, 3)
-        a = rot_distance(src, tgt, converged_config(PNormConfig(k=1)))
-        b = rot_distance(
-            src, tgt, converged_config(PNormConfig(k=1), objective_power="norm_2k")
-        )
-        assert b.value == pytest.approx(a.value, rel=1e-3)
-
-    def test_norm_2k_requires_pnorm(self):
-        with pytest.raises(ValueError):
-            FWConfig(metric=KLConfig(lambda_m=1.0), objective_power="norm_2k")
-
 
 class TestGradient:
     @pytest.mark.parametrize(
@@ -140,7 +115,7 @@ class TestGradient:
         grouping = make_grouping(d, r, seed=7)
         src, tgt = random_instance(rng, 3, 4, d)
         plan = independent_coupling(src, tgt)
-        u = grouped_second_moment(plan, src, tgt, grouping)
+        u = displacement_second_moment(plan, src, tgt, grouping)
         from wrot.metric_solvers import pnorm_metric
 
         small = pnorm_metric(u, k=1)
@@ -255,7 +230,7 @@ class TestReturnedWorstCase:
         assert result.converged is not capped
         assert result.iterations_used == (1 if capped else len(result.gap_history))
         if grouped:
-            moment = grouped_second_moment(result.plan, src, tgt, grouping)
+            moment = displacement_second_moment(result.plan, src, tgt, grouping)
         else:
             moment = displacement_second_moment(result.plan, src, tgt)
         want = adversarial_value(moment, metric)
@@ -270,7 +245,7 @@ class TestGrouping:
         rng = np.random.default_rng(14)
         src, tgt = random_instance(rng, 3, 4, 4)
         trivial = FeatureGrouping(
-            dim=4, group_count=4, rows_per_group=1, pad=0,
+            dim=4, group_count=4,
             permutation=np.arange(4),
         )
         full = rot_distance(src, tgt, converged_config(PNormConfig(k=1)))

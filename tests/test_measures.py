@@ -7,7 +7,6 @@ from wrot import (
     FeatureGrouping,
     TransportPlan,
     displacement_second_moment,
-    grouped_second_moment,
     independent_coupling,
     make_grouping,
     make_measure,
@@ -96,8 +95,6 @@ def identity_grouping(d):
     return FeatureGrouping(
         dim=d,
         group_count=d,
-        rows_per_group=1,
-        pad=0,
         permutation=np.arange(d),
     )
 
@@ -110,7 +107,7 @@ class TestGroupedMoment:
             grouping = make_grouping(d, r, seed=5)
             src, tgt = random_instance(rng, 4, 5, d)
             plan = independent_coupling(src, tgt)
-            u = grouped_second_moment(plan, src, tgt, grouping)
+            u = displacement_second_moment(plan, src, tgt, grouping)
 
             def transform(points):
                 padded = np.concatenate(
@@ -132,7 +129,7 @@ class TestGroupedMoment:
         assert grouping.pad == 1
         src, tgt = random_instance(rng, 3, 3, 5)
         plan = independent_coupling(src, tgt)
-        u = grouped_second_moment(plan, src, tgt, grouping)
+        u = displacement_second_moment(plan, src, tgt, grouping)
         padded_src = np.concatenate([src.points, np.zeros((3, 1))], axis=1)
         padded_tgt = np.concatenate([tgt.points, np.zeros((3, 1))], axis=1)
         src_p = make_measure(padded_src[:, grouping.permutation], src.weights)
@@ -149,14 +146,14 @@ class TestGroupedMoment:
         src, tgt = random_instance(rng, 4, 6, 5)
         plan = independent_coupling(src, tgt)
         full = displacement_second_moment(plan, src, tgt)
-        grouped = grouped_second_moment(plan, src, tgt, identity_grouping(5))
+        grouped = displacement_second_moment(plan, src, tgt, identity_grouping(5))
         assert_allclose(grouped, full, atol=1e-12)
 
     def test_grouped_psd(self):
         rng = np.random.default_rng(14)
         grouping = make_grouping(7, 3, seed=1)
         src, tgt = random_instance(rng, 5, 4, 7)
-        u = grouped_second_moment(independent_coupling(src, tgt), src, tgt, grouping)
+        u = displacement_second_moment(independent_coupling(src, tgt), src, tgt, grouping)
         assert np.linalg.eigvalsh(u).min() >= -1e-10
 
 
@@ -256,12 +253,12 @@ class TestMeasureTypes:
         with pytest.raises(ValueError):
             # pad of 2 would mean an entire padded row in some group
             FeatureGrouping(
-                dim=4, group_count=3, rows_per_group=2, pad=2,
+                dim=4, group_count=3,
                 permutation=np.arange(6),
             )
         with pytest.raises(ValueError):
             FeatureGrouping(
-                dim=4, group_count=2, rows_per_group=2, pad=0,
+                dim=4, group_count=2,
                 permutation=np.array([0, 1, 2, 2]),
             )
 

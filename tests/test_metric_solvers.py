@@ -156,7 +156,9 @@ class TestKL:
         assert result.matrix[1, 0] == 0.0
 
     def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
+        # the message names max|V|/lambda_m and the smallest lambda_m that
+        # works, max|V|/700
+        with pytest.raises(OverflowError, match=r"= 800 .*= 1\.14"):
             kl_metric(np.array([[800.0]]), lambda_m=1.0)
 
     def test_lambda_validation(self):

@@ -1,24 +1,34 @@
-"""Property tests for the entropic solver's automatic domain choice.
+"""Property tests for the entropic solver's automatic domain choice and the
+grouping file round trip.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
 covers.
 """
 
+import os
+import tempfile
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wrot import (
+    FeatureGrouping,
     FWConfig,
     PNormConfig,
     SinkhornConfig,
+    load_grouping,
+    make_grouping,
     make_measure,
     rot_distance,
+    save_grouping,
     sinkhorn,
     w22_distance,
 )
+from wrot.measures import _grouped_reshape
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -106,3 +116,40 @@ def test_wide_clouds_solve_with_default_settings(seed, m, n):
     result = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1), max_iter=10))
     assert np.isfinite(result.value)
     assert_allclose(result.plan.matrix.sum(axis=0), tgt.weights, rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def grouping_shapes(draw):
+    """A dim in 1..300 and a group count r that leaves no group all padding:
+    with d1 = ceil(dim / r) rows per group, the pad d1 * r - dim is below d1."""
+    dim = draw(st.integers(1, 300))
+    accepted = [r for r in range(1, dim + 1) if -(-dim // r) * r - dim < -(-dim // r)]
+    return dim, draw(st.sampled_from(accepted))
+
+
+@bounded
+@given(grouping_shapes(), st.integers(0, 2**32 - 1))
+def test_grouping_file_round_trips(shape, seed):
+    """Every grouping make_grouping builds loads back from its file with the
+    same fields and the same reshape of points."""
+    dim, r = shape
+    grouping = make_grouping(dim, r, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grouping.txt")
+        save_grouping(grouping, path)
+        loaded = load_grouping(path)
+    fields = ("dim", "group_count", "seed", "rows_per_group", "pad", "padded_dim")
+    assert [getattr(loaded, f) for f in fields] == [getattr(grouping, f) for f in fields]
+    assert np.array_equal(loaded.permutation, grouping.permutation)
+    points = np.random.default_rng(seed).normal(size=(3, dim))
+    assert np.array_equal(
+        _grouped_reshape(points, loaded), _grouped_reshape(points, grouping)
+    )
+
+
+def test_grouping_shape_is_not_free():
+    """10 features in 2 groups have 5 rows per group and no pad, so a
+    12-entry permutation (a 6-row, pad-2 shape) is refused when built rather
+    than written to a file that cannot be read back."""
+    with pytest.raises(ValueError, match="expected 10"):
+        FeatureGrouping(dim=10, group_count=2, permutation=np.arange(12))

@@ -318,7 +318,7 @@ class TestGroupingAndCaches:
         rng = np.random.default_rng(31)
         emb = unit_rows(rng, 3, 4)
         trivial = FeatureGrouping(
-            dim=4, group_count=4, rows_per_group=1, pad=0, permutation=np.arange(4)
+            dim=4, group_count=4, permutation=np.arange(4)
         )
         h = rng.dirichlet(np.ones(3))
         y = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
