@@ -54,7 +54,7 @@ class TrainingDivergedError(RuntimeError):
         self.loss = loss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftmaxModel:
     """Linear softmax classifier with a (features x labels) weight matrix."""
 

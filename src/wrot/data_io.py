@@ -36,7 +36,7 @@ __all__ = [
 _FEATURES_MAGIC = b"WROTFEAT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Dense features with binary label indicators; every row is labeled."""
 

@@ -48,7 +48,7 @@ def _freeze(arr):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """A weighted point cloud: ``points`` is m x d, ``weights`` sums to 1."""
 
@@ -80,7 +80,7 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A nonnegative m x n coupling with unit total mass.
 
@@ -135,7 +135,7 @@ def _padded_dim(dim: int, group_count: int) -> int:
     return -(-dim // group_count) * group_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureGrouping:
     """A partition of (padded) feature coordinates into r groups of size d1.
 

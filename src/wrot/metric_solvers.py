@@ -96,7 +96,7 @@ class PNormConfig:
         return 2 * self.k / (2 * self.k - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLConfig:
     """Adversary penalized by relative entropy to ``m0`` (identity default)."""
 
@@ -107,7 +107,7 @@ class KLConfig:
         _check_penalty(self, strictly_positive=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DSConfig:
     """KL-penalized adversary constrained to doubly stochastic matrices.
 
@@ -131,7 +131,7 @@ class DSConfig:
 MetricSolverConfig = PNormConfig | KLConfig | DSConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdversarialMetric:
     """A worst-case metric: the maximizing matrix, its value, and its family."""
 

@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSpace:
     """Unit-norm label embeddings plus the optional feature grouping."""
 

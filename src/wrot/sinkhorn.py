@@ -5,9 +5,13 @@ entropy-regularized linear transport problem
 
     min_{plan in Pi(p, q)}  <plan, cost> + lambda_beta * sum plan * log(plan)
 
-by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``:
-plain multiplicative updates while that kernel is representable in float64,
-log-domain updates beyond (Schmitzer, SIAM J. Sci. Comput. 2019).
+by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``.
+While that kernel is representable in float64 the updates are plain
+multiplicative ones. Beyond, one log-domain round absorbs the dual potentials
+into the kernel and plain updates of that absorbed kernel follow; a round
+whose scalings leave a safe range is redone in the log domain (Schmitzer,
+SIAM J. Sci. Comput. 2019). Past ``max|cost| / lambda_beta = 2**53`` a
+float64 exponent no longer resolves a step of 1, and the solve refuses.
 :func:`symmetric_scaling` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic, which the doubly-stochastic metric solver relies on.
 :func:`exact_ot_small` is an exact LP reference for tiny instances, used to
@@ -47,7 +51,9 @@ class SinkhornConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Settings for :func:`entropic_ot`; each solve picks its domain from
-    ``max|cost| / lambda_beta`` (plain updates up to 700, log domain above)."""
+    ``max|cost| / lambda_beta``: plain updates up to 700, above it one
+    log-domain round absorbed into the kernel and plain updates after it, and
+    ``OverflowError`` above ``2**53``."""
 
     lambda_beta: float = 0.2
     iterations: int = 10
@@ -100,21 +106,52 @@ def _logsumexp(a, axis):
     return out + np.squeeze(shift, axis=axis)
 
 
+def _absorbed_kernel(log_kernel, log_p, log_q, g):
+    # One log-domain round from g: f = log u, then g = log v, folded into
+    # the kernel. Returns (exp(log_kernel + f + g), g); the kernel's column
+    # sums are q, so its own scalings start at u = v = 1.
+    f = log_p - _logsumexp(log_kernel + g[None, :], axis=1)
+    row_scaled = log_kernel + f[:, None]
+    g = log_q - _logsumexp(row_scaled, axis=0)
+    return np.exp(row_scaled + g[None, :]), g
+
+
 def _log_iterations(log_kernel, log_p, log_q, iterations, g=None, stop_tol=0.0):
     # The same rounds on f = log u, g = log v from g; returns (plan, g).
+    # Only the first round runs in the log domain; it absorbs the potentials
+    # into the kernel, and later rounds are plain updates of that kernel's
+    # scalings (u, v). A round whose scalings leave exp(+-_EXP_LIMIT / 2), or
+    # reach 0 or inf, is redone in the log domain after log v joins g.
     if g is None:
         g = np.zeros_like(log_q)
     p = np.exp(log_p)
-    for _ in range(iterations):
-        f = log_p - _logsumexp(log_kernel + g[None, :], axis=1)
-        g = log_q - _logsumexp(log_kernel + f[:, None], axis=0)
-        if stop_tol > 0.0:
-            row_sums = np.exp(
-                _logsumexp(log_kernel + f[:, None] + g[None, :], axis=1)
-            )
-            if np.max(np.abs(row_sums - p)) <= stop_tol:
+    q = np.exp(log_q)
+    low = np.exp(-_EXP_LIMIT / 2)
+    high = 1.0 / low
+    kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g)
+    u = np.ones_like(p)
+    v = np.ones_like(q)
+    # a zero or non-finite scaling is caught by the range test below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(iterations - 1):
+            ku = kernel @ v
+            # after a column update only the row sums carry error
+            if stop_tol > 0.0 and np.max(np.abs(u * ku - p)) <= stop_tol:
                 break
-    return np.exp(log_kernel + f[:, None] + g[None, :]), g
+            u_next = p / ku
+            v_next = q / (kernel.T @ u_next)
+            if (
+                low <= np.minimum.reduce(u_next)
+                and np.maximum.reduce(u_next) <= high
+                and low <= np.minimum.reduce(v_next)
+                and np.maximum.reduce(v_next) <= high
+            ):
+                u, v = u_next, v_next
+            else:
+                kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
+                u = np.ones_like(p)
+                v = np.ones_like(q)
+    return u[:, None] * kernel * v[None, :], g + np.log(v)
 
 
 def entropic_ot(
@@ -138,17 +175,28 @@ def entropic_ot(
     return plan, residual
 
 
+def _beyond_float_potentials(scale):
+    return (
+        f"max|cost|/lambda_beta = {scale:.3g} is beyond what float64 dual "
+        "potentials resolve; raise lambda_beta, or lambda_m for the KL and DS "
+        "adversaries"
+    )
+
+
 def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=0.0):
     """Shared body of :func:`entropic_ot` that can warm start.
 
     Runs plain updates when ``max|cost| / lambda_beta`` over the active
-    block is at most ``_EXP_LIMIT``, log-domain updates otherwise. ``state``
-    is the column potential ``g = log v`` of a previous call with the same
-    marginals; both domains read and write it, so a warm start survives a
-    domain switch. ``stop_tol > 0`` ends the rounds early once the row-sum
-    error drops below it. Returns ``(plan, residual, state)``; raises
-    ``OverflowError`` when the scaled cost is too large for float64 potentials
-    to keep the plan's mass at 1.
+    block is at most ``_EXP_LIMIT``, log-domain updates otherwise: one log
+    round absorbs the potentials into the kernel, plain rounds follow, and
+    the log round is repeated only when the scalings leave
+    ``exp(+-_EXP_LIMIT / 2)``. ``state`` is the column potential ``g = log v``
+    of a previous call with the same marginals; both domains read and write
+    it, so a warm start survives a domain switch. ``stop_tol > 0`` ends the
+    rounds early once the row-sum error drops below it. Returns ``(plan,
+    residual, state)``. Raises ``OverflowError`` before iterating when the
+    scaled cost exceeds ``2**53``, where float64 potentials no longer resolve
+    the kernel's exponents, and after iterating if the plan's mass is not 1.
     """
     if config is None:
         config = SinkhornConfig()
@@ -165,6 +213,10 @@ def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=
 
     scaled = sub_cost / config.lambda_beta
     scale = float(np.max(np.abs(scaled)))
+    # Past 2**53 a float64 exponent no longer resolves a step of 1, so the
+    # kernel exp(-cost / lambda_beta + f + g) carries no information.
+    if scale > 2.0**53:
+        raise OverflowError(_beyond_float_potentials(scale))
     if scale <= _EXP_LIMIT:
         # v -> c v leaves the plan unchanged, so shifting g by its maximum
         # keeps exp(g) in range whatever domain produced it.
@@ -181,11 +233,10 @@ def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=
     plan = np.zeros((m, n))
     plan[np.ix_(rows, cols)] = sub_plan
     total = plan.sum()
-    if abs(total - 1.0) > _MASS_TOL:
+    if not abs(total - 1.0) <= _MASS_TOL:
         raise OverflowError(
-            f"transport plan mass is {total:.10g}, expected 1: max|cost|/lambda_beta "
-            f"= {scale:.3g} is beyond what float64 dual potentials resolve; "
-            "raise lambda_beta, or lambda_m for the KL and DS adversaries"
+            f"transport plan mass is {total:.10g}, expected 1: "
+            + _beyond_float_potentials(scale)
         )
     row_sums = plan.sum(axis=1)
     col_sums = plan.sum(axis=0)

@@ -194,8 +194,9 @@ class TestConvergence:
         assert all(g >= -1e-12 for g in result.gap_history)
 
     def test_cost_beyond_float_potentials_names_the_fix(self):
-        """KL at lambda_m 0.01 puts max|cost| / lambda_beta near 1e146, where
-        float64 potentials lose the plan's mass; the error says so."""
+        """KL at lambda_m 0.01 puts max|cost| / lambda_beta near 1e146, past
+        2**53, where a float64 exponent cannot resolve a step of 1; the error
+        says so."""
         rng = np.random.default_rng(0)
         src = make_measure(rng.normal(size=(12, 8)))
         tgt = make_measure(rng.normal(size=(9, 8)), rng.random(9) + 0.1)
@@ -209,6 +210,20 @@ class TestConvergence:
             match=r"max\|cost\|/lambda_beta = .*raise lambda_beta, or lambda_m",
         ):
             rot_distance(src, tgt, cfg)
+
+    def test_scaled_cost_near_6e14_solves(self):
+        """KL at lambda_m 1 puts max|cost| / lambda_beta near 6e14, below
+        2**53: the oracle's plans keep their mass at 1, and the solve returns
+        a plan whose column sums are the target weights."""
+        rng = np.random.default_rng(20)
+        src = make_measure(rng.normal(size=(20, 5)) * 3)
+        tgt = make_measure(rng.normal(size=(15, 5)) * 3 + 0.5, rng.random(15) + 0.1)
+        cfg = FWConfig(KLConfig(lambda_m=1.0), SinkhornConfig(0.02, 10), max_iter=15)
+        result = rot_distance(src, tgt, cfg)
+        assert result.value == pytest.approx(152050.5436, rel=1e-9)
+        plan = result.plan.matrix
+        assert_allclose(plan.sum(axis=0), tgt.weights, rtol=0.0, atol=1e-15)
+        assert plan.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestReturnedWorstCase:

@@ -35,6 +35,23 @@ def exact_2x2_value(cost, p, q):
     return min(value(lo), value(hi))
 
 
+def extended_log_rounds(cost, p, q, config):
+    """Log-domain rounds in np.longdouble from the float64 scaled cost."""
+
+    def logsumexp(a, axis):
+        shift = a.max(axis=axis, keepdims=True)
+        return np.log(np.exp(a - shift).sum(axis=axis)) + np.squeeze(shift, axis)
+
+    log_kernel = (-(cost / config.lambda_beta)).astype(np.longdouble)
+    log_p = np.log(p.astype(np.longdouble))
+    log_q = np.log(q.astype(np.longdouble))
+    g = np.zeros_like(log_q)
+    for _ in range(config.iterations):
+        f = log_p - logsumexp(log_kernel + g[None, :], 1)
+        g = log_q - logsumexp(log_kernel + f[:, None], 0)
+    return np.exp(log_kernel + f[:, None] + g[None, :])
+
+
 class TestEntropicOT:
     def test_marginals_match_at_convergence(self):
         rng = np.random.default_rng(0)
@@ -155,6 +172,76 @@ class TestEntropicOT:
         assert_allclose(plan.matrix, np.diag([0.5, 0.5]), atol=0.0)
         assert residual == 0.0
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="np.longdouble has no extra precision on this platform",
+    )
+    def test_scaled_cost_near_1e14_matches_extended_precision(self):
+        """At max|cost| / lambda_beta = 2.2e14 the rounds match the same log
+        rounds run in np.longdouble, and the plan keeps its mass at 1."""
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(20, 5)) * 3
+        y = rng.normal(size=(15, 5)) * 3 + 0.5
+        metric = np.exp(np.linspace(0.0, 24.0, 5))
+        cost = ((x[:, None, :] - y[None, :, :]) ** 2 * metric).sum(axis=2)
+        p = np.full(20, 1 / 20)
+        q = rng.random(15) + 0.1
+        q /= q.sum()
+        config = SinkhornConfig(lambda_beta=0.02, iterations=10)
+        assert 1e14 < cost.max() / config.lambda_beta < 2.0**53
+
+        plan, _ = entropic_ot(cost, p, q, config)
+        reference = extended_log_rounds(cost, p, q, config)
+        assert_allclose(plan.matrix, reference, rtol=0.0, atol=1e-7)
+        assert_allclose(plan.matrix.sum(axis=0), q, rtol=0.0, atol=1e-15)
+        assert plan.matrix.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_scalings_out_of_range_are_absorbed_again(self, monkeypatch):
+        """Over 30 rounds the potentials drift more than 350 from the first
+        round's, so a round is redone in the log domain on a rebuilt kernel;
+        the plan still matches the log rounds run in np.longdouble."""
+        absorbed = []
+        inner = sinkhorn._absorbed_kernel
+
+        def spy(*args):
+            absorbed.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(sinkhorn, "_absorbed_kernel", spy)
+        cost = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]]) * 1000.0
+        p = np.array([1e-6, 0.3, 0.7 - 1e-6])
+        q = np.array([0.6, 0.4 - 1e-7, 1e-7])
+        config = SinkhornConfig(lambda_beta=1.0, iterations=30)
+        plan, _ = entropic_ot(cost, p, q, config)
+        assert len(absorbed) == 2
+        reference = extended_log_rounds(cost, p, q, config)
+        assert_allclose(plan.matrix, reference, rtol=0.0, atol=1e-15)
+        assert_allclose(plan.matrix.sum(axis=0), q, rtol=0.0, atol=1e-16)
+
+    def test_scaled_cost_beyond_float_resolution_raises(self):
+        """Past 2**53 a float64 exponent cannot resolve a step of 1; the
+        solve refuses before iterating and names the fix."""
+        p = np.array([0.5, 0.5])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        plan, _ = entropic_ot(swap * 0.99 * 2.0**53, p, p, SinkhornConfig(1.0))
+        assert_allclose(plan.matrix, np.diag(p), atol=0.0)
+        with pytest.raises(
+            OverflowError, match=r"lambda_beta = 9.1e\+15 .*raise lambda_beta"
+        ):
+            entropic_ot(swap * 1.01 * 2.0**53, p, p, SinkhornConfig(1.0))
+
+    def test_nan_plan_mass_names_the_fix(self, monkeypatch):
+        """The mass check is the backstop for a plan the rounds lost."""
+
+        def lost(log_kernel, log_p, log_q, iterations, g, stop_tol):
+            return np.full(log_kernel.shape, np.nan), g
+
+        monkeypatch.setattr(sinkhorn, "_log_iterations", lost)
+        p = np.array([0.5, 0.5])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]]) * 2000.0
+        with pytest.raises(OverflowError, match="transport plan mass is nan"):
+            entropic_ot(cost, p, p, SinkhornConfig(1.0))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             entropic_ot(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([1.0]))
@@ -211,11 +298,13 @@ class TestLogSumExp:
         assert residual == pytest.approx(ref_residual, abs=1e-12)
         assert calls
         if stop_tol > 0.0:
-            # three calls per round with the check on; the early stop fired
+            # the early stop fired
             assert len(calls) < 3 * config.iterations
             assert residual <= stop_tol
         else:
-            assert len(calls) == 2 * config.iterations
+            # one log round, two calls, absorbs the potentials into the
+            # kernel; no later round had to absorb them again
+            assert len(calls) == 2
 
 
 class TestSymmetricScaling:
