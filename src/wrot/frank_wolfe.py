@@ -34,7 +34,7 @@ from .metric_solvers import (
     MetricSolverConfig,
     adversarial_value,
 )
-from .sinkhorn import SinkhornConfig, entropic_ot
+from .sinkhorn import SinkhornConfig, _entropic_core, _marginals, entropic_ot
 
 __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance", "gradient_wrt_plan"]
 
@@ -134,6 +134,7 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     """
     p, q = src.weights, tgt.weights
     src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
+    marginals = _marginals(p, q, (p.size, q.size))
 
     def worst_case(gamma):
         return adversarial_value(_moment_arrays(gamma, src_arr, tgt_arr), config.metric)
@@ -142,10 +143,11 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
         return _pair_costs_full(src_arr, tgt_arr, worst.matrix)
 
     def oracle(grad):
-        # A cold solve each step. Warm-starting it from the previous step's
-        # scalings, as the loss does, lets a not yet converged oracle return
-        # plans that make the measured gap negative and stop the loop early.
-        return entropic_ot(grad, p, q, config.sinkhorn)[0].matrix
+        # A cold solve each step on the marginals prepared above. Warm-starting
+        # it from the previous step's scalings, as the loss does, lets a not
+        # yet converged oracle return plans that make the measured gap
+        # negative and stop the loop early.
+        return _entropic_core(grad, marginals, config.sinkhorn)[0].matrix
 
     gamma, worst, gaps, converged = _frank_wolfe(
         worst_case, gradient, oracle, np.outer(p, q), config.max_iter, config.gap_tol

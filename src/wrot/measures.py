@@ -223,6 +223,10 @@ def _check_simplex(w, name, size):
 def _moment_arrays(gamma: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     # sum_ij g_ij (S_i - T_j)^T (S_i - T_j) via the marginal decomposition
     # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j.
+    # Self-pairs of one cloud carry no displacement; dropping them keeps the
+    # Grams from cancelling to rounding noise at a near-identity plan.
+    if tgt is src:
+        gamma = gamma - np.diag(np.diagonal(gamma))
     k = src.shape[-1]
     s = src.reshape(src.shape[0], -1)
     t = tgt.reshape(tgt.shape[0], -1)

@@ -44,7 +44,6 @@ from .measures import (
     FeatureGrouping,
     TransportPlan,
     _as_float_array,
-    _check_simplex,
     _freeze,
     _grouped_reshape,
     _moment_arrays,
@@ -57,7 +56,7 @@ from .metric_solvers import (
     adversarial_value,
     euclidean_metric,
 )
-from .sinkhorn import SinkhornConfig, _entropic_core
+from .sinkhorn import SinkhornConfig, _entropic_core, _marginals
 
 __all__ = [
     "LabelSpace",
@@ -167,16 +166,16 @@ def _solve(predicted, target, labels, config):
     # iterate solves min <V(plan), M*> + lambda_beta * sum plan log plan, so
     # running the oracle with lambda_beta equal to lambda_gamma (and enough
     # iterations) lands on the exact regularized optimum. The oracle
-    # warm-starts from the previous solve's scalings; a gap tolerance of
+    # warm-starts from the previous solve's scalings, on marginals prepared
+    # once for every step and the gradient's extra solve; a gap tolerance of
     # -inf runs exactly fw_iters steps. Returns the loss and the oracle.
-    h = _check_simplex(predicted, "predicted", labels.size)
-    y = _check_simplex(target, "target", labels.size)
+    marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
     warm = None
 
     def oracle(costs):
         nonlocal warm
         lmo, _, warm = _entropic_core(
-            costs, h, y, config.sinkhorn, state=warm, stop_tol=1e-13
+            costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
         )
         return lmo.matrix
 
@@ -184,7 +183,7 @@ def _solve(predicted, target, labels, config):
         lambda plan: _worst_case(labels._moment(plan), config),
         lambda worst: labels._pair_costs(worst.matrix),
         oracle,
-        np.outer(h, y),
+        np.outer(marginals.p, marginals.q),
         config.fw_iters,
         -np.inf,
     )

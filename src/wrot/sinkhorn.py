@@ -5,13 +5,14 @@ entropy-regularized linear transport problem
 
     min_{plan in Pi(p, q)}  <plan, cost> + lambda_beta * sum plan * log(plan)
 
-by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``.
-While that kernel is representable in float64 the updates are plain
-multiplicative ones. Beyond, one log-domain round absorbs the dual potentials
-into the kernel and plain updates of that absorbed kernel follow; a round
-whose scalings leave a safe range is redone in the log domain (Schmitzer,
-SIAM J. Sci. Comput. 2019). Past ``max|cost| / lambda_beta = 2**53`` a
-float64 exponent no longer resolves a step of 1, and the solve refuses.
+by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``
+in one round loop. Its first round is a plain multiplicative update while
+that kernel is representable in float64; beyond, it is a log-domain round
+that absorbs the dual potentials into the kernel. Every later round is a
+plain update of the kernel's scalings, and one whose scalings leave a safe
+range is redone in the log domain (Schmitzer, SIAM J. Sci. Comput. 2019).
+Past ``max|cost| / lambda_beta = 2**53`` a float64 exponent no longer
+resolves a step of 1, and the solve refuses.
 :func:`symmetric_scaling` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic, which the doubly-stochastic metric solver relies on.
 :func:`exact_ot_small` is an exact LP reference for tiny instances, used to
@@ -20,6 +21,7 @@ cross-check the regularized solver.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,9 @@ __all__ = [
 # exp(x) and exp(-x) stay normal float64 numbers for |x| <= 700 (the range
 # ends near 708).
 _EXP_LIMIT = 700.0
+# the round loop keeps its scalings u, v within exp(+-_EXP_LIMIT / 2)
+_SCALING_LOW = float(np.exp(-_EXP_LIMIT / 2))
+_SCALING_HIGH = 1.0 / _SCALING_LOW
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -50,10 +55,10 @@ class SinkhornConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Settings for :func:`entropic_ot`; each solve picks its domain from
-    ``max|cost| / lambda_beta``: plain updates up to 700, above it one
-    log-domain round absorbed into the kernel and plain updates after it, and
-    ``OverflowError`` above ``2**53``."""
+    """Settings for :func:`entropic_ot`: ``iterations`` rounds of one loop
+    whose first round follows ``max|cost| / lambda_beta``, a plain update up
+    to 700 and a log-domain round absorbed into the kernel above it. Later
+    rounds are plain; above ``2**53`` the solve raises ``OverflowError``."""
 
     lambda_beta: float = 0.2
     iterations: int = 10
@@ -63,33 +68,6 @@ class SinkhornConfig:
             raise ValueError("lambda_beta must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-
-
-def _plain_iterations(kernel, p, q, iterations, v=None, stop_tol=0.0):
-    # Rounds from the column scaling v (ones when None); returns (plan, v).
-    if v is None:
-        v = np.ones_like(q)
-    for _ in range(iterations):
-        ku = kernel @ v
-        if np.any(ku <= 0):
-            raise SinkhornConvergenceError(
-                "kernel column sums underflowed to zero in the plain domain",
-                residual=np.inf,
-            )
-        u = p / ku
-        kv = kernel.T @ u
-        if np.any(kv <= 0):
-            raise SinkhornConvergenceError(
-                "kernel row sums underflowed to zero in the plain domain",
-                residual=np.inf,
-            )
-        v = q / kv
-        if stop_tol > 0.0:
-            # after a column update only the row sums carry error
-            row_err = np.max(np.abs(u * (kernel @ v) - p))
-            if row_err <= stop_tol:
-                break
-    return u[:, None] * kernel * v[None, :], v
 
 
 def _logsumexp(a, axis):
@@ -116,41 +94,63 @@ def _absorbed_kernel(log_kernel, log_p, log_q, g):
     return np.exp(row_scaled + g[None, :]), g
 
 
-def _log_iterations(log_kernel, log_p, log_q, iterations, g=None, stop_tol=0.0):
-    # The same rounds on f = log u, g = log v from g; returns (plan, g).
-    # Only the first round runs in the log domain; it absorbs the potentials
-    # into the kernel, and later rounds are plain updates of that kernel's
-    # scalings (u, v). A round whose scalings leave exp(+-_EXP_LIMIT / 2), or
-    # reach 0 or inf, is redone in the log domain after log v joins g.
-    if g is None:
-        g = np.zeros_like(log_q)
-    p = np.exp(log_p)
-    q = np.exp(log_q)
-    low = np.exp(-_EXP_LIMIT / 2)
-    high = 1.0 / low
-    kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g)
+# The validated weights p, q of one solve; the masks, values and logs of
+# their positive entries; dense when every weight is positive.
+_Marginals = namedtuple("_Marginals", "p q rows cols active_p active_q log_p log_q dense")
+
+
+def _marginals(row_weights, col_weights, shape, names=("row_weights", "col_weights")):
+    # Validated once per solve and shared by every oracle call in it.
+    p = _check_simplex(row_weights, names[0], shape[0])
+    q = _check_simplex(col_weights, names[1], shape[1])
+    rows, cols = p > 0, q > 0
+    dense = bool(rows.all() and cols.all())
+    active_p, active_q = (p, q) if dense else (p[rows], q[cols])
+    return _Marginals(
+        p, q, rows, cols, active_p, active_q, np.log(active_p), np.log(active_q), dense
+    )
+
+
+def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=False):
+    # Alternating rounds on exp(log_kernel) from the column potential g (zero
+    # when None); returns (plan, g). The first round is a plain update from
+    # v = exp(g) or, with log_first, a log-domain round that absorbs the
+    # potentials into the kernel. Every later round is a plain update of the
+    # kernel's scalings (u, v); one whose scalings leave exp(+-_EXP_LIMIT / 2),
+    # or reach 0, inf or NaN, is redone in the log domain after log v joins g.
+    p, q = marginals.active_p, marginals.active_q
+    log_p, log_q = marginals.log_p, marginals.log_q
+    if log_first:
+        g = np.zeros_like(q) if g is None else g
+        kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g)
+        v = np.ones_like(q)
+    else:
+        kernel = np.exp(log_kernel)
+        # v -> c v leaves the plan unchanged, so shifting g by its maximum
+        # keeps exp(g) in range whatever domain produced it.
+        v = np.ones_like(q) if g is None else np.exp(g - np.max(g))
+        g = 0.0
     u = np.ones_like(p)
-    v = np.ones_like(q)
     # a zero or non-finite scaling is caught by the range test below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(iterations - 1):
+        for t in range(int(log_first), iterations):
             ku = kernel @ v
-            # after a column update only the row sums carry error
-            if stop_tol > 0.0 and np.max(np.abs(u * ku - p)) <= stop_tol:
-                break
+            # After a column update only the row sums carry error. The check
+            # waits for one full round, so a warm v never returns without u.
+            if t > 0 and stop_tol > 0.0:
+                if np.maximum.reduce(np.abs(u * ku - p)) <= stop_tol:
+                    break
             u_next = p / ku
             v_next = q / (kernel.T @ u_next)
+            both = np.concatenate((u_next, v_next))
             if (
-                low <= np.minimum.reduce(u_next)
-                and np.maximum.reduce(u_next) <= high
-                and low <= np.minimum.reduce(v_next)
-                and np.maximum.reduce(v_next) <= high
+                _SCALING_LOW <= np.minimum.reduce(both)
+                and np.maximum.reduce(both) <= _SCALING_HIGH
             ):
                 u, v = u_next, v_next
             else:
                 kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
-                u = np.ones_like(p)
-                v = np.ones_like(q)
+                u, v = np.ones_like(p), np.ones_like(q)
     return u[:, None] * kernel * v[None, :], g + np.log(v)
 
 
@@ -171,7 +171,11 @@ def entropic_ot(
         column sums); ``residual`` is the maximum absolute deviation of those
         sums from the requested weights.
     """
-    plan, residual, _ = _entropic_core(cost, row_weights, col_weights, config)
+    if config is None:
+        config = SinkhornConfig()
+    cost = _as_float_array(cost, "cost", 2)
+    marginals = _marginals(row_weights, col_weights, cost.shape)
+    plan, residual, _ = _entropic_core(cost, marginals, config)
     return plan, residual
 
 
@@ -183,67 +187,56 @@ def _beyond_float_potentials(scale):
     )
 
 
-def _entropic_core(cost, row_weights, col_weights, config, state=None, stop_tol=0.0):
-    """Shared body of :func:`entropic_ot` that can warm start.
+def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
+    """One solve of :func:`entropic_ot` on prepared :func:`_marginals`, with
+    a warm start.
 
-    Runs plain updates when ``max|cost| / lambda_beta`` over the active
-    block is at most ``_EXP_LIMIT``, log-domain updates otherwise: one log
-    round absorbs the potentials into the kernel, plain rounds follow, and
-    the log round is repeated only when the scalings leave
-    ``exp(+-_EXP_LIMIT / 2)``. ``state`` is the column potential ``g = log v``
-    of a previous call with the same marginals; both domains read and write
+    Runs the one round loop, :func:`_rounds`, on the active block of
+    ``cost / lambda_beta``. Its first round is plain when the block's
+    ``max|cost| / lambda_beta`` is at most ``_EXP_LIMIT``, otherwise a log
+    round that absorbs the potentials into the kernel; every later round is
+    plain, and a log round is repeated only when the scalings leave
+    ``exp(+-_EXP_LIMIT / 2)``. ``state`` is the column potential ``g = log
+    v`` of a previous call with the same marginals; either first round reads
     it, so a warm start survives a domain switch. ``stop_tol > 0`` ends the
-    rounds early once the row-sum error drops below it. Returns ``(plan,
-    residual, state)``. Raises ``OverflowError`` before iterating when the
-    scaled cost exceeds ``2**53``, where float64 potentials no longer resolve
-    the kernel's exponents, and after iterating if the plan's mass is not 1.
+    rounds early once the row-sum error drops below it, but never before one
+    full round. Returns ``(plan, residual, state)``. Raises ``OverflowError``
+    before iterating when the scaled cost exceeds ``2**53``, where float64
+    potentials no longer resolve the kernel's exponents, and after iterating
+    if the plan's mass is not 1.
     """
-    if config is None:
-        config = SinkhornConfig()
     cost = _as_float_array(cost, "cost", 2)
     m, n = cost.shape
-    p = _check_simplex(row_weights, "row_weights", m)
-    q = _check_simplex(col_weights, "col_weights", n)
-
-    rows = p > 0
-    cols = q > 0
-    sub_cost = cost[np.ix_(rows, cols)]
-    pa = p[rows]
-    qa = q[cols]
-
-    scaled = sub_cost / config.lambda_beta
-    scale = float(np.max(np.abs(scaled)))
+    p, q = marginals.p, marginals.q
+    if (m, n) != (p.shape[0], q.shape[0]):
+        # the messages of weights validated against this cost's shape
+        _check_simplex(p, "row_weights", m)
+        _check_simplex(q, "col_weights", n)
+    if not marginals.dense:
+        cost = cost[np.ix_(marginals.rows, marginals.cols)]
+    log_kernel = cost / -config.lambda_beta
+    scale = float(np.maximum.reduce(np.abs(log_kernel), axis=None))
     # Past 2**53 a float64 exponent no longer resolves a step of 1, so the
     # kernel exp(-cost / lambda_beta + f + g) carries no information.
     if scale > 2.0**53:
         raise OverflowError(_beyond_float_potentials(scale))
-    if scale <= _EXP_LIMIT:
-        # v -> c v leaves the plan unchanged, so shifting g by its maximum
-        # keeps exp(g) in range whatever domain produced it.
-        v = None if state is None else np.exp(state - np.max(state))
-        sub_plan, v = _plain_iterations(
-            np.exp(-scaled), pa, qa, config.iterations, v, stop_tol
-        )
-        state = np.log(v)
-    else:
-        sub_plan, state = _log_iterations(
-            -scaled, np.log(pa), np.log(qa), config.iterations, state, stop_tol
-        )
-
-    plan = np.zeros((m, n))
-    plan[np.ix_(rows, cols)] = sub_plan
+    plan, state = _rounds(
+        log_kernel, marginals, config.iterations, state, stop_tol, scale > _EXP_LIMIT
+    )
+    if not marginals.dense:
+        sub_plan, plan = plan, np.zeros((m, n))
+        plan[np.ix_(marginals.rows, marginals.cols)] = sub_plan
     total = plan.sum()
     if not abs(total - 1.0) <= _MASS_TOL:
         raise OverflowError(
             f"transport plan mass is {total:.10g}, expected 1: "
             + _beyond_float_potentials(scale)
         )
-    row_sums = plan.sum(axis=1)
-    col_sums = plan.sum(axis=0)
     residual = max(
-        float(np.max(np.abs(row_sums - p))), float(np.max(np.abs(col_sums - q)))
+        np.maximum.reduce(np.abs(plan.sum(axis=1) - p)),
+        np.maximum.reduce(np.abs(plan.sum(axis=0) - q)),
     )
-    return TransportPlan(matrix=plan), residual, state
+    return TransportPlan(matrix=plan), float(residual), state
 
 
 def symmetric_scaling(

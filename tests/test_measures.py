@@ -11,7 +11,7 @@ from wrot import (
     make_grouping,
     make_measure,
 )
-from wrot.measures import _moment_arrays, _pair_costs_full
+from wrot.measures import _grouped_reshape, _moment_arrays, _pair_costs_full
 
 
 def brute_force_moment(gamma, src, tgt):
@@ -193,6 +193,23 @@ class TestArrayKernels:
                 diff = s3[i] - t3[j]
                 want += gamma[i, j] * diff.T @ diff
         assert_allclose(_moment_arrays(gamma, src, tgt), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("off_mass", [1e-14, 1e-18])
+    def test_moment_at_near_identity_plan(self, off_mass):
+        """At a plan that is the identity matching up to ``off_mass`` spread
+        off the diagonal, the moment of three labels in two groups keeps its
+        relative accuracy: the self-pairs' Gram terms no longer cancel."""
+        rng = np.random.default_rng(8)
+        emb = rng.normal(size=(3, 3))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        points = _grouped_reshape(emb, make_grouping(3, 2, seed=0))
+        off = rng.uniform(size=(3, 3))
+        np.fill_diagonal(off, 0.0)
+        gamma = np.diag([0.2, 0.3, 0.5]) + off * (off_mass / off.sum())
+        diff = points[:, None] - points[None, :]
+        want = np.einsum("ij,ijak,ijal->kl", gamma, diff, diff)
+        got = _moment_arrays(gamma, points, points)
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("shape_src,shape_tgt,same", CASES, ids=IDS)
     def test_pair_costs_match_pair_sum(self, shape_src, shape_tgt, same):

@@ -1,5 +1,5 @@
-"""Property tests for the entropic solver's automatic domain choice and the
-grouping file round trip.
+"""Property tests for the entropic solver's rounds and automatic domain
+choice, and for the grouping file round trip.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from wrot import (
     FeatureGrouping,
@@ -57,9 +58,45 @@ def test_plain_and_log_iterations_agree_below_the_bound(instance, lam, top):
     unit, p, q = instance
     scaled = (unit * top * lam) / lam
     assert np.max(scaled) <= sinkhorn._EXP_LIMIT
-    plain, _ = sinkhorn._plain_iterations(np.exp(-scaled), p, q, 30)
-    logd, _ = sinkhorn._log_iterations(-scaled, np.log(p), np.log(q), 30)
+    marginals = sinkhorn._marginals(p, q, scaled.shape)
+    plain, _ = sinkhorn._rounds(-scaled, marginals, 30)
+    logd, _ = sinkhorn._rounds(-scaled, marginals, 30, log_first=True)
     assert_allclose(plain, logd, rtol=0.0, atol=1e-10)
+
+
+def reference_sinkhorn(scaled, p, q, iterations, g, stop_tol):
+    """Alternating Sinkhorn on the potentials (f, g), in the log domain,
+    row update first; stops once a column update leaves the row sums within
+    ``stop_tol``."""
+    for _ in range(iterations):
+        f = np.log(p) - logsumexp(g - scaled, axis=1)
+        g = np.log(q) - logsumexp(f[:, None] - scaled, axis=0)
+        plan = np.exp(f[:, None] - scaled + g)
+        if np.max(np.abs(plan.sum(axis=1) - p)) <= stop_tol:
+            break
+    return plan
+
+
+@bounded
+@given(
+    instances(),
+    st.one_of(st.floats(1.0, 699.0), st.floats(701.0, 3000.0)),
+    st.one_of(st.none(), st.floats(0.0, 50.0)),
+    st.sampled_from([0.0, 1e-13]),
+    st.data(),
+)
+def test_rounds_match_a_reference_sinkhorn(instance, top, spread, stop_tol, data):
+    """Cold or warm, with or without the early stop, and from either first
+    round, a solve gives the plan of alternating log-domain Sinkhorn."""
+    unit, p, q = instance
+    scaled = unit * top
+    n = q.shape[0]
+    g = None if spread is None else data.draw(vectors(n)) * spread
+    config = SinkhornConfig(lambda_beta=1.0, iterations=30)
+    marginals = sinkhorn._marginals(p, q, scaled.shape)
+    plan, _, _ = sinkhorn._entropic_core(scaled, marginals, config, g, stop_tol)
+    want = reference_sinkhorn(scaled, p, q, 30, np.zeros(n) if g is None else g, stop_tol)
+    assert_allclose(plan.matrix, want, rtol=0.0, atol=1e-12)
 
 
 @bounded
@@ -94,11 +131,14 @@ def test_warm_start_across_a_domain_switch(instance, data, low, high, up):
     # lambda_beta is 1, so these are the scaled costs themselves
     config = SinkhornConfig(lambda_beta=1.0, iterations=2000)
     stop_tol = 1e-11
-    _, _, state = sinkhorn._entropic_core(first, p, q, config, stop_tol=stop_tol)
+    marginals = sinkhorn._marginals(p, q, unit.shape)
+    _, _, state = sinkhorn._entropic_core(first, marginals, config, stop_tol=stop_tol)
     warm, warm_res, _ = sinkhorn._entropic_core(
-        second, p, q, config, state=state, stop_tol=stop_tol
+        second, marginals, config, state=state, stop_tol=stop_tol
     )
-    cold, cold_res, _ = sinkhorn._entropic_core(second, p, q, config, stop_tol=stop_tol)
+    cold, cold_res, _ = sinkhorn._entropic_core(
+        second, marginals, config, stop_tol=stop_tol
+    )
     assert warm_res <= stop_tol and cold_res <= stop_tol
     assert_allclose(warm.matrix, cold.matrix, rtol=0.0, atol=10 * stop_tol)
 

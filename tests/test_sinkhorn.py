@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -84,28 +86,30 @@ class TestEntropicOT:
         scaled = rng.uniform(size=(4, 5)) / 0.2
         p = np.full(4, 0.25)
         q = np.full(5, 0.2)
-        plain, v = sinkhorn._plain_iterations(np.exp(-scaled), p, q, 50)
-        logd, g = sinkhorn._log_iterations(-scaled, np.log(p), np.log(q), 50)
+        marginals = sinkhorn._marginals(p, q, scaled.shape)
+        plain, g_plain = sinkhorn._rounds(-scaled, marginals, 50)
+        logd, g = sinkhorn._rounds(-scaled, marginals, 50, log_first=True)
         assert_allclose(plain, logd, atol=1e-8)
-        # both return the column scaling, up to the free factor v -> c v
-        assert_allclose(np.log(v) - np.log(v[0]), g - g[0], atol=1e-10)
+        # both return the column potential, up to the free shift g -> g + c
+        assert_allclose(g_plain - g_plain[0], g - g[0], atol=1e-10)
 
     def test_domain_auto_selection(self, monkeypatch):
-        """The domain follows max|cost| / lambda_beta across the 700 bound."""
-        ran = []
-        for name in ("plain", "log"):
-            inner = getattr(sinkhorn, f"_{name}_iterations")
+        """The first round follows max|cost| / lambda_beta across the 700
+        bound: plain below it, a log round absorbed into the kernel above."""
+        absorbed = []
+        inner = sinkhorn._absorbed_kernel
 
-            def spy(*args, _name=name, _inner=inner):
-                ran.append(_name)
-                return _inner(*args)
+        def spy(*args):
+            absorbed[-1] += 1
+            return inner(*args)
 
-            monkeypatch.setattr(sinkhorn, f"_{name}_iterations", spy)
+        monkeypatch.setattr(sinkhorn, "_absorbed_kernel", spy)
         for ratio in (699.0, 701.0):
+            absorbed.append(0)
             cost = np.array([[0.0, ratio], [ratio, 0.0]]) * 0.02
             plan, _ = entropic_ot(cost, [0.5, 0.5], [0.5, 0.5], SinkhornConfig(0.02))
             assert_allclose(plan.matrix, np.diag([0.5, 0.5]), atol=1e-300)
-        assert ran == ["plain", "log"]
+        assert absorbed == [0, 1]
 
     def test_plan_strictly_positive(self):
         rng = np.random.default_rng(3)
@@ -233,10 +237,10 @@ class TestEntropicOT:
     def test_nan_plan_mass_names_the_fix(self, monkeypatch):
         """The mass check is the backstop for a plan the rounds lost."""
 
-        def lost(log_kernel, log_p, log_q, iterations, g, stop_tol):
+        def lost(log_kernel, marginals, iterations, g, stop_tol, log_first):
             return np.full(log_kernel.shape, np.nan), g
 
-        monkeypatch.setattr(sinkhorn, "_log_iterations", lost)
+        monkeypatch.setattr(sinkhorn, "_rounds", lost)
         p = np.array([0.5, 0.5])
         cost = np.array([[0.0, 1.0], [1.0, 0.0]]) * 2000.0
         with pytest.raises(OverflowError, match="transport plan mass is nan"):
@@ -245,6 +249,53 @@ class TestEntropicOT:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             entropic_ot(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([1.0]))
+
+    COST = np.arange(6.0).reshape(2, 3) / 6
+    P = np.array([0.5, 0.5])
+    Q = np.array([0.2, 0.3, 0.5])
+    BAD_INPUTS = {
+        "row length": (COST, np.array([0.2, 0.3, 0.5]), Q, "row_weights has length 3, expected 2"),
+        "col length": (COST, P, np.array([0.5, 0.5]), "col_weights has length 2, expected 3"),
+        "negative": (COST, np.array([1.5, -0.5]), Q, "row_weights must be nonnegative"),
+        "sum": (COST, P, np.array([0.2, 0.3, 0.4]), "col_weights must sum to 1"),
+        "cost shape": (COST.T, P, Q, "row_weights has length 2, expected 3"),
+        "nan cost": (np.where(COST > 0.4, np.nan, COST), P, Q, "cost contains non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_prepared_marginals_keep_the_error_messages(self, case):
+        """A solve on marginals prepared for a 2 x 3 cost refuses bad weights
+        or a bad cost with the message entropic_ot gives."""
+        cost, p, q, message = self.BAD_INPUTS[case]
+        config = SinkhornConfig()
+
+        def prepared():
+            marginals = sinkhorn._marginals(p, q, self.COST.shape)
+            return sinkhorn._entropic_core(cost, marginals, config)
+
+        for solve in (lambda: entropic_ot(cost, p, q, config), prepared):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solve()
+
+    def test_warm_start_meeting_the_row_sums_still_runs_a_round(self):
+        """A warm column scaling v whose kernel row sums already equal p is
+        not a solution when its column sums miss q: the early stop waits for
+        one full round, so the plan's column sums are q."""
+        scaled = np.random.default_rng(9).uniform(size=(4, 3)) * 3.0
+        g = np.array([0.0, -1.3, -0.4])  # max 0, so the warm v is exp(g)
+        log_rows = scipy_logsumexp(g - scaled, axis=1)
+        # Shifting the cost by a constant leaves the plan unchanged; this
+        # shift makes the kernel's row sums at v a probability vector p.
+        shift = scipy_logsumexp(log_rows)
+        scaled = scaled + shift
+        p = np.exp(log_rows - shift)
+        q = np.array([0.6, 0.3, 0.1])
+        assert_allclose(np.exp(-scaled) @ np.exp(g), p, rtol=1e-14)
+        marginals = sinkhorn._marginals(p, q, scaled.shape)
+        plan, _, _ = sinkhorn._entropic_core(
+            scaled, marginals, SinkhornConfig(1.0, 30), state=g, stop_tol=1e-13
+        )
+        assert_allclose(plan.matrix.sum(axis=0), q, rtol=0.0, atol=1e-15)
 
 
 class TestLogSumExp:
@@ -283,7 +334,10 @@ class TestLogSumExp:
         q /= q.sum()
         config = SinkhornConfig(lambda_beta=0.02, iterations=400)
 
-        plan, residual, _ = sinkhorn._entropic_core(cost, p, q, config, stop_tol=stop_tol)
+        marginals = sinkhorn._marginals(p, q, cost.shape)
+        plan, residual, _ = sinkhorn._entropic_core(
+            cost, marginals, config, stop_tol=stop_tol
+        )
         calls = []
 
         def reference(a, axis):
@@ -292,7 +346,7 @@ class TestLogSumExp:
 
         monkeypatch.setattr(sinkhorn, "_logsumexp", reference)
         ref_plan, ref_residual, _ = sinkhorn._entropic_core(
-            cost, p, q, config, stop_tol=stop_tol
+            cost, marginals, config, stop_tol=stop_tol
         )
         assert_allclose(plan.matrix, ref_plan.matrix, rtol=0.0, atol=1e-12)
         assert residual == pytest.approx(ref_residual, abs=1e-12)
