@@ -40,31 +40,32 @@ def sample(n_per):
     return np.vstack(feats), np.concatenate(labs)
 
 
-work = Path(tempfile.mkdtemp(prefix="wrot_demo_"))
-x_train, y_train = sample(100)
-x_test, y_test = sample(100)
+with tempfile.TemporaryDirectory(prefix="wrot_demo_") as tmp:
+    work = Path(tmp)
+    x_train, y_train = sample(100)
+    x_test, y_test = sample(100)
 
-# binary feature file, tab-separated label lists, text embeddings
-save_features(work / "train.feat", x_train)
-save_labels(work / "train.labels", np.eye(3, dtype=int)[y_train])
-save_features(work / "test.feat", x_test)
-save_labels(work / "test.labels", np.eye(3, dtype=int)[y_test])
-with open(work / "embeddings.txt", "w", encoding="utf-8") as fh:
-    fh.write("3 3\ncrimson 1 0 0\nteal 0 1 0\nochre 0 0 1\n")
+    # binary feature file, tab-separated label lists, text embeddings
+    save_features(work / "train.feat", x_train)
+    save_labels(work / "train.labels", np.eye(3, dtype=int)[y_train])
+    save_features(work / "test.feat", x_test)
+    save_labels(work / "test.labels", np.eye(3, dtype=int)[y_test])
+    with open(work / "embeddings.txt", "w", encoding="utf-8") as fh:
+        fh.write("3 3\ncrimson 1 0 0\nteal 0 1 0\nochre 0 0 1\n")
 
-train = load_dataset(work / "train.feat", work / "train.labels", label_names=names)
-test = load_dataset(work / "test.feat", work / "test.labels", label_names=names)
-labels = LabelSpace(embeddings=load_embeddings(work / "embeddings.txt", names))
+    train = load_dataset(work / "train.feat", work / "train.labels", label_names=names)
+    test = load_dataset(work / "test.feat", work / "test.labels", label_names=names)
+    labels = LabelSpace(embeddings=load_embeddings(work / "embeddings.txt", names))
 
-result = sgd_train(train, labels, TrainConfig(epochs=20))
-for epoch in (0, 4, 9, 19):
-    print(f"epoch {epoch:2d}: mean loss {result.epoch_losses[epoch]:.4f}")
+    result = sgd_train(train, labels, TrainConfig(epochs=20))
+    for epoch in (0, 4, 9, 19):
+        print(f"epoch {epoch:2d}: mean loss {result.epoch_losses[epoch]:.4f}")
 
-metrics = evaluate(result.model, test)
-print(f"held-out AUC {metrics.auc:.4f}, mAP {metrics.mean_average_precision:.4f}")
+    metrics = evaluate(result.model, test)
+    print(f"held-out AUC {metrics.auc:.4f}, mAP {metrics.mean_average_precision:.4f}")
 
-save_model(result.model, work / "model.ckpt")
-reloaded = load_model(work / "model.ckpt")
-again = evaluate(reloaded, test)
-assert again.auc == metrics.auc
-print(f"checkpoint round trip OK ({work / 'model.ckpt'})")
+    save_model(result.model, work / "model.ckpt")
+    reloaded = load_model(work / "model.ckpt")
+    again = evaluate(reloaded, test)
+    assert again.auc == metrics.auc
+    print(f"checkpoint round trip OK ({work / 'model.ckpt'})")

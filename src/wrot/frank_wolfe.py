@@ -29,11 +29,7 @@ from .measures import (
     _pair_costs_full,
     _point_arrays,
 )
-from .metric_solvers import (
-    AdversarialMetric,
-    MetricSolverConfig,
-    adversarial_value,
-)
+from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary
 from .sinkhorn import SinkhornConfig, _entropic_core, _marginals, entropic_ot
 
 __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance", "gradient_wrt_plan"]
@@ -137,7 +133,7 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     marginals = _marginals(p, q, (p.size, q.size))
 
     def worst_case(gamma):
-        return adversarial_value(_moment_arrays(gamma, src_arr, tgt_arr), config.metric)
+        return _adversary(_moment_arrays(gamma, src_arr, tgt_arr), config.metric)
 
     def gradient(worst):
         return _pair_costs_full(src_arr, tgt_arr, worst.matrix)
@@ -147,7 +143,7 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
         # it from the previous step's scalings, as the loss does, lets a not
         # yet converged oracle return plans that make the measured gap
         # negative and stop the loop early.
-        return _entropic_core(grad, marginals, config.sinkhorn)[0].matrix
+        return _entropic_core(grad, marginals, config.sinkhorn)[0]
 
     gamma, worst, gaps, converged = _frank_wolfe(
         worst_case, gradient, oracle, np.outer(p, q), config.max_iter, config.gap_tol

@@ -213,21 +213,24 @@ def _check_simplex(w, name, size):
 
 
 # ---------------------------------------------------------------------------
-# Array-level kernels. These skip object validation and are shared with the
-# solver loops, which call them once per iteration. Both take point arrays of
-# shape (n, d1, k), each point a d1 x k matrix; plain (n, d) points are the
-# d1 = 1 case and may be passed as they are.
+# Array-level kernels. These skip validation and serve the solver loops,
+# once per iteration, on arrays the package built. Both take points of shape
+# (n, d1, k), each a d1 x k matrix; plain (n, d) points are the d1 = 1 case.
+# The moment is returned exactly symmetric.
 # ---------------------------------------------------------------------------
 
 
 def _moment_arrays(gamma: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    # sum_ij g_ij (S_i - T_j)^T (S_i - T_j) via the marginal decomposition
-    # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j.
-    # Self-pairs of one cloud carry no displacement; dropping them keeps the
-    # Grams from cancelling to rounding noise at a near-identity plan.
-    if tgt is src:
-        gamma = gamma - np.diag(np.diagonal(gamma))
     k = src.shape[-1]
+    if tgt is src:
+        # sum_ij g_ij (S_i - S_j)^T (S_i - S_j) = sum_ij W_ij S_i^T S_j, W the
+        # Laplacian of g + g^T: self-pairs drop out exactly, not by cancelling.
+        w = -(gamma + gamma.T)
+        np.fill_diagonal(w, 0.0)
+        np.fill_diagonal(w, -w.sum(axis=1))
+        v = src.reshape(-1, k).T @ (w @ src.reshape(src.shape[0], -1)).reshape(-1, k)
+        return 0.5 * (v + v.T)
+    # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j
     s = src.reshape(src.shape[0], -1)
     t = tgt.reshape(tgt.shape[0], -1)
     a = gamma.sum(axis=1)[:, None]
@@ -271,12 +274,16 @@ def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarra
 
 def _point_arrays(src, tgt, grouping=None):
     """Check that ``src`` and ``tgt`` share a dimension; return their point
-    arrays, reshaped to (n, d1, r) when a grouping is given."""
+    arrays, reshaped to (n, d1, r) when a grouping is given. Both are shifted
+    by the source's mean: moments and pair costs are translation invariant,
+    and centred clouds keep their Grams from cancelling far from the origin."""
     if src.dim != tgt.dim:
         raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
-    if grouping is None:
-        return src.points, tgt.points
-    return _grouped_reshape(src.points, grouping), _grouped_reshape(tgt.points, grouping)
+    centre = src.weights @ src.points
+    arrays = [m.points - centre for m in ((src,) if tgt is src else (src, tgt))]
+    if grouping is not None:
+        arrays = [_grouped_reshape(a, grouping) for a in arrays]
+    return arrays[0], arrays[-1]
 
 
 def _coupled_arrays(plan, src, tgt, grouping=None):

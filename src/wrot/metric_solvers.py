@@ -13,6 +13,11 @@ together with the attained value:
   doubly stochastic; the maximizer is a symmetric diagonal scaling of the KL
   kernel.
 
+Each family is one private kernel (``_pnorm``, ``_kl``, ``_ds``) that trusts
+its moment to be exactly symmetric and its ``m0`` to be checked. The public
+solvers validate, then call it; the Frank-Wolfe loops, whose moments the
+package builds, call it through ``_adversary``, which checks finiteness only.
+
 All three maximizers inherit positive semidefiniteness from ``V`` (odd
 Hadamard powers and Hadamard exponentials of PSD matrices are PSD, and the
 scaling is a congruence), so the value is a valid squared transport cost.
@@ -66,7 +71,8 @@ def _check_reference(m0, dim, strictly_positive):
             raise ValueError("m0 must be entrywise positive")
     elif np.any(m0 < 0):
         raise ValueError("m0 must be entrywise nonnegative")
-    return m0
+    # exactly symmetric, as the DS kernel's symmetric scaling requires
+    return 0.5 * (m0 + m0.T)
 
 
 def _check_penalty(config, strictly_positive):
@@ -144,6 +150,74 @@ class AdversarialMetric:
         object.__setattr__(self, "value", float(self.value))
 
 
+def _pnorm(v, k):
+    vmax = float(np.max(np.abs(v)))
+    if vmax == 0.0:
+        return AdversarialMetric(matrix=np.zeros_like(v), value=0.0, family="pnorm")
+    # Factor out the largest entry so the 2k powers cannot overflow.
+    norm = vmax * float(np.sum((np.abs(v) / vmax) ** (2 * k))) ** (1.0 / (2 * k))
+    return AdversarialMetric(matrix=(v / norm) ** (2 * k - 1), value=norm, family="pnorm")
+
+
+def _kl_tilt(v, lambda_m, m0, default_m0):
+    # The reference m0 (default_m0(d) when None) and the tilted kernel
+    # m0 * exp(v / lambda_m), refusing exponents beyond the float range.
+    d = v.shape[0]
+    if m0 is None:
+        m0 = default_m0(d)
+    elif m0.shape != (d, d):
+        raise ValueError(f"m0 must be {d}x{d}, got {m0.shape}")
+    peak = float(np.max(np.abs(v)))
+    if peak / lambda_m > _EXP_LIMIT:
+        raise OverflowError(
+            f"max|moment|/lambda_m = {peak / lambda_m:.4g} exceeds the exp range; "
+            f"lambda_m must be at least max|moment|/{_EXP_LIMIT:g} = {peak / _EXP_LIMIT:.6g}"
+        )
+    return m0, m0 * np.exp(v / lambda_m)
+
+
+def _kl(v, lambda_m, m0):
+    m0, matrix = _kl_tilt(v, lambda_m, m0, np.eye)
+    value = lambda_m * float(matrix.sum() - m0.sum())
+    return AdversarialMetric(matrix=matrix, value=value, family="kl")
+
+
+def _ds(v, lambda_m, m0, scaling_tol, scaling_max_iter):
+    m0, kernel = _kl_tilt(v, lambda_m, m0, lambda d: np.full((d, d), 1.0 / d))
+    diag = symmetric_scaling(kernel, tol=scaling_tol, max_iter=scaling_max_iter)
+    matrix = diag[:, None] * kernel * diag[None, :]
+    matrix = 0.5 * (matrix + matrix.T)
+    # KL(M, m0) = sum M log(M / m0) - M + m0 with 0 log 0 := 0
+    pos = matrix > 0
+    kl = float(np.sum(matrix[pos] * np.log(matrix[pos] / m0[pos])) - matrix.sum() + m0.sum())
+    value = float(np.sum(v * matrix)) - lambda_m * kl
+    return AdversarialMetric(matrix=matrix, value=value, family="ds")
+
+
+def _adversary(v, config):
+    """The configured family's kernel on a moment the package built, square
+    and exactly symmetric; only its finiteness is checked."""
+    if not np.isfinite(v).all():
+        raise ValueError("moment contains non-finite entries")
+    if isinstance(config, PNormConfig):
+        return _pnorm(v, config.k)
+    if isinstance(config, KLConfig):
+        return _kl(v, config.lambda_m, config.m0)
+    if isinstance(config, DSConfig):
+        return _ds(v, config.lambda_m, config.m0, config.scaling_tol, config.scaling_max_iter)
+    raise TypeError(f"unknown metric solver config: {type(config).__name__}")
+
+
+def _checked_args(moment, lambda_m, m0=None, strictly_positive=False):
+    # the moment and reference of the lambda_m-penalized public solvers
+    if not lambda_m > 0:
+        raise ValueError("lambda_m must be positive")
+    v = _check_moment(moment)
+    if m0 is not None:
+        m0 = _check_reference(m0, v.shape[0], strictly_positive)
+    return v, m0
+
+
 def pnorm_metric(moment: np.ndarray, k: int = 1) -> AdversarialMetric:
     """Maximize ``<V, M>`` over PSD ``M`` with elementwise p-norm at most 1.
 
@@ -154,36 +228,7 @@ def pnorm_metric(moment: np.ndarray, k: int = 1) -> AdversarialMetric:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
-    v = _check_moment(moment)
-    vmax = float(np.max(np.abs(v)))
-    if vmax == 0.0:
-        return AdversarialMetric(matrix=np.zeros_like(v), value=0.0, family="pnorm")
-    # Factor out the largest entry so the 2k powers cannot overflow.
-    norm = vmax * float(np.sum((np.abs(v) / vmax) ** (2 * k))) ** (1.0 / (2 * k))
-    matrix = (v / norm) ** (2 * k - 1)
-    return AdversarialMetric(matrix=matrix, value=norm, family="pnorm")
-
-
-def _kl_tilt(moment, lambda_m, m0, default_m0, strictly_positive):
-    # The checked moment v, the reference m0 (default_m0(d) when None) and the
-    # tilted kernel m0 * exp(v / lambda_m), refusing exponents beyond the
-    # float range.
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    v = _check_moment(moment)
-    d = v.shape[0]
-    if m0 is None:
-        m0 = default_m0(d)
-    else:
-        m0 = _check_reference(m0, d, strictly_positive)
-    scaled = v / lambda_m
-    peak = float(np.max(np.abs(v)))
-    if peak / lambda_m > _EXP_LIMIT:
-        raise OverflowError(
-            f"max|moment|/lambda_m = {peak / lambda_m:.4g} exceeds the exp range; "
-            f"lambda_m must be at least max|moment|/{_EXP_LIMIT:g} = {peak / _EXP_LIMIT:.6g}"
-        )
-    return v, m0, m0 * np.exp(scaled)
+    return _pnorm(_check_moment(moment), k)
 
 
 def kl_metric(
@@ -196,16 +241,8 @@ def kl_metric(
     ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
     float exponent range raise ``OverflowError`` rather than produce inf.
     """
-    _, m0, matrix = _kl_tilt(moment, lambda_m, m0, np.eye, strictly_positive=False)
-    value = lambda_m * float(matrix.sum() - m0.sum())
-    return AdversarialMetric(matrix=matrix, value=value, family="kl")
-
-
-def _entropy_gap(m: np.ndarray, m0: np.ndarray) -> float:
-    # KL(m, m0) = sum m log(m / m0) - m + m0 with 0 log 0 := 0.
-    mask = m > 0
-    kl = float(np.sum(m[mask] * np.log(m[mask] / m0[mask]))) - float(m.sum()) + float(m0.sum())
-    return kl
+    v, m0 = _checked_args(moment, lambda_m, m0)
+    return _kl(v, lambda_m, m0)
 
 
 def ds_metric(
@@ -223,14 +260,8 @@ def ds_metric(
     convergence error (with residual) if the kernel cannot be balanced within
     the iteration budget.
     """
-    v, m0, kernel = _kl_tilt(
-        moment, lambda_m, m0, lambda d: np.full((d, d), 1.0 / d), strictly_positive=True
-    )
-    diag = symmetric_scaling(kernel, tol=scaling_tol, max_iter=scaling_max_iter)
-    matrix = diag[:, None] * kernel * diag[None, :]
-    matrix = 0.5 * (matrix + matrix.T)
-    value = float(np.sum(v * matrix)) - lambda_m * _entropy_gap(matrix, m0)
-    return AdversarialMetric(matrix=matrix, value=value, family="ds")
+    v, m0 = _checked_args(moment, lambda_m, m0, strictly_positive=True)
+    return _ds(v, lambda_m, m0, scaling_tol, scaling_max_iter)
 
 
 def euclidean_metric(moment: np.ndarray) -> AdversarialMetric:
@@ -247,19 +278,7 @@ def euclidean_metric(moment: np.ndarray) -> AdversarialMetric:
 
 def adversarial_value(moment: np.ndarray, config: MetricSolverConfig) -> AdversarialMetric:
     """Dispatch to the configured family's closed-form solver."""
-    if isinstance(config, PNormConfig):
-        return pnorm_metric(moment, k=config.k)
-    if isinstance(config, KLConfig):
-        return kl_metric(moment, lambda_m=config.lambda_m, m0=config.m0)
-    if isinstance(config, DSConfig):
-        return ds_metric(
-            moment,
-            lambda_m=config.lambda_m,
-            m0=config.m0,
-            scaling_tol=config.scaling_tol,
-            scaling_max_iter=config.scaling_max_iter,
-        )
-    raise TypeError(f"unknown metric solver config: {type(config).__name__}")
+    return _adversary(_check_moment(moment), config)
 
 
 def feature_weights(moment: np.ndarray, lambda_m: float = 1.0) -> np.ndarray:
@@ -270,9 +289,7 @@ def feature_weights(moment: np.ndarray, lambda_m: float = 1.0) -> np.ndarray:
     feature ``i``, where ``v_i`` is the displacement energy along feature
     ``i``. Computed with max-subtraction, so any scale of ``v`` is safe.
     """
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    v = _check_moment(moment)
+    v, _ = _checked_args(moment, lambda_m)
     diag = np.diag(v) / lambda_m
     shifted = diag - diag.max()
     w = np.exp(shifted)
@@ -285,9 +302,7 @@ def feature_selection_objective(moment: np.ndarray, lambda_m: float = 1.0) -> fl
     Equals ``lambda_m * (log sum_i exp(v_i / lambda_m) - (d - 1))``; it is a
     monotone transform of the KL value at ``m0 = I`` restricted to diagonals.
     """
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    v = _check_moment(moment)
+    v, _ = _checked_args(moment, lambda_m)
     diag = np.diag(v) / lambda_m
     d = v.shape[0]
     return float(lambda_m * (_logsumexp(diag, axis=0) - (d - 1)))

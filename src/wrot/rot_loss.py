@@ -53,7 +53,7 @@ from .metric_solvers import (
     AdversarialMetric,
     MetricSolverConfig,
     PNormConfig,
-    adversarial_value,
+    _adversary,
     euclidean_metric,
 )
 from .sinkhorn import SinkhornConfig, _entropic_core, _marginals
@@ -157,7 +157,7 @@ def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
 def _worst_case(moment, config):
     if config.metric is None:
         return euclidean_metric(moment)
-    return adversarial_value(moment, config.metric)
+    return _adversary(moment, config.metric)
 
 
 def _solve(predicted, target, labels, config):
@@ -177,7 +177,7 @@ def _solve(predicted, target, labels, config):
         lmo, _, warm = _entropic_core(
             costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
         )
-        return lmo.matrix
+        return lmo
 
     gamma, worst, _, _ = _frank_wolfe(
         lambda plan: _worst_case(labels._moment(plan), config),

@@ -176,7 +176,7 @@ def entropic_ot(
     cost = _as_float_array(cost, "cost", 2)
     marginals = _marginals(row_weights, col_weights, cost.shape)
     plan, residual, _ = _entropic_core(cost, marginals, config)
-    return plan, residual
+    return TransportPlan(matrix=plan), residual
 
 
 def _beyond_float_potentials(scale):
@@ -200,7 +200,9 @@ def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
     v`` of a previous call with the same marginals; either first round reads
     it, so a warm start survives a domain switch. ``stop_tol > 0`` ends the
     rounds early once the row-sum error drops below it, but never before one
-    full round. Returns ``(plan, residual, state)``. Raises ``OverflowError``
+    full round. Returns ``(plan, residual, state)``, ``plan`` an ndarray that
+    in-range positive scalings and the mass check make a valid coupling, so
+    it skips :class:`~wrot.measures.TransportPlan`. Raises ``OverflowError``
     before iterating when the scaled cost exceeds ``2**53``, where float64
     potentials no longer resolve the kernel's exponents, and after iterating
     if the plan's mass is not 1.
@@ -236,7 +238,7 @@ def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
         np.maximum.reduce(np.abs(plan.sum(axis=1) - p)),
         np.maximum.reduce(np.abs(plan.sum(axis=0) - q)),
     )
-    return TransportPlan(matrix=plan), float(residual), state
+    return plan, float(residual), state
 
 
 def symmetric_scaling(

@@ -33,3 +33,5 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    # demos remove the temporary directories they make
+    assert not list(tmp_path.glob("wrot_demo_*"))

@@ -13,6 +13,7 @@ from wrot import (
     feature_selection_objective,
     feature_weights,
     kl_metric,
+    metric_solvers,
     pnorm_metric,
 )
 
@@ -323,3 +324,54 @@ class TestDispatchAndEuclidean:
     def test_asymmetric_moment_rejected(self):
         with pytest.raises(ValueError):
             pnorm_metric(np.array([[1.0, 2.0], [0.0, 1.0]]), k=1)
+
+    PUBLIC = {
+        "pnorm": lambda v: pnorm_metric(v, k=1),
+        "kl": lambda v: kl_metric(v, lambda_m=1.0),
+        "ds": lambda v: ds_metric(v, lambda_m=1.0),
+        "dispatch": lambda v: adversarial_value(v, PNormConfig(k=1)),
+    }
+
+    @pytest.mark.parametrize("solver", PUBLIC)
+    def test_public_solvers_reject_bad_moments(self, solver):
+        """The public solvers validate the moment before the family's
+        kernel runs: asymmetric or non-finite moments are refused."""
+        solve = self.PUBLIC[solver]
+        with pytest.raises(ValueError, match="^moment matrix must be symmetric$"):
+            solve(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^moment contains non-finite entries$"):
+                solve(np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("config", [PNormConfig(k=1), KLConfig(), DSConfig()])
+    def test_kernel_dispatch_rejects_non_finite_moments(self, config):
+        """The unchecked path the Frank-Wolfe loops take still refuses a
+        non-finite moment, with the public message."""
+        moment = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="^moment contains non-finite entries$"):
+            metric_solvers._adversary(moment, config)
+
+    @pytest.mark.parametrize("family", [KLConfig, DSConfig])
+    def test_config_reference_of_another_size_is_refused(self, family):
+        """A config's m0 is checked once, when built; the kernels still
+        compare its size with the moment's."""
+        config = family(m0=np.full((4, 4), 0.25))
+        with pytest.raises(ValueError, match=r"^m0 must be 3x3, got \(4, 4\)$"):
+            adversarial_value(np.eye(3), config)
+
+
+@pytest.mark.parametrize("family", [KLConfig, DSConfig])
+def test_reference_within_the_symmetry_tolerance_is_stored_symmetric(family):
+    """A reference asymmetric by 5e-11 passes the 1e-10 check and is stored
+    exactly symmetric, so the DS kernel's symmetric scaling accepts it and
+    both families return exactly symmetric metrics."""
+    m0 = np.full((4, 4), 0.25)
+    m0[0, 1] += 5e-11
+    config = family(m0=m0)
+    assert np.array_equal(config.m0, config.m0.T)
+    v = random_psd(np.random.default_rng(18), 4)
+    for result in (
+        adversarial_value(v, config),
+        (kl_metric if family is KLConfig else ds_metric)(v, m0=m0),
+    ):
+        assert np.array_equal(result.matrix, result.matrix.T)

@@ -1,5 +1,6 @@
 """Property tests for the entropic solver's rounds and automatic domain
-choice, and for the grouping file round trip.
+choice, the self-moment kernel, translation invariance of the distances,
+and the grouping file round trip.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -17,8 +18,10 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from wrot import (
+    DSConfig,
     FeatureGrouping,
     FWConfig,
+    KLConfig,
     PNormConfig,
     SinkhornConfig,
     load_grouping,
@@ -29,7 +32,7 @@ from wrot import (
     sinkhorn,
     w22_distance,
 )
-from wrot.measures import _grouped_reshape
+from wrot.measures import _grouped_reshape, _moment_arrays
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -96,7 +99,7 @@ def test_rounds_match_a_reference_sinkhorn(instance, top, spread, stop_tol, data
     marginals = sinkhorn._marginals(p, q, scaled.shape)
     plan, _, _ = sinkhorn._entropic_core(scaled, marginals, config, g, stop_tol)
     want = reference_sinkhorn(scaled, p, q, 30, np.zeros(n) if g is None else g, stop_tol)
-    assert_allclose(plan.matrix, want, rtol=0.0, atol=1e-12)
+    assert_allclose(plan, want, rtol=0.0, atol=1e-12)
 
 
 @bounded
@@ -140,7 +143,7 @@ def test_warm_start_across_a_domain_switch(instance, data, low, high, up):
         second, marginals, config, stop_tol=stop_tol
     )
     assert warm_res <= stop_tol and cold_res <= stop_tol
-    assert_allclose(warm.matrix, cold.matrix, rtol=0.0, atol=10 * stop_tol)
+    assert_allclose(warm, cold, rtol=0.0, atol=10 * stop_tol)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -156,6 +159,48 @@ def test_wide_clouds_solve_with_default_settings(seed, m, n):
     result = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1), max_iter=10))
     assert np.isfinite(result.value)
     assert_allclose(result.plan.matrix.sum(axis=0), tgt.weights, rtol=0.0, atol=1e-9)
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.sampled_from([(), (1,), (3,)]),
+    st.integers(1, 5),
+    st.sampled_from([1.0, 1e-8, 0.0]),
+)
+def test_self_moment_matches_a_per_pair_sum(seed, n, rows, k, off_mass):
+    """For ``tgt is src`` the Laplacian form of the moment matches a
+    per-pair sum to 1e-12 of its largest entry and is exactly symmetric, for
+    plain (n, k) points and (n, d1, k) arrays, down to near-identity plans."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, *rows, k))
+    gamma = np.diag(rng.uniform(0.5, 1.5, n)) + off_mass * rng.uniform(size=(n, n))
+    gamma /= gamma.sum()
+    pts = points.reshape(n, -1, k)
+    diff = pts[:, None] - pts[None, :]
+    want = np.einsum("ij,ijak,ijal->kl", gamma, diff, diff)
+    got = _moment_arrays(gamma, points, points)
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 6.0))
+def test_distances_ignore_a_common_shift(seed, exponent):
+    """Shifting both clouds by one vector of length up to 1e6 moves every
+    family's robust distance and w22 by at most 1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    src = make_measure(rng.normal(size=(16, 4)))
+    tgt = make_measure(rng.normal(size=(16, 4)) + 0.5, rng.random(16) + 0.1)
+    shift = rng.normal(size=4)
+    shift *= 10.0**exponent / np.linalg.norm(shift)
+    moved = (make_measure(src.points + shift), make_measure(tgt.points + shift, tgt.weights))
+    for metric in (PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()):
+        config = FWConfig(metric=metric, max_iter=5)
+        want = rot_distance(src, tgt, config).value
+        assert rot_distance(*moved, config).value == pytest.approx(want, rel=1e-9)
+    assert w22_distance(*moved) == pytest.approx(w22_distance(src, tgt), rel=1e-9)
 
 
 @st.composite

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from wrot import metric_solvers
 from wrot.data_io import make_grouping
-from wrot.measures import FeatureGrouping
+from wrot.measures import FeatureGrouping, TransportPlan
 from wrot.metric_solvers import DSConfig, KLConfig, PNormConfig, pnorm_metric
 from wrot.rot_loss import (
     LabelSpace,
@@ -401,3 +402,33 @@ class TestContourOrdering:
         near = rot_loss([1.0, 0.0, 0.0], y, labels, cfg).value
         far = rot_loss([0.0, 1.0, 0.0], y, labels, cfg).value
         assert near < far
+
+
+class TestValidationAtTheBoundary:
+    @pytest.mark.parametrize("metric", ALL_FAMILIES[:4], ids=["p1", "p2", "kl", "ds"])
+    def test_gradient_call_checks_no_moment_and_builds_one_plan(self, monkeypatch, metric):
+        """Inside the Frank-Wolfe loop moments, adversaries and oracle plans
+        pass as bare arrays: a gradient call builds one TransportPlan, the
+        LossValue's, and never re-validates a moment."""
+        emb = unit_rows(np.random.default_rng(35), 6, 8)
+        labels = LabelSpace(embeddings=emb, grouping=make_grouping(8, 4, seed=2))
+        h = np.random.default_rng(36).dirichlet(np.ones(6))
+        y = smooth_target(np.eye(6)[1], alpha=0.05)
+        cfg = RotLossConfig(metric=metric, fw_iters=3)
+        built, checked = [], []
+        post_init = TransportPlan.__post_init__
+        check_moment = metric_solvers._check_moment
+
+        def counting_post_init(plan):
+            built.append(plan)
+            post_init(plan)
+
+        def counting_check(moment):
+            checked.append(moment)
+            return check_moment(moment)
+
+        monkeypatch.setattr(TransportPlan, "__post_init__", counting_post_init)
+        monkeypatch.setattr(metric_solvers, "_check_moment", counting_check)
+        _, loss = rot_loss_gradient(h, y, labels, cfg, return_loss=True)
+        assert built == [loss.plan]
+        assert checked == []
