@@ -106,6 +106,9 @@ def cmd_contour(args) -> int:
     label_names = [s for s in args.labels.split(",") if s]
     if len(label_names) != 3:
         raise ValueError("--labels must name exactly 3 labels (comma-separated)")
+    if args.grid_n < 2:
+        # a grid needs both ends of [0, 1] to reach the simplex's corners
+        raise ValueError(f"--grid-n must be at least 2, got {args.grid_n}")
     names, matrix = load_embedding_file(args.embeddings)
     index = {n: i for i, n in enumerate(names)}
     missing = [n for n in label_names if n not in index]

@@ -13,10 +13,15 @@ together with the attained value:
   doubly stochastic; the maximizer is a symmetric diagonal scaling of the KL
   kernel.
 
-Each family is one private kernel (``_pnorm``, ``_kl``, ``_ds``) that trusts
-its moment to be exactly symmetric and its ``m0`` to be checked. The public
-solvers validate, then call it; the Frank-Wolfe loops, whose moments the
-package builds, call it through ``_adversary``, which checks finiteness only.
+Each family is one private kernel (``_pnorm``, ``_kl``, ``_ds``, and
+``_euclidean`` for the fixed identity metric) that trusts its moment to be
+exactly symmetric and its ``m0`` to be checked. The public solvers validate,
+then call it; the Frank-Wolfe loops, whose moments the package builds, call
+it through ``_adversary``, which checks finiteness only. ``_ds`` builds the
+kernel ``m0 * exp(V / lambda_m)`` itself, exactly symmetric and nonnegative,
+so it checks only the kernel's finiteness and runs the scaling loop
+``sinkhorn._symmetric_scaling`` without the shape, sign and symmetry checks
+of the public :func:`~wrot.sinkhorn.symmetric_scaling`.
 
 All three maximizers inherit positive semidefiniteness from ``V`` (odd
 Hadamard powers and Hadamard exponentials of PSD matrices are PSD, and the
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _as_float_array, _freeze
-from .sinkhorn import _EXP_LIMIT, _logsumexp, symmetric_scaling
+from .sinkhorn import _EXP_LIMIT, _logsumexp, _symmetric_scaling
 
 __all__ = [
     "PNormConfig",
@@ -184,7 +189,10 @@ def _kl(v, lambda_m, m0):
 
 def _ds(v, lambda_m, m0, scaling_tol, scaling_max_iter):
     m0, kernel = _kl_tilt(v, lambda_m, m0, lambda d: np.full((d, d), 1.0 / d))
-    diag = symmetric_scaling(kernel, tol=scaling_tol, max_iter=scaling_max_iter)
+    # an m0 entry above about 1e4 can still overflow the kernel
+    if not np.isfinite(kernel).all():
+        raise ValueError("kernel contains non-finite entries")
+    diag = _symmetric_scaling(kernel, scaling_tol, scaling_max_iter)
     matrix = diag[:, None] * kernel * diag[None, :]
     matrix = 0.5 * (matrix + matrix.T)
     # KL(M, m0) = sum M log(M / m0) - M + m0 with 0 log 0 := 0
@@ -194,11 +202,20 @@ def _ds(v, lambda_m, m0, scaling_tol, scaling_max_iter):
     return AdversarialMetric(matrix=matrix, value=value, family="ds")
 
 
+def _euclidean(v):
+    return AdversarialMetric(
+        matrix=np.eye(v.shape[0]), value=float(np.trace(v)), family="euclidean"
+    )
+
+
 def _adversary(v, config):
     """The configured family's kernel on a moment the package built, square
-    and exactly symmetric; only its finiteness is checked."""
+    and exactly symmetric; only its finiteness is checked. ``config=None`` is
+    the fixed identity metric, as in :class:`~wrot.rot_loss.RotLossConfig`."""
     if not np.isfinite(v).all():
         raise ValueError("moment contains non-finite entries")
+    if config is None:
+        return _euclidean(v)
     if isinstance(config, PNormConfig):
         return _pnorm(v, config.k)
     if isinstance(config, KLConfig):
@@ -270,10 +287,7 @@ def euclidean_metric(moment: np.ndarray) -> AdversarialMetric:
     This is the plain squared-Euclidean transport cost expressed through the
     displacement moment; loss code uses it for the non-robust baseline.
     """
-    v = _check_moment(moment)
-    return AdversarialMetric(
-        matrix=np.eye(v.shape[0]), value=float(np.trace(v)), family="euclidean"
-    )
+    return _euclidean(_check_moment(moment))
 
 
 def adversarial_value(moment: np.ndarray, config: MetricSolverConfig) -> AdversarialMetric:

@@ -54,7 +54,6 @@ from .metric_solvers import (
     MetricSolverConfig,
     PNormConfig,
     _adversary,
-    euclidean_metric,
 )
 from .sinkhorn import SinkhornConfig, _entropic_core, _marginals
 
@@ -154,12 +153,6 @@ def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
     return (1.0 - alpha) * raw / total + alpha / size
 
 
-def _worst_case(moment, config):
-    if config.metric is None:
-        return euclidean_metric(moment)
-    return _adversary(moment, config.metric)
-
-
 def _solve(predicted, target, labels, config):
     # Composite Frank-Wolfe: only the robust term is linearized; the plan
     # entropy lives in the oracle's own regularizer. At the fixed point the
@@ -180,7 +173,7 @@ def _solve(predicted, target, labels, config):
         return lmo
 
     gamma, worst, _, _ = _frank_wolfe(
-        lambda plan: _worst_case(labels._moment(plan), config),
+        lambda plan: _adversary(labels._moment(plan), config.metric),
         lambda worst: labels._pair_costs(worst.matrix),
         oracle,
         np.outer(marginals.p, marginals.q),

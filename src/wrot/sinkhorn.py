@@ -13,6 +13,15 @@ plain update of the kernel's scalings, and one whose scalings leave a safe
 range is redone in the log domain (Schmitzer, SIAM J. Sci. Comput. 2019).
 Past ``max|cost| / lambda_beta = 2**53`` a float64 exponent no longer
 resolves a step of 1, and the solve refuses.
+
+The log-domain round keeps ``np.exp`` on its vector path, which it leaves
+for exponents below about -708 at 10 to 100 times the cost. Its logsumexp
+clips shifted terms at ``-_EXP_LIMIT``: each finite slice sums to at least
+1, and a term below ``exp(-700)`` is under half the float64 spacing at 1.
+The absorbed kernel's exp sets entries below ``_EXP_ZERO`` to the 0 that
+``np.exp`` rounds them to, and exponentiates only the few in between on
+their own. Both give the plain formula's floats bit for bit.
+
 :func:`symmetric_scaling` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic, which the doubly-stochastic metric solver relies on.
 :func:`exact_ot_small` is an exact LP reference for tiny instances, used to
@@ -40,6 +49,8 @@ __all__ = [
 # exp(x) and exp(-x) stay normal float64 numbers for |x| <= 700 (the range
 # ends near 708).
 _EXP_LIMIT = 700.0
+# np.exp rounds to 0 below this: exp(-750) is 1% of the smallest subnormal
+_EXP_ZERO = -750.0
 # the round loop keeps its scalings u, v within exp(+-_EXP_LIMIT / 2)
 _SCALING_LOW = float(np.exp(-_EXP_LIMIT / 2))
 _SCALING_HIGH = 1.0 / _SCALING_LOW
@@ -73,15 +84,39 @@ class SinkhornConfig:
 def _logsumexp(a, axis):
     """``log(sum(exp(a), axis))`` shifted by the slice maximum.
 
-    A non-finite maximum is shifted by 0 instead, so an all ``-inf`` slice
-    gives ``-inf``. Plain numpy: ``scipy.special.logsumexp`` costs several
-    times more per call on the small arrays the iterations pass it.
+    Shifted terms are clipped at ``-_EXP_LIMIT``, which keeps ``np.exp`` on
+    its fast path. The result is that of the unclipped sum: the slice's
+    maximum term is ``exp(0) = 1``, and every clipped term is below
+    ``exp(-700) < 1e-304``, far under half the float64 spacing at 1. A
+    non-finite maximum is shifted by 0 and not clipped, so an all ``-inf``
+    slice gives ``-inf``. Plain numpy: ``scipy.special.logsumexp`` costs
+    several times more per call on the small arrays the iterations pass it.
     """
     shift = np.max(a, axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
+    finite = np.isfinite(shift)
+    shift[~finite] = 0.0
+    terms = a - shift
+    np.maximum(terms, np.where(finite, -_EXP_LIMIT, -np.inf), out=terms)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis))
+        out = np.log(np.sum(np.exp(terms, out=terms), axis=axis))
     return out + np.squeeze(shift, axis=axis)
+
+
+def _exp(x):
+    """``np.exp(x)`` bit for bit, without its slow path for most entries.
+
+    ``np.exp`` leaves its vector path for a whole block of entries once one
+    of them is below about -708. Here the entries at or above
+    ``-_EXP_LIMIT`` take the vector path, those below ``_EXP_ZERO`` are set
+    to the 0 that ``np.exp`` rounds them to, and only the few in between go
+    through ``np.exp`` on their own.
+    """
+    out = np.exp(np.maximum(x, -_EXP_LIMIT))
+    low = x < -_EXP_LIMIT
+    out[low] = 0.0
+    low &= x > _EXP_ZERO
+    out[low] = np.exp(x[low])
+    return out
 
 
 def _absorbed_kernel(log_kernel, log_p, log_q, g):
@@ -91,7 +126,7 @@ def _absorbed_kernel(log_kernel, log_p, log_q, g):
     f = log_p - _logsumexp(log_kernel + g[None, :], axis=1)
     row_scaled = log_kernel + f[:, None]
     g = log_q - _logsumexp(row_scaled, axis=0)
-    return np.exp(row_scaled + g[None, :]), g
+    return _exp(row_scaled + g[None, :]), g
 
 
 # The validated weights p, q of one solve; the masks, values and logs of
@@ -251,6 +286,12 @@ def symmetric_scaling(
     scaling from oscillating. Raises :class:`SinkhornConvergenceError` (with
     the last residual attached) if the row-sum residual does not drop below
     ``tol`` within ``max_iter`` updates.
+
+    This function checks that the kernel is finite, square, nonnegative and
+    symmetric. The DS adversary skips these checks: it builds its kernel
+    exactly symmetric from a checked moment and ``m0``, tests it for
+    overflow, and calls the update loop, :func:`_symmetric_scaling`, which
+    refuses an all-zero row for both callers.
     """
     kernel = _as_float_array(kernel, "kernel", 2)
     m, n = kernel.shape
@@ -260,19 +301,27 @@ def symmetric_scaling(
         raise ValueError("kernel entries must be nonnegative")
     if np.max(np.abs(kernel - kernel.T)) > 1e-12:
         raise ValueError("kernel must be symmetric")
-    if np.any(kernel.sum(axis=1) <= 0):
-        raise ValueError("kernel has an all-zero row; it cannot be scaled")
+    return _symmetric_scaling(kernel, tol, max_iter)
 
-    d = np.ones(n)
+
+def _symmetric_scaling(kernel, tol, max_iter):
+    # The damped updates of symmetric_scaling on a finite, nonnegative,
+    # symmetric kernel. Each residual's kernel @ d is the next update's, so
+    # an update is one mat-vec.
+    d = np.ones(kernel.shape[0])
+    kd = kernel @ d  # the row sums
+    if np.fmin.reduce(kd) <= 0:
+        raise ValueError("kernel has an all-zero row; it cannot be scaled")
     residual = np.inf
     for _ in range(max_iter):
-        kd = kernel @ d
-        if np.any(kd <= 0):
+        # fmin skips NaN entries, as an entrywise kd <= 0 test would
+        if np.fmin.reduce(kd) <= 0:
             raise SinkhornConvergenceError(
                 "scaling iterate left the positive cone", residual=float(residual)
             )
         d = np.sqrt(d / kd)
-        residual = float(np.max(np.abs(d * (kernel @ d) - 1.0)))
+        kd = kernel @ d
+        residual = float(np.maximum.reduce(np.abs(d * kd - 1.0)))
         if residual <= tol:
             return d
     raise SinkhornConvergenceError(

@@ -263,6 +263,21 @@ class TestContour:
         assert code == 1
         assert "exactly 3" in err
 
+    @pytest.mark.parametrize("grid_n", ["-1", "0", "1"])
+    def test_grid_below_two_points_exits_1(
+        self, contour_embeddings, grid_n, tmp_path, capsys
+    ):
+        out_csv = tmp_path / "c.csv"
+        code, _, err = invoke(
+            ["contour", "--labels", "alpha,beta,gamma",
+             "--embeddings", contour_embeddings, "--grid-n", grid_n,
+             "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 1
+        assert f"--grid-n must be at least 2, got {grid_n}" in err
+        assert not out_csv.exists()
+
 
 class TestTrainEval:
     def train_argv(self, blob_files, model_out, extra=()):

@@ -234,6 +234,19 @@ class TestDS:
         with pytest.raises(ValueError):
             DSConfig(lambda_m=1.0, m0=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
+    def test_unscalable_kernels_keep_the_scaling_messages(self):
+        """The DS adversary runs the scaling loop without the public kernel
+        checks, yet a kernel that overflows or has a row that underflows to
+        zero is refused with symmetric_scaling's message."""
+        big = np.array([[1e5, 1.0], [1.0, 1e5]])
+        with pytest.raises(ValueError, match="kernel contains non-finite entries"):
+            with np.errstate(over="ignore"):
+                ds_metric(np.diag([699.0, 1.0]), lambda_m=1.0, m0=big)
+        tiny = np.array([[1e-200, 1e-200], [1e-200, 1.0]])
+        v = np.array([[-400.0, -400.0], [-400.0, 0.0]])
+        with pytest.raises(ValueError, match="kernel has an all-zero row"):
+            ds_metric(v, lambda_m=1.0, m0=tiny)
+
 
 class TestFeatureWeights:
     def test_frozen_two_feature_example(self):

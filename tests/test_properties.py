@@ -1,6 +1,7 @@
 """Property tests for the entropic solver's rounds and automatic domain
 choice, the self-moment kernel, translation invariance of the distances,
-and the grouping file round trip.
+the grouping file round trip, and the fast paths of exp, logsumexp and
+symmetric scaling, which must equal their plain formulas bit for bit.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -33,6 +34,7 @@ from wrot import (
     w22_distance,
 )
 from wrot.measures import _grouped_reshape, _moment_arrays
+from wrot.sinkhorn import SinkhornConvergenceError
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -238,3 +240,119 @@ def test_grouping_shape_is_not_free():
     than written to a file that cannot be read back."""
     with pytest.raises(ValueError, match="expected 10"):
         FeatureGrouping(dim=10, group_count=2, permutation=np.arange(12))
+
+
+def arrays(elements, max_side=12):
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side)).flatmap(
+        lambda shape: st.lists(
+            elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda xs: np.array(xs, dtype=np.float64).reshape(shape))
+    )
+
+
+@bounded
+@given(
+    arrays(
+        st.one_of(
+            st.floats(-1e5, 700.0),
+            st.floats(-760.0, -690.0),
+            st.floats(-745.2, -707.0),
+            st.just(-np.inf),
+        )
+    )
+)
+def test_exp_equals_numpy_exp(x):
+    """The absorbed kernel's exp equals np.exp bit for bit from -inf up to
+    700, across np.exp's slow range (-745, -707] and its rounding to 0."""
+    assert np.array_equal(sinkhorn._exp(x), np.exp(x))
+
+
+def test_exp_equals_numpy_exp_across_the_underflow():
+    """A dense sweep over every exponent where np.exp leaves its vector path,
+    turns subnormal and rounds to 0."""
+    x = np.linspace(-760.0, -690.0, 700_000).reshape(-1, 7)
+    assert np.array_equal(sinkhorn._exp(x), np.exp(x))
+
+
+def unclipped_logsumexp(a, axis):
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore", under="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis))
+    return out + np.squeeze(shift, axis=axis)
+
+
+@bounded
+@given(
+    arrays(
+        st.one_of(
+            st.floats(-40.0, 40.0),
+            st.floats(-3000.0, -650.0),
+            st.just(-np.inf),
+        ),
+        max_side=24,
+    ),
+    st.lists(st.integers(0, 23), max_size=3),
+    st.sampled_from([0, 1]),
+)
+def test_clipped_logsumexp_equals_the_unclipped_sum(a, empty_rows, axis):
+    """Clipping the shifted terms at -700 leaves every slice's logsumexp
+    unchanged bit for bit: slices with -inf entries, terms more than 700
+    below the maximum, and all -inf slices, which stay -inf."""
+    a = a.copy()
+    for row in empty_rows:
+        if axis == 1:
+            a[row % a.shape[0], :] = -np.inf
+        else:
+            a[:, row % a.shape[1]] = -np.inf
+    assert np.array_equal(sinkhorn._logsumexp(a, axis), unclipped_logsumexp(a, axis))
+
+
+def two_mat_vec_scaling(kernel, tol, max_iter):
+    d = np.ones(kernel.shape[0])
+    residual = np.inf
+    for _ in range(max_iter):
+        kd = kernel @ d
+        if np.any(kd <= 0):
+            raise SinkhornConvergenceError(
+                "scaling iterate left the positive cone", residual=float(residual)
+            )
+        d = np.sqrt(d / kd)
+        residual = float(np.max(np.abs(d * (kernel @ d) - 1.0)))
+        if residual <= tol:
+            return d
+    raise SinkhornConvergenceError(
+        f"symmetric scaling residual {residual:.3e} above tol {tol:.3e} "
+        f"after {max_iter} iterations",
+        residual=residual,
+    )
+
+
+def scaling_outcome(scale, kernel, tol, max_iter):
+    try:
+        return scale(kernel, tol, max_iter).tobytes()
+    except SinkhornConvergenceError as exc:
+        return str(exc), exc.residual
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 24),
+    st.floats(0.05, 60.0),
+    st.sampled_from([1e-4, 1e-8, 1e-12, 1e-15]),
+    st.integers(1, 60),
+)
+def test_one_mat_vec_scaling_equals_the_two_mat_vec_loop(seed, n, spread, tol, max_iter):
+    """Reusing each residual's kernel @ d in the next update changes neither
+    the scaling nor the residual of a SinkhornConvergenceError, on DS
+    kernels m0 * exp(V / lambda_m) up to max|V| / lambda_m = 60."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n + 2, n))
+    moment = points.T @ points
+    v = 0.5 * (moment + moment.T)
+    kernel = np.exp(v * (spread / np.max(np.abs(v)))) / n
+    for scale in (sinkhorn.symmetric_scaling, sinkhorn._symmetric_scaling):
+        assert scaling_outcome(scale, kernel, tol, max_iter) == scaling_outcome(
+            two_mat_vec_scaling, kernel, tol, max_iter
+        )

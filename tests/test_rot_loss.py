@@ -405,7 +405,9 @@ class TestContourOrdering:
 
 
 class TestValidationAtTheBoundary:
-    @pytest.mark.parametrize("metric", ALL_FAMILIES[:4], ids=["p1", "p2", "kl", "ds"])
+    @pytest.mark.parametrize(
+        "metric", ALL_FAMILIES, ids=["p1", "p2", "kl", "ds", "euclidean"]
+    )
     def test_gradient_call_checks_no_moment_and_builds_one_plan(self, monkeypatch, metric):
         """Inside the Frank-Wolfe loop moments, adversaries and oracle plans
         pass as bare arrays: a gradient call builds one TransportPlan, the
