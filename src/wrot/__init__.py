@@ -30,7 +30,7 @@ from .data_io import (
     save_grouping,
     save_labels,
 )
-from .frank_wolfe import FWConfig, RotResult, gradient_wrt_plan, rot_distance, w22_distance
+from .frank_wolfe import FWConfig, RotResult, rot_distance, w22_distance
 from .measures import (
     DiscreteMeasure,
     FeatureGrouping,
@@ -47,7 +47,6 @@ from .metric_solvers import (
     PNormConfig,
     adversarial_value,
     ds_metric,
-    euclidean_metric,
     feature_selection_objective,
     feature_weights,
     kl_metric,
@@ -66,7 +65,6 @@ from .sinkhorn import (
     SinkhornConvergenceError,
     entropic_ot,
     exact_ot_small,
-    symmetric_scaling,
 )
 
 __version__ = "0.1.0"
@@ -97,12 +95,10 @@ __all__ = [
     "displacement_second_moment",
     "ds_metric",
     "entropic_ot",
-    "euclidean_metric",
     "evaluate",
     "exact_ot_small",
     "feature_selection_objective",
     "feature_weights",
-    "gradient_wrt_plan",
     "independent_coupling",
     "kl_metric",
     "load_dataset",
@@ -122,6 +118,5 @@ __all__ = [
     "save_model",
     "sgd_train",
     "smooth_target",
-    "symmetric_scaling",
     "w22_distance",
 ]

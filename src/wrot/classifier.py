@@ -133,7 +133,9 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
     """Train a softmax model on ``dataset`` with per-sample SGD.
 
     Weights start at zero, and each epoch visits the samples in a fresh
-    permutation drawn from ``config.seed``. Each sample's update is
+    permutation drawn from ``config.seed``. A sample's target is its label
+    row through :func:`~wrot.rot_loss.smooth_target` at the default alpha of
+    1e-3, so every label has positive mass. Each sample's update is
     ``W <- W - lr * (x (J_softmax grad_h)^T + 2 * weight_decay * W)``, where
     ``grad_h`` is the transport-loss gradient at the current prediction.
     Returns the model with per-epoch mean losses and wall times. Raises
@@ -149,7 +151,6 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
     n, n_features = features.shape
     rng = np.random.default_rng(config.seed)
     weights = np.zeros((n_features, labels.size))
-    alpha = config.loss.target_smoothing_alpha
 
     epoch_losses = []
     epoch_seconds = []
@@ -159,7 +160,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
         total = 0.0
         for i in order:
             x = features[i]
-            target = smooth_target(dataset.labels[i], alpha)
+            target = smooth_target(dataset.labels[i])
             h = _softmax_rows((x @ weights)[None, :])[0]
             grad_h, loss = _sample_loss_and_grad(h, target, labels, config.loss)
             if not np.isfinite(loss.value) or abs(loss.value) > _LOSS_ABORT:

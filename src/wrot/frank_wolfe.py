@@ -24,7 +24,6 @@ from .measures import (
     DiscreteMeasure,
     FeatureGrouping,
     TransportPlan,
-    _coupled_arrays,
     _moment_arrays,
     _pair_costs_full,
     _point_arrays,
@@ -32,7 +31,7 @@ from .measures import (
 from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary
 from .sinkhorn import SinkhornConfig, _entropic_core, _marginals, entropic_ot
 
-__all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance", "gradient_wrt_plan"]
+__all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance"]
 
 
 @dataclass(frozen=True)
@@ -95,29 +94,6 @@ def _frank_wolfe(worst_case, gradient, oracle, gamma, max_iter, gap_tol):
         theta = 2.0 / (t + 2.0)
         gamma = (1.0 - theta) * gamma + theta * lmo
     return gamma, worst_case(gamma), gaps, False
-
-
-def gradient_wrt_plan(
-    plan: TransportPlan,
-    src: DiscreteMeasure,
-    tgt: DiscreteMeasure,
-    metric: AdversarialMetric,
-    grouping: FeatureGrouping | None = None,
-) -> np.ndarray:
-    """Gradient of ``<V(plan), M>`` in the plan, entry ``(i, j)`` being the
-    squared Mahalanobis displacement ``(s_i - t_j)^T M (s_i - t_j)``.
-
-    When ``metric`` is the worst-case metric at ``plan``, this is the gradient
-    of the robust objective there (the maximizer is unique for these families,
-    so the max function is differentiable). With a grouping, ``metric`` must
-    be the r x r block factor and the displacement is taken in reshaped form.
-    """
-    src_arr, tgt_arr = _coupled_arrays(plan, src, tgt, grouping)
-    m = metric.matrix
-    side = src_arr.shape[-1]
-    if m.shape != (side, side):
-        raise ValueError(f"metric is {m.shape}, expected {(side, side)}")
-    return _pair_costs_full(src_arr, tgt_arr, m)
 
 
 def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -> RotResult:

@@ -28,7 +28,6 @@ __all__ = [
     "displacement_second_moment",
 ]
 
-_MARGINAL_TOL = 1e-8
 _MASS_TOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -82,17 +81,13 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """A nonnegative m x n coupling with unit total mass.
+    """A nonnegative m x n coupling with unit total mass (within 1e-10).
 
-    ``row_marginal`` and ``col_marginal`` default to the matrix's own row and
-    column sums, so a plan constructed from any nonnegative unit-mass matrix
-    is always internally consistent. Passing explicit marginals asserts that
-    the matrix actually has them (within 1e-8).
+    Its marginals are the matrix's own row and column sums, which the plan
+    does not check against any weights.
     """
 
     matrix: np.ndarray
-    row_marginal: np.ndarray = None
-    col_marginal: np.ndarray = None
 
     def __post_init__(self):
         matrix = _as_float_array(self.matrix, "matrix", 2)
@@ -101,27 +96,7 @@ class TransportPlan:
         total = matrix.sum()
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"transport plan mass is {total!r}, expected 1")
-        rows = matrix.sum(axis=1)
-        cols = matrix.sum(axis=0)
-        if self.row_marginal is None:
-            row_marginal = rows
-        else:
-            row_marginal = _as_float_array(self.row_marginal, "row_marginal", 1)
-            if row_marginal.shape[0] != matrix.shape[0]:
-                raise ValueError("row_marginal length does not match the plan")
-            if np.max(np.abs(rows - row_marginal)) > _MARGINAL_TOL:
-                raise ValueError("plan row sums do not match row_marginal")
-        if self.col_marginal is None:
-            col_marginal = cols
-        else:
-            col_marginal = _as_float_array(self.col_marginal, "col_marginal", 1)
-            if col_marginal.shape[0] != matrix.shape[1]:
-                raise ValueError("col_marginal length does not match the plan")
-            if np.max(np.abs(cols - col_marginal)) > _MARGINAL_TOL:
-                raise ValueError("plan column sums do not match col_marginal")
         object.__setattr__(self, "matrix", _freeze(matrix))
-        object.__setattr__(self, "row_marginal", _freeze(row_marginal))
-        object.__setattr__(self, "col_marginal", _freeze(col_marginal))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -195,9 +170,8 @@ def make_measure(points, weights=None) -> DiscreteMeasure:
 
 
 def independent_coupling(src: DiscreteMeasure, tgt: DiscreteMeasure) -> TransportPlan:
-    """The product coupling ``w_src w_tgt^T``; its marginals are exact."""
-    matrix = np.outer(src.weights, tgt.weights)
-    return TransportPlan(matrix=matrix, row_marginal=src.weights, col_marginal=tgt.weights)
+    """The product coupling ``w_src w_tgt^T``."""
+    return TransportPlan(matrix=np.outer(src.weights, tgt.weights))
 
 
 def _check_simplex(w, name, size):
@@ -286,17 +260,6 @@ def _point_arrays(src, tgt, grouping=None):
     return arrays[0], arrays[-1]
 
 
-def _coupled_arrays(plan, src, tgt, grouping=None):
-    """:func:`_point_arrays` after checking that ``plan`` couples ``src`` and
-    ``tgt``."""
-    if plan.shape != (src.size, tgt.size):
-        raise ValueError(
-            f"plan shape {plan.shape} does not match measures "
-            f"({src.size}, {tgt.size})"
-        )
-    return _point_arrays(src, tgt, grouping)
-
-
 def displacement_second_moment(
     plan: TransportPlan,
     src: DiscreteMeasure,
@@ -313,4 +276,8 @@ def displacement_second_moment(
     ``<V, kron(B, I)> = <U, B>`` holds, where ``U`` is the reduced moment, so
     it carries all the information a grouped metric can see.
     """
-    return _moment_arrays(plan.matrix, *_coupled_arrays(plan, src, tgt, grouping))
+    if plan.shape != (src.size, tgt.size):
+        raise ValueError(
+            f"plan shape {plan.shape} does not match measures ({src.size}, {tgt.size})"
+        )
+    return _moment_arrays(plan.matrix, *_point_arrays(src, tgt, grouping))

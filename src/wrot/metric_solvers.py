@@ -17,11 +17,11 @@ Each family is one private kernel (``_pnorm``, ``_kl``, ``_ds``, and
 ``_euclidean`` for the fixed identity metric) that trusts its moment to be
 exactly symmetric and its ``m0`` to be checked. The public solvers validate,
 then call it; the Frank-Wolfe loops, whose moments the package builds, call
-it through ``_adversary``, which checks finiteness only. ``_ds`` builds the
-kernel ``m0 * exp(V / lambda_m)`` itself, exactly symmetric and nonnegative,
-so it checks only the kernel's finiteness and runs the scaling loop
-``sinkhorn._symmetric_scaling`` without the shape, sign and symmetry checks
-of the public :func:`~wrot.sinkhorn.symmetric_scaling`.
+it through ``_adversary``, which checks finiteness only. ``_kl`` and ``_ds``
+share the tilted kernel ``m0 * exp(V / lambda_m)``, which refuses to
+overflow; ``_ds`` builds it exactly symmetric and nonnegative and runs the
+scaling loop ``sinkhorn._symmetric_scaling`` on it to a residual of
+``_SCALING_TOL`` within ``_SCALING_MAX_ITER`` updates.
 
 All three maximizers inherit positive semidefiniteness from ``V`` (odd
 Hadamard powers and Hadamard exponentials of PSD matrices are PSD, and the
@@ -50,11 +50,15 @@ __all__ = [
     "pnorm_metric",
     "kl_metric",
     "ds_metric",
-    "euclidean_metric",
     "adversarial_value",
     "feature_weights",
     "feature_selection_objective",
 ]
+
+# the DS adversary's symmetric scaling: row-sum residual and update budget
+_SCALING_TOL = 1e-8
+_SCALING_MAX_ITER = 10_000
+
 
 def _check_moment(v) -> np.ndarray:
     v = _as_float_array(v, "moment", 2)
@@ -128,15 +132,9 @@ class DSConfig:
 
     lambda_m: float = 1.0
     m0: np.ndarray | None = None
-    scaling_tol: float = 1e-8
-    scaling_max_iter: int = 10_000
 
     def __post_init__(self):
         _check_penalty(self, strictly_positive=True)
-        if not self.scaling_tol > 0:
-            raise ValueError("scaling_tol must be positive")
-        if self.scaling_max_iter < 1:
-            raise ValueError("scaling_max_iter must be at least 1")
 
 
 MetricSolverConfig = PNormConfig | KLConfig | DSConfig
@@ -166,7 +164,8 @@ def _pnorm(v, k):
 
 def _kl_tilt(v, lambda_m, m0, default_m0):
     # The reference m0 (default_m0(d) when None) and the tilted kernel
-    # m0 * exp(v / lambda_m), refusing exponents beyond the float range.
+    # m0 * exp(v / lambda_m), refusing exponents beyond the float range and
+    # a large m0 entry that overflows the product.
     d = v.shape[0]
     if m0 is None:
         m0 = default_m0(d)
@@ -178,7 +177,21 @@ def _kl_tilt(v, lambda_m, m0, default_m0):
             f"max|moment|/lambda_m = {peak / lambda_m:.4g} exceeds the exp range; "
             f"lambda_m must be at least max|moment|/{_EXP_LIMIT:g} = {peak / _EXP_LIMIT:.6g}"
         )
-    return m0, m0 * np.exp(v / lambda_m)
+    with np.errstate(over="ignore"):
+        kernel = m0 * np.exp(v / lambda_m)
+    if not np.isfinite(kernel).all():
+        # exp(v / lambda_m) is in range, so m0 * exp overflowed where v > 0;
+        # lambda_m >= v / (700 - log m0) there keeps each entry in range.
+        pos = m0 > 0
+        w, log_m0 = v[pos], np.log(m0[pos])
+        with np.errstate(divide="ignore"):
+            need = w[w > 0] / np.maximum(_EXP_LIMIT - log_m0[w > 0], 0.0)
+        raise OverflowError(
+            f"max(moment/lambda_m + log m0) = {np.max(w / lambda_m + log_m0):.4g} "
+            "overflows m0 * exp(moment/lambda_m); lambda_m must be at least "
+            f"{max(peak / _EXP_LIMIT, np.max(need)):.6g}"
+        )
+    return m0, kernel
 
 
 def _kl(v, lambda_m, m0):
@@ -187,12 +200,9 @@ def _kl(v, lambda_m, m0):
     return AdversarialMetric(matrix=matrix, value=value, family="kl")
 
 
-def _ds(v, lambda_m, m0, scaling_tol, scaling_max_iter):
+def _ds(v, lambda_m, m0):
     m0, kernel = _kl_tilt(v, lambda_m, m0, lambda d: np.full((d, d), 1.0 / d))
-    # an m0 entry above about 1e4 can still overflow the kernel
-    if not np.isfinite(kernel).all():
-        raise ValueError("kernel contains non-finite entries")
-    diag = _symmetric_scaling(kernel, scaling_tol, scaling_max_iter)
+    diag = _symmetric_scaling(kernel, _SCALING_TOL, _SCALING_MAX_ITER)
     matrix = diag[:, None] * kernel * diag[None, :]
     matrix = 0.5 * (matrix + matrix.T)
     # KL(M, m0) = sum M log(M / m0) - M + m0 with 0 log 0 := 0
@@ -221,7 +231,7 @@ def _adversary(v, config):
     if isinstance(config, KLConfig):
         return _kl(v, config.lambda_m, config.m0)
     if isinstance(config, DSConfig):
-        return _ds(v, config.lambda_m, config.m0, config.scaling_tol, config.scaling_max_iter)
+        return _ds(v, config.lambda_m, config.m0)
     raise TypeError(f"unknown metric solver config: {type(config).__name__}")
 
 
@@ -256,42 +266,38 @@ def kl_metric(
     The unconstrained maximizer is ``m0 * exp(V / lambda_m)`` (entrywise), so
     zero entries of ``m0`` stay zero. The attained value reduces to
     ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
-    float exponent range raise ``OverflowError`` rather than produce inf.
+    float exponent range, or of ``m0 * exp(V / lambda_m)`` beyond the float
+    range, raise ``OverflowError`` rather than produce inf.
     """
     v, m0 = _checked_args(moment, lambda_m, m0)
     return _kl(v, lambda_m, m0)
 
 
 def ds_metric(
-    moment: np.ndarray,
-    lambda_m: float = 1.0,
-    m0: np.ndarray | None = None,
-    scaling_tol: float = 1e-8,
-    scaling_max_iter: int = 10_000,
+    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
 ) -> AdversarialMetric:
     """KL-penalized maximization restricted to doubly stochastic matrices.
 
     The maximizer is ``D (m0 * exp(V / lambda_m)) D`` with the diagonal ``D``
     found by symmetric scaling, and the value is evaluated directly as
-    ``<V, M*> - lambda_m * KL(M*, m0)``. Raises the scaling solver's
-    convergence error (with residual) if the kernel cannot be balanced within
-    the iteration budget.
+    ``<V, M*> - lambda_m * KL(M*, m0)``. The scaling runs to a row-sum
+    residual of 1e-8 and raises
+    :class:`~wrot.sinkhorn.SinkhornConvergenceError` (with residual) if the
+    kernel cannot be balanced within 10,000 updates. A kernel that overflows
+    raises ``OverflowError``, as in :func:`kl_metric`.
     """
     v, m0 = _checked_args(moment, lambda_m, m0, strictly_positive=True)
-    return _ds(v, lambda_m, m0, scaling_tol, scaling_max_iter)
+    return _ds(v, lambda_m, m0)
 
 
-def euclidean_metric(moment: np.ndarray) -> AdversarialMetric:
-    """The fixed identity metric: no adversary, value ``trace(V)``.
+def adversarial_value(
+    moment: np.ndarray, config: MetricSolverConfig | None
+) -> AdversarialMetric:
+    """Dispatch to the configured family's closed-form solver.
 
-    This is the plain squared-Euclidean transport cost expressed through the
-    displacement moment; loss code uses it for the non-robust baseline.
+    ``config=None`` is the fixed identity metric: no adversary, value
+    ``trace(V)``, the plain squared-Euclidean transport cost.
     """
-    return _euclidean(_check_moment(moment))
-
-
-def adversarial_value(moment: np.ndarray, config: MetricSolverConfig) -> AdversarialMetric:
-    """Dispatch to the configured family's closed-form solver."""
     return _adversary(_check_moment(moment), config)
 
 

@@ -115,15 +115,12 @@ class RotLossConfig:
     lambda_gamma: float = 0.02
     fw_iters: int = 1
     sinkhorn: SinkhornConfig = SinkhornConfig(lambda_beta=0.2, iterations=10)
-    target_smoothing_alpha: float = 1e-3
 
     def __post_init__(self):
         if not self.lambda_gamma > 0:
             raise ValueError("lambda_gamma must be positive")
         if self.fw_iters < 1:
             raise ValueError("fw_iters must be at least 1")
-        if not 0.0 <= self.target_smoothing_alpha < 1.0:
-            raise ValueError("target_smoothing_alpha must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -221,8 +218,8 @@ def rot_loss_gradient(
     plan solved), so the bracket reduces to dual potentials. Configure
     ``lambda_beta == lambda_gamma`` to differentiate the reported value
     itself. The result sums to zero exactly (movement along the simplex), and
-    requires a strictly positive plan; with one-hot targets enable
-    ``target_smoothing_alpha`` to guarantee that.
+    requires a strictly positive plan; with one-hot targets, smooth them
+    with :func:`smooth_target` at ``alpha > 0`` to guarantee that.
 
     With ``return_loss=True`` returns ``(gradient, LossValue)`` so callers get
     the loss from the same solve.
@@ -240,7 +237,7 @@ def rot_loss_gradient(
     if np.any(oracle_plan <= 0):
         raise ValueError(
             "gradient undefined: the transport plan has zero entries; "
-            "enable target smoothing (target_smoothing_alpha > 0) and use "
+            "smooth the target (smooth_target with alpha > 0) and use "
             "strictly positive predictions"
         )
     a = costs + config.sinkhorn.lambda_beta * (

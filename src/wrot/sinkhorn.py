@@ -22,8 +22,9 @@ The absorbed kernel's exp sets entries below ``_EXP_ZERO`` to the 0 that
 ``np.exp`` rounds them to, and exponentiates only the few in between on
 their own. Both give the plain formula's floats bit for bit.
 
-:func:`symmetric_scaling` finds the diagonal that makes a symmetric positive
-kernel doubly stochastic, which the doubly-stochastic metric solver relies on.
+``_symmetric_scaling`` finds the diagonal that makes a symmetric positive
+kernel doubly stochastic; the doubly-stochastic metric solver calls it on the
+kernel it builds.
 :func:`exact_ot_small` is an exact LP reference for tiny instances, used to
 cross-check the regularized solver.
 """
@@ -42,7 +43,6 @@ __all__ = [
     "SinkhornConfig",
     "SinkhornConvergenceError",
     "entropic_ot",
-    "symmetric_scaling",
     "exact_ot_small",
 ]
 
@@ -202,9 +202,8 @@ def entropic_ot(
     Returns
     -------
     (plan, residual)
-        ``plan`` is the coupling (its stored marginals are its actual row and
-        column sums); ``residual`` is the maximum absolute deviation of those
-        sums from the requested weights.
+        ``plan`` is the coupling; ``residual`` is the maximum absolute
+        deviation of its row and column sums from the requested weights.
     """
     if config is None:
         config = SinkhornConfig()
@@ -276,38 +275,15 @@ def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
     return plan, float(residual), state
 
 
-def symmetric_scaling(
-    kernel: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000
-) -> np.ndarray:
-    """Diagonal ``d`` such that ``diag(d) kernel diag(d)`` is doubly stochastic.
-
-    Uses the damped update ``d <- sqrt(d / (kernel d))``, the geometric mean of
-    the current iterate and the plain fixed-point step, which keeps symmetric
-    scaling from oscillating. Raises :class:`SinkhornConvergenceError` (with
-    the last residual attached) if the row-sum residual does not drop below
-    ``tol`` within ``max_iter`` updates.
-
-    This function checks that the kernel is finite, square, nonnegative and
-    symmetric. The DS adversary skips these checks: it builds its kernel
-    exactly symmetric from a checked moment and ``m0``, tests it for
-    overflow, and calls the update loop, :func:`_symmetric_scaling`, which
-    refuses an all-zero row for both callers.
-    """
-    kernel = _as_float_array(kernel, "kernel", 2)
-    m, n = kernel.shape
-    if m != n:
-        raise ValueError("kernel must be square")
-    if np.any(kernel < 0):
-        raise ValueError("kernel entries must be nonnegative")
-    if np.max(np.abs(kernel - kernel.T)) > 1e-12:
-        raise ValueError("kernel must be symmetric")
-    return _symmetric_scaling(kernel, tol, max_iter)
-
-
 def _symmetric_scaling(kernel, tol, max_iter):
-    # The damped updates of symmetric_scaling on a finite, nonnegative,
-    # symmetric kernel. Each residual's kernel @ d is the next update's, so
-    # an update is one mat-vec.
+    # Diagonal d such that diag(d) kernel diag(d) is doubly stochastic, for a
+    # finite, nonnegative, symmetric kernel (the caller's to ensure). The
+    # damped update d <- sqrt(d / (kernel d)), the geometric mean of the
+    # iterate and the plain fixed-point step, keeps symmetric scaling from
+    # oscillating. Each residual's kernel @ d is the next update's, so an
+    # update is one mat-vec. Raises ValueError for an all-zero row, and
+    # SinkhornConvergenceError, with the last residual attached, if the
+    # row-sum residual is not at most tol after max_iter updates.
     d = np.ones(kernel.shape[0])
     kd = kernel @ d  # the row sums
     if np.fmin.reduce(kd) <= 0:

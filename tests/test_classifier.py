@@ -171,9 +171,8 @@ class TestSgdTrain:
             ),
         )
         trainer_grad = -np.asarray(out.model.weights) / lr
-        target = smooth_target(
-            np.array([0.0, 1.0, 0.0]), loss_cfg.target_smoothing_alpha
-        )
+        # the trainer smooths targets at smooth_target's default alpha
+        target = smooth_target(np.array([0.0, 1.0, 0.0]))
 
         def loss_at(weights):
             z = x @ weights

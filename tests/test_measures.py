@@ -251,20 +251,13 @@ class TestMeasureTypes:
             TransportPlan(matrix=np.array([[0.6, -0.1], [0.3, 0.2]]))
         with pytest.raises(ValueError):
             TransportPlan(matrix=np.full((2, 2), 0.3))
-        with pytest.raises(ValueError):
-            TransportPlan(
-                matrix=np.full((2, 2), 0.25), row_marginal=np.array([0.7, 0.3])
-            )
-        plan = TransportPlan(matrix=np.full((2, 2), 0.25))
-        assert_allclose(plan.row_marginal, [0.5, 0.5])
 
-    def test_independent_coupling_marginals_exact(self):
+    def test_independent_coupling_is_the_product(self):
         rng = np.random.default_rng(2)
         src = make_measure(rng.normal(size=(3, 2)), rng.uniform(1, 2, 3))
         tgt = make_measure(rng.normal(size=(4, 2)), rng.uniform(1, 2, 4))
         plan = independent_coupling(src, tgt)
-        assert np.array_equal(plan.row_marginal, src.weights)
-        assert np.array_equal(plan.col_marginal, tgt.weights)
+        assert np.array_equal(plan.matrix, np.outer(src.weights, tgt.weights))
 
     def test_grouping_invariants(self):
         with pytest.raises(ValueError):

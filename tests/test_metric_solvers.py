@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,6 @@ from wrot import (
     PNormConfig,
     adversarial_value,
     ds_metric,
-    euclidean_metric,
     feature_selection_objective,
     feature_weights,
     kl_metric,
@@ -185,7 +186,7 @@ class TestDS:
         v = np.diag([1.0, 0.0])
         m0 = np.array([[0.6, 0.4], [0.4, 0.6]])
         m_star = 0.7120712879653152
-        result = ds_metric(v, lambda_m=1.0, m0=m0, scaling_tol=1e-12)
+        result = ds_metric(v, lambda_m=1.0, m0=m0)
         assert result.matrix[0, 0] == pytest.approx(m_star, abs=1e-8)
         assert result.matrix[1, 1] == pytest.approx(m_star, abs=1e-8)
         assert result.matrix[0, 1] == pytest.approx(1 - m_star, abs=1e-8)
@@ -196,7 +197,7 @@ class TestDS:
     def test_value_is_lagrangian_at_optimum(self):
         rng = np.random.default_rng(8)
         v = random_psd(rng, 3)
-        result = ds_metric(v, lambda_m=1.0, scaling_tol=1e-12)
+        result = ds_metric(v, lambda_m=1.0)
         m0 = np.full((3, 3), 1.0 / 3.0)
         kl = float(np.sum(result.matrix * np.log(result.matrix / m0))
                    - result.matrix.sum() + m0.sum())
@@ -208,7 +209,7 @@ class TestDS:
         """The optimum dominates the feasible uniform reference point."""
         rng = np.random.default_rng(9)
         v = random_psd(rng, 4)
-        result = ds_metric(v, lambda_m=0.7, scaling_tol=1e-12)
+        result = ds_metric(v, lambda_m=0.7)
         m0 = np.full((4, 4), 0.25)
         assert result.value >= float(np.sum(v * m0)) - 1e-9
 
@@ -219,15 +220,16 @@ class TestDS:
         assert np.abs(result.matrix.sum(axis=1) - 1.0).max() <= 1e-7
 
     def test_zero_moment_returns_reference(self):
-        result = ds_metric(np.zeros((3, 3)), lambda_m=1.0, scaling_tol=1e-12)
+        result = ds_metric(np.zeros((3, 3)), lambda_m=1.0)
         assert_allclose(result.matrix, np.full((3, 3), 1.0 / 3.0), atol=1e-9)
         assert result.value == pytest.approx(0.0, abs=1e-9)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         rng = np.random.default_rng(11)
         v = random_psd(rng, 4)
+        monkeypatch.setattr(metric_solvers, "_SCALING_MAX_ITER", 1)
         with pytest.raises(Exception) as info:
-            ds_metric(v, lambda_m=1.0, scaling_tol=1e-14, scaling_max_iter=1)
+            ds_metric(v, lambda_m=1.0)
         assert hasattr(info.value, "residual")
 
     def test_reference_positivity_required(self):
@@ -235,13 +237,20 @@ class TestDS:
             DSConfig(lambda_m=1.0, m0=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_unscalable_kernels_keep_the_scaling_messages(self):
-        """The DS adversary runs the scaling loop without the public kernel
-        checks, yet a kernel that overflows or has a row that underflows to
-        zero is refused with symmetric_scaling's message."""
+        """A large reference entry overflows m0 * exp(V / lambda_m) although
+        max|V| / lambda_m is in range: KL and DS both refuse it with one
+        OverflowError that names max(V / lambda_m + log m0) = 699 + log 1e5
+        and the smallest lambda_m, 699 / (700 - log 1e5), with no numpy
+        warning. A DS kernel row that underflows to zero keeps the scaling
+        loop's message."""
         big = np.array([[1e5, 1.0], [1.0, 1e5]])
-        with pytest.raises(ValueError, match="kernel contains non-finite entries"):
-            with np.errstate(over="ignore"):
-                ds_metric(np.diag([699.0, 1.0]), lambda_m=1.0, m0=big)
+        message = re.escape(
+            "max(moment/lambda_m + log m0) = 710.5 overflows m0 * exp(moment/lambda_m); "
+            "lambda_m must be at least 1.01527"
+        )
+        for solve in (kl_metric, ds_metric):
+            with pytest.raises(OverflowError, match=message):
+                solve(np.diag([699.0, 1.0]), lambda_m=1.0, m0=big)
         tiny = np.array([[1e-200, 1e-200], [1e-200, 1.0]])
         v = np.array([[-400.0, -400.0], [-400.0, 0.0]])
         with pytest.raises(ValueError, match="kernel has an all-zero row"):
@@ -319,8 +328,8 @@ class TestDispatchAndEuclidean:
             kl_metric(v, lambda_m=1.2).value
         )
         assert adversarial_value(
-            v, DSConfig(lambda_m=1.2, scaling_tol=1e-10)
-        ).value == pytest.approx(ds_metric(v, lambda_m=1.2, scaling_tol=1e-10).value)
+            v, DSConfig(lambda_m=1.2)
+        ).value == pytest.approx(ds_metric(v, lambda_m=1.2).value)
 
     def test_dispatch_rejects_unknown(self):
         with pytest.raises(TypeError):
@@ -329,7 +338,7 @@ class TestDispatchAndEuclidean:
     def test_euclidean_is_trace(self):
         rng = np.random.default_rng(17)
         v = random_psd(rng, 5)
-        result = euclidean_metric(v)
+        result = adversarial_value(v, None)
         assert result.value == pytest.approx(np.trace(v), rel=1e-14)
         assert_allclose(result.matrix, np.eye(5))
         assert result.family == "euclidean"

@@ -1,7 +1,8 @@
 """Property tests for the entropic solver's rounds and automatic domain
-choice, the self-moment kernel, translation invariance of the distances,
-the grouping file round trip, and the fast paths of exp, logsumexp and
-symmetric scaling, which must equal their plain formulas bit for bit.
+choice, the self-moment kernel, translation and support-permutation
+invariance of the distances, the grouping file round trip, and the fast
+paths of exp, logsumexp and symmetric scaling, which must equal their plain
+formulas bit for bit.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -205,6 +206,32 @@ def test_distances_ignore_a_common_shift(seed, exponent):
     assert w22_distance(*moved) == pytest.approx(w22_distance(src, tgt), rel=1e-9)
 
 
+@bounded
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 8), st.integers(1, 5)
+)
+def test_distances_ignore_the_order_of_the_support(seed, m, n, dim):
+    """Permuting each cloud's points together with their weights permutes
+    the plan's rows and columns and changes neither the value nor the
+    iteration count."""
+    rng = np.random.default_rng(seed)
+    src = make_measure(rng.normal(size=(m, dim)), rng.uniform(0.05, 1.0, m))
+    tgt = make_measure(rng.normal(size=(n, dim)) + 0.5, rng.uniform(0.05, 1.0, n))
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    moved = (
+        make_measure(src.points[rows], src.weights[rows]),
+        make_measure(tgt.points[cols], tgt.weights[cols]),
+    )
+    for metric in (PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()):
+        config = FWConfig(metric=metric, max_iter=10)
+        want = rot_distance(src, tgt, config)
+        got = rot_distance(*moved, config)
+        assert got.iterations_used == want.iterations_used
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        want_plan = want.plan.matrix[np.ix_(rows, cols)]
+        assert_allclose(got.plan.matrix, want_plan, rtol=0.0, atol=1e-12)
+
+
 @st.composite
 def grouping_shapes(draw):
     """A dim in 1..300 and a group count r that leaves no group all padding:
@@ -352,7 +379,6 @@ def test_one_mat_vec_scaling_equals_the_two_mat_vec_loop(seed, n, spread, tol, m
     moment = points.T @ points
     v = 0.5 * (moment + moment.T)
     kernel = np.exp(v * (spread / np.max(np.abs(v)))) / n
-    for scale in (sinkhorn.symmetric_scaling, sinkhorn._symmetric_scaling):
-        assert scaling_outcome(scale, kernel, tol, max_iter) == scaling_outcome(
-            two_mat_vec_scaling, kernel, tol, max_iter
-        )
+    assert scaling_outcome(sinkhorn._symmetric_scaling, kernel, tol, max_iter) == (
+        scaling_outcome(two_mat_vec_scaling, kernel, tol, max_iter)
+    )

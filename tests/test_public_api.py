@@ -1,6 +1,6 @@
-"""The package's export list: no duplicates, no stale names, and exactly the
-library modules' own exports; and the exported types that hold arrays
-compare and hash without raising."""
+"""The package's export list: a pinned set of names, no duplicates, no
+stale names, and exactly the library modules' own exports; and the exported
+types that hold arrays compare and hash without raising."""
 
 import importlib
 
@@ -23,6 +23,77 @@ LIBRARY_MODULES = [
         "sinkhorn",
     )
 ]
+
+
+# Adding or removing a public name is a deliberate edit of this list.
+PUBLIC_NAMES = [
+    "AdversarialMetric",
+    "DSConfig",
+    "Dataset",
+    "DiscreteMeasure",
+    "EvalMetrics",
+    "FWConfig",
+    "FeatureGrouping",
+    "KLConfig",
+    "LabelSpace",
+    "LossValue",
+    "MetricSolverConfig",
+    "PNormConfig",
+    "RotLossConfig",
+    "RotResult",
+    "SinkhornConfig",
+    "SinkhornConvergenceError",
+    "SoftmaxModel",
+    "TrainConfig",
+    "TrainResult",
+    "TrainingDivergedError",
+    "TransportPlan",
+    "adversarial_value",
+    "displacement_second_moment",
+    "ds_metric",
+    "entropic_ot",
+    "evaluate",
+    "exact_ot_small",
+    "feature_selection_objective",
+    "feature_weights",
+    "independent_coupling",
+    "kl_metric",
+    "load_dataset",
+    "load_embedding_file",
+    "load_embeddings",
+    "load_grouping",
+    "load_model",
+    "make_grouping",
+    "make_measure",
+    "pnorm_metric",
+    "rot_distance",
+    "rot_loss",
+    "rot_loss_gradient",
+    "save_features",
+    "save_grouping",
+    "save_labels",
+    "save_model",
+    "sgd_train",
+    "smooth_target",
+    "w22_distance",
+]
+
+# deleted with no caller outside the tests, each from its module
+DELETED = {
+    "sinkhorn": "symmetric_scaling",
+    "frank_wolfe": "gradient_wrt_plan",
+    "metric_solvers": "euclidean_metric",
+}
+
+
+def test_all_is_the_pinned_list():
+    assert sorted(wrot.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module, name", sorted(DELETED.items()))
+def test_deleted_names_stay_deleted(module, name):
+    assert not hasattr(wrot, name)
+    assert not hasattr(importlib.import_module(f"wrot.{module}"), name)
 
 
 def test_all_has_no_duplicates():

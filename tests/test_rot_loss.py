@@ -99,7 +99,7 @@ ALL_FAMILIES = [
     PNormConfig(k=1),
     PNormConfig(k=2),
     KLConfig(lambda_m=2.0),
-    DSConfig(lambda_m=2.0, scaling_tol=1e-11),
+    DSConfig(lambda_m=2.0),
     None,
 ]
 
@@ -155,8 +155,6 @@ class TestConfigValidation:
             RotLossConfig(lambda_gamma=0.0)
         with pytest.raises(ValueError):
             RotLossConfig(fw_iters=0)
-        with pytest.raises(ValueError):
-            RotLossConfig(target_smoothing_alpha=1.0)
 
 
 class TestLossValues:
