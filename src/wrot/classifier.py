@@ -124,11 +124,6 @@ class EvalMetrics:
     mean_average_precision: float
 
 
-def _sample_loss_and_grad(h, target, labels, loss_config):
-    # Separated out so tests can exercise the divergence guard.
-    return rot_loss_gradient(h, target, labels, loss_config, return_loss=True)
-
-
 def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None = None) -> TrainResult:
     """Train a softmax model on ``dataset`` with per-sample SGD.
 
@@ -162,7 +157,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
             x = features[i]
             target = smooth_target(dataset.labels[i])
             h = _softmax_rows((x @ weights)[None, :])[0]
-            grad_h, loss = _sample_loss_and_grad(h, target, labels, config.loss)
+            grad_h, loss = rot_loss_gradient(h, target, labels, config.loss)
             if not np.isfinite(loss.value) or abs(loss.value) > _LOSS_ABORT:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, sample {int(i)}: "

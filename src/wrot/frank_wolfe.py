@@ -9,9 +9,13 @@ solve with that cost, and the step size is the standard ``2 / (t + 2)``
 schedule. The entropic oracle matches the column weights exactly but the row
 weights only up to its residual, so iterates can leave the polytope, and the
 reported duality gap, measured against the oracle's own plan, certifies
-nothing. The loop,
-:func:`_frank_wolfe`, also solves the label-embedding loss of
-:mod:`wrot.rot_loss`, which passes its own oracle.
+nothing.
+
+One loop, :func:`_frank_wolfe`, serves the distance and the label-embedding
+loss of :mod:`wrot.rot_loss`. It takes the point arrays and the metric
+config and runs each step itself: moment, adversary, pair costs, oracle.
+Its callers differ only in the oracle they pass: :func:`rot_distance` solves
+cold each step, the loss warm-starts.
 """
 
 from __future__ import annotations
@@ -72,28 +76,31 @@ class RotResult:
     converged: bool
 
 
-def _frank_wolfe(worst_case, gradient, oracle, gamma, max_iter, gap_tol):
+def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
     """Frank-Wolfe over the transport polytope from the plan ``gamma``.
 
-    Each iteration takes the worst case at the iterate (``worst_case(gamma)``),
-    its gradient in the plan (``gradient(worst)``) and the oracle's minimizer
-    of that linear cost (``oracle(grad)``, a plan matrix), records the duality
-    gap ``<gamma - lmo, grad>``, and stops once it is at most ``gap_tol``;
-    otherwise it steps ``2 / (t + 2)`` towards the oracle plan. Returns
-    ``(gamma, worst, gaps, converged)`` with ``worst`` taken at the returned
-    ``gamma``.
+    ``src`` and ``tgt`` are point arrays as :func:`_point_arrays` returns
+    them, ``metric`` the adversary's config (``None`` for the identity) and
+    ``oracle(costs)`` the linear minimization oracle, returning a plan
+    matrix. Each iteration takes the worst-case metric at the iterate's
+    displacement moment, the pairwise costs under it (the objective's
+    gradient in the plan) and the oracle's plan for those costs, records the
+    duality gap ``<gamma - lmo, costs>``, and stops once it is at most
+    ``gap_tol``; otherwise it steps ``2 / (t + 2)`` towards the oracle plan.
+    Returns ``(gamma, worst, gaps, converged)`` with ``worst`` taken at the
+    returned ``gamma``.
     """
     gaps: list[float] = []
     for t in range(max_iter):
-        worst = worst_case(gamma)
-        grad = gradient(worst)
-        lmo = oracle(grad)
-        gaps.append(float(np.sum((gamma - lmo) * grad)))
+        worst = _adversary(_moment_arrays(gamma, src, tgt), metric)
+        costs = _pair_costs_full(src, tgt, worst.matrix)
+        lmo = oracle(costs)
+        gaps.append(float(np.sum((gamma - lmo) * costs)))
         if gaps[-1] <= gap_tol:
             return gamma, worst, gaps, True
         theta = 2.0 / (t + 2.0)
         gamma = (1.0 - theta) * gamma + theta * lmo
-    return gamma, worst_case(gamma), gaps, False
+    return gamma, _adversary(_moment_arrays(gamma, src, tgt), metric), gaps, False
 
 
 def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -> RotResult:
@@ -108,21 +115,15 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
     marginals = _marginals(p, q, (p.size, q.size))
 
-    def worst_case(gamma):
-        return _adversary(_moment_arrays(gamma, src_arr, tgt_arr), config.metric)
-
-    def gradient(worst):
-        return _pair_costs_full(src_arr, tgt_arr, worst.matrix)
-
-    def oracle(grad):
+    def oracle(costs):
         # A cold solve each step on the marginals prepared above. Warm-starting
         # it from the previous step's scalings, as the loss does, lets a not
         # yet converged oracle return plans that make the measured gap
         # negative and stop the loop early.
-        return _entropic_core(grad, marginals, config.sinkhorn)[0]
+        return _entropic_core(costs, marginals, config.sinkhorn)[0]
 
     gamma, worst, gaps, converged = _frank_wolfe(
-        worst_case, gradient, oracle, np.outer(p, q), config.max_iter, config.gap_tol
+        src_arr, tgt_arr, config.metric, oracle, np.outer(p, q), config.max_iter, config.gap_tol
     )
     return RotResult(
         value=worst.value,

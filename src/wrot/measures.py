@@ -41,6 +41,29 @@ def _as_float_array(x, name, ndim):
     return arr
 
 
+def _check_simplex(w, name, size, tol=1e-8):
+    """Validate a probability vector of the given length, summing to 1
+    within ``tol``."""
+    w = _as_float_array(w, name, 1)
+    if w.shape[0] != size:
+        raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
+    if np.any(w < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    if abs(w.sum() - 1.0) > tol:
+        raise ValueError(f"{name} must sum to 1")
+    return w
+
+
+def _normalized(w, name, scale=1.0):
+    """``scale * w / sum(w)`` for a nonnegative vector with positive total."""
+    if np.any(w < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    total = w.sum()
+    if total <= 0:
+        raise ValueError(f"{name} must have positive total mass")
+    return scale * w / total
+
+
 def _freeze(arr):
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -49,24 +72,17 @@ def _freeze(arr):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """A weighted point cloud: ``points`` is m x d, ``weights`` sums to 1."""
+    """A weighted point cloud: ``points`` is m x d, ``weights`` sums to 1
+    within 1e-12 (:func:`make_measure` normalizes)."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         points = _as_float_array(self.points, "points", 2)
-        weights = _as_float_array(self.weights, "weights", 1)
         if points.shape[0] < 1:
             raise ValueError("a measure needs at least one support point")
-        if weights.shape[0] != points.shape[0]:
-            raise ValueError(
-                f"weights has {weights.shape[0]} entries for {points.shape[0]} points"
-            )
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1; use make_measure to normalize")
+        weights = _check_simplex(self.weights, "weights", points.shape[0], tol=_WEIGHT_SUM_TOL)
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "weights", _freeze(weights))
 
@@ -159,31 +175,13 @@ def make_measure(points, weights=None) -> DiscreteMeasure:
         m = points.shape[0]
         weights = np.full(m, 1.0 / m)
     else:
-        weights = _as_float_array(weights, "weights", 1)
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive total mass")
-        weights = weights / total
+        weights = _normalized(_as_float_array(weights, "weights", 1), "weights")
     return DiscreteMeasure(points=points, weights=weights)
 
 
 def independent_coupling(src: DiscreteMeasure, tgt: DiscreteMeasure) -> TransportPlan:
     """The product coupling ``w_src w_tgt^T``."""
     return TransportPlan(matrix=np.outer(src.weights, tgt.weights))
-
-
-def _check_simplex(w, name, size):
-    """Validate a probability vector of the given length."""
-    w = _as_float_array(w, name, 1)
-    if w.shape[0] != size:
-        raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
-    if np.any(w < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError(f"{name} must sum to 1")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,19 @@ together with the attained value:
   doubly stochastic; the maximizer is a symmetric diagonal scaling of the KL
   kernel.
 
-Each family is one private kernel (``_pnorm``, ``_kl``, ``_ds``, and
-``_euclidean`` for the fixed identity metric) that trusts its moment to be
-exactly symmetric and its ``m0`` to be checked. The public solvers validate,
-then call it; the Frank-Wolfe loops, whose moments the package builds, call
-it through ``_adversary``, which checks finiteness only. ``_kl`` and ``_ds``
-share the tilted kernel ``m0 * exp(V / lambda_m)``, which refuses to
-overflow; ``_ds`` builds it exactly symmetric and nonnegative and runs the
-scaling loop ``sinkhorn._symmetric_scaling`` on it to a residual of
-``_SCALING_TOL`` within ``_SCALING_MAX_ITER`` updates.
+Each family has one checked path. Its config (:class:`PNormConfig`,
+:class:`KLConfig`, :class:`DSConfig`) checks ``k``, or ``lambda_m`` and
+``m0``, once, when it is built. :func:`adversarial_value` checks the moment
+and calls ``_adversary``, which runs the family's private kernel (``_pnorm``,
+``_kl``, ``_ds``, and ``_euclidean`` for the fixed identity metric). Each
+public solver is that call with its family's config. The Frank-Wolfe loop,
+whose moments the package builds, calls ``_adversary`` directly, which checks
+finiteness only. ``_kl`` and ``_ds`` share the tilted kernel
+``m0 * exp(V / lambda_m)``, which refuses to overflow and is the only place
+that compares ``m0``'s size with the moment's. ``_ds`` builds it exactly
+symmetric and nonnegative and runs the scaling loop
+``sinkhorn._symmetric_scaling`` on it to a residual of ``_SCALING_TOL``
+within ``_SCALING_MAX_ITER`` updates.
 
 All three maximizers inherit positive semidefiniteness from ``V`` (odd
 Hadamard powers and Hadamard exponentials of PSD matrices are PSD, and the
@@ -69,31 +73,31 @@ def _check_moment(v) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def _check_reference(m0, dim, strictly_positive):
-    m0 = _as_float_array(m0, "m0", 2)
-    if m0.shape != (dim, dim):
-        raise ValueError(f"m0 must be {dim}x{dim}, got {m0.shape}")
-    if np.max(np.abs(m0 - m0.T)) > 1e-10 * max(1.0, np.max(np.abs(m0))):
+def _check_penalty(config, strictly_positive):
+    # lambda_m and the reference m0 of the KL-penalized families: a square,
+    # symmetric, entrywise nonnegative (DS: positive) PSD matrix, stored
+    # exactly symmetric, as the DS kernel's symmetric scaling requires
+    if not config.lambda_m > 0:
+        raise ValueError("lambda_m must be positive")
+    if config.m0 is None:
+        return
+    m0 = _as_float_array(config.m0, "m0", 2)
+    d = m0.shape[0]
+    if m0.shape != (d, d):
+        raise ValueError(f"m0 must be {d}x{d}, got {m0.shape}")
+    # both tolerances scale with m0's largest entry, as eigvalsh's rounding does
+    tol = 1e-10 * max(1.0, np.max(np.abs(m0)))
+    if np.max(np.abs(m0 - m0.T)) > tol:
         raise ValueError("m0 must be symmetric")
     if strictly_positive:
         if np.any(m0 <= 0):
             raise ValueError("m0 must be entrywise positive")
     elif np.any(m0 < 0):
         raise ValueError("m0 must be entrywise nonnegative")
-    # exactly symmetric, as the DS kernel's symmetric scaling requires
-    return 0.5 * (m0 + m0.T)
-
-
-def _check_penalty(config, strictly_positive):
-    # lambda_m and the reference m0 of the KL-penalized families
-    if not config.lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    if config.m0 is not None:
-        m0 = _as_float_array(config.m0, "m0", 2)
-        m0 = _check_reference(m0, m0.shape[0], strictly_positive)
-        if np.min(np.linalg.eigvalsh(m0)) < -1e-10:
-            raise ValueError("m0 must be positive semidefinite")
-        object.__setattr__(config, "m0", _freeze(m0))
+    m0 = 0.5 * (m0 + m0.T)
+    if np.min(np.linalg.eigvalsh(m0)) < -tol:
+        raise ValueError("m0 must be positive semidefinite")
+    object.__setattr__(config, "m0", _freeze(m0))
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,16 @@ def _kl_tilt(v, lambda_m, m0, default_m0):
 
 def _kl(v, lambda_m, m0):
     m0, matrix = _kl_tilt(v, lambda_m, m0, np.eye)
-    value = lambda_m * float(matrix.sum() - m0.sum())
+    # every entry is finite, but up to d^2 of them near the float maximum
+    # can still overflow their sum
+    with np.errstate(over="ignore"):
+        total = matrix.sum()
+    if not np.isfinite(total):
+        raise OverflowError(
+            "the kernel sum sum(m0 * exp(moment/lambda_m)) overflows the float "
+            f"range at lambda_m = {lambda_m:.6g}; raise lambda_m"
+        )
+    value = lambda_m * float(total - m0.sum())
     return AdversarialMetric(matrix=matrix, value=value, family="kl")
 
 
@@ -235,61 +248,6 @@ def _adversary(v, config):
     raise TypeError(f"unknown metric solver config: {type(config).__name__}")
 
 
-def _checked_args(moment, lambda_m, m0=None, strictly_positive=False):
-    # the moment and reference of the lambda_m-penalized public solvers
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
-    v = _check_moment(moment)
-    if m0 is not None:
-        m0 = _check_reference(m0, v.shape[0], strictly_positive)
-    return v, m0
-
-
-def pnorm_metric(moment: np.ndarray, k: int = 1) -> AdversarialMetric:
-    """Maximize ``<V, M>`` over PSD ``M`` with elementwise p-norm at most 1.
-
-    The value equals the elementwise 2k-norm of ``V`` and the maximizer is
-    ``(V / ||V||_{2k})^{o(2k-1)}`` (entrywise odd power, so signs survive and
-    the p-norm of the result is exactly 1). ``V = 0`` returns the zero metric
-    with value 0.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("k must be a positive integer")
-    return _pnorm(_check_moment(moment), k)
-
-
-def kl_metric(
-    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
-) -> AdversarialMetric:
-    """Maximize ``<V, M> - lambda_m * KL(M, m0)`` over entrywise-nonnegative M.
-
-    The unconstrained maximizer is ``m0 * exp(V / lambda_m)`` (entrywise), so
-    zero entries of ``m0`` stay zero. The attained value reduces to
-    ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
-    float exponent range, or of ``m0 * exp(V / lambda_m)`` beyond the float
-    range, raise ``OverflowError`` rather than produce inf.
-    """
-    v, m0 = _checked_args(moment, lambda_m, m0)
-    return _kl(v, lambda_m, m0)
-
-
-def ds_metric(
-    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
-) -> AdversarialMetric:
-    """KL-penalized maximization restricted to doubly stochastic matrices.
-
-    The maximizer is ``D (m0 * exp(V / lambda_m)) D`` with the diagonal ``D``
-    found by symmetric scaling, and the value is evaluated directly as
-    ``<V, M*> - lambda_m * KL(M*, m0)``. The scaling runs to a row-sum
-    residual of 1e-8 and raises
-    :class:`~wrot.sinkhorn.SinkhornConvergenceError` (with residual) if the
-    kernel cannot be balanced within 10,000 updates. A kernel that overflows
-    raises ``OverflowError``, as in :func:`kl_metric`.
-    """
-    v, m0 = _checked_args(moment, lambda_m, m0, strictly_positive=True)
-    return _ds(v, lambda_m, m0)
-
-
 def adversarial_value(
     moment: np.ndarray, config: MetricSolverConfig | None
 ) -> AdversarialMetric:
@@ -301,6 +259,58 @@ def adversarial_value(
     return _adversary(_check_moment(moment), config)
 
 
+def pnorm_metric(moment: np.ndarray, k: int = 1) -> AdversarialMetric:
+    """Maximize ``<V, M>`` over PSD ``M`` with elementwise p-norm at most 1.
+
+    The value equals the elementwise 2k-norm of ``V`` and the maximizer is
+    ``(V / ||V||_{2k})^{o(2k-1)}`` (entrywise odd power, so signs survive and
+    the p-norm of the result is exactly 1). ``V = 0`` returns the zero metric
+    with value 0.
+    """
+    return adversarial_value(moment, PNormConfig(k=k))
+
+
+def kl_metric(
+    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
+) -> AdversarialMetric:
+    """Maximize ``<V, M> - lambda_m * KL(M, m0)`` over entrywise-nonnegative M.
+
+    ``m0`` (identity by default) is checked as :class:`KLConfig` checks it:
+    symmetric, entrywise nonnegative and positive semidefinite. The
+    unconstrained maximizer is ``m0 * exp(V / lambda_m)`` (entrywise), so
+    zero entries of ``m0`` stay zero. The attained value reduces to
+    ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
+    float exponent range, or of ``m0 * exp(V / lambda_m)`` or its sum beyond
+    the float range, raise ``OverflowError`` rather than produce inf.
+    """
+    return adversarial_value(moment, KLConfig(lambda_m=lambda_m, m0=m0))
+
+
+def ds_metric(
+    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
+) -> AdversarialMetric:
+    """KL-penalized maximization restricted to doubly stochastic matrices.
+
+    ``m0`` (uniform by default) is checked as :class:`DSConfig` checks it:
+    symmetric, entrywise positive and positive semidefinite. The maximizer
+    is ``D (m0 * exp(V / lambda_m)) D`` with the diagonal ``D`` found by
+    symmetric scaling, and the value is evaluated directly as
+    ``<V, M*> - lambda_m * KL(M*, m0)``. The scaling runs to a row-sum
+    residual of 1e-8 and raises
+    :class:`~wrot.sinkhorn.SinkhornConvergenceError` (with residual) if the
+    kernel cannot be balanced within 10,000 updates. A kernel that overflows
+    raises ``OverflowError``, as in :func:`kl_metric`.
+    """
+    return adversarial_value(moment, DSConfig(lambda_m=lambda_m, m0=m0))
+
+
+def _scaled_diagonal(moment, lambda_m):
+    # diag(V) / lambda_m, the input of the two diagonal forms below
+    if not lambda_m > 0:
+        raise ValueError("lambda_m must be positive")
+    return np.diag(_check_moment(moment)) / lambda_m
+
+
 def feature_weights(moment: np.ndarray, lambda_m: float = 1.0) -> np.ndarray:
     """Softmax feature importances from the moment diagonal.
 
@@ -309,8 +319,7 @@ def feature_weights(moment: np.ndarray, lambda_m: float = 1.0) -> np.ndarray:
     feature ``i``, where ``v_i`` is the displacement energy along feature
     ``i``. Computed with max-subtraction, so any scale of ``v`` is safe.
     """
-    v, _ = _checked_args(moment, lambda_m)
-    diag = np.diag(v) / lambda_m
+    diag = _scaled_diagonal(moment, lambda_m)
     shifted = diag - diag.max()
     w = np.exp(shifted)
     return w / w.sum()
@@ -322,7 +331,5 @@ def feature_selection_objective(moment: np.ndarray, lambda_m: float = 1.0) -> fl
     Equals ``lambda_m * (log sum_i exp(v_i / lambda_m) - (d - 1))``; it is a
     monotone transform of the KL value at ``m0 = I`` restricted to diagonals.
     """
-    v, _ = _checked_args(moment, lambda_m)
-    diag = np.diag(v) / lambda_m
-    d = v.shape[0]
-    return float(lambda_m * (_logsumexp(diag, axis=0) - (d - 1)))
+    diag = _scaled_diagonal(moment, lambda_m)
+    return float(lambda_m * (_logsumexp(diag, axis=0) - (diag.size - 1)))

@@ -28,9 +28,12 @@ itself, otherwise it is the gradient of the ``lambda_beta``-smoothed loss the
 oracle minimizes. It is exactly tangent to the simplex, and shifting ``A`` by
 any constant leaves it unchanged.
 
-With a :class:`~wrot.measures.FeatureGrouping` the embeddings are reshaped
-once to ``(L, d1, r)``; the moments and pair costs stream over that array, so
-one Frank-Wolfe step costs O(L^2 d + L d r) plus an ``r x r`` adversary.
+The loss runs the distance's Frank-Wolfe loop,
+:func:`~wrot.frank_wolfe._frank_wolfe`, on the label space's point array as
+both source and target, and passes only its warm-started oracle. With a
+:class:`~wrot.measures.FeatureGrouping` the embeddings are reshaped once to
+``(L, d1, r)``; the moments and pair costs stream over that array, so one
+Frank-Wolfe step costs O(L^2 d + L d r) plus an ``r x r`` adversary.
 """
 
 from __future__ import annotations
@@ -46,15 +49,10 @@ from .measures import (
     _as_float_array,
     _freeze,
     _grouped_reshape,
-    _moment_arrays,
+    _normalized,
     _pair_costs_full,
 )
-from .metric_solvers import (
-    AdversarialMetric,
-    MetricSolverConfig,
-    PNormConfig,
-    _adversary,
-)
+from .metric_solvers import AdversarialMetric, MetricSolverConfig, PNormConfig
 from .sinkhorn import SinkhornConfig, _entropic_core, _marginals
 
 __all__ = [
@@ -100,12 +98,6 @@ class LabelSpace:
         """Side length of the displacement moment this space produces."""
         return self._points.shape[-1]
 
-    def _moment(self, plan: np.ndarray) -> np.ndarray:
-        return _moment_arrays(plan, self._points, self._points)
-
-    def _pair_costs(self, metric: np.ndarray) -> np.ndarray:
-        return _pair_costs_full(self._points, self._points, metric)
-
 
 @dataclass(frozen=True)
 class RotLossConfig:
@@ -139,15 +131,9 @@ def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
     every label gets positive mass, which the loss gradient needs.
     """
     raw = _as_float_array(raw, "raw", 1)
-    if np.any(raw < 0):
-        raise ValueError("label weights must be nonnegative")
-    total = raw.sum()
-    if total <= 0:
-        raise ValueError("label weights must have positive total mass")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must be in [0, 1)")
-    size = raw.shape[0]
-    return (1.0 - alpha) * raw / total + alpha / size
+    return _normalized(raw, "label weights", 1.0 - alpha) + alpha / raw.shape[0]
 
 
 def _solve(predicted, target, labels, config):
@@ -170,8 +156,9 @@ def _solve(predicted, target, labels, config):
         return lmo
 
     gamma, worst, _, _ = _frank_wolfe(
-        lambda plan: _adversary(labels._moment(plan), config.metric),
-        lambda worst: labels._pair_costs(worst.matrix),
+        labels._points,
+        labels._points,
+        config.metric,
         oracle,
         np.outer(marginals.p, marginals.q),
         config.fw_iters,
@@ -208,21 +195,21 @@ def rot_loss_gradient(
     target,
     labels: LabelSpace,
     config: RotLossConfig | None = None,
-    return_loss: bool = False,
-):
-    """Gradient of the loss in the predicted distribution.
+) -> tuple[np.ndarray, LossValue]:
+    """Gradient of the loss in the predicted distribution, and the loss.
 
     Envelope formula at the solved plan: the recentred row means of
     ``C* + lambda (log plan + 1)``, with the log taken on the final oracle
     plan and ``lambda`` the oracle's ``lambda_beta`` (the regularizer that
     plan solved), so the bracket reduces to dual potentials. Configure
     ``lambda_beta == lambda_gamma`` to differentiate the reported value
-    itself. The result sums to zero exactly (movement along the simplex), and
-    requires a strictly positive plan; with one-hot targets, smooth them
-    with :func:`smooth_target` at ``alpha > 0`` to guarantee that.
+    itself. The result sums to zero to rounding (movement along the
+    simplex), and requires a strictly positive plan; with one-hot targets,
+    smooth them with :func:`smooth_target` at ``alpha > 0`` to guarantee
+    that.
 
-    With ``return_loss=True`` returns ``(gradient, LossValue)`` so callers get
-    the loss from the same solve.
+    Returns ``(gradient, LossValue)``: the loss is the one
+    :func:`rot_loss` reports, from the same solve.
     """
     if config is None:
         config = RotLossConfig()
@@ -232,7 +219,7 @@ def rot_loss_gradient(
     # to it decomposes additively even before full convergence; the averaged
     # iterate's near-zero entries instead carry stale logarithms dominated by
     # early iterations, which would pollute the gradient's row means.
-    costs = labels._pair_costs(loss.metric.matrix)
+    costs = _pair_costs_full(labels._points, labels._points, loss.metric.matrix)
     oracle_plan = oracle(costs)
     if np.any(oracle_plan <= 0):
         raise ValueError(
@@ -243,7 +230,4 @@ def rot_loss_gradient(
     a = costs + config.sinkhorn.lambda_beta * (
         np.log(oracle_plan) + 1.0
     )
-    grad = _tangent_row_mean(a)
-    if return_loss:
-        return grad, loss
-    return grad
+    return _tangent_row_mean(a), loss

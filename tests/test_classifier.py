@@ -195,7 +195,7 @@ class TestSgdTrain:
         def explode(h, target, label_space, loss_config):
             return np.zeros(3), SimpleNamespace(value=2e6)
 
-        monkeypatch.setattr(classifier_mod, "_sample_loss_and_grad", explode)
+        monkeypatch.setattr(classifier_mod, "rot_loss_gradient", explode)
         with pytest.raises(TrainingDivergedError) as info:
             sgd_train(ds, labels, TrainConfig(epochs=1))
         assert info.value.epoch == 0
@@ -206,7 +206,7 @@ class TestSgdTrain:
         ds = blob_dataset(per_class=2)
         monkeypatch.setattr(
             classifier_mod,
-            "_sample_loss_and_grad",
+            "rot_loss_gradient",
             lambda *args: (np.zeros(3), SimpleNamespace(value=float("nan"))),
         )
         with pytest.raises(TrainingDivergedError):

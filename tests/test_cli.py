@@ -387,7 +387,7 @@ class TestTrainEval:
 
             return np.zeros(3), SimpleNamespace(value=2.0e6)
 
-        monkeypatch.setattr(classifier_mod, "_sample_loss_and_grad", explode)
+        monkeypatch.setattr(classifier_mod, "rot_loss_gradient", explode)
         code, _, err = invoke(
             self.train_argv(blob_files, str(tmp_path / "m.ckpt")), capsys
         )

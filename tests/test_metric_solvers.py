@@ -163,6 +163,13 @@ class TestKL:
         with pytest.raises(OverflowError, match=r"= 800 .*= 1\.14"):
             kl_metric(np.array([[800.0]]), lambda_m=1.0)
 
+    def test_kernel_sum_overflow_raises(self):
+        """Each entry of a 200 x 200 kernel at e^700 is finite, but their sum
+        is not: the value refuses it, naming the sum and lambda_m, rather
+        than return inf with a numpy warning."""
+        with pytest.raises(OverflowError, match=r"kernel sum .* raise lambda_m$"):
+            kl_metric(np.full((200, 200), 700.0), 1.0, m0=np.ones((200, 200)))
+
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             kl_metric(np.eye(2), lambda_m=0.0)
@@ -397,3 +404,51 @@ def test_reference_within_the_symmetry_tolerance_is_stored_symmetric(family):
         (kl_metric if family is KLConfig else ds_metric)(v, m0=m0),
     ):
         assert np.array_equal(result.matrix, result.matrix.T)
+
+
+class TestOneCheckedPath:
+    """The public solvers build their family's config and go through
+    :func:`adversarial_value`, so they check ``lambda_m``, ``k`` and ``m0``
+    exactly as the configs do and return the same result."""
+
+    @pytest.mark.parametrize("family", [KLConfig, DSConfig])
+    def test_public_solvers_refuse_a_non_psd_reference(self, family):
+        m0 = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        solve = kl_metric if family is KLConfig else ds_metric
+        with pytest.raises(ValueError) as config_error:
+            family(lambda_m=1.0, m0=m0)
+        with pytest.raises(ValueError) as solver_error:
+            solve(np.zeros((2, 2)), 1.0, m0=m0)
+        assert str(solver_error.value) == str(config_error.value)
+        assert str(solver_error.value) == "m0 must be positive semidefinite"
+
+    @pytest.mark.parametrize("family", [KLConfig, DSConfig])
+    def test_a_large_psd_reference_is_accepted(self, family):
+        """The rank-one reference 1e8 * ones is PSD, but eigvalsh puts its
+        smallest eigenvalue near -1e-8: the tolerance scales with m0."""
+        m0 = 1e8 * np.ones((50, 50))
+        assert np.linalg.eigvalsh(m0).min() < -1e-10
+        solve = kl_metric if family is KLConfig else ds_metric
+        assert np.array_equal(family(m0=m0).m0, m0)
+        assert np.isfinite(solve(np.zeros((50, 50)), 1.0, m0=m0).value)
+
+    m0 = np.full((5, 5), 0.2) + np.eye(5)
+    CASES = {
+        "pnorm1": (lambda v: pnorm_metric(v, k=1), PNormConfig(k=1)),
+        "pnorm3": (lambda v: pnorm_metric(v, k=3), PNormConfig(k=3)),
+        "kl": (lambda v: kl_metric(v, 0.7), KLConfig(lambda_m=0.7)),
+        "kl_m0": (lambda v: kl_metric(v, 2.0, m0=TestOneCheckedPath.m0), KLConfig(2.0, m0)),
+        "ds": (lambda v: ds_metric(v, 0.7), DSConfig(lambda_m=0.7)),
+        "ds_m0": (lambda v: ds_metric(v, 2.0, m0=TestOneCheckedPath.m0), DSConfig(2.0, m0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_public_solvers_equal_adversarial_value(self, case):
+        solve, config = self.CASES[case]
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            v = random_psd(rng, 5, scale=3.0)
+            got, want = solve(v), adversarial_value(v, config)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.value == want.value
+            assert got.family == want.family

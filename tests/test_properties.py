@@ -1,7 +1,8 @@
 """Property tests for the entropic solver's rounds and automatic domain
 choice, the self-moment kernel, translation and support-permutation
-invariance of the distances, the grouping file round trip, and the fast
-paths of exp, logsumexp and symmetric scaling, which must equal their plain
+invariance of the distances, the loss gradient's tangency to the simplex,
+the feature, label, model and grouping file round trips, and the fast paths
+of exp, logsumexp and symmetric scaling, which must equal their plain
 formulas bit for bit.
 
 Examples are derandomized and bounded so the suite stays deterministic and
@@ -24,14 +25,24 @@ from wrot import (
     FeatureGrouping,
     FWConfig,
     KLConfig,
+    LabelSpace,
     PNormConfig,
+    RotLossConfig,
     SinkhornConfig,
+    SoftmaxModel,
+    load_dataset,
     load_grouping,
+    load_model,
     make_grouping,
     make_measure,
     rot_distance,
+    rot_loss_gradient,
+    save_features,
     save_grouping,
+    save_labels,
+    save_model,
     sinkhorn,
+    smooth_target,
     w22_distance,
 )
 from wrot.measures import _grouped_reshape, _moment_arrays
@@ -259,6 +270,86 @@ def test_grouping_file_round_trips(shape, seed):
     assert np.array_equal(
         _grouped_reshape(points, loaded), _grouped_reshape(points, grouping)
     )
+
+
+LOSS_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()]
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(range(len(LOSS_FAMILIES))),
+    st.sampled_from([None, 1, 3, 6]),
+    st.integers(1, 4),
+)
+def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, fw_iters):
+    """For every family, ungrouped or grouped, the loss gradient in the
+    prediction sums to zero to rounding: it moves along the simplex."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(size, 6))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    grouping = None if groups is None else make_grouping(6, groups, seed)
+    labels = LabelSpace(embeddings=emb, grouping=grouping)
+    h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
+    raw = rng.integers(0, 2, size=size).astype(float)
+    raw[rng.integers(size)] = 1.0
+    config = RotLossConfig(metric=LOSS_FAMILIES[family], fw_iters=fw_iters)
+    grad, loss = rot_loss_gradient(h, smooth_target(raw), labels, config)
+    assert np.isfinite(loss.value)
+    assert abs(grad.sum()) <= 1e-12
+
+
+@st.composite
+def labelled_features(draw, elements):
+    """An n x m feature matrix of the given elements and an n x L indicator
+    matrix with at least one label per row."""
+    n, m, size = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    features = np.array(draw(st.lists(elements, min_size=n * m, max_size=n * m)))
+    bits = draw(st.lists(st.booleans(), min_size=n * size, max_size=n * size))
+    labels = np.array(bits, dtype=np.int8).reshape(n, size)
+    labels[np.arange(n), draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))] = 1
+    return features.reshape(n, m), labels
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+float32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@bounded
+@given(
+    st.one_of(
+        st.tuples(st.just(True), labelled_features(float32)),
+        st.tuples(st.just(False), labelled_features(finite)),
+    )
+)
+def test_dataset_files_round_trip(case):
+    """Features saved in either format and labels saved as index lines load
+    back equal: the binary format for float32-representable values, CSV for
+    any finite float."""
+    binary, (features, labels) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        features_path = os.path.join(tmp, "features")
+        labels_path = os.path.join(tmp, "labels.txt")
+        save_features(features_path, features, binary=binary)
+        save_labels(labels_path, labels)
+        dataset = load_dataset(features_path, labels_path, num_labels=labels.shape[1])
+    assert np.array_equal(dataset.features, features)
+    assert np.array_equal(dataset.labels, labels)
+
+
+@bounded
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_model_file_round_trips(n_features, n_labels, data):
+    """A checkpoint loads back with the same float64 weights, bit for bit."""
+    size = n_features * n_labels
+    weights = np.array(data.draw(st.lists(finite, min_size=size, max_size=size)))
+    model = SoftmaxModel(weights=weights.reshape(n_features, n_labels))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
 
 
 def test_grouping_shape_is_not_free():

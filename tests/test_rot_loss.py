@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from wrot import metric_solvers
+from wrot import frank_wolfe, metric_solvers
 from wrot.data_io import make_grouping
-from wrot.measures import FeatureGrouping, TransportPlan
+from wrot.measures import FeatureGrouping, TransportPlan, _moment_arrays, _pair_costs_full
 from wrot.metric_solvers import DSConfig, KLConfig, PNormConfig, pnorm_metric
 from wrot.rot_loss import (
     LabelSpace,
@@ -241,14 +241,14 @@ class TestGradient:
     def test_symmetric_instance_is_zero(self):
         labels = LabelSpace(embeddings=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         cfg = converged_cfg(lam=0.1, fw=60, sk=500)
-        grad = rot_loss_gradient([0.5, 0.5], [0.5, 0.5], labels, cfg)
+        grad, _ = rot_loss_gradient([0.5, 0.5], [0.5, 0.5], labels, cfg)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("metric", ALL_FAMILIES)
     def test_tangent_sum_is_zero(self, metric):
         emb, h, y = random_instance(13)
         cfg = converged_cfg(lam=0.05, fw=40, sk=400, metric=metric)
-        grad = rot_loss_gradient(h, y, LabelSpace(embeddings=emb), cfg)
+        grad, _ = rot_loss_gradient(h, y, LabelSpace(embeddings=emb), cfg)
         assert abs(grad.sum()) < 1e-12
 
     @pytest.mark.parametrize("metric", ALL_FAMILIES)
@@ -256,7 +256,7 @@ class TestGradient:
         emb, h, y = random_instance(4)
         labels = LabelSpace(embeddings=emb)
         cfg = converged_cfg(metric=metric)
-        grad = rot_loss_gradient(h, y, labels, cfg)
+        grad, _ = rot_loss_gradient(h, y, labels, cfg)
         eps = 1e-6
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             u = np.zeros(3)
@@ -276,7 +276,7 @@ class TestGradient:
         onehot[3] = 1.0
         y = smooth_target(onehot, alpha=0.05)
         cfg = converged_cfg(lam=0.05, fw=60, sk=600)
-        grad = rot_loss_gradient(h, y, labels, cfg)
+        grad, _ = rot_loss_gradient(h, y, labels, cfg)
         eps = 1e-6
         for i, j in [(0, 4), (2, 7), (5, 9), (1, 8)]:
             u = np.zeros(10)
@@ -305,8 +305,8 @@ class TestGradient:
         emb, h, y = random_instance(8)
         labels = LabelSpace(embeddings=emb)
         cfg = converged_cfg()
-        grad, loss = rot_loss_gradient(h, y, labels, cfg, return_loss=True)
-        np.testing.assert_array_equal(grad, rot_loss_gradient(h, y, labels, cfg))
+        grad, loss = rot_loss_gradient(h, y, labels, cfg)
+        np.testing.assert_array_equal(grad, rot_loss_gradient(h, y, labels, cfg)[0])
         direct = rot_loss(h, y, labels, cfg)
         assert loss.value == direct.value
         np.testing.assert_array_equal(loss.plan.matrix, direct.plan.matrix)
@@ -344,25 +344,27 @@ class TestGroupingAndCaches:
         diff = points[:, None, :, :] - points[None, :, :, :]
         gram = np.einsum("pqar,pqas->pqrs", diff, diff)
 
-        def gram_moment(self, plan):
+        def gram_moment(plan, src, tgt):
             return np.einsum("pq,pqrs->rs", plan, gram)
 
-        def gram_pair_costs(self, metric):
+        def gram_pair_costs(src, tgt, metric):
             return np.einsum("pqrs,rs->pq", gram, metric)
 
         plan = rng.dirichlet(np.ones(16)).reshape(4, 4)
         a = rng.normal(size=(r, r))
         metric = a @ a.T
+        # the streamed kernels on the label space's (L, d1, r) point array
+        arr = labels._points
         np.testing.assert_allclose(
-            labels._moment(plan), gram_moment(labels, plan), atol=1e-12
+            _moment_arrays(plan, arr, arr), gram_moment(plan, arr, arr), atol=1e-12
         )
         np.testing.assert_allclose(
-            labels._pair_costs(metric), gram_pair_costs(labels, metric), atol=1e-12
+            _pair_costs_full(arr, arr, metric), gram_pair_costs(arr, arr, metric), atol=1e-12
         )
 
         streamed = rot_loss(h, y, labels, cfg)
-        monkeypatch.setattr(LabelSpace, "_moment", gram_moment)
-        monkeypatch.setattr(LabelSpace, "_pair_costs", gram_pair_costs)
+        monkeypatch.setattr(frank_wolfe, "_moment_arrays", gram_moment)
+        monkeypatch.setattr(frank_wolfe, "_pair_costs_full", gram_pair_costs)
         assembled = rot_loss(h, y, labels, cfg)
         assert streamed.value == pytest.approx(assembled.value, abs=1e-12)
         np.testing.assert_allclose(
@@ -429,6 +431,6 @@ class TestValidationAtTheBoundary:
 
         monkeypatch.setattr(TransportPlan, "__post_init__", counting_post_init)
         monkeypatch.setattr(metric_solvers, "_check_moment", counting_check)
-        _, loss = rot_loss_gradient(h, y, labels, cfg, return_loss=True)
+        _, loss = rot_loss_gradient(h, y, labels, cfg)
         assert built == [loss.plan]
         assert checked == []
