@@ -146,6 +146,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
     n, n_features = features.shape
     rng = np.random.default_rng(config.seed)
     weights = np.zeros((n_features, labels.size))
+    targets = [smooth_target(row) for row in dataset.labels]
 
     epoch_losses = []
     epoch_seconds = []
@@ -155,9 +156,8 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
         total = 0.0
         for i in order:
             x = features[i]
-            target = smooth_target(dataset.labels[i])
             h = _softmax_rows((x @ weights)[None, :])[0]
-            grad_h, loss = rot_loss_gradient(h, target, labels, config.loss)
+            grad_h, loss = rot_loss_gradient(h, targets[i], labels, config.loss)
             if not np.isfinite(loss.value) or abs(loss.value) > _LOSS_ABORT:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, sample {int(i)}: "
@@ -227,10 +227,12 @@ def load_model(path) -> SoftmaxModel:
     magic_len = len(_CHECKPOINT_MAGIC)
     if blob[:magic_len] != _CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a model checkpoint (bad magic)")
+    offset = magic_len + struct.calcsize("<BII")
+    if len(blob) < offset:
+        raise ValueError(f"{path}: truncated checkpoint header")
     version, n_features, n_labels = struct.unpack_from("<BII", blob, magic_len)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = magic_len + struct.calcsize("<BII")
     expected = n_features * n_labels * 8
     if len(blob) - offset != expected:
         raise ValueError(

@@ -13,9 +13,11 @@ nothing.
 
 One loop, :func:`_frank_wolfe`, serves the distance and the label-embedding
 loss of :mod:`wrot.rot_loss`. It takes the point arrays and the metric
-config and runs each step itself: moment, adversary, pair costs, oracle.
-Its callers differ only in the oracle they pass: :func:`rot_distance` solves
-cold each step, the loss warm-starts.
+config and runs each step itself: adversary, pair costs, oracle, and the
+oracle plan's moment, which both the duality gap and the next iterate's
+moment are formed from. Its callers differ only in the oracle they pass:
+:func:`rot_distance` solves cold each step for the plan alone, the loss
+warm-starts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .measures import (
     _point_arrays,
 )
 from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary
-from .sinkhorn import SinkhornConfig, _entropic_core, _marginals, entropic_ot
+from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals, entropic_ot
 
 __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance"]
 
@@ -82,25 +84,32 @@ def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
     ``src`` and ``tgt`` are point arrays as :func:`_point_arrays` returns
     them, ``metric`` the adversary's config (``None`` for the identity) and
     ``oracle(costs)`` the linear minimization oracle, returning a plan
-    matrix. Each iteration takes the worst-case metric at the iterate's
-    displacement moment, the pairwise costs under it (the objective's
-    gradient in the plan) and the oracle's plan for those costs, records the
-    duality gap ``<gamma - lmo, costs>``, and stops once it is at most
-    ``gap_tol``; otherwise it steps ``2 / (t + 2)`` towards the oracle plan.
-    Returns ``(gamma, worst, gaps, converged)`` with ``worst`` taken at the
-    returned ``gamma``.
+    matrix. Each iteration takes the worst-case metric ``M`` at the
+    iterate's displacement moment ``V``, the pairwise costs under it (the
+    objective's gradient in the plan) and the oracle's plan ``P`` for those
+    costs. The pair costs are linear in ``M``, so the duality gap
+    ``<gamma - P, costs>`` equals the d x d sum ``<V - V(P), M>``, which is
+    what it records; it stops once the gap is at most ``gap_tol``, and
+    otherwise steps ``2 / (t + 2)`` towards ``P``. The moment is linear in
+    the plan, so ``V`` steps with it: one moment per step, of ``P``, plus
+    the starting one. ``gamma`` is stepped in place. Returns ``(gamma,
+    worst, gaps, converged)`` with ``worst`` taken at the returned
+    ``gamma``.
     """
     gaps: list[float] = []
+    moment = _moment_arrays(gamma, src, tgt)
     for t in range(max_iter):
-        worst = _adversary(_moment_arrays(gamma, src, tgt), metric)
-        costs = _pair_costs_full(src, tgt, worst.matrix)
-        lmo = oracle(costs)
-        gaps.append(float(np.sum((gamma - lmo) * costs)))
+        worst = _adversary(moment, metric)
+        lmo = oracle(_pair_costs_full(src, tgt, worst.matrix))
+        lmo_moment = _moment_arrays(lmo, src, tgt)
+        gaps.append(float(np.sum((moment - lmo_moment) * worst.matrix)))
         if gaps[-1] <= gap_tol:
             return gamma, worst, gaps, True
         theta = 2.0 / (t + 2.0)
-        gamma = (1.0 - theta) * gamma + theta * lmo
-    return gamma, _adversary(_moment_arrays(gamma, src, tgt), metric), gaps, False
+        gamma *= 1.0 - theta
+        gamma += theta * lmo
+        moment = (1.0 - theta) * moment + theta * lmo_moment
+    return gamma, _adversary(moment, metric), gaps, False
 
 
 def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -> RotResult:
@@ -120,7 +129,7 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
         # it from the previous step's scalings, as the loss does, lets a not
         # yet converged oracle return plans that make the measured gap
         # negative and stop the loop early.
-        return _entropic_core(costs, marginals, config.sinkhorn)[0]
+        return _entropic_plan(costs, marginals, config.sinkhorn)[0]
 
     gamma, worst, gaps, converged = _frank_wolfe(
         src_arr, tgt_arr, config.metric, oracle, np.outer(p, q), config.max_iter, config.gap_tol

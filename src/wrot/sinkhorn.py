@@ -17,10 +17,13 @@ resolves a step of 1, and the solve refuses.
 The log-domain round keeps ``np.exp`` on its vector path, which it leaves
 for exponents below about -708 at 10 to 100 times the cost. Its logsumexp
 clips shifted terms at ``-_EXP_LIMIT``: each finite slice sums to at least
-1, and a term below ``exp(-700)`` is under half the float64 spacing at 1.
-The absorbed kernel's exp sets entries below ``_EXP_ZERO`` to the 0 that
-``np.exp`` rounds them to, and exponentiates only the few in between on
-their own. Both give the plain formula's floats bit for bit.
+1, and a term below ``exp(-700)`` is under half the float64 spacing at 1,
+so the sum is the plain formula's bit for bit. The absorbed kernel's exp
+truncates instead: entries whose exponent is below ``-_EXP_LIMIT`` are set
+to 0. None of its entries is then subnormal, which would slow every later
+round's mat-vecs about threefold. The entries dropped are those of the
+round's plan below ``exp(-700)``, far under the float64 spacing of its
+row and column sums.
 
 ``_symmetric_scaling`` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic; the doubly-stochastic metric solver calls it on the
@@ -49,8 +52,6 @@ __all__ = [
 # exp(x) and exp(-x) stay normal float64 numbers for |x| <= 700 (the range
 # ends near 708).
 _EXP_LIMIT = 700.0
-# np.exp rounds to 0 below this: exp(-750) is 1% of the smallest subnormal
-_EXP_ZERO = -750.0
 # the round loop keeps its scalings u, v within exp(+-_EXP_LIMIT / 2)
 _SCALING_LOW = float(np.exp(-_EXP_LIMIT / 2))
 _SCALING_HIGH = 1.0 / _SCALING_LOW
@@ -103,19 +104,15 @@ def _logsumexp(a, axis):
 
 
 def _exp(x):
-    """``np.exp(x)`` bit for bit, without its slow path for most entries.
+    """``np.exp(x)`` where ``x >= -_EXP_LIMIT``, and exactly 0 below.
 
-    ``np.exp`` leaves its vector path for a whole block of entries once one
-    of them is below about -708. Here the entries at or above
-    ``-_EXP_LIMIT`` take the vector path, those below ``_EXP_ZERO`` are set
-    to the 0 that ``np.exp`` rounds them to, and only the few in between go
-    through ``np.exp`` on their own.
+    The truncation keeps ``np.exp`` on its vector path, which it leaves for a
+    whole block of entries once one of them is below about -708, and keeps
+    subnormal numbers out of the kernel.
     """
-    out = np.exp(np.maximum(x, -_EXP_LIMIT))
-    low = x < -_EXP_LIMIT
-    out[low] = 0.0
-    low &= x > _EXP_ZERO
-    out[low] = np.exp(x[low])
+    out = np.maximum(x, -_EXP_LIMIT)
+    np.exp(out, out=out)
+    out[x < -_EXP_LIMIT] = 0.0
     return out
 
 
@@ -186,7 +183,9 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
             else:
                 kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
                 u, v = np.ones_like(p), np.ones_like(q)
-    return u[:, None] * kernel * v[None, :], g + np.log(v)
+    kernel *= u[:, None]
+    kernel *= v
+    return kernel, g + np.log(v)
 
 
 def entropic_ot(
@@ -221,9 +220,9 @@ def _beyond_float_potentials(scale):
     )
 
 
-def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
+def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
     """One solve of :func:`entropic_ot` on prepared :func:`_marginals`, with
-    a warm start.
+    a warm start; the plan alone.
 
     Runs the one round loop, :func:`_rounds`, on the active block of
     ``cost / lambda_beta``. Its first round is plain when the block's
@@ -234,14 +233,14 @@ def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
     v`` of a previous call with the same marginals; either first round reads
     it, so a warm start survives a domain switch. ``stop_tol > 0`` ends the
     rounds early once the row-sum error drops below it, but never before one
-    full round. Returns ``(plan, residual, state)``, ``plan`` an ndarray that
-    in-range positive scalings and the mass check make a valid coupling, so
-    it skips :class:`~wrot.measures.TransportPlan`. Raises ``OverflowError``
-    before iterating when the scaled cost exceeds ``2**53``, where float64
+    full round. Returns ``(plan, state)``, ``plan`` an ndarray that in-range
+    positive scalings and the mass check make a valid coupling, so it skips
+    :class:`~wrot.measures.TransportPlan`. ``cost`` is a 2-d float array; a
+    non-finite entry raises ``ValueError``. Raises ``OverflowError`` before
+    iterating when the scaled cost exceeds ``2**53``, where float64
     potentials no longer resolve the kernel's exponents, and after iterating
     if the plan's mass is not 1.
     """
-    cost = _as_float_array(cost, "cost", 2)
     m, n = cost.shape
     p, q = marginals.p, marginals.q
     if (m, n) != (p.shape[0], q.shape[0]):
@@ -249,12 +248,17 @@ def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
         _check_simplex(p, "row_weights", m)
         _check_simplex(q, "col_weights", n)
     if not marginals.dense:
+        # the scale below sees only the active block
+        _as_float_array(cost, "cost", 2)
         cost = cost[np.ix_(marginals.rows, marginals.cols)]
     log_kernel = cost / -config.lambda_beta
     scale = float(np.maximum.reduce(np.abs(log_kernel), axis=None))
-    # Past 2**53 a float64 exponent no longer resolves a step of 1, so the
-    # kernel exp(-cost / lambda_beta + f + g) carries no information.
-    if scale > 2.0**53:
+    if not scale <= 2.0**53:
+        # a NaN or inf scale comes from a non-finite cost, or from a finite
+        # one past the bound
+        _as_float_array(cost, "cost", 2)
+        # Past 2**53 a float64 exponent no longer resolves a step of 1, so
+        # the kernel exp(-cost / lambda_beta + f + g) carries no information.
         raise OverflowError(_beyond_float_potentials(scale))
     plan, state = _rounds(
         log_kernel, marginals, config.iterations, state, stop_tol, scale > _EXP_LIMIT
@@ -268,9 +272,17 @@ def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
             f"transport plan mass is {total:.10g}, expected 1: "
             + _beyond_float_potentials(scale)
         )
+    return plan, state
+
+
+def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
+    """:func:`_entropic_plan` and its residual: returns ``(plan, residual,
+    state)``, ``residual`` the maximum absolute deviation of the plan's row
+    and column sums from the marginals' weights."""
+    plan, state = _entropic_plan(cost, marginals, config, state, stop_tol)
     residual = max(
-        np.maximum.reduce(np.abs(plan.sum(axis=1) - p)),
-        np.maximum.reduce(np.abs(plan.sum(axis=0) - q)),
+        np.maximum.reduce(np.abs(plan.sum(axis=1) - marginals.p)),
+        np.maximum.reduce(np.abs(plan.sum(axis=0) - marginals.q)),
     )
     return plan, float(residual), state
 

@@ -373,6 +373,21 @@ class TestTrainEval:
         assert code == 1
         assert "error" in err
 
+    def test_eval_truncated_model_header_exits_1(self, blob_files, tmp_path, capsys):
+        """A checkpoint cut inside its 17-byte header is bad input, not a
+        crash: the magic and one byte of the version-and-shape fields."""
+        model_in = tmp_path / "cut.ckpt"
+        model_in.write_bytes(b"WROTCKPT\x01")
+        code, _, err = invoke(
+            ["eval", "--model-in", str(model_in),
+             "--features", blob_files["features"],
+             "--labels", blob_files["labels"]],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "truncated checkpoint header" in err
+
     def test_zero_learning_rate_exits_1(self, blob_files, tmp_path, capsys):
         code, _, err = invoke(
             self.train_argv(blob_files, str(tmp_path / "m.ckpt"), ["--lr", "0"]),

@@ -6,7 +6,9 @@ from wrot import (
     DSConfig,
     FWConfig,
     KLConfig,
+    LabelSpace,
     PNormConfig,
+    RotLossConfig,
     SinkhornConfig,
     TransportPlan,
     adversarial_value,
@@ -16,8 +18,11 @@ from wrot import (
     make_grouping,
     make_measure,
     rot_distance,
+    rot_loss,
+    smooth_target,
     w22_distance,
 )
+from wrot import frank_wolfe, sinkhorn
 from wrot.measures import FeatureGrouping, _pair_costs_full, _point_arrays
 
 
@@ -253,6 +258,92 @@ class TestReturnedWorstCase:
         want = adversarial_value(moment, metric)
         assert result.value == pytest.approx(want.value, rel=1e-12)
         assert_allclose(result.metric.matrix, want.matrix, rtol=1e-12, atol=1e-15)
+
+
+class TestCarriedMoment:
+    def test_one_moment_per_step_plus_one(self, monkeypatch):
+        """The loop takes the starting moment and one per step, of the
+        oracle's plan, and none after the loop, whether it stops on the gap
+        or at max_iter; the loss takes fw_iters + 1."""
+        events = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            frank_wolfe, "_moment_arrays", counted("moment", frank_wolfe._moment_arrays)
+        )
+        monkeypatch.setattr(
+            frank_wolfe, "_entropic_plan", counted("oracle", frank_wolfe._entropic_plan)
+        )
+        rng = np.random.default_rng(10)
+        src, tgt = random_instance(rng, 4, 5, 4)
+        converged = converged_config(PNormConfig(k=1))
+        for cfg in (converged, converged_config(PNormConfig(k=1), max_iter=3)):
+            events.clear()
+            result = rot_distance(src, tgt, cfg)
+            assert result.converged is (cfg is converged)
+            assert events == ["moment"] + ["oracle", "moment"] * result.iterations_used
+
+        emb = rng.normal(size=(4, 3))
+        labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
+        events.clear()
+        rot_loss(np.full(4, 0.25), smooth_target(np.eye(4)[1]), labels, RotLossConfig(fw_iters=3))
+        assert events == ["moment"] * 4
+
+
+# the distance benchmark's clouds: sizes, and the shift between the means
+TRUNCATION_SIZES = [(32, 8), (128, 24)]
+TRUNCATION_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()]
+
+
+class TestTruncatedKernel:
+    def test_truncation_moves_no_distance_beyond_1e_12(self, monkeypatch):
+        """At lambda_beta 0.02, where every solve absorbs its potentials into
+        the kernel, dropping the kernel's entries below exp(-700) moves
+        neither the value, the gaps nor the plan beyond 1e-12 of the solve
+        with np.exp's subnormals; a solve that refuses refuses alike."""
+        rng = np.random.default_rng(2)
+        solves = []
+        for m, d in TRUNCATION_SIZES:
+            for _ in range(2):
+                src = make_measure(rng.normal(size=(m, d)))
+                tgt = make_measure(rng.normal(size=(m, d)) + 2.0 / np.sqrt(d))
+                for metric in TRUNCATION_FAMILIES:
+                    config = FWConfig(
+                        metric=metric, sinkhorn=SinkhornConfig(lambda_beta=0.02), max_iter=10
+                    )
+                    solves.append((src, tgt, config))
+
+        def outcomes():
+            out = []
+            for src, tgt, config in solves:
+                try:
+                    out.append(rot_distance(src, tgt, config))
+                except (OverflowError, ValueError) as exc:
+                    out.append((type(exc), str(exc)))
+            return out
+
+        truncated = outcomes()
+        monkeypatch.setattr(sinkhorn, "_exp", np.exp)
+        subnormal = outcomes()
+        identical = 0
+        for got, want in zip(truncated, subnormal):
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert got.iterations_used == want.iterations_used
+            assert got.converged == want.converged
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert_allclose(got.gap_history, want.gap_history, rtol=1e-12)
+            assert_allclose(got.plan.matrix, want.plan.matrix, rtol=0.0, atol=1e-12)
+            identical += got.value == want.value
+        # most solves refuse nothing and move not a single bit
+        assert identical >= len(solves) // 2
 
 
 class TestGrouping:

@@ -1,9 +1,10 @@
 """Property tests for the entropic solver's rounds and automatic domain
-choice, the self-moment kernel, translation and support-permutation
-invariance of the distances, the loss gradient's tangency to the simplex,
-the feature, label, model and grouping file round trips, and the fast paths
-of exp, logsumexp and symmetric scaling, which must equal their plain
-formulas bit for bit.
+choice, the self-moment kernel, the Frank-Wolfe loop's carried moment and
+gap, translation and support-permutation invariance of the distances, the
+loss gradient's tangency to the simplex, the feature, label, model and
+grouping file round trips, the fast paths of logsumexp and symmetric
+scaling, which must equal their plain formulas bit for bit, and the
+absorbed kernel's truncated exp.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -45,7 +46,9 @@ from wrot import (
     smooth_target,
     w22_distance,
 )
-from wrot.measures import _grouped_reshape, _moment_arrays
+from wrot.frank_wolfe import _frank_wolfe
+from wrot.measures import _grouped_reshape, _moment_arrays, _point_arrays
+from wrot.metric_solvers import _adversary
 from wrot.sinkhorn import SinkhornConvergenceError
 
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -243,6 +246,59 @@ def test_distances_ignore_the_order_of_the_support(seed, m, n, dim):
         assert_allclose(got.plan.matrix, want_plan, rtol=0.0, atol=1e-12)
 
 
+FW_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()]
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 7),
+    st.integers(2, 7),
+    st.sampled_from(range(len(FW_FAMILIES))),
+    st.sampled_from([None, 2]),
+    st.booleans(),
+    st.integers(1, 6),
+    st.sampled_from([-np.inf, 1e-3]),
+)
+def test_carried_moment_and_gaps_match_the_plans(
+    seed, m, n, family, groups, self_pair, max_iter, gap_tol
+):
+    """Frank-Wolfe's carried moment gives the worst case at the returned
+    plan to 1e-12 relative, and each recorded gap is ``<gamma_t - P_t,
+    C_t>`` to 1e-12 of its terms, for every family, ungrouped or at r = 2,
+    on self and non-self pairs; the plan steps exactly as the formula."""
+    rng = np.random.default_rng(seed)
+    dim = 5
+    src = make_measure(rng.normal(size=(m, dim)), rng.uniform(0.05, 1.0, m))
+    tgt = src if self_pair else make_measure(rng.normal(size=(n, dim)) + 0.5)
+    grouping = None if groups is None else make_grouping(dim, groups, seed)
+    src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
+    metric = FW_FAMILIES[family]
+    marginals = sinkhorn._marginals(src.weights, tgt.weights, (src.size, tgt.size))
+    calls = []
+
+    def oracle(costs):
+        plan = sinkhorn._entropic_plan(costs, marginals, SinkhornConfig())[0]
+        calls.append((costs.copy(), plan.copy()))
+        return plan
+
+    start = np.outer(src.weights, tgt.weights)
+    gamma, worst, gaps, converged = _frank_wolfe(
+        src_arr, tgt_arr, metric, oracle, start.copy(), max_iter, gap_tol
+    )
+    assert len(gaps) == len(calls) == (len(gaps) if converged else max_iter)
+    iterate = start
+    for t, ((costs, plan), gap) in enumerate(zip(calls, gaps)):
+        terms = np.sum((iterate + plan) * costs)
+        assert abs(gap - np.sum((iterate - plan) * costs)) <= 1e-12 * terms
+        if not (converged and t == len(gaps) - 1):
+            theta = 2.0 / (t + 2.0)
+            iterate = (1.0 - theta) * iterate + theta * plan
+    assert np.array_equal(gamma, iterate)
+    want = _adversary(_moment_arrays(gamma, src_arr, tgt_arr), metric)
+    assert worst.value == pytest.approx(want.value, rel=1e-12)
+
+
 @st.composite
 def grouping_shapes(draw):
     """A dim in 1..300 and a group count r that leaves no group all padding:
@@ -380,16 +436,27 @@ def arrays(elements, max_side=12):
     )
 )
 def test_exp_equals_numpy_exp(x):
-    """The absorbed kernel's exp equals np.exp bit for bit from -inf up to
-    700, across np.exp's slow range (-745, -707] and its rounding to 0."""
-    assert np.array_equal(sinkhorn._exp(x), np.exp(x))
+    """The absorbed kernel's exp equals np.exp bit for bit from -700 up to
+    700 and is exactly 0 below, across np.exp's slow range (-745, -707], its
+    rounding to 0 and -inf."""
+    assert_truncated_exp(x)
 
 
 def test_exp_equals_numpy_exp_across_the_underflow():
     """A dense sweep over every exponent where np.exp leaves its vector path,
-    turns subnormal and rounds to 0."""
+    turns subnormal and rounds to 0: no entry of the result is subnormal."""
     x = np.linspace(-760.0, -690.0, 700_000).reshape(-1, 7)
-    assert np.array_equal(sinkhorn._exp(x), np.exp(x))
+    got = assert_truncated_exp(x)
+    assert not np.any((got > 0) & (got < np.finfo(np.float64).tiny))
+
+
+def assert_truncated_exp(x):
+    got = sinkhorn._exp(x)
+    kept = x >= -sinkhorn._EXP_LIMIT
+    assert np.array_equal(got[kept], np.exp(x[kept]))
+    # positive zeros, bit for bit
+    assert np.array_equal(got[~kept].view(np.uint64), np.zeros(np.sum(~kept), np.uint64))
+    return got
 
 
 def unclipped_logsumexp(a, axis):
