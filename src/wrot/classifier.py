@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data_io import Dataset
 from .measures import _as_float_array, _freeze
@@ -188,6 +187,8 @@ def evaluate(model: SoftmaxModel, dataset: Dataset) -> EvalMetrics:
     pairs are positive or all negative. Average precision ranks each
     instance's labels by score and averages precision at the relevant ranks.
     """
+    from scipy.stats import rankdata  # loaded here: only evaluation needs it
+
     scores = model.probabilities(dataset.features)
     relevance = dataset.labels.astype(bool)
     flat_scores = scores.ravel()

@@ -34,6 +34,18 @@ both source and target, and passes only its warm-started oracle. With a
 :class:`~wrot.measures.FeatureGrouping` the embeddings are reshaped once to
 ``(L, d1, r)``; the moments and pair costs stream over that array, so one
 Frank-Wolfe step costs O(L^2 d + L d r) plus an ``r x r`` adversary.
+
+An ungrouped space with fewer labels than dimensions (``L < d``) is solved
+in the span of its embeddings when the metric is p-norm ``k = 1`` or
+``None``. With ``B`` an orthonormal basis of that span (d x L), every
+moment is ``V = B V~ B^T`` with ``V~`` the L x L moment of the embeddings'
+coordinates in ``B``. The Frobenius ball's worst case
+``V / ||V||_F`` is then ``B (V~ / ||V~||_F) B^T`` and the identity's value is
+``tr V = tr V~``, so both families give the same values, pair costs and
+plans on the coordinates; only the worst-case metric is mapped back to d x d,
+once per call. KL, DS and ``k >= 2`` maximise entrywise functions of ``V``,
+which an orthogonal change of basis does not preserve, so they keep the full
+points, as every grouped space does.
 """
 
 from __future__ import annotations
@@ -67,7 +79,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LabelSpace:
-    """Unit-norm label embeddings plus the optional feature grouping."""
+    """Unit-norm label embeddings plus the optional feature grouping.
+
+    Without a grouping and with fewer labels ``L`` than dimensions ``d``,
+    the space also keeps an orthonormal basis ``B`` (d x L) of the
+    embeddings' row span, from a thin QR of their transpose, and the
+    embeddings' L x L coordinates in it. The loss solves p-norm ``k = 1``
+    and the identity metric on those coordinates: both are invariant under
+    an orthogonal change of basis, so values, plans and gradients are those
+    of the full d-dimensional solve, to rounding, and the worst-case metric
+    is mapped back to d x d. Other families, and grouped spaces, solve on
+    the full points.
+    """
 
     embeddings: np.ndarray
     grouping: FeatureGrouping | None = None
@@ -84,6 +107,13 @@ class LabelSpace:
         if self.grouping is not None:
             points = _freeze(_grouped_reshape(emb, self.grouping))
         object.__setattr__(self, "_points", points)
+        # the span basis B and the coordinates E B, with E = R^T B^T
+        basis = coords = None
+        if self.grouping is None and emb.shape[0] < emb.shape[1]:
+            basis, upper = np.linalg.qr(emb.T)
+            basis, coords = _freeze(basis), _freeze(upper.T)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_coords", coords)
 
     @property
     def size(self) -> int:
@@ -144,7 +174,10 @@ def _solve(predicted, target, labels, config):
     # iterations) lands on the exact regularized optimum. The oracle
     # warm-starts from the previous solve's scalings, on marginals prepared
     # once for every step and the gradient's extra solve; a gap tolerance of
-    # -inf runs exactly fw_iters steps. Returns the loss and the oracle.
+    # -inf runs exactly fw_iters steps. Rotation-invariant families on a
+    # space with a span basis run on its coordinates (see LabelSpace).
+    # Returns the loss, the oracle, and the points and final metric matrix
+    # the solve ran on.
     marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
     warm = None
 
@@ -155,10 +188,15 @@ def _solve(predicted, target, labels, config):
         )
         return lmo
 
+    metric = config.metric
+    basis = labels._basis
+    if not (metric is None or isinstance(metric, PNormConfig) and metric.k == 1):
+        basis = None
+    points = labels._points if basis is None else labels._coords
     gamma, worst, _, _ = _frank_wolfe(
-        labels._points,
-        labels._points,
-        config.metric,
+        points,
+        points,
+        metric,
         oracle,
         np.outer(marginals.p, marginals.q),
         config.fw_iters,
@@ -167,7 +205,13 @@ def _solve(predicted, target, labels, config):
     pos = gamma > 0
     entropy_term = float(np.sum(gamma[pos] * np.log(gamma[pos])))
     value = worst.value + config.lambda_gamma * entropy_term
-    return LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=worst), oracle
+    full = worst
+    if basis is not None:
+        # ||V||_F and tr V are basis-invariant, so only the matrix maps back
+        matrix = np.eye(labels.dim) if metric is None else basis @ worst.matrix @ basis.T
+        full = AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
+    loss = LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=full)
+    return loss, oracle, points, worst.matrix
 
 
 def rot_loss(
@@ -213,13 +257,13 @@ def rot_loss_gradient(
     """
     if config is None:
         config = RotLossConfig()
-    loss, oracle = _solve(predicted, target, labels, config)
+    loss, oracle, points, worst = _solve(predicted, target, labels, config)
     # One more oracle solve at the final costs. Its log is the dual-potential
     # expression of the entropic subproblem, so the gradient formula applied
     # to it decomposes additively even before full convergence; the averaged
     # iterate's near-zero entries instead carry stale logarithms dominated by
     # early iterations, which would pollute the gradient's row means.
-    costs = _pair_costs_full(labels._points, labels._points, loss.metric.matrix)
+    costs = _pair_costs_full(points, points, worst)
     oracle_plan = oracle(costs)
     if np.any(oracle_plan <= 0):
         raise ValueError(

@@ -38,7 +38,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .measures import _MASS_TOL, TransportPlan, _as_float_array, _check_simplex
 
@@ -326,6 +325,8 @@ def exact_ot_small(cost: np.ndarray, row_weights, col_weights) -> tuple[Transpor
     solver and returns the optimal plan and value. Intended as a reference
     oracle for the regularized solver, so the size cap is deliberate.
     """
+    from scipy.optimize import linprog  # loaded here: only this reference needs it
+
     cost = _as_float_array(cost, "cost", 2)
     m, n = cost.shape
     if m * n > 16:

@@ -1,7 +1,8 @@
 """Property tests for the entropic solver's rounds and automatic domain
 choice, the self-moment kernel, the Frank-Wolfe loop's carried moment and
 gap, translation and support-permutation invariance of the distances, the
-loss gradient's tangency to the simplex, the feature, label, model and
+loss gradient's tangency to the simplex, the loss's span-coordinate path
+against a solve on the full points, the feature, label, model and
 grouping file round trips, the fast paths of logsumexp and symmetric
 scaling, which must equal their plain formulas bit for bit, and the
 absorbed kernel's truncated exp.
@@ -11,8 +12,10 @@ fast; each property still sweeps shapes, weights and scales no fixed seed
 covers.
 """
 
+import importlib
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,10 +50,12 @@ from wrot import (
     w22_distance,
 )
 from wrot.frank_wolfe import _frank_wolfe
-from wrot.measures import _grouped_reshape, _moment_arrays, _point_arrays
+from wrot.measures import _grouped_reshape, _moment_arrays, _pair_costs_full, _point_arrays
 from wrot.metric_solvers import _adversary
 from wrot.sinkhorn import SinkhornConvergenceError
 
+# the package rebinds ``wrot.rot_loss`` to the function; this is the module
+rot_loss_module = importlib.import_module("wrot.rot_loss")
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -355,6 +360,101 @@ def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, fw_
     grad, loss = rot_loss_gradient(h, smooth_target(raw), labels, config)
     assert np.isfinite(loss.value)
     assert abs(grad.sum()) <= 1e-12
+
+
+def full_point_loss(h, y, emb, config):
+    """Reference for the span path: the loss solved on the full d-dimensional
+    embeddings, step for step as ``rot_loss_gradient`` solves it. Returns
+    the value, plan, worst-case metric matrix and gradient."""
+    size = emb.shape[0]
+    marginals = sinkhorn._marginals(h, y, (size, size))
+    warm = None
+
+    def oracle(costs):
+        nonlocal warm
+        plan, _, warm = sinkhorn._entropic_core(
+            costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
+        )
+        return plan
+
+    start = np.outer(h, y)
+    gamma, worst, _, _ = _frank_wolfe(
+        emb, emb, config.metric, oracle, start, config.fw_iters, -np.inf
+    )
+    value = worst.value + config.lambda_gamma * float(np.sum(gamma * np.log(gamma)))
+    costs = _pair_costs_full(emb, emb, worst.matrix)
+    rows = (costs + config.sinkhorn.lambda_beta * (np.log(oracle(costs)) + 1.0)).sum(axis=1)
+    return value, gamma, worst.matrix, rows / size - rows.sum() / size**2
+
+
+def assert_close_to_reference(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.data(),
+    st.sampled_from([PNormConfig(k=1), None]),
+    st.integers(1, 3),
+)
+def test_span_path_matches_the_full_point_solve(seed, size, data, metric, fw_iters):
+    """An ungrouped space with L < d <= 3L solves p-norm k = 1 and the
+    identity metric in L span coordinates; value, plan, gradient and the
+    mapped-back d x d worst case match a solve on the full points to 1e-12
+    relative."""
+    dim = data.draw(st.integers(size + 1, 3 * size))
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(size, dim))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    labels = LabelSpace(embeddings=emb)
+    h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
+    raw = rng.integers(0, 2, size=size).astype(float)
+    raw[rng.integers(size)] = 1.0
+    y = smooth_target(raw)
+    config = RotLossConfig(metric=metric, fw_iters=fw_iters)
+    grad, loss = rot_loss_gradient(h, y, labels, config)
+    value, plan, worst, want_grad = full_point_loss(h, y, labels.embeddings, config)
+    assert loss.value == pytest.approx(value, rel=1e-12)
+    assert_close_to_reference(loss.plan.matrix, plan)
+    assert_close_to_reference(grad, want_grad)
+    assert loss.metric.matrix.shape == (dim, dim)
+    assert_close_to_reference(loss.metric.matrix, worst)
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.integers(2, 10),
+    st.sampled_from(range(len(LOSS_FAMILIES))),
+    st.sampled_from([None, 1, 2, "singletons"]),
+)
+def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, family, groups):
+    """Frank-Wolfe runs on the span coordinates only for p-norm k = 1 and
+    the identity metric on an ungrouped space with fewer labels than
+    dimensions; KL, DS, k = 2 and every grouped space, singleton groups
+    (r = d) included, run on the space's own point array."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(size, dim))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    r = dim if groups == "singletons" else groups
+    grouping = None if r is None else make_grouping(dim, r, seed)
+    labels = LabelSpace(embeddings=emb, grouping=grouping)
+    metric = LOSS_FAMILIES[family]
+    seen = []
+
+    def spy(src, *args):
+        seen.append(src)
+        return _frank_wolfe(src, *args)
+
+    h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
+    with mock.patch.object(rot_loss_module, "_frank_wolfe", spy):
+        rot_loss_gradient(h, smooth_target(np.eye(size)[0]), labels, RotLossConfig(metric=metric))
+    in_span = r is None and size < dim and metric in (None, PNormConfig(k=1))
+    assert len(seen) == 1
+    assert seen[0] is (labels._coords if in_span else labels._points)
 
 
 @st.composite

@@ -1,8 +1,13 @@
 """The package's export list: a pinned set of names, no duplicates, no
-stale names, and exactly the library modules' own exports; and the exported
-types that hold arrays compare and hash without raising."""
+stale names, and exactly the library modules' own exports; the exported
+types that hold arrays compare and hash without raising; and importing the
+package leaves SciPy's heavy submodules unloaded."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +146,21 @@ def test_config_holding_arrays_compares_and_hashes():
     second = wrot.FWConfig(metric, grouping=grouping)
     assert first == second and hash(first) == hash(second)
     assert first != wrot.FWConfig(wrot.KLConfig(m0=np.eye(2)), grouping=grouping)
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    """``evaluate`` and ``exact_ot_small`` import what they use from SciPy
+    when called, so importing the package and its CLI loads neither
+    ``scipy.stats`` nor ``scipy.optimize``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys, wrot, wrot.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

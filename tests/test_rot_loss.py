@@ -411,9 +411,10 @@ class TestValidationAtTheBoundary:
     def test_gradient_call_checks_no_moment_and_builds_one_plan(self, monkeypatch, metric):
         """Inside the Frank-Wolfe loop moments, adversaries and oracle plans
         pass as bare arrays: a gradient call builds one TransportPlan, the
-        LossValue's, and never re-validates a moment."""
+        LossValue's, and never re-validates a moment. So does the span path
+        of an ungrouped space with fewer labels than dimensions, whose
+        worst case is mapped back to d x d."""
         emb = unit_rows(np.random.default_rng(35), 6, 8)
-        labels = LabelSpace(embeddings=emb, grouping=make_grouping(8, 4, seed=2))
         h = np.random.default_rng(36).dirichlet(np.ones(6))
         y = smooth_target(np.eye(6)[1], alpha=0.05)
         cfg = RotLossConfig(metric=metric, fw_iters=3)
@@ -429,8 +430,12 @@ class TestValidationAtTheBoundary:
             checked.append(moment)
             return check_moment(moment)
 
+        grouped = LabelSpace(embeddings=emb, grouping=make_grouping(8, 4, seed=2))
+        span = LabelSpace(embeddings=emb)
         monkeypatch.setattr(TransportPlan, "__post_init__", counting_post_init)
         monkeypatch.setattr(metric_solvers, "_check_moment", counting_check)
-        _, loss = rot_loss_gradient(h, y, labels, cfg)
-        assert built == [loss.plan]
-        assert checked == []
+        for labels in (grouped, span):
+            built.clear()
+            _, loss = rot_loss_gradient(h, y, labels, cfg)
+            assert built == [loss.plan]
+            assert checked == []
