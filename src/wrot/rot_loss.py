@@ -190,7 +190,7 @@ def _solve(predicted, target, labels, config):
 
     metric = config.metric
     basis = labels._basis
-    if not (metric is None or isinstance(metric, PNormConfig) and metric.k == 1):
+    if not (metric is None or (isinstance(metric, PNormConfig) and metric.k == 1)):
         basis = None
     points = labels._points if basis is None else labels._coords
     gamma, worst, _, _ = _frank_wolfe(
