@@ -186,9 +186,12 @@ def evaluate(model: SoftmaxModel, dataset: Dataset) -> EvalMetrics:
     and applies the rank-sum statistic; it is undefined (an error) when all
     pairs are positive or all negative. Average precision ranks each
     instance's labels by score and averages precision at the relevant ranks.
+    Raises ``ValueError`` when the dataset's label count is not the model's.
     """
-    from scipy.stats import rankdata  # loaded here: only evaluation needs it
-
+    if dataset.n_labels != model.n_labels:
+        raise ValueError(
+            f"dataset has {dataset.n_labels} labels, model has {model.n_labels}"
+        )
     scores = model.probabilities(dataset.features)
     relevance = dataset.labels.astype(bool)
     flat_scores = scores.ravel()
@@ -197,7 +200,7 @@ def evaluate(model: SoftmaxModel, dataset: Dataset) -> EvalMetrics:
     n_neg = flat_rel.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: labels contain a single class")
-    ranks = rankdata(flat_scores)
+    ranks = _average_ranks(flat_scores)
     auc = (ranks[flat_rel].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
     ap_values = np.empty(scores.shape[0])
@@ -208,6 +211,18 @@ def evaluate(model: SoftmaxModel, dataset: Dataset) -> EvalMetrics:
         precision_at_hits = np.cumsum(hits)[hits.astype(bool)] / hit_ranks
         ap_values[i] = precision_at_hits.mean()
     return EvalMetrics(auc=float(auc), mean_average_precision=float(ap_values.mean()))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    # 1-based ranks of a 1-d array; a run of equal values shares the mean
+    # (start + end) / 2 of the ranks start..end it spans
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def save_model(model: SoftmaxModel, path) -> None:

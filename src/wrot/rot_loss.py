@@ -17,16 +17,16 @@ solve of the ``lambda_gamma``-regularized problem, set the oracle's
 ``lambda_beta`` equal to ``lambda_gamma`` and raise the iteration counts, as
 the fixed point of the iteration is then the true optimum.
 
-The gradient in ``h`` comes from the envelope formula: with ``A = C* +
-lambda (log plan + 1)``, where ``C*`` is the pairwise cost matrix under the
-final metric and ``plan`` is a fresh oracle solve at those costs, the
-gradient is the row-mean vector of ``A`` recentred to sum to zero. The log
-multiplier is the oracle's ``lambda_beta``, the regularizer that plan
-actually solved, which makes ``A`` split into dual potentials exactly; when
-``lambda_beta == lambda_gamma`` this is the gradient of the reported value
-itself, otherwise it is the gradient of the ``lambda_beta``-smoothed loss the
-oracle minimizes. It is exactly tangent to the simplex, and shifting ``A`` by
-any constant leaves it unchanged.
+The gradient in ``h`` is the envelope formula's dual potential (Frogner et
+al., NeurIPS 2015): one more oracle solve at the final pair costs ``C*``
+gives its row log-potential ``f``, with ``log plan = f + g - C* /
+lambda_beta``, and the gradient is ``lambda_beta (f - mean f)``, the
+recentred row means of ``C* + lambda_beta (log plan + 1)`` with no log of a
+plan entry that underflowed. With ``lambda_beta == lambda_gamma`` it is the
+gradient of the reported value, otherwise of the ``lambda_beta``-smoothed
+loss. It sums to zero, and a constant added to ``C*`` moves only mean ``f``.
+A zero weight leaves its plan row or column without a potential, so the
+gradient refuses it.
 
 The loss runs the distance's Frank-Wolfe loop,
 :func:`~wrot.frank_wolfe._frank_wolfe`, on the label space's point array as
@@ -65,7 +65,7 @@ from .measures import (
     _pair_costs_full,
 )
 from .metric_solvers import AdversarialMetric, MetricSolverConfig, PNormConfig
-from .sinkhorn import SinkhornConfig, _entropic_core, _marginals
+from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
 __all__ = [
     "LabelSpace",
@@ -172,21 +172,21 @@ def _solve(predicted, target, labels, config):
     # iterate solves min <V(plan), M*> + lambda_beta * sum plan log plan, so
     # running the oracle with lambda_beta equal to lambda_gamma (and enough
     # iterations) lands on the exact regularized optimum. The oracle
-    # warm-starts from the previous solve's scalings, on marginals prepared
+    # warm-starts from the previous solve's potential, on marginals prepared
     # once for every step and the gradient's extra solve; a gap tolerance of
     # -inf runs exactly fw_iters steps. Rotation-invariant families on a
     # space with a span basis run on its coordinates (see LabelSpace).
-    # Returns the loss, the oracle, and the points and final metric matrix
-    # the solve ran on.
+    # Returns the loss, the marginals, the warm solve (costs -> (plan, f)),
+    # and the points and final metric matrix the solve ran on.
     marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
     warm = None
 
-    def oracle(costs):
+    def solve(costs):
         nonlocal warm
-        lmo, _, warm = _entropic_core(
+        plan, f, warm = _entropic_plan(
             costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
         )
-        return lmo
+        return plan, f
 
     metric = config.metric
     basis = labels._basis
@@ -197,7 +197,7 @@ def _solve(predicted, target, labels, config):
         points,
         points,
         metric,
-        oracle,
+        lambda costs: solve(costs)[0],
         np.outer(marginals.p, marginals.q),
         config.fw_iters,
         -np.inf,
@@ -211,7 +211,7 @@ def _solve(predicted, target, labels, config):
         matrix = np.eye(labels.dim) if metric is None else basis @ worst.matrix @ basis.T
         full = AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
     loss = LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=full)
-    return loss, oracle, points, worst.matrix
+    return loss, marginals, solve, points, worst.matrix
 
 
 def rot_loss(
@@ -228,12 +228,6 @@ def rot_loss(
     return _solve(predicted, target, labels, config)[0]
 
 
-def _tangent_row_mean(a: np.ndarray) -> np.ndarray:
-    size = a.shape[0]
-    rows = a.sum(axis=1)
-    return rows / size - rows.sum() / size**2
-
-
 def rot_loss_gradient(
     predicted,
     target,
@@ -242,36 +236,26 @@ def rot_loss_gradient(
 ) -> tuple[np.ndarray, LossValue]:
     """Gradient of the loss in the predicted distribution, and the loss.
 
-    Envelope formula at the solved plan: the recentred row means of
-    ``C* + lambda (log plan + 1)``, with the log taken on the final oracle
-    plan and ``lambda`` the oracle's ``lambda_beta`` (the regularizer that
-    plan solved), so the bracket reduces to dual potentials. Configure
-    ``lambda_beta == lambda_gamma`` to differentiate the reported value
-    itself. The result sums to zero to rounding (movement along the
-    simplex), and requires a strictly positive plan; with one-hot targets,
-    smooth them with :func:`smooth_target` at ``alpha > 0`` to guarantee
-    that.
+    Envelope formula at the solved plan: ``lambda (f - mean f)``, with ``f``
+    the row log-potential of one more oracle solve at the final pair costs
+    and ``lambda`` the oracle's ``lambda_beta``, the regularizer that plan
+    solved. Configure ``lambda_beta == lambda_gamma`` to differentiate the
+    reported value itself. The result sums to zero to rounding (movement
+    along the simplex). It requires strictly positive ``predicted`` and
+    ``target`` weights and raises ``ValueError`` on a zero; with one-hot
+    targets, smooth them with :func:`smooth_target` at ``alpha > 0``.
 
     Returns ``(gradient, LossValue)``: the loss is the one
     :func:`rot_loss` reports, from the same solve.
     """
     if config is None:
         config = RotLossConfig()
-    loss, oracle, points, worst = _solve(predicted, target, labels, config)
-    # One more oracle solve at the final costs. Its log is the dual-potential
-    # expression of the entropic subproblem, so the gradient formula applied
-    # to it decomposes additively even before full convergence; the averaged
-    # iterate's near-zero entries instead carry stale logarithms dominated by
-    # early iterations, which would pollute the gradient's row means.
-    costs = _pair_costs_full(points, points, worst)
-    oracle_plan = oracle(costs)
-    if np.any(oracle_plan <= 0):
+    loss, marginals, solve, points, worst = _solve(predicted, target, labels, config)
+    if not marginals.dense:
         raise ValueError(
-            "gradient undefined: the transport plan has zero entries; "
+            "gradient undefined: a predicted or target weight is zero; "
             "smooth the target (smooth_target with alpha > 0) and use "
             "strictly positive predictions"
         )
-    a = costs + config.sinkhorn.lambda_beta * (
-        np.log(oracle_plan) + 1.0
-    )
-    return _tangent_row_mean(a), loss
+    f = solve(_pair_costs_full(points, points, worst))[1]
+    return config.sinkhorn.lambda_beta * (f - f.mean()), loss

@@ -14,6 +14,9 @@ range is redone in the log domain (Schmitzer, SIAM J. Sci. Comput. 2019).
 Past ``max|cost| / lambda_beta = 2**53`` a float64 exponent no longer
 resolves a step of 1, and the solve refuses.
 
+``_entropic_plan`` runs that solve for :func:`entropic_ot` and for both
+Frank-Wolfe oracles, and returns the plan's dual log-potentials with it.
+
 The log-domain round keeps ``np.exp`` on its vector path, which it leaves
 for exponents below about -708 at 10 to 100 times the cost. Its logsumexp
 clips shifted terms at ``-_EXP_LIMIT``: each finite slice sums to at least
@@ -117,12 +120,12 @@ def _exp(x):
 
 def _absorbed_kernel(log_kernel, log_p, log_q, g):
     # One log-domain round from g: f = log u, then g = log v, folded into
-    # the kernel. Returns (exp(log_kernel + f + g), g); the kernel's column
-    # sums are q, so its own scalings start at u = v = 1.
+    # the kernel. Returns (exp(log_kernel + f + g), f, g); the kernel's
+    # column sums are q, so its own scalings start at u = v = 1.
     f = log_p - _logsumexp(log_kernel + g[None, :], axis=1)
     row_scaled = log_kernel + f[:, None]
     g = log_q - _logsumexp(row_scaled, axis=0)
-    return _exp(row_scaled + g[None, :]), g
+    return _exp(row_scaled + g[None, :]), f, g
 
 
 # The validated weights p, q of one solve; the masks, values and logs of
@@ -144,23 +147,24 @@ def _marginals(row_weights, col_weights, shape, names=("row_weights", "col_weigh
 
 def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=False):
     # Alternating rounds on exp(log_kernel) from the column potential g (zero
-    # when None); returns (plan, g). The first round is a plain update from
-    # v = exp(g) or, with log_first, a log-domain round that absorbs the
-    # potentials into the kernel. Every later round is a plain update of the
-    # kernel's scalings (u, v); one whose scalings leave exp(+-_EXP_LIMIT / 2),
-    # or reach 0, inf or NaN, is redone in the log domain after log v joins g.
+    # when None); returns (plan, f, g), log plan = log_kernel + f + g. The
+    # first round is a plain update from v = exp(g) or, with log_first, a
+    # log-domain round that absorbs the potentials into the kernel. Every
+    # later round is a plain update of the kernel's scalings (u, v); one
+    # whose scalings leave exp(+-_EXP_LIMIT / 2), or reach 0, inf or NaN, is
+    # redone in the log domain after log v joins g.
     p, q = marginals.active_p, marginals.active_q
     log_p, log_q = marginals.log_p, marginals.log_q
     if log_first:
         g = np.zeros_like(q) if g is None else g
-        kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g)
+        kernel, f, g = _absorbed_kernel(log_kernel, log_p, log_q, g)
         v = np.ones_like(q)
     else:
         kernel = np.exp(log_kernel)
         # v -> c v leaves the plan unchanged, so shifting g by its maximum
         # keeps exp(g) in range whatever domain produced it.
         v = np.ones_like(q) if g is None else np.exp(g - np.max(g))
-        g = 0.0
+        f = g = 0.0
     u = np.ones_like(p)
     # a zero or non-finite scaling is caught by the range test below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -180,11 +184,11 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
             ):
                 u, v = u_next, v_next
             else:
-                kernel, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
+                kernel, f, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
                 u, v = np.ones_like(p), np.ones_like(q)
     kernel *= u[:, None]
     kernel *= v
-    return kernel, g + np.log(v)
+    return kernel, f + np.log(u), g + np.log(v)
 
 
 def entropic_ot(
@@ -207,8 +211,9 @@ def entropic_ot(
         config = SinkhornConfig()
     cost = _as_float_array(cost, "cost", 2)
     marginals = _marginals(row_weights, col_weights, cost.shape)
-    plan, residual, _ = _entropic_core(cost, marginals, config)
-    return TransportPlan(matrix=plan), residual
+    plan = _entropic_plan(cost, marginals, config)[0]
+    rows, cols = plan.sum(axis=1) - marginals.p, plan.sum(axis=0) - marginals.q
+    return TransportPlan(matrix=plan), float(max(np.max(np.abs(rows)), np.max(np.abs(cols))))
 
 
 def _beyond_float_potentials(scale):
@@ -220,8 +225,8 @@ def _beyond_float_potentials(scale):
 
 
 def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
-    """One solve of :func:`entropic_ot` on prepared :func:`_marginals`, with
-    a warm start; the plan alone.
+    """The one Sinkhorn solve, on prepared :func:`_marginals`, with a warm
+    start.
 
     Runs the one round loop, :func:`_rounds`, on the active block of
     ``cost / lambda_beta``. Its first round is plain when the block's
@@ -232,20 +237,17 @@ def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
     v`` of a previous call with the same marginals; either first round reads
     it, so a warm start survives a domain switch. ``stop_tol > 0`` ends the
     rounds early once the row-sum error drops below it, but never before one
-    full round. Returns ``(plan, state)``, ``plan`` an ndarray that in-range
+    full round. Returns ``(plan, f, g)``, ``plan`` an ndarray that in-range
     positive scalings and the mass check make a valid coupling, so it skips
-    :class:`~wrot.measures.TransportPlan`. ``cost`` is a 2-d float array; a
-    non-finite entry raises ``ValueError``. Raises ``OverflowError`` before
-    iterating when the scaled cost exceeds ``2**53``, where float64
-    potentials no longer resolve the kernel's exponents, and after iterating
-    if the plan's mass is not 1.
+    :class:`~wrot.measures.TransportPlan`. ``f`` and ``g`` are the active
+    block's log-potentials, ``log plan = f + g - cost / lambda_beta``, finite
+    where the plan underflows; ``g`` is the next call's ``state``. ``cost``
+    is a 2-d float array of the marginals' shape; a non-finite entry raises
+    ``ValueError``. Raises ``OverflowError`` before iterating when the scaled
+    cost exceeds ``2**53``, where float64 potentials no longer resolve the
+    kernel's exponents, and after iterating if the plan's mass is not 1.
     """
     m, n = cost.shape
-    p, q = marginals.p, marginals.q
-    if (m, n) != (p.shape[0], q.shape[0]):
-        # the messages of weights validated against this cost's shape
-        _check_simplex(p, "row_weights", m)
-        _check_simplex(q, "col_weights", n)
     if not marginals.dense:
         # the scale below sees only the active block
         _as_float_array(cost, "cost", 2)
@@ -259,7 +261,7 @@ def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
         # Past 2**53 a float64 exponent no longer resolves a step of 1, so
         # the kernel exp(-cost / lambda_beta + f + g) carries no information.
         raise OverflowError(_beyond_float_potentials(scale))
-    plan, state = _rounds(
+    plan, f, g = _rounds(
         log_kernel, marginals, config.iterations, state, stop_tol, scale > _EXP_LIMIT
     )
     if not marginals.dense:
@@ -271,19 +273,7 @@ def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
             f"transport plan mass is {total:.10g}, expected 1: "
             + _beyond_float_potentials(scale)
         )
-    return plan, state
-
-
-def _entropic_core(cost, marginals, config, state=None, stop_tol=0.0):
-    """:func:`_entropic_plan` and its residual: returns ``(plan, residual,
-    state)``, ``residual`` the maximum absolute deviation of the plan's row
-    and column sums from the marginals' weights."""
-    plan, state = _entropic_plan(cost, marginals, config, state, stop_tol)
-    residual = max(
-        np.maximum.reduce(np.abs(plan.sum(axis=1) - marginals.p)),
-        np.maximum.reduce(np.abs(plan.sum(axis=0) - marginals.q)),
-    )
-    return plan, float(residual), state
+    return plan, f, g
 
 
 def _symmetric_scaling(kernel, tol, max_iter):

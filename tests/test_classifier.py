@@ -320,6 +320,47 @@ class TestEvaluate:
         assert metrics.mean_average_precision == pytest.approx(5 / 6, abs=1e-12)
         assert metrics.auc == pytest.approx(3 / 4, abs=1e-12)
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_auc_matches_the_rankdata_formula(self, tied):
+        """The tie-averaged ranks are scipy.stats.rankdata's, so the AUC is
+        the rank-sum formula's on tied and untied scores. Repeated feature
+        rows and a zero weight column give exactly equal scores."""
+        rankdata = pytest.importorskip("scipy.stats").rankdata
+        rng = np.random.default_rng(21)
+        features = rng.normal(size=(40, 4))
+        weights = rng.normal(size=(4, 5))
+        if tied:
+            features = np.repeat(features[:10], 4, axis=0)
+            weights[:, 3] = weights[:, 1] = 0.0
+        labels = (rng.random((40, 5)) < 0.3).astype(int)
+        labels[:, 0] = 1
+        model = SoftmaxModel(weights=weights)
+        ds = Dataset(features=features, labels=labels, label_names=tuple("abcde"))
+        scores = model.probabilities(features).ravel()
+        ranks = rankdata(scores)
+        assert (len(np.unique(scores)) < scores.size) == tied
+        assert np.array_equal(classifier_mod._average_ranks(scores), ranks)
+        relevant = labels.ravel().astype(bool)
+        n_pos = int(relevant.sum())
+        n_neg = relevant.size - n_pos
+        want = (ranks[relevant].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert evaluate(model, ds).auc == want
+
+    @pytest.mark.parametrize("n_labels", [5, 2])
+    def test_label_count_mismatch(self, n_labels):
+        """A dataset whose label count is not the model's is refused with
+        both counts."""
+        labels = np.zeros((4, n_labels), dtype=int)
+        labels[:, 0] = 1
+        ds = Dataset(
+            features=np.ones((4, 2)),
+            labels=labels,
+            label_names=tuple(f"l{i}" for i in range(n_labels)),
+        )
+        model = SoftmaxModel(weights=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=f"dataset has {n_labels} labels, model has 3"):
+            evaluate(model, ds)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

@@ -1,7 +1,8 @@
 """Property tests for the entropic solver's rounds and automatic domain
 choice, the self-moment kernel, the Frank-Wolfe loop's carried moment and
 gap, translation and support-permutation invariance of the distances, the
-loss gradient's tangency to the simplex, the loss's span-coordinate path
+loss gradient's tangency to the simplex and its agreement with the
+bracket formula on normal plans, the loss's span-coordinate path
 against a solve on the full points, the feature, label, model and
 grouping file round trips, the fast paths of logsumexp and symmetric
 scaling, which must equal their plain formulas bit for bit, and the
@@ -19,10 +20,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from wrot import (
     DSConfig,
@@ -84,8 +85,8 @@ def test_plain_and_log_iterations_agree_below_the_bound(instance, lam, top):
     scaled = (unit * top * lam) / lam
     assert np.max(scaled) <= sinkhorn._EXP_LIMIT
     marginals = sinkhorn._marginals(p, q, scaled.shape)
-    plain, _ = sinkhorn._rounds(-scaled, marginals, 30)
-    logd, _ = sinkhorn._rounds(-scaled, marginals, 30, log_first=True)
+    plain = sinkhorn._rounds(-scaled, marginals, 30)[0]
+    logd = sinkhorn._rounds(-scaled, marginals, 30, log_first=True)[0]
     assert_allclose(plain, logd, rtol=0.0, atol=1e-10)
 
 
@@ -119,7 +120,7 @@ def test_rounds_match_a_reference_sinkhorn(instance, top, spread, stop_tol, data
     g = None if spread is None else data.draw(vectors(n)) * spread
     config = SinkhornConfig(lambda_beta=1.0, iterations=30)
     marginals = sinkhorn._marginals(p, q, scaled.shape)
-    plan, _, _ = sinkhorn._entropic_core(scaled, marginals, config, g, stop_tol)
+    plan = sinkhorn._entropic_plan(scaled, marginals, config, g, stop_tol)[0]
     want = reference_sinkhorn(scaled, p, q, 30, np.zeros(n) if g is None else g, stop_tol)
     assert_allclose(plan, want, rtol=0.0, atol=1e-12)
 
@@ -157,14 +158,12 @@ def test_warm_start_across_a_domain_switch(instance, data, low, high, up):
     config = SinkhornConfig(lambda_beta=1.0, iterations=2000)
     stop_tol = 1e-11
     marginals = sinkhorn._marginals(p, q, unit.shape)
-    _, _, state = sinkhorn._entropic_core(first, marginals, config, stop_tol=stop_tol)
-    warm, warm_res, _ = sinkhorn._entropic_core(
-        second, marginals, config, state=state, stop_tol=stop_tol
-    )
-    cold, cold_res, _ = sinkhorn._entropic_core(
-        second, marginals, config, stop_tol=stop_tol
-    )
-    assert warm_res <= stop_tol and cold_res <= stop_tol
+    _, _, state = sinkhorn._entropic_plan(first, marginals, config, stop_tol=stop_tol)
+    warm = sinkhorn._entropic_plan(second, marginals, config, state=state, stop_tol=stop_tol)[0]
+    cold = sinkhorn._entropic_plan(second, marginals, config, stop_tol=stop_tol)[0]
+    for plan in (warm, cold):
+        residual = max(np.abs(plan.sum(axis=1) - p).max(), np.abs(plan.sum(axis=0) - q).max())
+        assert residual <= stop_tol
     assert_allclose(warm, cold, rtol=0.0, atol=10 * stop_tol)
 
 
@@ -363,16 +362,21 @@ def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, fw_
 
 
 def full_point_loss(h, y, emb, config):
-    """Reference for the span path: the loss solved on the full d-dimensional
-    embeddings, step for step as ``rot_loss_gradient`` solves it. Returns
-    the value, plan, worst-case metric matrix and gradient."""
+    """Reference for the span path and the potential gradient: the loss
+    solved on the point array ``emb`` (the full d-dimensional embeddings, or
+    a grouped reshape), step for step as ``rot_loss_gradient`` solves it.
+    Returns the value, plan, worst-case metric matrix and gradient. The
+    gradient is the bracket formula, the recentred row means of ``C* +
+    lambda_beta (log P + 1)`` with ``P`` one more oracle plan at the final
+    costs ``C*``; it is None when an entry of ``P`` is below the smallest
+    normal float, whose log it could not take accurately."""
     size = emb.shape[0]
     marginals = sinkhorn._marginals(h, y, (size, size))
     warm = None
 
     def oracle(costs):
         nonlocal warm
-        plan, _, warm = sinkhorn._entropic_core(
+        plan, _, warm = sinkhorn._entropic_plan(
             costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
         )
         return plan
@@ -381,9 +385,12 @@ def full_point_loss(h, y, emb, config):
     gamma, worst, _, _ = _frank_wolfe(
         emb, emb, config.metric, oracle, start, config.fw_iters, -np.inf
     )
-    value = worst.value + config.lambda_gamma * float(np.sum(gamma * np.log(gamma)))
+    value = worst.value + config.lambda_gamma * float(np.sum(xlogy(gamma, gamma)))
     costs = _pair_costs_full(emb, emb, worst.matrix)
-    rows = (costs + config.sinkhorn.lambda_beta * (np.log(oracle(costs)) + 1.0)).sum(axis=1)
+    plan = oracle(costs)
+    if plan.min() < np.finfo(float).tiny:
+        return value, gamma, worst.matrix, None
+    rows = (costs + config.sinkhorn.lambda_beta * (np.log(plan) + 1.0)).sum(axis=1)
     return value, gamma, worst.matrix, rows / size - rows.sum() / size**2
 
 
@@ -421,6 +428,43 @@ def test_span_path_matches_the_full_point_solve(seed, size, data, metric, fw_ite
     assert_close_to_reference(grad, want_grad)
     assert loss.metric.matrix.shape == (dim, dim)
     assert_close_to_reference(loss.metric.matrix, worst)
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(range(len(LOSS_FAMILIES))),
+    st.sampled_from([None, 1, 3, 6]),
+    st.integers(1, 3),
+    st.sampled_from([0.2, 0.05, 0.02, 0.005]),
+)
+def test_potential_gradient_matches_the_bracket_formula(
+    seed, size, family, groups, fw_iters, lambda_beta
+):
+    """The gradient read from the oracle's row potential, ``lambda_beta (f -
+    mean f)``, matches the bracket formula to 1e-12 relative for every
+    family, ungrouped or grouped, on every oracle plan whose entries are
+    all normal floats. At the smaller lambda_beta some of the loop's solves
+    run a log-domain round, and the last one starts warm from them."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(size, 6))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    grouping = None if groups is None else make_grouping(6, groups, seed)
+    labels = LabelSpace(embeddings=emb, grouping=grouping)
+    h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
+    raw = rng.integers(0, 2, size=size).astype(float)
+    raw[rng.integers(size)] = 1.0
+    y = smooth_target(raw)
+    config = RotLossConfig(
+        metric=LOSS_FAMILIES[family],
+        fw_iters=fw_iters,
+        sinkhorn=SinkhornConfig(lambda_beta=lambda_beta),
+    )
+    want = full_point_loss(h, y, labels._points, config)[3]
+    assume(want is not None)
+    grad, _ = rot_loss_gradient(h, y, labels, config)
+    assert_close_to_reference(grad, want)
 
 
 @bounded

@@ -149,14 +149,18 @@ def test_config_holding_arrays_compares_and_hashes():
 
 
 def test_import_loads_neither_scipy_stats_nor_optimize():
-    """``evaluate`` and ``exact_ot_small`` import what they use from SciPy
-    when called, so importing the package and its CLI loads neither
-    ``scipy.stats`` nor ``scipy.optimize``."""
+    """``exact_ot_small`` imports what it uses from SciPy when called, and
+    ``evaluate`` ranks with numpy alone, so importing the package and its
+    CLI and evaluating a model loads neither ``scipy.stats`` nor
+    ``scipy.optimize``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = (
-        "import sys, wrot, wrot.cli; "
+        "import sys, numpy as np, wrot, wrot.cli; "
+        "ds = wrot.Dataset(features=np.eye(2), labels=np.eye(2, dtype=int), "
+        "label_names=('a', 'b')); "
+        "wrot.evaluate(wrot.SoftmaxModel(weights=np.eye(2)), ds); "
         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
     result = subprocess.run(

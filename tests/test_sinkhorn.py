@@ -36,6 +36,12 @@ def exact_2x2_value(cost, p, q):
     return min(value(lo), value(hi))
 
 
+def marginal_residual(plan, p, q):
+    """The largest deviation of the plan's row and column sums from p and q,
+    the residual entropic_ot reports."""
+    return max(np.abs(plan.sum(axis=1) - p).max(), np.abs(plan.sum(axis=0) - q).max())
+
+
 def extended_log_rounds(cost, p, q, config):
     """Log-domain rounds in np.longdouble from the float64 scaled cost."""
 
@@ -86,11 +92,15 @@ class TestEntropicOT:
         p = np.full(4, 0.25)
         q = np.full(5, 0.2)
         marginals = sinkhorn._marginals(p, q, scaled.shape)
-        plain, g_plain = sinkhorn._rounds(-scaled, marginals, 50)
-        logd, g = sinkhorn._rounds(-scaled, marginals, 50, log_first=True)
+        plain, f_plain, g_plain = sinkhorn._rounds(-scaled, marginals, 50)
+        logd, f, g = sinkhorn._rounds(-scaled, marginals, 50, log_first=True)
         assert_allclose(plain, logd, atol=1e-8)
-        # both return the column potential, up to the free shift g -> g + c
+        # both return the potentials, up to the free shift (f - c, g + c)
         assert_allclose(g_plain - g_plain[0], g - g[0], atol=1e-10)
+        assert_allclose(f_plain - f_plain[0], f - f[0], atol=1e-10)
+        # and each plan is exp(f + g - cost / lambda_beta)
+        for plan, row, col in ((plain, f_plain, g_plain), (logd, f, g)):
+            assert_allclose(np.log(plan), row[:, None] - scaled + col, rtol=0.0, atol=1e-12)
 
     def test_domain_auto_selection(self, monkeypatch):
         """The first round follows max|cost| / lambda_beta across the 700
@@ -237,7 +247,7 @@ class TestEntropicOT:
         """The mass check is the backstop for a plan the rounds lost."""
 
         def lost(log_kernel, marginals, iterations, g, stop_tol, log_first):
-            return np.full(log_kernel.shape, np.nan), g
+            return np.full(log_kernel.shape, np.nan), None, g
 
         monkeypatch.setattr(sinkhorn, "_rounds", lost)
         p = np.array([0.5, 0.5])
@@ -264,15 +274,20 @@ class TestEntropicOT:
     @pytest.mark.parametrize("case", BAD_INPUTS)
     def test_prepared_marginals_keep_the_error_messages(self, case):
         """A solve on marginals prepared for a 2 x 3 cost refuses bad weights
-        or a bad cost with the message entropic_ot gives."""
+        or a bad cost with the message entropic_ot gives. Every caller
+        prepares its marginals from the cost's own shape, so a cost of
+        another shape reaches only entropic_ot."""
         cost, p, q, message = self.BAD_INPUTS[case]
         config = SinkhornConfig()
 
         def prepared():
             marginals = sinkhorn._marginals(p, q, self.COST.shape)
-            return sinkhorn._entropic_core(cost, marginals, config)
+            return sinkhorn._entropic_plan(cost, marginals, config)
 
-        for solve in (lambda: entropic_ot(cost, p, q, config), prepared):
+        solves = [lambda: entropic_ot(cost, p, q, config)]
+        if case != "cost shape":
+            solves.append(prepared)
+        for solve in solves:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 solve()
 
@@ -291,7 +306,7 @@ class TestEntropicOT:
         q = np.array([0.6, 0.3, 0.1])
         assert_allclose(np.exp(-scaled) @ np.exp(g), p, rtol=1e-14)
         marginals = sinkhorn._marginals(p, q, scaled.shape)
-        plan, _, _ = sinkhorn._entropic_core(
+        plan, _, _ = sinkhorn._entropic_plan(
             scaled, marginals, SinkhornConfig(1.0, 30), state=g, stop_tol=1e-13
         )
         assert_allclose(plan.sum(axis=0), q, rtol=0.0, atol=1e-15)
@@ -334,9 +349,8 @@ class TestLogSumExp:
         config = SinkhornConfig(lambda_beta=0.02, iterations=400)
 
         marginals = sinkhorn._marginals(p, q, cost.shape)
-        plan, residual, _ = sinkhorn._entropic_core(
-            cost, marginals, config, stop_tol=stop_tol
-        )
+        plan = sinkhorn._entropic_plan(cost, marginals, config, stop_tol=stop_tol)[0]
+        residual = marginal_residual(plan, p, q)
         calls = []
 
         def reference(a, axis):
@@ -344,9 +358,8 @@ class TestLogSumExp:
             return scipy_logsumexp(a, axis=axis)
 
         monkeypatch.setattr(sinkhorn, "_logsumexp", reference)
-        ref_plan, ref_residual, _ = sinkhorn._entropic_core(
-            cost, marginals, config, stop_tol=stop_tol
-        )
+        ref_plan = sinkhorn._entropic_plan(cost, marginals, config, stop_tol=stop_tol)[0]
+        ref_residual = marginal_residual(ref_plan, p, q)
         assert_allclose(plan, ref_plan, rtol=0.0, atol=1e-12)
         assert residual == pytest.approx(ref_residual, abs=1e-12)
         assert calls
