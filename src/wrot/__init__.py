@@ -24,10 +24,8 @@ from .data_io import (
     load_dataset,
     load_embedding_file,
     load_embeddings,
-    load_grouping,
     make_grouping,
     save_features,
-    save_grouping,
     save_labels,
 )
 from .frank_wolfe import FWConfig, RotResult, rot_distance, w22_distance
@@ -104,7 +102,6 @@ __all__ = [
     "load_dataset",
     "load_embedding_file",
     "load_embeddings",
-    "load_grouping",
     "load_model",
     "make_grouping",
     "make_measure",
@@ -113,7 +110,6 @@ __all__ = [
     "rot_loss",
     "rot_loss_gradient",
     "save_features",
-    "save_grouping",
     "save_labels",
     "save_model",
     "sgd_train",

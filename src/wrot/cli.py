@@ -7,7 +7,7 @@ Subcommands:
 * ``contour``: loss values over the prediction simplex for three labels,
   written as an ``x,y,loss`` CSV (losses normalized so the maximum is 1).
 * ``train``: fit the softmax classifier with a transport loss and write a
-  checkpoint (plus the grouping file when one is used).
+  checkpoint.
 * ``eval``: AUC / mean average precision of a checkpoint on a dataset.
 
 Exit codes: 0 success, 1 bad input or I/O failure, 2 solver non-convergence,
@@ -30,13 +30,7 @@ from .classifier import (
     save_model,
     sgd_train,
 )
-from .data_io import (
-    _load_features,
-    load_dataset,
-    load_embedding_file,
-    make_grouping,
-    save_grouping,
-)
+from .data_io import _load_features, load_dataset, load_embedding_file, make_grouping
 from .frank_wolfe import FWConfig, rot_distance, w22_distance
 from .measures import make_measure
 from .metric_solvers import DSConfig, KLConfig, PNormConfig
@@ -178,9 +172,6 @@ def cmd_train(args) -> int:
         print(f"epoch {i:3d}  loss {loss_val:.6f}  time {secs:.3f}s")
     save_model(result.model, args.model_out)
     print(f"wrote model to {args.model_out}")
-    if labels_space.grouping is not None and args.grouping_out:
-        save_grouping(labels_space.grouping, args.grouping_out)
-        print(f"wrote grouping to {args.grouping_out}")
     return 0
 
 
@@ -244,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-gamma", type=float, default=0.02, dest="lambda_gamma")
     p.add_argument("--weight-decay", type=float, default=0.0005, dest="weight_decay")
     p.add_argument("--model-out", required=True, dest="model_out")
-    p.add_argument("--grouping-out", default=None, dest="grouping_out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -1,4 +1,4 @@
-"""File formats: datasets, label embeddings, feature groupings.
+"""File formats for datasets and label embeddings, and seeded feature groupings.
 
 Feature files are either dense CSV (one instance per row) or a raw binary
 layout: an 8-byte magic string, two little-endian uint32 dims (N, M), then
@@ -7,8 +7,8 @@ line: ``index<TAB>comma-separated label indices``. Embedding files are the
 usual text layout with a ``count dim`` header and one ``token v1 .. vdim``
 line each; multi-word labels resolve to the underscore-joined token when
 present, otherwise to the renormalized mean of their constituent tokens.
-Groupings serialize to text: a ``dim group_count seed`` header followed by one
-permuted index per line.
+A feature grouping has no file: :func:`make_grouping` rebuilds it from
+``(dim, group_count, seed)``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "load_embeddings",
     "load_embedding_file",
     "make_grouping",
-    "save_grouping",
-    "load_grouping",
 ]
 
 _FEATURES_MAGIC = b"WROTFEAT"
@@ -320,41 +318,4 @@ def make_grouping(dim: int, group_count: int, seed: int) -> FeatureGrouping:
     grouping exists for such dim/group_count pairs).
     """
     permutation = np.random.default_rng(seed).permutation(_padded_dim(dim, group_count))
-    return FeatureGrouping(
-        dim=dim, group_count=group_count, permutation=permutation, seed=seed
-    )
-
-
-def save_grouping(grouping: FeatureGrouping, path) -> None:
-    """Write ``dim group_count seed`` then one permuted index per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{grouping.dim} {grouping.group_count} {grouping.seed}\n")
-        for idx in grouping.permutation:
-            fh.write(f"{int(idx)}\n")
-
-
-def load_grouping(path) -> FeatureGrouping:
-    """Read a grouping file written by :func:`save_grouping`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}:1: header must be 'dim group_count seed'")
-        try:
-            dim, group_count, seed = (int(v) for v in header)
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: header must be integers") from exc
-        indices = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                indices.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad permutation index") from exc
-    return FeatureGrouping(
-        dim=dim,
-        group_count=group_count,
-        permutation=np.asarray(indices, dtype=np.int64),
-        seed=seed,
-    )
+    return FeatureGrouping(dim=dim, group_count=group_count, permutation=permutation)

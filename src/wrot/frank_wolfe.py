@@ -92,9 +92,11 @@ def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
     what it records; it stops once the gap is at most ``gap_tol``, and
     otherwise steps ``2 / (t + 2)`` towards ``P``. The moment is linear in
     the plan, so ``V`` steps with it: one moment per step, of ``P``, plus
-    the starting one. ``gamma`` is stepped in place. Returns ``(gamma,
-    worst, gaps, converged)`` with ``worst`` taken at the returned
-    ``gamma``.
+    the starting one. The first step (``theta = 1``) takes ``P`` and its
+    moment as they are, since ``0 * gamma + 1 * P == P``; later steps move
+    that array in place, so ``oracle`` returns a new array each call.
+    Returns ``(gamma, worst, gaps, converged)`` with ``worst`` taken at the
+    returned ``gamma``.
     """
     gaps: list[float] = []
     moment = _moment_arrays(gamma, src, tgt)
@@ -105,6 +107,9 @@ def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
         gaps.append(float(np.sum((moment - lmo_moment) * worst.matrix)))
         if gaps[-1] <= gap_tol:
             return gamma, worst, gaps, True
+        if t == 0:  # theta = 1
+            gamma, moment = lmo, lmo_moment
+            continue
         theta = 2.0 / (t + 2.0)
         gamma *= 1.0 - theta
         gamma += theta * lmo
@@ -149,9 +154,13 @@ def w22_distance(
 ) -> float:
     """Squared-Euclidean transport cost ``<plan, cost>`` of the entropic plan.
 
-    A single regularized solve with the pairwise squared-distance cost; the
-    returned value is the transport term alone (no entropy), so it upper
-    bounds the exact squared 2-Wasserstein distance.
+    A single regularized solve with the pairwise squared-distance cost: the
+    plan is that of ``config.iterations`` Sinkhorn rounds (10 by default),
+    ending on the column update, so its column sums are ``tgt``'s weights
+    and its row sums miss ``src``'s. The returned value is the transport
+    term alone (no entropy). It is not a bound on the exact squared
+    2-Wasserstein distance: with row sums off the marginal, it usually
+    reads below it at the default settings.
     """
     cost = _pair_costs_full(*_point_arrays(src, tgt), np.eye(src.dim))
     plan, _ = entropic_ot(cost, src.weights, tgt.weights, config)

@@ -134,14 +134,12 @@ class FeatureGrouping:
     from ``dim`` and ``group_count``. ``permutation`` is a bijection on the
     ``padded_dim = dim + pad`` indices; a feature vector is zero-padded,
     permuted, and filled column-major into a ``d1 x r`` matrix, so group ``g``
-    holds permuted coordinates ``g*d1 .. (g+1)*d1 - 1``. ``seed`` is
-    bookkeeping for serialization (-1 when hand-built).
+    holds permuted coordinates ``g*d1 .. (g+1)*d1 - 1``.
     """
 
     dim: int
     group_count: int
     permutation: np.ndarray
-    seed: int = -1
 
     def __post_init__(self):
         n = _padded_dim(self.dim, self.group_count)

@@ -158,12 +158,14 @@ class AdversarialMetric:
 
 
 def _pnorm(v, k):
-    vmax = float(np.max(np.abs(v)))
+    magnitude = np.abs(v)
+    vmax = float(np.max(magnitude))
     if vmax == 0.0:
         return AdversarialMetric(matrix=np.zeros_like(v), value=0.0, family="pnorm")
     # Factor out the largest entry so the 2k powers cannot overflow.
-    norm = vmax * float(np.sum((np.abs(v) / vmax) ** (2 * k))) ** (1.0 / (2 * k))
-    return AdversarialMetric(matrix=(v / norm) ** (2 * k - 1), value=norm, family="pnorm")
+    norm = vmax * float(np.sum((magnitude / vmax) ** (2 * k))) ** (1.0 / (2 * k))
+    matrix = v / norm if k == 1 else (v / norm) ** (2 * k - 1)
+    return AdversarialMetric(matrix=matrix, value=norm, family="pnorm")
 
 
 def _kl_tilt(v, lambda_m, m0, default_m0):

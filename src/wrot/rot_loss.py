@@ -50,7 +50,8 @@ points, as every grouped space does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -145,13 +146,38 @@ class RotLossConfig:
             raise ValueError("fw_iters must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossValue:
-    """Loss value with the plan and worst-case metric that produced it."""
+    """Loss value with the plan and worst-case metric that produced it.
+
+    ``value`` comes with the solve. ``plan``, the solved coupling as a
+    :class:`~wrot.measures.TransportPlan`, and ``metric``, the d x d
+    worst-case metric (mapped back from the span coordinates when the solve
+    ran there), are built the first time they are read; training reads
+    neither.
+    """
 
     value: float
-    plan: TransportPlan
-    metric: AdversarialMetric
+    _gamma: np.ndarray = field(repr=False)
+    _worst: AdversarialMetric = field(repr=False)
+    _basis: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def plan(self) -> TransportPlan:
+        return TransportPlan(matrix=self._gamma)
+
+    @cached_property
+    def metric(self) -> AdversarialMetric:
+        worst, basis = self._worst, self._basis
+        if basis is None:
+            return worst
+        # ||V||_F and tr V are basis-invariant, so only the matrix maps back;
+        # the identity maps to the identity, not to the projector B B^T
+        if worst.family == "euclidean":
+            matrix = np.eye(basis.shape[0])
+        else:
+            matrix = basis @ worst.matrix @ basis.T
+        return AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
 
 
 def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
@@ -205,12 +231,7 @@ def _solve(predicted, target, labels, config):
     pos = gamma > 0
     entropy_term = float(np.sum(gamma[pos] * np.log(gamma[pos])))
     value = worst.value + config.lambda_gamma * entropy_term
-    full = worst
-    if basis is not None:
-        # ||V||_F and tr V are basis-invariant, so only the matrix maps back
-        matrix = np.eye(labels.dim) if metric is None else basis @ worst.matrix @ basis.T
-        full = AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
-    loss = LossValue(value=value, plan=TransportPlan(matrix=gamma), metric=full)
+    loss = LossValue(value, gamma, worst, basis)
     return loss, marginals, solve, points, worst.matrix
 
 

@@ -145,6 +145,13 @@ def _marginals(row_weights, col_weights, shape, names=("row_weights", "col_weigh
     )
 
 
+def _in_range(scalings):
+    # every scaling entry within exp(+-_EXP_LIMIT / 2); 0, inf and NaN fail
+    both = np.concatenate(scalings)
+    low, high = np.minimum.reduce(both), np.maximum.reduce(both)
+    return bool(_SCALING_LOW <= low and high <= _SCALING_HIGH)
+
+
 def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=False):
     # Alternating rounds on exp(log_kernel) from the column potential g (zero
     # when None); returns (plan, f, g), log plan = log_kernel + f + g. The
@@ -152,7 +159,10 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
     # log-domain round that absorbs the potentials into the kernel. Every
     # later round is a plain update of the kernel's scalings (u, v); one
     # whose scalings leave exp(+-_EXP_LIMIT / 2), or reach 0, inf or NaN, is
-    # redone in the log domain after log v joins g.
+    # redone in the log domain after log v joins g. The range is tested once
+    # per solve, on every round's scalings: only if one left it do the
+    # rounds run again from the start, testing each round. Testing the last
+    # (u, v) alone would not do, as scalings can leave the range and return.
     p, q = marginals.active_p, marginals.active_q
     log_p, log_q = marginals.log_p, marginals.log_q
     if log_first:
@@ -165,27 +175,32 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
         # keeps exp(g) in range whatever domain produced it.
         v = np.ones_like(q) if g is None else np.exp(g - np.max(g))
         f = g = 0.0
-    u = np.ones_like(p)
-    # a zero or non-finite scaling is caught by the range test below
+    start = kernel, f, g, v
+    # a zero or non-finite scaling fails the range test
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for t in range(int(log_first), iterations):
-            ku = kernel @ v
-            # After a column update only the row sums carry error. The check
-            # waits for one full round, so a warm v never returns without u.
-            if t > 0 and stop_tol > 0.0:
-                if np.maximum.reduce(np.abs(u * ku - p)) <= stop_tol:
-                    break
-            u_next = p / ku
-            v_next = q / (kernel.T @ u_next)
-            both = np.concatenate((u_next, v_next))
-            if (
-                _SCALING_LOW <= np.minimum.reduce(both)
-                and np.maximum.reduce(both) <= _SCALING_HIGH
-            ):
-                u, v = u_next, v_next
-            else:
-                kernel, f, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
-                u, v = np.ones_like(p), np.ones_like(q)
+        for checked in (False, True):
+            kernel, f, g, v = start
+            u = np.ones_like(p)
+            scalings = [u]
+            for t in range(int(log_first), iterations):
+                ku = kernel @ v
+                # After a column update only the row sums carry error. The check
+                # waits for one full round, so a warm v never returns without u.
+                if t > 0 and stop_tol > 0.0:
+                    if np.maximum.reduce(np.abs(u * ku - p)) <= stop_tol:
+                        break
+                u_next = p / ku
+                v_next = q / (kernel.T @ u_next)
+                if not checked:
+                    u, v = u_next, v_next
+                    scalings += (u, v)
+                elif _in_range((u_next, v_next)):
+                    u, v = u_next, v_next
+                else:
+                    kernel, f, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
+                    u, v = np.ones_like(p), np.ones_like(q)
+            if checked or _in_range(scalings):
+                break
     kernel *= u[:, None]
     kernel *= v
     return kernel, f + np.log(u), g + np.log(v)

@@ -16,7 +16,8 @@ from wrot.classifier import (
     save_model,
     sgd_train,
 )
-from wrot.data_io import Dataset
+from wrot.data_io import Dataset, make_grouping
+from wrot.measures import TransportPlan
 from wrot.metric_solvers import PNormConfig
 from wrot.rot_loss import LabelSpace, RotLossConfig, rot_loss, smooth_target
 from wrot.sinkhorn import SinkhornConfig
@@ -105,6 +106,26 @@ class TestTrainConfig:
 
 
 class TestSgdTrain:
+    @pytest.mark.parametrize("grouped", [False, True], ids=["span", "grouped"])
+    def test_training_builds_no_transport_plan(self, monkeypatch, grouped):
+        """Training reads only each sample's loss value and gradient, so it
+        builds no TransportPlan, on a span space (3 labels in 4 dimensions)
+        or a grouped one."""
+        built = []
+        post_init = TransportPlan.__post_init__
+
+        def counting_post_init(plan):
+            built.append(plan)
+            post_init(plan)
+
+        labels = three_label_space()
+        if grouped:
+            labels = LabelSpace(labels.embeddings, grouping=make_grouping(4, 2, seed=0))
+        monkeypatch.setattr(TransportPlan, "__post_init__", counting_post_init)
+        result = sgd_train(blob_dataset(per_class=5), labels, TrainConfig(epochs=2))
+        assert all(np.isfinite(result.epoch_losses))
+        assert built == []
+
     def test_single_sample_loss_descends(self):
         # fixed sample, squared-distance loss: the per-epoch trace must be
         # monotone once past the first few steps

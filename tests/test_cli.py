@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wrot.cli import main
-from wrot.data_io import load_grouping, save_features, save_labels
+from wrot.data_io import save_features, save_labels
 
 classifier_mod = importlib.import_module("wrot.classifier")
 
@@ -327,20 +327,17 @@ class TestTrainEval:
         with open(other, "rb") as fh:
             assert fh.read() != first_bytes
 
-    def test_grouping_round_trip(self, blob_files, tmp_path, capsys):
+    def test_grouped_train_then_eval(self, blob_files, tmp_path, capsys):
+        """A grouped run is rebuilt from --r and --seed, so it writes only
+        the checkpoint, which eval reads alone; no grouping file option is
+        left."""
         model_out = str(tmp_path / "model.ckpt")
-        grouping_out = str(tmp_path / "grouping.txt")
         code, out, _ = invoke(
-            self.train_argv(
-                blob_files, model_out,
-                ["--epochs", "2", "--r", "3", "--grouping-out", grouping_out],
-            ),
+            self.train_argv(blob_files, model_out, ["--epochs", "2", "--r", "3"]),
             capsys,
         )
         assert code == 0
-        assert f"wrote grouping to {grouping_out}" in out
-        grouping = load_grouping(grouping_out)
-        assert grouping.dim == 3 and grouping.group_count == 3
+        assert "grouping" not in out
 
         code, out, _ = invoke(
             ["eval", "--model-in", model_out,
@@ -350,6 +347,9 @@ class TestTrainEval:
         )
         assert code == 0
         assert out.startswith("auc ")
+        grouping_out = str(tmp_path / "grouping.txt")
+        argv = self.train_argv(blob_files, model_out, ["--grouping-out", grouping_out])
+        assert invoke(argv, capsys)[0] == 1
 
     def test_eval_dim_mismatch_exits_1(self, blob_files, tmp_path, capsys):
         model_out = str(tmp_path / "model.ckpt")

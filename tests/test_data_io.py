@@ -9,10 +9,8 @@ from wrot.data_io import (
     load_dataset,
     load_embedding_file,
     load_embeddings,
-    load_grouping,
     make_grouping,
     save_features,
-    save_grouping,
     save_labels,
 )
 
@@ -302,24 +300,3 @@ class TestGroupings:
         # 7 features in 5 groups would need a group of pure padding
         with pytest.raises(ValueError, match="pad"):
             make_grouping(7, 5, seed=0)
-
-    def test_round_trip(self, tmp_path):
-        g = make_grouping(11, 4, seed=9)
-        path = tmp_path / "grouping.txt"
-        save_grouping(g, path)
-        loaded = load_grouping(path)
-        assert (loaded.dim, loaded.group_count, loaded.seed) == (11, 4, 9)
-        assert (loaded.rows_per_group, loaded.pad) == (g.rows_per_group, g.pad)
-        np.testing.assert_array_equal(loaded.permutation, g.permutation)
-
-    def test_load_errors(self, tmp_path):
-        path = tmp_path / "grouping.txt"
-        path.write_text("4 2\n")
-        with pytest.raises(ValueError, match="header"):
-            load_grouping(path)
-        path.write_text("4 2 0\n0\n1\nx\n3\n")
-        with pytest.raises(ValueError, match="bad permutation index"):
-            load_grouping(path)
-        path.write_text("4 2 0\n0\n1\n2\n")
-        with pytest.raises(ValueError, match="expected 4"):
-            load_grouping(path)

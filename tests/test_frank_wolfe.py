@@ -23,7 +23,8 @@ from wrot import (
     w22_distance,
 )
 from wrot import frank_wolfe, sinkhorn
-from wrot.measures import FeatureGrouping, _pair_costs_full, _point_arrays
+from wrot.measures import FeatureGrouping, _moment_arrays, _pair_costs_full, _point_arrays
+from wrot.metric_solvers import _adversary
 
 
 def two_point_instance():
@@ -294,6 +295,25 @@ class TestCarriedMoment:
         events.clear()
         rot_loss(np.full(4, 0.25), smooth_target(np.eye(4)[1]), labels, RotLossConfig(fw_iters=3))
         assert events == ["moment"] * 4
+
+    @pytest.mark.parametrize("metric", [None, PNormConfig(k=1), KLConfig()], ids=str)
+    def test_first_step_takes_the_oracle_plan_and_moment(self, metric):
+        """The first step has theta = 1, so with max_iter = 1 the loop
+        returns the oracle's plan array itself and the worst case at that
+        plan's moment, bit for bit."""
+        rng = np.random.default_rng(12)
+        src, tgt = random_instance(rng, 4, 5, 3)
+        src_arr, tgt_arr = _point_arrays(src, tgt)
+        plan = rng.random((4, 5))
+        plan /= plan.sum()
+        gamma, worst, gaps, converged = frank_wolfe._frank_wolfe(
+            src_arr, tgt_arr, metric, lambda costs: plan,
+            np.outer(src.weights, tgt.weights), 1, -np.inf,
+        )
+        assert gamma is plan and len(gaps) == 1 and not converged
+        want = _adversary(_moment_arrays(plan, src_arr, tgt_arr), metric)
+        assert np.array_equal(worst.matrix, want.matrix)
+        assert worst.value == want.value
 
 
 # (points, dimension) of the distance benchmark's two log-domain sizes

@@ -1,10 +1,12 @@
 """Property tests for the entropic solver's rounds and automatic domain
-choice, the self-moment kernel, the Frank-Wolfe loop's carried moment and
+choice, its once-per-solve scaling range test against the per-round one,
+the self-moment kernel, the Frank-Wolfe loop's carried moment and
 gap, translation and support-permutation invariance of the distances, the
 loss gradient's tangency to the simplex and its agreement with the
 bracket formula on normal plans, the loss's span-coordinate path
-against a solve on the full points, the feature, label, model and
-grouping file round trips, the fast paths of logsumexp and symmetric
+against a solve on the full points, the p-norm distance's scale
+covariance, the feature, label and model file round trips, the
+determinism of ``make_grouping``, the fast paths of logsumexp and symmetric
 scaling, which must equal their plain formulas bit for bit, and the
 absorbed kernel's truncated exp.
 
@@ -36,14 +38,12 @@ from wrot import (
     SinkhornConfig,
     SoftmaxModel,
     load_dataset,
-    load_grouping,
     load_model,
     make_grouping,
     make_measure,
     rot_distance,
     rot_loss_gradient,
     save_features,
-    save_grouping,
     save_labels,
     save_model,
     sinkhorn,
@@ -123,6 +123,96 @@ def test_rounds_match_a_reference_sinkhorn(instance, top, spread, stop_tol, data
     plan = sinkhorn._entropic_plan(scaled, marginals, config, g, stop_tol)[0]
     want = reference_sinkhorn(scaled, p, q, 30, np.zeros(n) if g is None else g, stop_tol)
     assert_allclose(plan, want, rtol=0.0, atol=1e-12)
+
+
+def per_round_checked_rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0,
+                             log_first=False):
+    """The round loop with its scaling range tested in every round: a round
+    whose scalings leave ``exp(+-_EXP_LIMIT / 2)`` is redone in the log
+    domain at once. ``sinkhorn._rounds`` tests the range once per solve and
+    must return this loop's ``(plan, f, g)`` bit for bit."""
+    p, q = marginals.active_p, marginals.active_q
+    log_p, log_q = marginals.log_p, marginals.log_q
+    if log_first:
+        g = np.zeros_like(q) if g is None else g
+        kernel, f, g = sinkhorn._absorbed_kernel(log_kernel, log_p, log_q, g)
+        v = np.ones_like(q)
+    else:
+        kernel = np.exp(log_kernel)
+        v = np.ones_like(q) if g is None else np.exp(g - np.max(g))
+        f = g = 0.0
+    u = np.ones_like(p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(int(log_first), iterations):
+            ku = kernel @ v
+            if t > 0 and stop_tol > 0.0 and np.max(np.abs(u * ku - p)) <= stop_tol:
+                break
+            u_next = p / ku
+            v_next = q / (kernel.T @ u_next)
+            both = np.concatenate((u_next, v_next))
+            if sinkhorn._SCALING_LOW <= both.min() and both.max() <= sinkhorn._SCALING_HIGH:
+                u, v = u_next, v_next
+            else:
+                kernel, f, g = sinkhorn._absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
+                u, v = np.ones_like(p), np.ones_like(q)
+        return kernel * u[:, None] * v, f + np.log(u), g + np.log(v)
+
+
+def assert_same_rounds(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@bounded
+@given(
+    instances(),
+    st.one_of(st.floats(1.0, 699.0), st.floats(600.0, 700.0), st.floats(701.0, 3000.0)),
+    st.lists(st.integers(5, 250), max_size=2),
+    st.one_of(st.none(), st.floats(0.0, 1000.0)),
+    st.integers(1, 30),
+    st.sampled_from([0.0, 1e-13]),
+    st.booleans(),
+    st.data(),
+)
+def test_one_range_test_per_solve_equals_the_per_round_test(
+    instance, top, tiny, spread, iterations, stop_tol, log_first, data
+):
+    """Testing the scalings' range once per solve, and rerunning the rounds
+    with the test in each round only when a scaling left it, gives the
+    per-round loop's plan and potentials bit for bit: cold or warm, from
+    either first round, with or without the early stop, on costs up to and
+    past the plain kernel's limit and on weights down to 1e-250, which push
+    the scalings out of range."""
+    unit, p, q = instance
+    for exponent in tiny:
+        weights = p if data.draw(st.booleans()) else q
+        weights[data.draw(st.integers(0, weights.size - 1))] = 10.0**-exponent
+    p, q = p / p.sum(), q / q.sum()
+    g = None if spread is None else data.draw(vectors(q.size)) * spread
+    marginals = sinkhorn._marginals(p, q, unit.shape)
+    args = (-unit * top, marginals, iterations, g, stop_tol, log_first)
+    assert_same_rounds(sinkhorn._rounds(*args), per_round_checked_rounds(*args))
+
+
+def test_scalings_that_leave_the_range_and_return_rerun_the_rounds(monkeypatch):
+    """Cold plain rounds on this 2 x 2 cost leave the scaling range in the
+    first four rounds and are back in it from the fifth, so a test of the
+    last scalings alone would keep the unchecked rounds. The solve reruns
+    them with the per-round test, which absorbs into the log domain, and
+    returns the per-round loop's result."""
+    scaled = np.array([[550.0, 296.0], [371.0, 379.0]])
+    marginals = sinkhorn._marginals(np.array([0.99, 0.01]), np.array([0.84, 0.16]), (2, 2))
+    absorbed = []
+    absorb = sinkhorn._absorbed_kernel
+
+    def counting_absorb(*args):
+        absorbed.append(args)
+        return absorb(*args)
+
+    monkeypatch.setattr(sinkhorn, "_absorbed_kernel", counting_absorb)
+    got = sinkhorn._rounds(-scaled, marginals, 10)
+    assert absorbed
+    assert_same_rounds(got, per_round_checked_rounds(-scaled, marginals, 10))
 
 
 @bounded
@@ -224,6 +314,38 @@ def test_distances_ignore_a_common_shift(seed, exponent):
     assert w22_distance(*moved) == pytest.approx(w22_distance(src, tgt), rel=1e-9)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.integers(2, 8),
+    st.integers(1, 5),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.2, 0.02]),
+    st.integers(1, 10),
+)
+def test_pnorm_distances_scale_with_the_clouds(seed, m, n, dim, exponent, lam, max_iter):
+    """Scaling both clouds by c and lambda_beta by c^2 scales the p-norm
+    robust distance by c^2 to 1e-9 relative, in either Sinkhorn domain and
+    at the same iteration count: the worst-case metric is normalized, so the
+    pair costs scale by c^2 and their ratio to lambda_beta does not. A gap
+    tolerance of 0 is scale-free, so both solves stop alike."""
+    rng = np.random.default_rng(seed)
+    src = make_measure(rng.normal(size=(m, dim)), rng.uniform(0.05, 1.0, m))
+    tgt = make_measure(rng.normal(size=(n, dim)) + 0.5, rng.uniform(0.05, 1.0, n))
+    c = 10.0**exponent
+    scaled = (make_measure(c * src.points, src.weights), make_measure(c * tgt.points, tgt.weights))
+    for metric in (PNormConfig(k=1), PNormConfig(k=2)):
+        config = FWConfig(metric, SinkhornConfig(lambda_beta=lam), max_iter=max_iter, gap_tol=0.0)
+        want = rot_distance(src, tgt, config)
+        config = FWConfig(
+            metric, SinkhornConfig(lambda_beta=c**2 * lam), max_iter=max_iter, gap_tol=0.0
+        )
+        got = rot_distance(*scaled, config)
+        assert got.iterations_used == want.iterations_used
+        assert got.value == pytest.approx(c**2 * want.value, rel=1e-9)
+
+
 @bounded
 @given(
     st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 8), st.integers(1, 5)
@@ -315,21 +437,19 @@ def grouping_shapes(draw):
 
 @bounded
 @given(grouping_shapes(), st.integers(0, 2**32 - 1))
-def test_grouping_file_round_trips(shape, seed):
-    """Every grouping make_grouping builds loads back from its file with the
-    same fields and the same reshape of points."""
+def test_make_grouping_is_determined_by_its_arguments(shape, seed):
+    """Every grouping make_grouping builds is rebuilt from ``(dim, r, seed)``
+    with the same fields and the same reshape of points, which is what lets
+    a grouped run be reproduced from its command line alone."""
     dim, r = shape
     grouping = make_grouping(dim, r, seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "grouping.txt")
-        save_grouping(grouping, path)
-        loaded = load_grouping(path)
-    fields = ("dim", "group_count", "seed", "rows_per_group", "pad", "padded_dim")
-    assert [getattr(loaded, f) for f in fields] == [getattr(grouping, f) for f in fields]
-    assert np.array_equal(loaded.permutation, grouping.permutation)
+    again = make_grouping(dim, r, seed)
+    fields = ("dim", "group_count", "rows_per_group", "pad", "padded_dim")
+    assert [getattr(again, f) for f in fields] == [getattr(grouping, f) for f in fields]
+    assert np.array_equal(again.permutation, grouping.permutation)
     points = np.random.default_rng(seed).normal(size=(3, dim))
     assert np.array_equal(
-        _grouped_reshape(points, loaded), _grouped_reshape(points, grouping)
+        _grouped_reshape(points, again), _grouped_reshape(points, grouping)
     )
 
 
@@ -555,8 +675,7 @@ def test_model_file_round_trips(n_features, n_labels, data):
 
 def test_grouping_shape_is_not_free():
     """10 features in 2 groups have 5 rows per group and no pad, so a
-    12-entry permutation (a 6-row, pad-2 shape) is refused when built rather
-    than written to a file that cannot be read back."""
+    12-entry permutation (a 6-row, pad-2 shape) is refused when built."""
     with pytest.raises(ValueError, match="expected 10"):
         FeatureGrouping(dim=10, group_count=2, permutation=np.arange(12))
 

@@ -9,8 +9,9 @@ from scipy.special import logsumexp
 
 from wrot import frank_wolfe, metric_solvers
 from wrot.data_io import make_grouping
+from wrot.frank_wolfe import _frank_wolfe
 from wrot.measures import FeatureGrouping, TransportPlan, _moment_arrays, _pair_costs_full
-from wrot.metric_solvers import DSConfig, KLConfig, PNormConfig, pnorm_metric
+from wrot.metric_solvers import AdversarialMetric, DSConfig, KLConfig, PNormConfig, pnorm_metric
 from wrot.rot_loss import (
     LabelSpace,
     RotLossConfig,
@@ -18,7 +19,7 @@ from wrot.rot_loss import (
     rot_loss_gradient,
     smooth_target,
 )
-from wrot.sinkhorn import SinkhornConfig
+from wrot.sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
 
 def unit_rows(rng, n, d):
@@ -421,9 +422,10 @@ class TestValidationAtTheBoundary:
     )
     def test_gradient_call_checks_no_moment_and_builds_one_plan(self, monkeypatch, metric):
         """Inside the Frank-Wolfe loop moments, adversaries and oracle plans
-        pass as bare arrays: a gradient call builds one TransportPlan, the
-        LossValue's, and never re-validates a moment. So does the span path
-        of an ungrouped space with fewer labels than dimensions, whose
+        pass as bare arrays: a gradient call builds no TransportPlan and
+        never re-validates a moment. The first read of the LossValue's plan
+        builds exactly one, and later reads build none. So does the span
+        path of an ungrouped space with fewer labels than dimensions, whose
         worst case is mapped back to d x d."""
         emb = unit_rows(np.random.default_rng(35), 6, 8)
         h = np.random.default_rng(36).dirichlet(np.ones(6))
@@ -448,5 +450,64 @@ class TestValidationAtTheBoundary:
         for labels in (grouped, span):
             built.clear()
             _, loss = rot_loss_gradient(h, y, labels, cfg)
-            assert built == [loss.plan]
+            assert built == []
+            plan = loss.plan
+            assert built == [plan]
+            assert loss.plan is plan and loss.metric is loss.metric
+            assert built == [plan]
             assert checked == []
+
+
+def eager_loss(h, y, labels, config):
+    """The loss solved as rot_loss solves it, with the plan and the d x d
+    worst-case metric built at once: on the span coordinates for p-norm
+    k = 1 and the identity on a space with a span basis, else on the
+    space's points."""
+    marginals = _marginals(h, y, (labels.size,) * 2)
+    warm = None
+
+    def oracle(costs):
+        nonlocal warm
+        plan, _, warm = _entropic_plan(
+            costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
+        )
+        return plan
+
+    metric = config.metric
+    span = labels._basis is not None and (
+        metric is None or (isinstance(metric, PNormConfig) and metric.k == 1)
+    )
+    points = labels._coords if span else labels._points
+    gamma, worst, _, _ = _frank_wolfe(
+        points, points, metric, oracle, np.outer(h, y), config.fw_iters, -np.inf
+    )
+    if span:
+        basis = labels._basis
+        matrix = np.eye(labels.dim) if metric is None else basis @ worst.matrix @ basis.T
+        worst = AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
+    return TransportPlan(matrix=gamma), worst
+
+
+class TestLazyLossValue:
+    @pytest.mark.parametrize("space", ["full", "grouped", "span"])
+    @pytest.mark.parametrize(
+        "metric", ALL_FAMILIES, ids=["p1", "p2", "kl", "ds", "euclidean"]
+    )
+    def test_plan_and_metric_equal_the_eagerly_built_ones(self, space, metric):
+        """The plan and worst-case metric built on first read equal those
+        built with the solve, bit for bit, on full, grouped and span
+        spaces."""
+        rng = np.random.default_rng(41)
+        size, dim = (6, 4) if space == "full" else (4, 6)
+        emb = unit_rows(rng, size, dim)
+        grouping = make_grouping(dim, 3, seed=4) if space == "grouped" else None
+        labels = LabelSpace(embeddings=emb, grouping=grouping)
+        assert (labels._basis is not None) == (space == "span")
+        h = rng.dirichlet(np.ones(size))
+        y = smooth_target(np.eye(size)[2], alpha=0.05)
+        cfg = RotLossConfig(metric=metric, fw_iters=3)
+        loss = rot_loss(h, y, labels, cfg)
+        plan, worst = eager_loss(h, y, labels, cfg)
+        assert np.array_equal(loss.plan.matrix, plan.matrix)
+        assert np.array_equal(loss.metric.matrix, worst.matrix)
+        assert (loss.metric.value, loss.metric.family) == (worst.value, worst.family)
