@@ -44,11 +44,8 @@ from .metric_solvers import (
     MetricSolverConfig,
     PNormConfig,
     adversarial_value,
-    ds_metric,
     feature_selection_objective,
     feature_weights,
-    kl_metric,
-    pnorm_metric,
 )
 from .rot_loss import (
     LabelSpace,
@@ -91,21 +88,18 @@ __all__ = [
     "TransportPlan",
     "adversarial_value",
     "displacement_second_moment",
-    "ds_metric",
     "entropic_ot",
     "evaluate",
     "exact_ot_small",
     "feature_selection_objective",
     "feature_weights",
     "independent_coupling",
-    "kl_metric",
     "load_dataset",
     "load_embedding_file",
     "load_embeddings",
     "load_model",
     "make_grouping",
     "make_measure",
-    "pnorm_metric",
     "rot_distance",
     "rot_loss",
     "rot_loss_gradient",

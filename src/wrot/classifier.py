@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .measures import _as_float_array, _freeze
+from .measures import _as_float_array, _check_count, _check_real, _freeze
 from .rot_loss import LabelSpace, RotLossConfig, rot_loss_gradient, smooth_target
 
 __all__ = [
@@ -74,6 +74,8 @@ class SoftmaxModel:
     def probabilities(self, features) -> np.ndarray:
         """Softmax label probabilities for one row or a batch of rows."""
         x = np.asarray(features, dtype=np.float64)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"features must be 1- or 2-dimensional, got shape {x.shape}")
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
@@ -102,12 +104,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        _check_real(self.learning_rate, "learning_rate")
+        _check_count(self.epochs, "epochs")
+        _check_real(self.weight_decay, "weight_decay", positive=False)
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,8 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
         raise ValueError(
             f"dataset has {dataset.n_labels} labels, label space has {labels.size}"
         )
+    if dataset.n_instances == 0:
+        raise ValueError("dataset has 0 instances; training needs at least one")
     features = dataset.features
     n, n_features = features.shape
     rng = np.random.default_rng(config.seed)

@@ -83,6 +83,8 @@ def _load_features_binary(blob: bytes, path) -> np.ndarray:
     if len(blob) < header:
         raise ValueError(f"{path}: truncated feature header")
     magic, n, m = struct.unpack_from("<8sII", blob, 0)
+    if n * m == 0:
+        raise ValueError(f"{path}: empty feature file ({n} instances x {m} features)")
     expected = header + n * m * 4
     if len(blob) != expected:
         raise ValueError(

@@ -30,6 +30,8 @@ from .measures import (
     DiscreteMeasure,
     FeatureGrouping,
     TransportPlan,
+    _check_count,
+    _check_real,
     _moment_arrays,
     _pair_costs_full,
     _point_arrays,
@@ -51,10 +53,8 @@ class FWConfig:
     grouping: FeatureGrouping | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.gap_tol < 0:
-            raise ValueError("gap_tol must be nonnegative")
+        _check_count(self.max_iter, "max_iter")
+        _check_real(self.gap_tol, "gap_tol", positive=False)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,26 @@ def _check_simplex(w, name, size, tol=1e-8):
     return w
 
 
+def _check_count(value, name):
+    """A count setting: an ``int`` or numpy integer, not a ``bool``, at
+    least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _check_real(value, name, positive=True):
+    """A real setting: a finite number, not a ``bool``, that is positive
+    (``positive=False``: nonnegative)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+
+
 def _normalized(w, name, scale=1.0):
     """``scale * w / sum(w)`` for a nonnegative vector with positive total."""
     if np.any(w < 0):
@@ -121,8 +141,8 @@ class TransportPlan:
 
 def _padded_dim(dim: int, group_count: int) -> int:
     """``d1 * r`` with ``d1 = ceil(dim / r)``: a grouping's permutation length."""
-    if dim < 1 or group_count < 1:
-        raise ValueError("dim and group_count must be positive")
+    _check_count(dim, "dim")
+    _check_count(group_count, "group_count")
     return -(-dim // group_count) * group_count
 
 

@@ -1,31 +1,24 @@
 """Closed-form worst-case Mahalanobis metrics over displacement moments.
 
-Given the displacement second moment ``V`` of a coupling, each solver returns
-the metric matrix ``M`` maximizing ``<V, M>`` over a different feasible family,
-together with the attained value:
+Given the displacement second moment ``V`` of a coupling,
+:func:`adversarial_value` returns the metric matrix ``M`` maximizing
+``<V, M>`` over the family its config names, with the attained value. Each
+config's docstring states its family's maximizer, value and errors:
+:class:`PNormConfig` (elementwise p-norm ball), :class:`KLConfig` (relative
+entropy penalty to a reference ``m0``) and :class:`DSConfig` (the same
+penalty over doubly stochastic matrices); ``None`` is the identity metric.
 
-* :func:`pnorm_metric`: ``M`` ranges over the unit ball of the elementwise
-  p-norm with ``p = 2k/(2k-1)``; the maximizer is the normalized odd Hadamard
-  power ``(V / ||V||_{2k})^{o(2k-1)}`` and the value is ``||V||_{2k}``.
-* :func:`kl_metric`: ``M`` is penalized by an elementwise relative entropy to
-  a reference ``m0``; the maximizer is ``m0 * exp(V / lambda_m)``.
-* :func:`ds_metric`: same penalty with ``M`` additionally constrained to be
-  doubly stochastic; the maximizer is a symmetric diagonal scaling of the KL
-  kernel.
-
-Each family has one checked path. Its config (:class:`PNormConfig`,
-:class:`KLConfig`, :class:`DSConfig`) checks ``k``, or ``lambda_m`` and
-``m0``, once, when it is built. :func:`adversarial_value` checks the moment
-and calls ``_adversary``, which runs the family's private kernel (``_pnorm``,
-``_kl``, ``_ds``, and ``_euclidean`` for the fixed identity metric). Each
-public solver is that call with its family's config. The Frank-Wolfe loop,
-whose moments the package builds, calls ``_adversary`` directly, which checks
-finiteness only. ``_kl`` and ``_ds`` share the tilted kernel
-``m0 * exp(V / lambda_m)``, which refuses to overflow and is the only place
-that compares ``m0``'s size with the moment's. ``_ds`` builds it exactly
-symmetric and nonnegative and runs the scaling loop
-``sinkhorn._symmetric_scaling`` on it to a residual of ``_SCALING_TOL``
-within ``_SCALING_MAX_ITER`` updates.
+Each family has one checked path. Its config checks ``k``, or ``lambda_m``
+and ``m0``, once, when it is built. :func:`adversarial_value` checks the
+moment and calls ``_adversary``, which runs the family's private kernel
+(``_pnorm``, ``_kl``, ``_ds``, and ``_euclidean`` for the fixed identity
+metric). The Frank-Wolfe loop, whose moments the package builds, calls
+``_adversary`` directly, which checks finiteness only. ``_kl`` and ``_ds``
+share the tilted kernel ``m0 * exp(V / lambda_m)``, which refuses to
+overflow and is the only place that compares ``m0``'s size with the
+moment's. ``_ds`` builds it exactly symmetric and nonnegative and runs the
+scaling loop ``sinkhorn._symmetric_scaling`` on it to a residual of
+``_SCALING_TOL`` within ``_SCALING_MAX_ITER`` updates.
 
 All three maximizers inherit positive semidefiniteness from ``V`` (odd
 Hadamard powers and Hadamard exponentials of PSD matrices are PSD, and the
@@ -42,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _as_float_array, _freeze
+from .measures import _as_float_array, _check_count, _check_real, _freeze
 from .sinkhorn import _EXP_LIMIT, _logsumexp, _symmetric_scaling
 
 __all__ = [
@@ -51,9 +44,6 @@ __all__ = [
     "DSConfig",
     "MetricSolverConfig",
     "AdversarialMetric",
-    "pnorm_metric",
-    "kl_metric",
-    "ds_metric",
     "adversarial_value",
     "feature_weights",
     "feature_selection_objective",
@@ -77,8 +67,7 @@ def _check_penalty(config, strictly_positive):
     # lambda_m and the reference m0 of the KL-penalized families: a square,
     # symmetric, entrywise nonnegative (DS: positive) PSD matrix, stored
     # exactly symmetric, as the DS kernel's symmetric scaling requires
-    if not config.lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
+    _check_real(config.lambda_m, "lambda_m")
     if config.m0 is None:
         return
     m0 = _as_float_array(config.m0, "m0", 2)
@@ -102,13 +91,19 @@ def _check_penalty(config, strictly_positive):
 
 @dataclass(frozen=True)
 class PNormConfig:
-    """Adversary bounded in the elementwise p-norm, ``p = 2k/(2k-1)``."""
+    """Adversary bounded in the elementwise p-norm, ``p = 2k/(2k-1)``.
+
+    Maximizes ``<V, M>`` over PSD ``M`` with elementwise p-norm at most 1.
+    The value is the elementwise 2k-norm of ``V`` and the maximizer is
+    ``(V / ||V||_{2k})^{o(2k-1)}`` (entrywise odd power, so signs survive and
+    the p-norm of the result is exactly 1). ``V = 0`` gives the zero metric
+    with value 0.
+    """
 
     k: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError("k must be a positive integer")
+        _check_count(self.k, "k")
 
     @property
     def p(self) -> float:
@@ -117,7 +112,16 @@ class PNormConfig:
 
 @dataclass(frozen=True, eq=False)
 class KLConfig:
-    """Adversary penalized by relative entropy to ``m0`` (identity default)."""
+    """Adversary penalized by relative entropy to ``m0`` (identity default).
+
+    Maximizes ``<V, M> - lambda_m * KL(M, m0)`` over entrywise nonnegative
+    ``M``; ``m0`` must be symmetric, entrywise nonnegative and positive
+    semidefinite. The maximizer is ``m0 * exp(V / lambda_m)`` (entrywise), so
+    zero entries of ``m0`` stay zero, and the value reduces to
+    ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
+    float exponent range, or of ``m0 * exp(V / lambda_m)`` or its sum beyond
+    the float range, raise ``OverflowError`` rather than produce inf.
+    """
 
     lambda_m: float = 1.0
     m0: np.ndarray | None = None
@@ -131,7 +135,13 @@ class DSConfig:
     """KL-penalized adversary constrained to doubly stochastic matrices.
 
     ``m0`` defaults to the uniform matrix (ones / dim), which is itself doubly
-    stochastic; a supplied reference must be entrywise positive.
+    stochastic; a supplied reference must be symmetric, entrywise positive
+    and positive semidefinite. The maximizer is ``D (m0 * exp(V / lambda_m))
+    D`` with the diagonal ``D`` found by symmetric scaling, and the value is
+    ``<V, M*> - lambda_m * KL(M*, m0)``. The scaling runs to a row-sum
+    residual of 1e-8 and raises :class:`~wrot.sinkhorn.SinkhornConvergenceError`
+    (with residual) if the kernel cannot be balanced within 10,000 updates. A
+    kernel that overflows raises ``OverflowError``, as for :class:`KLConfig`.
     """
 
     lambda_m: float = 1.0
@@ -261,55 +271,9 @@ def adversarial_value(
     return _adversary(_check_moment(moment), config)
 
 
-def pnorm_metric(moment: np.ndarray, k: int = 1) -> AdversarialMetric:
-    """Maximize ``<V, M>`` over PSD ``M`` with elementwise p-norm at most 1.
-
-    The value equals the elementwise 2k-norm of ``V`` and the maximizer is
-    ``(V / ||V||_{2k})^{o(2k-1)}`` (entrywise odd power, so signs survive and
-    the p-norm of the result is exactly 1). ``V = 0`` returns the zero metric
-    with value 0.
-    """
-    return adversarial_value(moment, PNormConfig(k=k))
-
-
-def kl_metric(
-    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
-) -> AdversarialMetric:
-    """Maximize ``<V, M> - lambda_m * KL(M, m0)`` over entrywise-nonnegative M.
-
-    ``m0`` (identity by default) is checked as :class:`KLConfig` checks it:
-    symmetric, entrywise nonnegative and positive semidefinite. The
-    unconstrained maximizer is ``m0 * exp(V / lambda_m)`` (entrywise), so
-    zero entries of ``m0`` stay zero. The attained value reduces to
-    ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
-    float exponent range, or of ``m0 * exp(V / lambda_m)`` or its sum beyond
-    the float range, raise ``OverflowError`` rather than produce inf.
-    """
-    return adversarial_value(moment, KLConfig(lambda_m=lambda_m, m0=m0))
-
-
-def ds_metric(
-    moment: np.ndarray, lambda_m: float = 1.0, m0: np.ndarray | None = None
-) -> AdversarialMetric:
-    """KL-penalized maximization restricted to doubly stochastic matrices.
-
-    ``m0`` (uniform by default) is checked as :class:`DSConfig` checks it:
-    symmetric, entrywise positive and positive semidefinite. The maximizer
-    is ``D (m0 * exp(V / lambda_m)) D`` with the diagonal ``D`` found by
-    symmetric scaling, and the value is evaluated directly as
-    ``<V, M*> - lambda_m * KL(M*, m0)``. The scaling runs to a row-sum
-    residual of 1e-8 and raises
-    :class:`~wrot.sinkhorn.SinkhornConvergenceError` (with residual) if the
-    kernel cannot be balanced within 10,000 updates. A kernel that overflows
-    raises ``OverflowError``, as in :func:`kl_metric`.
-    """
-    return adversarial_value(moment, DSConfig(lambda_m=lambda_m, m0=m0))
-
-
 def _scaled_diagonal(moment, lambda_m):
     # diag(V) / lambda_m, the input of the two diagonal forms below
-    if not lambda_m > 0:
-        raise ValueError("lambda_m must be positive")
+    _check_real(lambda_m, "lambda_m")
     return np.diag(_check_moment(moment)) / lambda_m
 
 

@@ -60,6 +60,8 @@ from .measures import (
     FeatureGrouping,
     TransportPlan,
     _as_float_array,
+    _check_count,
+    _check_real,
     _freeze,
     _grouped_reshape,
     _normalized,
@@ -98,6 +100,8 @@ class LabelSpace:
 
     def __post_init__(self):
         emb = _as_float_array(self.embeddings, "embeddings", 2)
+        if emb.shape[0] == 0:
+            raise ValueError("embeddings have 0 rows; a label space needs at least one label")
         norms = np.linalg.norm(emb, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-8:
             raise ValueError("embedding rows must have unit 2-norm")
@@ -140,10 +144,8 @@ class RotLossConfig:
     sinkhorn: SinkhornConfig = SinkhornConfig(lambda_beta=0.2, iterations=10)
 
     def __post_init__(self):
-        if not self.lambda_gamma > 0:
-            raise ValueError("lambda_gamma must be positive")
-        if self.fw_iters < 1:
-            raise ValueError("fw_iters must be at least 1")
+        _check_real(self.lambda_gamma, "lambda_gamma")
+        _check_count(self.fw_iters, "fw_iters")
 
 
 @dataclass(frozen=True, eq=False)

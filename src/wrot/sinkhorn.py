@@ -42,7 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _MASS_TOL, TransportPlan, _as_float_array, _check_simplex
+from .measures import (
+    _MASS_TOL,
+    TransportPlan,
+    _as_float_array,
+    _check_count,
+    _check_real,
+    _check_simplex,
+)
 
 __all__ = [
     "SinkhornConfig",
@@ -78,10 +85,8 @@ class SinkhornConfig:
     iterations: int = 10
 
     def __post_init__(self):
-        if not self.lambda_beta > 0:
-            raise ValueError("lambda_beta must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        _check_real(self.lambda_beta, "lambda_beta")
+        _check_count(self.iterations, "iterations")
 
 
 def _logsumexp(a, axis):

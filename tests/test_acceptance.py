@@ -32,7 +32,6 @@ from wrot import (
     exact_ot_small,
     feature_selection_objective,
     independent_coupling,
-    kl_metric,
     make_grouping,
     make_measure,
     rot_distance,
@@ -45,7 +44,6 @@ from wrot.classifier import TrainConfig, evaluate, sgd_train
 from wrot.cli import main as cli_main
 from wrot.data_io import Dataset
 from wrot.measures import _pair_costs_full, _point_arrays
-from wrot.metric_solvers import ds_metric, pnorm_metric
 
 
 def _report(number, label, started, budget):
@@ -111,7 +109,7 @@ def test_criterion_3_closed_form_metric_optimality():
     # p-norm closed form beats 10^4 random feasible metrics per k
     for k in (1, 2):
         p = 2 * k / (2 * k - 1)
-        best = pnorm_metric(v, k=k).value
+        best = adversarial_value(v, PNormConfig(k=k)).value
         samples = np.abs(rng.normal(size=(10_000, d, d)))
         samples = samples + np.transpose(samples, (0, 2, 1))
         norms = np.sum(samples**p, axis=(1, 2)) ** (1.0 / p)
@@ -124,15 +122,14 @@ def test_criterion_3_closed_form_metric_optimality():
     m0 = b @ b.T + np.eye(4)
     small = rng.normal(size=(4, 4))
     v_small = small @ small.T
-    result = kl_metric(v_small, lambda_m=1.5, m0=m0)
+    result = adversarial_value(v_small, KLConfig(lambda_m=1.5, m0=m0))
     residual = np.abs(v_small - 1.5 * np.log(result.matrix / m0)).max()
     assert residual < 1e-9
 
     # doubly stochastic solver against the 1-d frozen oracle
-    ds = ds_metric(
+    ds = adversarial_value(
         np.diag([1.0, 0.0]),
-        lambda_m=1.0,
-        m0=np.array([[0.6, 0.4], [0.4, 0.6]]),
+        DSConfig(lambda_m=1.0, m0=np.array([[0.6, 0.4], [0.4, 0.6]])),
     )
     assert ds.matrix[0, 0] == pytest.approx(0.71207, abs=1e-5)
     assert np.abs(ds.matrix.sum(axis=1) - 1.0).max() < 1e-8
@@ -271,7 +268,7 @@ def test_criterion_6_feature_selection_identity():
         plan = independent_coupling(src, tgt)
         v = displacement_second_moment(plan, src, tgt)
         lam = float(rng.uniform(0.4, 2.0))
-        diag_value = kl_metric(np.diag(np.diag(v)), lambda_m=lam).value
+        diag_value = adversarial_value(np.diag(np.diag(v)), KLConfig(lambda_m=lam)).value
         lhs = lam * np.log(diag_value / lam + d) - lam * (d - 1)
         rhs = feature_selection_objective(v, lambda_m=lam)
         assert lhs == pytest.approx(rhs, abs=1e-9)

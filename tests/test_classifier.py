@@ -92,6 +92,12 @@ class TestSoftmaxModel:
         with pytest.raises(ValueError, match="expects 4"):
             model.probabilities(np.ones(5))
 
+    def test_features_beyond_two_dimensions_rejected(self):
+        model = SoftmaxModel(weights=np.zeros((4, 3)))
+        message = r"^features must be 1- or 2-dimensional, got shape \(2, 4, 4\)$"
+        with pytest.raises(ValueError, match=message):
+            model.probabilities(np.ones((2, 4, 4)))
+
 
 class TestTrainConfig:
     def test_rejects_bad_fields(self):
@@ -242,6 +248,11 @@ class TestSgdTrain:
         )
         with pytest.raises(ValueError, match="label"):
             sgd_train(ds, labels, TrainConfig(epochs=1))
+
+    def test_empty_dataset_rejected(self):
+        ds = Dataset(features=np.zeros((0, 4)), labels=np.zeros((0, 3)), label_names="abc")
+        with pytest.raises(ValueError, match="^dataset has 0 instances"):
+            sgd_train(ds, three_label_space(), TrainConfig(epochs=1))
 
     def test_seeded_shuffle_reproducible(self):
         labels = three_label_space()

@@ -85,6 +85,14 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match="empty feature file"):
             load_dataset(fpath, lpath)
 
+    def test_empty_binary_feature_file_rejected(self, tmp_path):
+        fpath = tmp_path / "features.bin"
+        save_features(fpath, np.zeros((0, 3)), binary=True)
+        lpath = tmp_path / "labels.txt"
+        lpath.write_text("")
+        with pytest.raises(ValueError, match=r"empty feature file \(0 instances x 3 features\)"):
+            load_dataset(fpath, lpath)
+
     def test_binary_garbage_rejected(self, tmp_path):
         fpath = tmp_path / "features.bin"
         fpath.write_bytes(bytes([0xFF, 0xFE, 0x01, 0x02]) * 4)

@@ -128,9 +128,7 @@ class TestGradient:
         src, tgt = random_instance(rng, 3, 4, d)
         plan = independent_coupling(src, tgt)
         u = displacement_second_moment(plan, src, tgt, grouping)
-        from wrot.metric_solvers import pnorm_metric
-
-        small = pnorm_metric(u, k=1)
+        small = adversarial_value(u, PNormConfig(k=1))
         grad_grouped = _pair_costs_full(*_point_arrays(src, tgt, grouping), small.matrix)
 
         def transform(points):

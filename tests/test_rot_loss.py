@@ -11,7 +11,13 @@ from wrot import frank_wolfe, metric_solvers
 from wrot.data_io import make_grouping
 from wrot.frank_wolfe import _frank_wolfe
 from wrot.measures import FeatureGrouping, TransportPlan, _moment_arrays, _pair_costs_full
-from wrot.metric_solvers import AdversarialMetric, DSConfig, KLConfig, PNormConfig, pnorm_metric
+from wrot.metric_solvers import (
+    AdversarialMetric,
+    DSConfig,
+    KLConfig,
+    PNormConfig,
+    adversarial_value,
+)
 from wrot.rot_loss import (
     LabelSpace,
     RotLossConfig,
@@ -72,13 +78,13 @@ def alternation_value(emb, h, y, lam, k=1):
     # entropic OT at its cost until the plan stops moving.
     plan = np.outer(h, y)
     for _ in range(400):
-        worst = pnorm_metric(plan_moment(emb, plan), k=k)
+        worst = adversarial_value(plan_moment(emb, plan), PNormConfig(k=k))
         new = entropic_fixed_point(pair_cost(emb, worst.matrix), h, y, lam)
         moved = np.max(np.abs(new - plan))
         plan = new
         if moved < 1e-13:
             break
-    worst = pnorm_metric(plan_moment(emb, plan), k=k)
+    worst = adversarial_value(plan_moment(emb, plan), PNormConfig(k=k))
     return worst.value + lam * float(np.sum(plan * np.log(plan)))
 
 
@@ -136,6 +142,10 @@ class TestLabelSpace:
     def test_requires_unit_rows(self):
         with pytest.raises(ValueError, match="unit 2-norm"):
             LabelSpace(embeddings=np.array([[1.0, 0.0], [0.5, 0.0]]))
+
+    def test_requires_a_label(self):
+        with pytest.raises(ValueError, match="^embeddings have 0 rows"):
+            LabelSpace(embeddings=np.zeros((0, 3)))
 
     def test_metric_dim(self):
         rng = np.random.default_rng(1)

@@ -1,0 +1,142 @@
+"""Property tests for the two rules every setting of the package follows.
+
+A count (``iterations``, ``max_iter``, ``fw_iters``, ``epochs``, ``k``, and a
+grouping's ``dim`` and ``group_count``) is an ``int`` or numpy integer, not a
+``bool``, and at least 1. A real is a finite number, not a ``bool``, and
+positive (``lambda_beta``, ``lambda_gamma``, ``lambda_m``,
+``learning_rate``) or nonnegative (``gap_tol``, ``weight_decay``). Each
+config, :func:`make_grouping` and :func:`feature_weights` refuses anything
+else with a ``ValueError`` whose message starts with the field's name, and
+still builds from every valid value.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wrot import (
+    DSConfig,
+    FWConfig,
+    KLConfig,
+    PNormConfig,
+    RotLossConfig,
+    SinkhornConfig,
+    TrainConfig,
+    feature_selection_objective,
+    feature_weights,
+    make_grouping,
+)
+
+bounded = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# (rule, field, build): build passes one value to the field or argument
+SETTINGS = {
+    "SinkhornConfig.iterations": ("count", "iterations", lambda x: SinkhornConfig(iterations=x)),
+    "FWConfig.max_iter": ("count", "max_iter", lambda x: FWConfig(PNormConfig(), max_iter=x)),
+    "RotLossConfig.fw_iters": ("count", "fw_iters", lambda x: RotLossConfig(fw_iters=x)),
+    "TrainConfig.epochs": ("count", "epochs", lambda x: TrainConfig(epochs=x)),
+    "PNormConfig.k": ("count", "k", lambda x: PNormConfig(k=x)),
+    "SinkhornConfig.lambda_beta": (
+        "positive", "lambda_beta", lambda x: SinkhornConfig(lambda_beta=x)
+    ),
+    "RotLossConfig.lambda_gamma": (
+        "positive", "lambda_gamma", lambda x: RotLossConfig(lambda_gamma=x)
+    ),
+    "TrainConfig.learning_rate": (
+        "positive", "learning_rate", lambda x: TrainConfig(learning_rate=x)
+    ),
+    "KLConfig.lambda_m": ("positive", "lambda_m", lambda x: KLConfig(lambda_m=x)),
+    "DSConfig.lambda_m": ("positive", "lambda_m", lambda x: DSConfig(lambda_m=x)),
+    # a zero moment keeps diag(V) / lambda_m at 0 for every valid lambda_m
+    "feature_weights.lambda_m": (
+        "positive", "lambda_m", lambda x: feature_weights(np.zeros((2, 2)), lambda_m=x)
+    ),
+    "feature_selection_objective.lambda_m": (
+        "positive", "lambda_m", lambda x: feature_selection_objective(np.zeros((2, 2)), x)
+    ),
+    "FWConfig.gap_tol": (
+        "nonnegative", "gap_tol", lambda x: FWConfig(PNormConfig(), gap_tol=x)
+    ),
+    "TrainConfig.weight_decay": (
+        "nonnegative", "weight_decay", lambda x: TrainConfig(weight_decay=x)
+    ),
+}
+# refused only: a large valid count would allocate a permutation that long
+REFUSABLE = {
+    **SETTINGS,
+    "make_grouping.dim": ("count", "dim", lambda x: make_grouping(x, 1, 0)),
+    "make_grouping.group_count": ("count", "group_count", lambda x: make_grouping(1, x, 0)),
+}
+
+NEGATIVE = st.integers(max_value=-1) | st.floats(max_value=0.0, exclude_max=True)
+NOT_NUMBERS = st.booleans() | st.sampled_from([np.bool_(True), None, "1", [1]])
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf)])
+ZERO = st.sampled_from([0, 0.0, np.int64(0), np.float64(0.0)])
+
+REFUSED = {
+    # a count refuses every float, integral ones included
+    "count": (
+        NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO | st.floats() | st.floats(1, 1e6).map(np.float64)
+    ),
+    "positive": NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO,
+    "nonnegative": NOT_NUMBERS | NON_FINITE | NEGATIVE,
+}
+POSITIVE_REALS = (
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    | st.integers(1, 10**12)
+    | st.floats(1e-300, 1e300).map(np.float64)
+    | st.integers(1, 2**31).map(np.int64)
+)
+ACCEPTED = {
+    "count": st.integers(1, 10**12) | st.integers(1, 2**31).map(np.int64),
+    "positive": POSITIVE_REALS,
+    "nonnegative": POSITIVE_REALS | ZERO,
+}
+
+
+@pytest.mark.parametrize("setting", REFUSABLE)
+@bounded
+@given(data=st.data())
+def test_invalid_values_are_refused_by_name(setting, data):
+    rule, field, build = REFUSABLE[setting]
+    value = data.draw(REFUSED[rule], label=field)
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@bounded
+@given(data=st.data())
+def test_valid_values_build(setting, data):
+    rule, _, build = SETTINGS[setting]
+    build(data.draw(ACCEPTED[rule]))
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        # rot_distance returned NaN with these two adversaries
+        ("KLConfig.lambda_m", np.inf),
+        ("DSConfig.lambda_m", np.inf),
+        # a TypeError inside the round loop, or in the epoch loop
+        ("SinkhornConfig.iterations", 2.5),
+        ("TrainConfig.epochs", 3.0),
+        # the rest built, and the solves ran on them
+        ("feature_weights.lambda_m", np.inf),
+        ("FWConfig.gap_tol", np.nan),
+        ("SinkhornConfig.lambda_beta", np.inf),
+        ("RotLossConfig.lambda_gamma", np.inf),
+        ("TrainConfig.learning_rate", np.inf),
+        ("TrainConfig.weight_decay", np.nan),
+        ("PNormConfig.k", True),
+        ("make_grouping.dim", True),
+        # numpy's AxisError from the permutation draw
+        ("make_grouping.group_count", 2.0),
+    ],
+)
+def test_inputs_the_old_checks_let_through_are_refused(setting, value):
+    """Each value passed its field's hand-written check."""
+    _, field, build = REFUSABLE[setting]
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build(value)
