@@ -155,7 +155,6 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.features, args.labels, label_names=names)
     loss = RotLossConfig(
         metric=_metric_config(args.family, args.k, args.lambda_m),
-        lambda_gamma=args.lambda_gamma,
         sinkhorn=SinkhornConfig(lambda_beta=args.lambda_beta),
     )
     config = TrainConfig(
@@ -198,18 +197,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", choices=_FAMILIES, default="pnorm")
-        p.add_argument("--k", type=int, default=1, help="p-norm index (p=2k/(2k-1))")
-        p.add_argument("--lambda-m", type=float, default=1.0, dest="lambda_m")
-        p.add_argument("--lambda-beta", type=float, default=0.2, dest="lambda_beta")
+        p.add_argument("--k", type=int, default=PNormConfig.k, help="p-norm index (p=2k/(2k-1))")
+        p.add_argument("--lambda-m", type=float, default=KLConfig.lambda_m)
+        p.add_argument("--lambda-beta", type=float, default=SinkhornConfig.lambda_beta)
 
     p = sub.add_parser("distance", help="robust distance between two point clouds")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     add_family(p)
-    p.add_argument("--r", type=int, default=None, help="group count for feature grouping")
+    p.add_argument("--r", type=int, help="group count for feature grouping")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fw-iters", type=int, default=200, dest="fw_iters")
-    p.add_argument("--gap-tol", type=float, default=1e-6, dest="gap_tol")
+    p.add_argument("--fw-iters", type=int, default=FWConfig.max_iter)
+    p.add_argument("--gap-tol", type=float, default=FWConfig.gap_tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_distance)
 
@@ -217,9 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="three comma-separated label names")
     p.add_argument("--embeddings", required=True)
     add_family(p)
-    p.add_argument("--lambda-gamma", type=float, default=0.02, dest="lambda_gamma")
-    p.add_argument("--fw-iters", type=int, default=1, dest="fw_iters")
-    p.add_argument("--grid-n", type=int, default=101, dest="grid_n")
+    p.add_argument("--lambda-gamma", type=float, default=RotLossConfig.lambda_gamma)
+    p.add_argument("--fw-iters", type=int, default=RotLossConfig.fw_iters)
+    p.add_argument("--grid-n", type=int, default=101)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_contour)
 
@@ -228,20 +227,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--embeddings", required=True)
     add_family(p)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lambda-gamma", type=float, default=0.02, dest="lambda_gamma")
-    p.add_argument("--weight-decay", type=float, default=0.0005, dest="weight_decay")
-    p.add_argument("--model-out", required=True, dest="model_out")
+    p.add_argument("--r", type=int)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--model-in", required=True, dest="model_in")
+    p.add_argument("--model-in", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--metrics-json", default=None, dest="metrics_json")
+    p.add_argument("--metrics-json")
     p.set_defaults(func=cmd_eval)
     return parser
 

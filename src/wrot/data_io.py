@@ -2,7 +2,8 @@
 
 Feature files are either dense CSV (one instance per row) or a raw binary
 layout: an 8-byte magic string, two little-endian uint32 dims (N, M), then
-N*M little-endian float32 values. Label files are text, one instance per
+N*M little-endian float32 values. Both are read; :func:`save_features`
+writes the binary layout. Label files are text, one instance per
 line: ``index<TAB>comma-separated label indices``. Embedding files are the
 usual text layout with a ``count dim`` header and one ``token v1 .. vdim``
 line each; multi-word labels resolve to the underscore-joined token when
@@ -126,18 +127,13 @@ def _load_features(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def save_features(path, features, binary: bool = True) -> None:
-    """Write a feature matrix in the binary layout (or CSV with binary=False)."""
+def save_features(path, features) -> None:
+    """Write a feature matrix in the binary layout; the readers also take CSV."""
     features = _as_float_array(features, "features", 2)
-    if binary:
-        n, m = features.shape
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<8sII", _FEATURES_MAGIC, n, m))
-            fh.write(features.astype("<f4").tobytes())
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in features:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    n, m = features.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<8sII", _FEATURES_MAGIC, n, m))
+        fh.write(features.astype("<f4").tobytes())
 
 
 def save_labels(path, labels) -> None:

@@ -190,8 +190,9 @@ def make_measure(points, weights=None) -> DiscreteMeasure:
     """Build a measure from points, normalizing ``weights`` (uniform default)."""
     points = _as_float_array(points, "points", 2)
     if weights is None:
+        # an empty cloud gets empty weights, which DiscreteMeasure refuses
         m = points.shape[0]
-        weights = np.full(m, 1.0 / m)
+        weights = np.full(m, 1.0 / max(m, 1))
     else:
         weights = _normalized(_as_float_array(weights, "weights", 1), "weights")
     return DiscreteMeasure(points=points, weights=weights)

@@ -105,10 +105,6 @@ class PNormConfig:
     def __post_init__(self):
         _check_count(self.k, "k")
 
-    @property
-    def p(self) -> float:
-        return 2 * self.k / (2 * self.k - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class KLConfig:
@@ -272,9 +268,15 @@ def adversarial_value(
 
 
 def _scaled_diagonal(moment, lambda_m):
-    # diag(V) / lambda_m, the input of the two diagonal forms below
+    # max diag(V), and (diag(V) - max) / lambda_m for the two diagonal forms
+    # below. Shifting before dividing keeps the top entries at 0 for any
+    # positive lambda_m (dividing first makes them inf - inf at a tiny one);
+    # a quotient that overflows to -inf has weight exp(-inf) = 0.
     _check_real(lambda_m, "lambda_m")
-    return np.diag(_check_moment(moment)) / lambda_m
+    diag = np.diag(_check_moment(moment))
+    peak = diag.max()
+    with np.errstate(over="ignore"):
+        return peak, (diag - peak) / lambda_m
 
 
 def feature_weights(moment: np.ndarray, lambda_m: float = 1.0) -> np.ndarray:
@@ -283,11 +285,10 @@ def feature_weights(moment: np.ndarray, lambda_m: float = 1.0) -> np.ndarray:
     With an identity reference, the KL adversary restricted to diagonal
     metrics puts weight ``exp(v_i / lambda_m) / sum_j exp(v_j / lambda_m)`` on
     feature ``i``, where ``v_i`` is the displacement energy along feature
-    ``i``. Computed with max-subtraction, so any scale of ``v`` is safe.
+    ``i``. Computed as ``exp((v_i - max v) / lambda_m)``, so any scale of
+    ``v`` and any positive ``lambda_m`` is safe.
     """
-    diag = _scaled_diagonal(moment, lambda_m)
-    shifted = diag - diag.max()
-    w = np.exp(shifted)
+    w = np.exp(_scaled_diagonal(moment, lambda_m)[1])
     return w / w.sum()
 
 
@@ -297,5 +298,5 @@ def feature_selection_objective(moment: np.ndarray, lambda_m: float = 1.0) -> fl
     Equals ``lambda_m * (log sum_i exp(v_i / lambda_m) - (d - 1))``; it is a
     monotone transform of the KL value at ``m0 = I`` restricted to diagonals.
     """
-    diag = _scaled_diagonal(moment, lambda_m)
-    return float(lambda_m * (_logsumexp(diag, axis=0) - (diag.size - 1)))
+    peak, shifted = _scaled_diagonal(moment, lambda_m)
+    return float(peak + lambda_m * (_logsumexp(shifted, axis=0) - (shifted.size - 1)))

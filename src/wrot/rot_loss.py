@@ -128,20 +128,20 @@ class LabelSpace:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    @property
-    def metric_dim(self) -> int:
-        """Side length of the displacement moment this space produces."""
-        return self._points.shape[-1]
-
 
 @dataclass(frozen=True)
 class RotLossConfig:
-    """Loss settings. ``metric=None`` selects the fixed identity metric."""
+    """Loss settings. ``metric=None`` selects the fixed identity metric.
 
-    metric: MetricSolverConfig | None = PNormConfig(k=1)
+    ``lambda_gamma`` weights the plan entropy in the reported value only:
+    the plan and the gradient come from the oracle's ``sinkhorn.lambda_beta``,
+    so it changes no trained model.
+    """
+
+    metric: MetricSolverConfig | None = PNormConfig()
     lambda_gamma: float = 0.02
     fw_iters: int = 1
-    sinkhorn: SinkhornConfig = SinkhornConfig(lambda_beta=0.2, iterations=10)
+    sinkhorn: SinkhornConfig = SinkhornConfig()
 
     def __post_init__(self):
         _check_real(self.lambda_gamma, "lambda_gamma")

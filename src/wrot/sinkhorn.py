@@ -76,7 +76,9 @@ class SinkhornConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Settings for :func:`entropic_ot`: ``iterations`` rounds of one loop
+    """Settings for every entropic Sinkhorn solve: :func:`entropic_ot`,
+    :func:`~wrot.frank_wolfe.w22_distance`, and the Frank-Wolfe oracle of
+    the distance and the loss. Each runs ``iterations`` rounds of one loop
     whose first round follows ``max|cost| / lambda_beta``, a plain update up
     to 700 and a log-domain round absorbed into the kernel above it. Later
     rounds are plain; above ``2**53`` the solve raises ``OverflowError``."""

@@ -132,6 +132,21 @@ class TestSgdTrain:
         assert all(np.isfinite(result.epoch_losses))
         assert built == []
 
+    def test_lambda_gamma_moves_only_the_reported_loss(self):
+        """The gradient is the oracle's potential at lambda_beta, so the
+        entropy weight lambda_gamma changes the epoch losses and not one bit
+        of the trained weights."""
+        runs = [
+            sgd_train(
+                blob_dataset(per_class=5),
+                three_label_space(),
+                TrainConfig(loss=RotLossConfig(lambda_gamma=lam), epochs=2),
+            )
+            for lam in (0.02, 0.5)
+        ]
+        assert runs[0].model.weights.tobytes() == runs[1].model.weights.tobytes()
+        assert runs[0].epoch_losses != runs[1].epoch_losses
+
     def test_single_sample_loss_descends(self):
         # fixed sample, squared-distance loss: the per-epoch trace must be
         # monotone once past the first few steps

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from wrot.cli import main
-from wrot.data_io import save_features, save_labels
+from wrot.data_io import save_labels
 
 classifier_mod = importlib.import_module("wrot.classifier")
+
+
+def write_csv(path, features):
+    """A CSV feature file that reads back to the same float64 values."""
+    np.savetxt(path, features, fmt="%.17g", delimiter=",")
 
 
 def invoke(argv, capsys):
@@ -28,19 +33,19 @@ def cloud_files(tmp_path_factory):
         "wide_a": str(d / "wide_a.csv"),
         "wide_b": str(d / "wide_b.csv"),
     }
-    save_features(paths["src2"], np.array([[0.0, 0.0], [1.0, 1.0]]), binary=False)
-    save_features(paths["tgt2"], np.array([[1.0, 0.0], [0.0, 1.0]]), binary=False)
+    write_csv(paths["src2"], np.array([[0.0, 0.0], [1.0, 1.0]]))
+    write_csv(paths["tgt2"], np.array([[1.0, 0.0], [0.0, 1.0]]))
     # mutual squared distance 50 between any two rows, so the entropic plan
     # leaks essentially nothing off the diagonal
-    save_features(paths["separated"], 5.0 * np.eye(4)[:, :3], binary=False)
+    write_csv(paths["separated"], 5.0 * np.eye(4)[:, :3])
     rng = np.random.default_rng(11)
-    save_features(paths["a"], 0.6 * rng.normal(size=(4, 3)), binary=False)
-    save_features(paths["b"], 0.6 * rng.normal(size=(5, 3)) + 0.4, binary=False)
+    write_csv(paths["a"], 0.6 * rng.normal(size=(4, 3)))
+    write_csv(paths["b"], 0.6 * rng.normal(size=(5, 3)) + 0.4)
     # standard normals times 30: squared distances in the thousands, so the
     # default lambda_beta puts max|cost| / lambda_beta far past 700
     rng = np.random.default_rng(1)
-    save_features(paths["wide_a"], 30.0 * rng.normal(size=(6, 3)), binary=False)
-    save_features(paths["wide_b"], 30.0 * rng.normal(size=(5, 3)), binary=False)
+    write_csv(paths["wide_a"], 30.0 * rng.normal(size=(6, 3)))
+    write_csv(paths["wide_b"], 30.0 * rng.normal(size=(5, 3)))
     return paths
 
 
@@ -67,13 +72,9 @@ def blob_files(tmp_path_factory):
         "embeddings": str(d / "embeddings.txt"),
         "wide_features": str(d / "wide.csv"),
     }
-    save_features(paths["features"], features, binary=False)
+    write_csv(paths["features"], features)
     save_labels(paths["labels"], np.eye(3, dtype=int)[hard])
-    save_features(
-        paths["wide_features"],
-        np.hstack([features, np.ones((features.shape[0], 1))]),
-        binary=False,
-    )
+    write_csv(paths["wide_features"], np.hstack([features, np.ones((features.shape[0], 1))]))
     with open(paths["embeddings"], "w", encoding="utf-8") as fh:
         fh.write("3 3\nlabel_0 1 0 0\nlabel_1 0 1 0\nlabel_2 0 0 1\n")
     return paths
@@ -227,6 +228,21 @@ class TestContour:
         assert corner.sum() == 1
         assert rows[corner, 2][0] == rows[:, 2].min()
 
+    def test_lambda_gamma_shapes_the_surface(self, contour_embeddings, tmp_path, capsys):
+        """contour keeps --lambda-gamma: it weights the entropy term of every
+        loss the command writes."""
+        surfaces = []
+        for extra in ([], ["--lambda-gamma", "0.05"]):
+            out_csv = str(tmp_path / "contour.csv")
+            code, _, _ = invoke(
+                ["contour", "--labels", "alpha,beta,gamma", "--embeddings", contour_embeddings,
+                 "--grid-n", "6", "--out", out_csv, *extra],
+                capsys,
+            )
+            assert code == 0
+            surfaces.append(read_contour(out_csv)[1][:, 2])
+        assert not np.array_equal(*surfaces)
+
     @pytest.mark.parametrize("family", ["pnorm", "kl", "ds", "w22"])
     def test_nearby_prediction_loses_less(
         self, contour_embeddings, family, tmp_path, capsys
@@ -312,6 +328,14 @@ class TestTrainEval:
             metrics = json.load(fh)
         assert set(metrics) == {"auc", "map"}
         assert metrics["auc"] >= 0.95
+
+    def test_lambda_gamma_is_not_a_train_flag(self, blob_files, tmp_path, capsys):
+        """train has no --lambda-gamma: the entropy weight moves only the
+        printed loss, never the checkpoint (see test_classifier)."""
+        argv = self.train_argv(blob_files, str(tmp_path / "m.ckpt"), ["--lambda-gamma", "0.5"])
+        code, _, err = invoke(argv, capsys)
+        assert code == 1
+        assert "unrecognized arguments: --lambda-gamma" in err
 
     def test_same_seed_reproduces_checkpoint(self, blob_files, tmp_path, capsys):
         first = str(tmp_path / "first.ckpt")

@@ -33,7 +33,7 @@ class TestFeatureFiles:
         rng = np.random.default_rng(0)
         features = rng.normal(size=(5, 3))
         fpath = tmp_path / "features.bin"
-        save_features(fpath, features, binary=True)
+        save_features(fpath, features)
         lpath, rows = simple_labels_file(tmp_path, n=5)
         ds = load_dataset(fpath, lpath)
         # binary payload is float32
@@ -43,14 +43,14 @@ class TestFeatureFiles:
         rng = np.random.default_rng(1)
         features = rng.normal(size=(4, 6))
         fpath = tmp_path / "features.csv"
-        save_features(fpath, features, binary=False)
+        np.savetxt(fpath, features, fmt="%.17g", delimiter=",")
         lpath, _ = simple_labels_file(tmp_path, n=4)
         ds = load_dataset(fpath, lpath)
         np.testing.assert_array_equal(ds.features, features)
 
     def test_truncated_binary_rejected(self, tmp_path):
         fpath = tmp_path / "features.bin"
-        save_features(fpath, np.ones((3, 2)), binary=True)
+        save_features(fpath, np.ones((3, 2)))
         blob = fpath.read_bytes()
         fpath.write_bytes(blob[:-3])
         lpath, _ = simple_labels_file(tmp_path)
@@ -87,7 +87,7 @@ class TestFeatureFiles:
 
     def test_empty_binary_feature_file_rejected(self, tmp_path):
         fpath = tmp_path / "features.bin"
-        save_features(fpath, np.zeros((0, 3)), binary=True)
+        save_features(fpath, np.zeros((0, 3)))
         lpath = tmp_path / "labels.txt"
         lpath.write_text("")
         with pytest.raises(ValueError, match=r"empty feature file \(0 instances x 3 features\)"):
@@ -104,7 +104,7 @@ class TestFeatureFiles:
 class TestLabelFiles:
     def features_for(self, tmp_path, n, m=2):
         fpath = tmp_path / "features.csv"
-        save_features(fpath, np.arange(float(n * m)).reshape(n, m), binary=False)
+        np.savetxt(fpath, np.arange(float(n * m)).reshape(n, m), fmt="%.17g", delimiter=",")
         return fpath
 
     def test_indicator_round_trip(self, tmp_path):

@@ -238,6 +238,10 @@ class TestMeasureTypes:
         with pytest.raises(ValueError):
             make_measure(np.zeros((2, 2)), np.array([0.0, 0.0]))
 
+    def test_make_measure_rejects_an_empty_cloud(self):
+        with pytest.raises(ValueError, match="^a measure needs at least one support point$"):
+            make_measure(np.zeros((0, 3)))
+
     def test_measure_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(points=np.zeros((2, 2)), weights=np.array([0.6, 0.6]))

@@ -291,6 +291,28 @@ class TestFeatureWeights:
         assert_allclose(w, [np.exp(1) / (1 + np.exp(1)), 1 / (1 + np.exp(1))],
                         atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "diag, weights",
+        [((2.0, 2.0), (0.5, 0.5)), ((1.0, 0.0), (1.0, 0.0)), ((3.0, 5.0, 5.0), (0, 0.5, 0.5))],
+        ids=["tied", "distinct", "tied-top"],
+    )
+    def test_subnormal_lambda_stays_finite(self, diag, weights):
+        """diag(V) / lambda_m overflows at lambda_m = 1e-320; the shift by
+        max diag(V) comes first, so the top entries stay 0 and the weights
+        are the limit, the argmax's indicator, with no warning raised."""
+        v = np.diag(diag)
+        assert_allclose(feature_weights(v, lambda_m=1e-320), weights, atol=0)
+        assert feature_selection_objective(v, 1e-320) == pytest.approx(max(diag), abs=1e-300)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_shifted_forms_match_the_direct_formulas(self, lam):
+        v = random_psd(np.random.default_rng(17), 6)
+        diag = np.diag(v) / lam
+        direct = np.exp(diag - diag.max())
+        assert_allclose(feature_weights(v, lam), direct / direct.sum(), rtol=1e-12, atol=0)
+        objective = lam * (logsumexp(diag) - (diag.size - 1))
+        assert feature_selection_objective(v, lam) == pytest.approx(objective, rel=1e-12)
+
     def test_monotone_transform_identity(self):
         """lambda*log(value/lambda + d) - lambda*(d-1) equals the softmax
         normalizer objective exactly when the reference is the identity."""

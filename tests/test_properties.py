@@ -645,14 +645,17 @@ float32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
     )
 )
 def test_dataset_files_round_trip(case):
-    """Features saved in either format and labels saved as index lines load
-    back equal: the binary format for float32-representable values, CSV for
-    any finite float."""
+    """Features in either format and labels saved as index lines load back
+    equal: the binary layout ``save_features`` writes for float32-representable
+    values, CSV with 17 significant digits for any finite float."""
     binary, (features, labels) = case
     with tempfile.TemporaryDirectory() as tmp:
         features_path = os.path.join(tmp, "features")
         labels_path = os.path.join(tmp, "labels.txt")
-        save_features(features_path, features, binary=binary)
+        if binary:
+            save_features(features_path, features)
+        else:
+            np.savetxt(features_path, features, fmt="%.17g", delimiter=",")
         save_labels(labels_path, labels)
         dataset = load_dataset(features_path, labels_path, num_labels=labels.shape[1])
     assert np.array_equal(dataset.features, features)

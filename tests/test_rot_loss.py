@@ -147,13 +147,6 @@ class TestLabelSpace:
         with pytest.raises(ValueError, match="^embeddings have 0 rows"):
             LabelSpace(embeddings=np.zeros((0, 3)))
 
-    def test_metric_dim(self):
-        rng = np.random.default_rng(1)
-        emb = unit_rows(rng, 4, 6)
-        assert LabelSpace(embeddings=emb).metric_dim == 6
-        grouped = LabelSpace(embeddings=emb, grouping=make_grouping(6, 3, seed=0))
-        assert grouped.metric_dim == 3
-
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):

@@ -1,4 +1,9 @@
-"""Property tests for the two rules every setting of the package follows.
+"""The pinned inventory of settings, and property tests for the two rules
+every setting of the package follows.
+
+The inventory lists every field of an exported config class, every defaulted
+parameter of an exported function and every flag of each ``wrot``
+subcommand, so adding or removing a knob is a deliberate edit of a list.
 
 A count (``iterations``, ``max_iter``, ``fw_iters``, ``epochs``, ``k``, and a
 grouping's ``dim`` and ``group_count``) is an ``int`` or numpy integer, not a
@@ -10,11 +15,16 @@ else with a ``ValueError`` whose message starts with the field's name, and
 still builds from every valid value.
 """
 
+import argparse
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wrot
 from wrot import (
     DSConfig,
     FWConfig,
@@ -27,6 +37,93 @@ from wrot import (
     feature_weights,
     make_grouping,
 )
+from wrot.cli import _build_parser
+
+# Adding or removing a setting is a deliberate edit of these lists.
+CONFIG_FIELDS = [
+    "DSConfig.lambda_m",
+    "DSConfig.m0",
+    "FWConfig.gap_tol",
+    "FWConfig.grouping",
+    "FWConfig.max_iter",
+    "FWConfig.metric",
+    "FWConfig.sinkhorn",
+    "KLConfig.lambda_m",
+    "KLConfig.m0",
+    "PNormConfig.k",
+    "RotLossConfig.fw_iters",
+    "RotLossConfig.lambda_gamma",
+    "RotLossConfig.metric",
+    "RotLossConfig.sinkhorn",
+    "SinkhornConfig.iterations",
+    "SinkhornConfig.lambda_beta",
+    "TrainConfig.epochs",
+    "TrainConfig.learning_rate",
+    "TrainConfig.loss",
+    "TrainConfig.seed",
+    "TrainConfig.weight_decay",
+]
+FUNCTION_DEFAULTS = [
+    "displacement_second_moment.grouping",
+    "entropic_ot.config",
+    "feature_selection_objective.lambda_m",
+    "feature_weights.lambda_m",
+    "load_dataset.label_names",
+    "load_dataset.num_labels",
+    "make_measure.weights",
+    "rot_loss.config",
+    "rot_loss_gradient.config",
+    "sgd_train.config",
+    "smooth_target.alpha",
+    "w22_distance.config",
+]
+CLI_FLAGS = {
+    "contour": [
+        "--embeddings", "--family", "--fw-iters", "--grid-n", "--k", "--labels",
+        "--lambda-beta", "--lambda-gamma", "--lambda-m", "--out",
+    ],
+    "distance": [
+        "--family", "--fw-iters", "--gap-tol", "--json", "--k", "--lambda-beta", "--lambda-m",
+        "--r", "--seed", "--src", "--tgt",
+    ],
+    "eval": ["--features", "--labels", "--metrics-json", "--model-in"],
+    "train": [
+        "--embeddings", "--epochs", "--family", "--features", "--k", "--labels",
+        "--lambda-beta", "--lambda-m", "--lr", "--model-out", "--r", "--seed", "--weight-decay",
+    ],
+}
+EXPORTED = [getattr(wrot, name) for name in sorted(wrot.__all__)]
+
+
+def test_config_fields_are_the_pinned_list():
+    configs = [
+        c for c in EXPORTED if dataclasses.is_dataclass(c) and c.__name__.endswith("Config")
+    ]
+    found = [f"{c.__name__}.{f.name}" for c in configs for f in dataclasses.fields(c)]
+    assert sorted(found) == CONFIG_FIELDS
+
+
+def test_function_defaults_are_the_pinned_list():
+    found = [
+        f"{fn.__name__}.{p.name}"
+        for fn in EXPORTED
+        if inspect.isfunction(fn)
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty
+    ]
+    assert sorted(found) == FUNCTION_DEFAULTS
+
+
+def test_cli_flags_are_the_pinned_list():
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    found = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert found == CLI_FLAGS
+
 
 bounded = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
