@@ -9,7 +9,7 @@ contour-file hash of ``loss``; and every epoch loss of ``grouped``. Floats
 are compared through ``float.hex``. Where the package has
 ``sinkhorn._in_range``, the script also counts the Sinkhorn solves whose
 once-per-solve range test failed, so that their rounds ran again with the
-per-round test.
+per-round test, and prints that count for both checkouts.
 
 Run from the repository root:
 
@@ -88,7 +88,8 @@ def main(argv=None) -> int:
             same = here["fingerprint"] == there["fingerprint"]
             differ += not same
             print(f"{workload} seed {seed}: {len(here['fingerprint'])} outputs, "
-                  f"{'identical' if same else 'DIFFERENT'}; reruns here {here['reruns']}")
+                  f"{'identical' if same else 'DIFFERENT'}; reruns here {here['reruns']}, "
+                  f"there {there['reruns']}")
     return 1 if differ else 0
 
 

@@ -76,21 +76,18 @@ class SoftmaxModel:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValueError(f"features must be 1- or 2-dimensional, got shape {x.shape}")
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.n_features:
+        if x.shape[-1] != self.n_features:
             raise ValueError(
-                f"features have {x.shape[1]} columns, model expects {self.n_features}"
+                f"features have {x.shape[-1]} columns, model expects {self.n_features}"
             )
-        probs = _softmax_rows(x @ self.weights)
-        return probs[0] if squeeze else probs
+        return _softmax_rows(x @ self.weights)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # softmax along the last axis: of each row, or of one 1-d row
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
         total = 0.0
         for i in order:
             x = features[i]
-            h = _softmax_rows((x @ weights)[None, :])[0]
+            h = _softmax_rows(x @ weights)
             grad_h, loss = rot_loss_gradient(h, targets[i], labels, config.loss)
             if not np.isfinite(loss.value) or abs(loss.value) > _LOSS_ABORT:
                 raise TrainingDivergedError(
@@ -168,7 +165,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
                 )
             grad_z = h * (grad_h - float(h @ grad_h))
             weights -= config.learning_rate * (
-                np.outer(x, grad_z) + 2.0 * config.weight_decay * weights
+                x[:, None] * grad_z + 2.0 * config.weight_decay * weights
             )
             total += loss.value
         epoch_losses.append(total / n)

@@ -95,8 +95,8 @@ def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
     the starting one. The first step (``theta = 1``) takes ``P`` and its
     moment as they are, since ``0 * gamma + 1 * P == P``; later steps move
     that array in place, so ``oracle`` returns a new array each call.
-    Returns ``(gamma, worst, gaps, converged)`` with ``worst`` taken at the
-    returned ``gamma``.
+    Returns ``(gamma, worst, gaps, converged)`` with ``worst``, the
+    adversary's ``(matrix, value, family)``, taken at the returned ``gamma``.
     """
     gaps: list[float] = []
     moment = _moment_arrays(gamma, src, tgt)
@@ -104,7 +104,7 @@ def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
         worst = _adversary(moment, metric)
         lmo = oracle(_pair_costs_full(src, tgt, worst.matrix))
         lmo_moment = _moment_arrays(lmo, src, tgt)
-        gaps.append(float(np.sum((moment - lmo_moment) * worst.matrix)))
+        gaps.append(float(((moment - lmo_moment) * worst.matrix).sum()))
         if gaps[-1] <= gap_tol:
             return gamma, worst, gaps, True
         if t == 0:  # theta = 1
@@ -142,7 +142,7 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     return RotResult(
         value=worst.value,
         plan=TransportPlan(matrix=gamma),
-        metric=worst,
+        metric=AdversarialMetric(*worst),
         gap_history=tuple(gaps),
         iterations_used=len(gaps),
         converged=converged,

@@ -36,7 +36,7 @@ def _as_float_array(x, name, ndim):
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -47,7 +47,7 @@ def _check_simplex(w, name, size, tol=1e-8):
     w = _as_float_array(w, name, 1)
     if w.shape[0] != size:
         raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     if abs(w.sum() - 1.0) > tol:
         raise ValueError(f"{name} must sum to 1")
@@ -189,10 +189,11 @@ class FeatureGrouping:
 def make_measure(points, weights=None) -> DiscreteMeasure:
     """Build a measure from points, normalizing ``weights`` (uniform default)."""
     points = _as_float_array(points, "points", 2)
+    m = points.shape[0]
+    if m < 1:
+        raise ValueError("a measure needs at least one support point")
     if weights is None:
-        # an empty cloud gets empty weights, which DiscreteMeasure refuses
-        m = points.shape[0]
-        weights = np.full(m, 1.0 / max(m, 1))
+        weights = np.full(m, 1.0 / m)
     else:
         weights = _normalized(_as_float_array(weights, "weights", 1), "weights")
     return DiscreteMeasure(points=points, weights=weights)
@@ -217,8 +218,9 @@ def _moment_arrays(gamma: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.nd
         # sum_ij g_ij (S_i - S_j)^T (S_i - S_j) = sum_ij W_ij S_i^T S_j, W the
         # Laplacian of g + g^T: self-pairs drop out exactly, not by cancelling.
         w = -(gamma + gamma.T)
-        np.fill_diagonal(w, 0.0)
-        np.fill_diagonal(w, -w.sum(axis=1))
+        diagonal = w.reshape(-1)[:: w.shape[0] + 1]  # a view: w is a new C array
+        diagonal[:] = 0.0
+        diagonal[:] = -w.sum(axis=1)
         v = src.reshape(-1, k).T @ (w @ src.reshape(src.shape[0], -1)).reshape(-1, k)
         return 0.5 * (v + v.T)
     # sum_i a_i S_i^T S_i + sum_j b_j T_j^T T_j - C - C^T, C = sum_ij g_ij S_i^T T_j
@@ -241,12 +243,12 @@ def _pair_costs_full(src: np.ndarray, tgt: np.ndarray, metric: np.ndarray) -> np
     sm = (src.reshape(-1, k) @ metric).reshape(s.shape)
     if tgt is src:
         cross = sm @ s.T
-        es = et = np.diagonal(cross)
+        es = et = cross.diagonal()
     else:
         t = tgt.reshape(tgt.shape[0], -1)
         cross = sm @ t.T
-        es = np.sum(sm * s, axis=1)
-        et = np.sum((tgt.reshape(-1, k) @ metric).reshape(t.shape) * t, axis=1)
+        es = (sm * s).sum(axis=1)
+        et = ((tgt.reshape(-1, k) @ metric).reshape(t.shape) * t).sum(axis=1)
     return es[:, None] + et[None, :] - 2.0 * cross
 
 

@@ -13,7 +13,9 @@ and ``m0``, once, when it is built. :func:`adversarial_value` checks the
 moment and calls ``_adversary``, which runs the family's private kernel
 (``_pnorm``, ``_kl``, ``_ds``, and ``_euclidean`` for the fixed identity
 metric). The Frank-Wolfe loop, whose moments the package builds, calls
-``_adversary`` directly, which checks finiteness only. ``_kl`` and ``_ds``
+``_adversary`` directly, which checks finiteness only. The kernels return
+the matrix, value and family as a ``_Worst`` named tuple, frozen into an
+:class:`AdversarialMetric` only where they leave the package. ``_kl`` and ``_ds``
 share the tilted kernel ``m0 * exp(V / lambda_m)``, which refuses to
 overflow and is the only place that compares ``m0``'s size with the
 moment's. ``_ds`` builds it exactly symmetric and nonnegative and runs the
@@ -31,6 +33,7 @@ as a feature-importance vector.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,15 +166,20 @@ class AdversarialMetric:
         object.__setattr__(self, "value", float(self.value))
 
 
+# An adversary's result inside the package, unfrozen; AdversarialMetric(*worst)
+# is the public form.
+_Worst = namedtuple("_Worst", "matrix value family")
+
+
 def _pnorm(v, k):
     magnitude = np.abs(v)
-    vmax = float(np.max(magnitude))
+    vmax = float(magnitude.max())
     if vmax == 0.0:
-        return AdversarialMetric(matrix=np.zeros_like(v), value=0.0, family="pnorm")
+        return _Worst(np.zeros_like(v), 0.0, "pnorm")
     # Factor out the largest entry so the 2k powers cannot overflow.
-    norm = vmax * float(np.sum((magnitude / vmax) ** (2 * k))) ** (1.0 / (2 * k))
+    norm = vmax * float(((magnitude / vmax) ** (2 * k)).sum()) ** (1.0 / (2 * k))
     matrix = v / norm if k == 1 else (v / norm) ** (2 * k - 1)
-    return AdversarialMetric(matrix=matrix, value=norm, family="pnorm")
+    return _Worst(matrix, norm, "pnorm")
 
 
 def _kl_tilt(v, lambda_m, m0, default_m0):
@@ -183,7 +191,7 @@ def _kl_tilt(v, lambda_m, m0, default_m0):
         m0 = default_m0(d)
     elif m0.shape != (d, d):
         raise ValueError(f"m0 must be {d}x{d}, got {m0.shape}")
-    peak = float(np.max(np.abs(v)))
+    peak = float(np.abs(v).max())
     if peak / lambda_m > _EXP_LIMIT:
         raise OverflowError(
             f"max|moment|/lambda_m = {peak / lambda_m:.4g} exceeds the exp range; "
@@ -218,7 +226,7 @@ def _kl(v, lambda_m, m0):
             f"range at lambda_m = {lambda_m:.6g}; raise lambda_m"
         )
     value = lambda_m * float(total - m0.sum())
-    return AdversarialMetric(matrix=matrix, value=value, family="kl")
+    return _Worst(matrix, value, "kl")
 
 
 def _ds(v, lambda_m, m0):
@@ -228,21 +236,20 @@ def _ds(v, lambda_m, m0):
     matrix = 0.5 * (matrix + matrix.T)
     # KL(M, m0) = sum M log(M / m0) - M + m0 with 0 log 0 := 0
     pos = matrix > 0
-    kl = float(np.sum(matrix[pos] * np.log(matrix[pos] / m0[pos])) - matrix.sum() + m0.sum())
-    value = float(np.sum(v * matrix)) - lambda_m * kl
-    return AdversarialMetric(matrix=matrix, value=value, family="ds")
+    kl = float((matrix[pos] * np.log(matrix[pos] / m0[pos])).sum() - matrix.sum() + m0.sum())
+    value = float((v * matrix).sum()) - lambda_m * kl
+    return _Worst(matrix, value, "ds")
 
 
 def _euclidean(v):
-    return AdversarialMetric(
-        matrix=np.eye(v.shape[0]), value=float(np.trace(v)), family="euclidean"
-    )
+    return _Worst(np.eye(v.shape[0]), float(v.trace()), "euclidean")
 
 
 def _adversary(v, config):
     """The configured family's kernel on a moment the package built, square
     and exactly symmetric; only its finiteness is checked. ``config=None`` is
-    the fixed identity metric, as in :class:`~wrot.rot_loss.RotLossConfig`."""
+    the fixed identity metric, as in :class:`~wrot.rot_loss.RotLossConfig`.
+    Returns a ``_Worst`` (matrix, value, family)."""
     if not np.isfinite(v).all():
         raise ValueError("moment contains non-finite entries")
     if config is None:
@@ -264,7 +271,7 @@ def adversarial_value(
     ``config=None`` is the fixed identity metric: no adversary, value
     ``trace(V)``, the plain squared-Euclidean transport cost.
     """
-    return _adversary(_check_moment(moment), config)
+    return AdversarialMetric(*_adversary(_check_moment(moment), config))
 
 
 def _scaled_diagonal(moment, lambda_m):
@@ -297,6 +304,16 @@ def feature_selection_objective(moment: np.ndarray, lambda_m: float = 1.0) -> fl
 
     Equals ``lambda_m * (log sum_i exp(v_i / lambda_m) - (d - 1))``; it is a
     monotone transform of the KL value at ``m0 = I`` restricted to diagonals.
+    A value beyond the float range raises ``OverflowError``.
     """
     peak, shifted = _scaled_diagonal(moment, lambda_m)
-    return float(peak + lambda_m * (_logsumexp(shifted, axis=0) - (shifted.size - 1)))
+    excess = float(_logsumexp(shifted, axis=0) - (shifted.size - 1))
+    with np.errstate(over="ignore"):
+        value = float(peak + lambda_m * excess)
+    if not np.isfinite(value):
+        raise OverflowError(
+            f"lambda_m * (logsumexp - (d - 1)) = {lambda_m:.6g} * {excess:.6g} leaves "
+            f"the float range; lambda_m must be below about "
+            f"{np.finfo(float).max / abs(excess):.6g}"
+        )
+    return value

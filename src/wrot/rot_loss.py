@@ -161,7 +161,7 @@ class LossValue:
 
     value: float
     _gamma: np.ndarray = field(repr=False)
-    _worst: AdversarialMetric = field(repr=False)
+    _worst: tuple = field(repr=False)  # the adversary's (matrix, value, family)
     _basis: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
@@ -170,16 +170,13 @@ class LossValue:
 
     @cached_property
     def metric(self) -> AdversarialMetric:
-        worst, basis = self._worst, self._basis
-        if basis is None:
-            return worst
+        matrix, value, family = self._worst
+        basis = self._basis
         # ||V||_F and tr V are basis-invariant, so only the matrix maps back;
         # the identity maps to the identity, not to the projector B B^T
-        if worst.family == "euclidean":
-            matrix = np.eye(basis.shape[0])
-        else:
-            matrix = basis @ worst.matrix @ basis.T
-        return AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
+        if basis is not None:
+            matrix = np.eye(basis.shape[0]) if family == "euclidean" else basis @ matrix @ basis.T
+        return AdversarialMetric(matrix, value, family)
 
 
 def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
@@ -226,12 +223,12 @@ def _solve(predicted, target, labels, config):
         points,
         metric,
         lambda costs: solve(costs)[0],
-        np.outer(marginals.p, marginals.q),
+        marginals.p[:, None] * marginals.q,
         config.fw_iters,
         -np.inf,
     )
-    pos = gamma > 0
-    entropy_term = float(np.sum(gamma[pos] * np.log(gamma[pos])))
+    positive = gamma[gamma > 0]
+    entropy_term = float((positive * np.log(positive)).sum())
     value = worst.value + config.lambda_gamma * entropy_term
     loss = LossValue(value, gamma, worst, basis)
     return loss, marginals, solve, points, worst.matrix

@@ -87,6 +87,15 @@ class TestSoftmaxModel:
         stacked = np.stack([model.probabilities(row) for row in batch])
         np.testing.assert_allclose(model.probabilities(batch), stacked, atol=1e-15)
 
+    @pytest.mark.parametrize("size", [1, 3, 48, 1000])
+    def test_softmax_of_one_row_equals_the_batch_row(self, size):
+        """The one softmax kernel gives a 1-d row, as training computes it,
+        the same bits as that row inside a 2-d batch."""
+        logits = 30.0 * np.random.default_rng(size).normal(size=size)
+        row = classifier_mod._softmax_rows(logits)
+        assert row.shape == (size,)
+        assert np.array_equal(row, classifier_mod._softmax_rows(logits[None, :])[0])
+
     def test_feature_dim_mismatch(self):
         model = SoftmaxModel(weights=np.zeros((4, 3)))
         with pytest.raises(ValueError, match="expects 4"):

@@ -239,8 +239,10 @@ class TestMeasureTypes:
             make_measure(np.zeros((2, 2)), np.array([0.0, 0.0]))
 
     def test_make_measure_rejects_an_empty_cloud(self):
-        with pytest.raises(ValueError, match="^a measure needs at least one support point$"):
-            make_measure(np.zeros((0, 3)))
+        # with uniform and with explicit weights, refused before normalising
+        for weights in (None, np.zeros(0)):
+            with pytest.raises(ValueError, match="^a measure needs at least one support point$"):
+                make_measure(np.zeros((0, 3)), weights)
 
     def test_measure_rejects_unnormalized(self):
         with pytest.raises(ValueError):

@@ -304,6 +304,17 @@ class TestFeatureWeights:
         assert_allclose(feature_weights(v, lambda_m=1e-320), weights, atol=0)
         assert feature_selection_objective(v, 1e-320) == pytest.approx(max(diag), abs=1e-300)
 
+    def test_objective_beyond_the_float_range_names_lambda_m(self):
+        """At d = 1000 the objective is about -992 lambda_m: finite at
+        lambda_m = 1e305, below the float range at 1e306, where it raises
+        an error that names lambda_m and its bound instead of returning
+        -inf."""
+        v = np.eye(1000)
+        assert feature_selection_objective(v, 1e305) == pytest.approx(-9.920922e307, rel=1e-6)
+        message = r"^lambda_m \* \(logsumexp - \(d - 1\)\) = 1e\+306 \* -992\.092 .* below about 1\.812"
+        with pytest.raises(OverflowError, match=message):
+            feature_selection_objective(v, 1e306)
+
     @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
     def test_shifted_forms_match_the_direct_formulas(self, lam):
         v = random_psd(np.random.default_rng(17), 6)

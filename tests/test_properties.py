@@ -283,7 +283,8 @@ def test_wide_clouds_solve_with_default_settings(seed, m, n):
 def test_self_moment_matches_a_per_pair_sum(seed, n, rows, k, off_mass):
     """For ``tgt is src`` the Laplacian form of the moment matches a
     per-pair sum to 1e-12 of its largest entry and is exactly symmetric, for
-    plain (n, k) points and (n, d1, k) arrays, down to near-identity plans."""
+    plain (n, k) points and (n, d1, k) arrays, down to near-identity plans.
+    It equals, bit for bit, the Laplacian built with ``np.fill_diagonal``."""
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, *rows, k))
     gamma = np.diag(rng.uniform(0.5, 1.5, n)) + off_mass * rng.uniform(size=(n, n))
@@ -294,6 +295,11 @@ def test_self_moment_matches_a_per_pair_sum(seed, n, rows, k, off_mass):
     got = _moment_arrays(gamma, points, points)
     assert np.array_equal(got, got.T)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    laplacian = -(gamma + gamma.T)
+    np.fill_diagonal(laplacian, 0.0)
+    np.fill_diagonal(laplacian, -laplacian.sum(axis=1))
+    v = points.reshape(-1, k).T @ (laplacian @ points.reshape(n, -1)).reshape(-1, k)
+    assert np.array_equal(got, 0.5 * (v + v.T))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
