@@ -3,9 +3,13 @@
 The package computes transport distances whose ground metric is chosen
 adversarially from a constrained family (elementwise p-norm ball, KL ball
 around a reference, doubly stochastic KL ball), all with closed-form inner
-maximizers. On top of the distances sit a label-embedding training loss with
-an exact simplex-tangent gradient, a linear softmax classifier trained with
-it, and file/CLI plumbing.
+maximizers. On top of the distances sit a label-embedding training loss, a
+linear softmax classifier trained with it, and file/CLI plumbing. The loss
+gradient is ``lambda_beta (f - mean f)``, with ``f`` the oracle's row
+log-potential: the gradient of the ``lambda_beta``-smoothed surrogate, not
+an exact gradient of the reported value. At the defaults, on random 5-label
+problems, its median relative error against central differences of that
+value is 0.23.
 """
 
 from .classifier import (
@@ -59,7 +63,6 @@ from .sinkhorn import (
     SinkhornConfig,
     SinkhornConvergenceError,
     entropic_ot,
-    exact_ot_small,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +93,6 @@ __all__ = [
     "displacement_second_moment",
     "entropic_ot",
     "evaluate",
-    "exact_ot_small",
     "feature_selection_objective",
     "feature_weights",
     "independent_coupling",

@@ -61,7 +61,7 @@ class SoftmaxModel:
 
     def __post_init__(self):
         w = _as_float_array(self.weights, "weights", 2)
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", _freeze(w, self.weights))
 
     @property
     def n_features(self) -> int:
@@ -104,6 +104,7 @@ class TrainConfig:
         _check_real(self.learning_rate, "learning_rate")
         _check_count(self.epochs, "epochs")
         _check_real(self.weight_decay, "weight_decay", positive=False)
+        _check_count(self.seed, "seed", least=0)
 
 
 @dataclass(frozen=True)

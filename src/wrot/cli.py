@@ -55,22 +55,21 @@ def _metric_config(family, k, lambda_m):
 def cmd_distance(args) -> int:
     src = make_measure(_load_features(args.src))
     tgt = make_measure(_load_features(args.tgt))
-    sink = SinkhornConfig(lambda_beta=args.lambda_beta)
+    # every family's settings are checked, w22's too, before any solve
+    grouping = None if args.r is None else make_grouping(src.dim, args.r, args.seed)
+    config = FWConfig(
+        metric=_metric_config(args.family, args.k, args.lambda_m),
+        sinkhorn=SinkhornConfig(lambda_beta=args.lambda_beta),
+        max_iter=args.fw_iters,
+        gap_tol=args.gap_tol,
+        grouping=grouping,
+    )
+    exit_code = 0
     if args.family == "w22":
-        value = w22_distance(src, tgt, sink)
+        # a grouping's pad, permutation and reshape leave tr V unchanged
+        value = w22_distance(src, tgt, config.sinkhorn)
         result = {"value": value, "gap": 0.0, "iterations": 1, "family": "w22"}
-        exit_code = 0
     else:
-        grouping = None
-        if args.r is not None:
-            grouping = make_grouping(src.dim, args.r, args.seed)
-        config = FWConfig(
-            metric=_metric_config(args.family, args.k, args.lambda_m),
-            sinkhorn=sink,
-            max_iter=args.fw_iters,
-            gap_tol=args.gap_tol,
-            grouping=grouping,
-        )
         solved = rot_distance(src, tgt, config)
         result = {
             "value": solved.value,
@@ -78,7 +77,6 @@ def cmd_distance(args) -> int:
             "iterations": solved.iterations_used,
             "family": args.family,
         }
-        exit_code = 0
         if not solved.converged:
             print(
                 f"warning: duality gap {result['gap']:.3e} above tolerance "

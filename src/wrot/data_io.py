@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FeatureGrouping, _as_float_array, _freeze, _padded_dim
+from .measures import FeatureGrouping, _as_float_array, _check_count, _freeze, _padded_dim
 
 __all__ = [
     "Dataset",
@@ -62,8 +62,8 @@ class Dataset:
             raise ValueError(
                 f"{len(names)} label names for {labels.shape[1]} label columns"
             )
-        object.__setattr__(self, "features", _freeze(features))
-        object.__setattr__(self, "labels", _freeze(labels.astype(np.int8)))
+        object.__setattr__(self, "features", _freeze(features, self.features))
+        object.__setattr__(self, "labels", _freeze(labels.astype(np.int8), self.labels))
         object.__setattr__(self, "label_names", names)
 
     @property
@@ -315,5 +315,6 @@ def make_grouping(dim: int, group_count: int, seed: int) -> FeatureGrouping:
     Raises if the required padding would fill an entire group (no valid
     grouping exists for such dim/group_count pairs).
     """
+    _check_count(seed, "seed", least=0)
     permutation = np.random.default_rng(seed).permutation(_padded_dim(dim, group_count))
     return FeatureGrouping(dim=dim, group_count=group_count, permutation=permutation)

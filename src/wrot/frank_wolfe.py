@@ -36,23 +36,25 @@ from .measures import (
     _pair_costs_full,
     _point_arrays,
 )
-from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary
-from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals, entropic_ot
+from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary, _check_metric
+from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
 __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance"]
 
 
 @dataclass(frozen=True)
 class FWConfig:
-    """Settings for :func:`rot_distance`."""
+    """Settings for :func:`rot_distance`; ``metric=None`` is the fixed
+    identity metric, whose value is the plain transport cost."""
 
-    metric: MetricSolverConfig
+    metric: MetricSolverConfig | None
     sinkhorn: SinkhornConfig = SinkhornConfig()
     max_iter: int = 200
     gap_tol: float = 1e-6
     grouping: FeatureGrouping | None = None
 
     def __post_init__(self):
+        _check_metric(self.metric)
         _check_count(self.max_iter, "max_iter")
         _check_real(self.gap_tol, "gap_tol", positive=False)
 
@@ -163,5 +165,6 @@ def w22_distance(
     reads below it at the default settings.
     """
     cost = _pair_costs_full(*_point_arrays(src, tgt), np.eye(src.dim))
-    plan, _ = entropic_ot(cost, src.weights, tgt.weights, config)
-    return float(np.sum(plan.matrix * cost))
+    marginals = _marginals(src.weights, tgt.weights, cost.shape)
+    plan = _entropic_plan(cost, marginals, SinkhornConfig() if config is None else config)[0]
+    return float(np.sum(plan * cost))

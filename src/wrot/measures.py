@@ -54,13 +54,13 @@ def _check_simplex(w, name, size, tol=1e-8):
     return w
 
 
-def _check_count(value, name):
+def _check_count(value, name, least=1):
     """A count setting: an ``int`` or numpy integer, not a ``bool``, at
-    least 1."""
+    least ``least`` (a seed: 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def _check_real(value, name, positive=True):
@@ -84,8 +84,13 @@ def _normalized(w, name, scale=1.0):
     return scale * w / total
 
 
-def _freeze(arr):
+def _freeze(arr, source=None):
+    """``arr`` as a read-only C array. ``source`` is the value the caller
+    passed; an ``arr`` that is it, or a view of any array, is copied first,
+    so the caller's array stays writeable and its writes miss the field."""
     arr = np.ascontiguousarray(arr)
+    if arr is source or arr.base is not None:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -103,8 +108,8 @@ class DiscreteMeasure:
         if points.shape[0] < 1:
             raise ValueError("a measure needs at least one support point")
         weights = _check_simplex(self.weights, "weights", points.shape[0], tol=_WEIGHT_SUM_TOL)
-        object.__setattr__(self, "points", _freeze(points))
-        object.__setattr__(self, "weights", _freeze(weights))
+        object.__setattr__(self, "points", _freeze(points, self.points))
+        object.__setattr__(self, "weights", _freeze(weights, self.weights))
 
     @property
     def size(self) -> int:
@@ -132,7 +137,7 @@ class TransportPlan:
         total = matrix.sum()
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"transport plan mass is {total!r}, expected 1")
-        object.__setattr__(self, "matrix", _freeze(matrix))
+        object.__setattr__(self, "matrix", _freeze(matrix, self.matrix))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -171,7 +176,7 @@ class FeatureGrouping:
         perm = np.asarray(self.permutation, dtype=np.int64)
         if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValueError(f"permutation must list each of the expected {n} indices once")
-        object.__setattr__(self, "permutation", _freeze(perm))
+        object.__setattr__(self, "permutation", _freeze(perm, self.permutation))
 
     @property
     def padded_dim(self) -> int:

@@ -153,6 +153,15 @@ class DSConfig:
 MetricSolverConfig = PNormConfig | KLConfig | DSConfig
 
 
+def _check_metric(metric):
+    """A metric setting: a :data:`MetricSolverConfig`, or ``None`` for the
+    identity metric."""
+    if metric is not None and not isinstance(metric, MetricSolverConfig):
+        raise ValueError(
+            f"metric must be a PNormConfig, KLConfig, DSConfig or None, got {metric!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class AdversarialMetric:
     """A worst-case metric: the maximizing matrix, its value, and its family."""
@@ -162,7 +171,8 @@ class AdversarialMetric:
     family: str
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=np.float64)))
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", _freeze(matrix, self.matrix))
         object.__setattr__(self, "value", float(self.value))
 
 

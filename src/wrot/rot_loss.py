@@ -67,7 +67,7 @@ from .measures import (
     _normalized,
     _pair_costs_full,
 )
-from .metric_solvers import AdversarialMetric, MetricSolverConfig, PNormConfig
+from .metric_solvers import AdversarialMetric, MetricSolverConfig, PNormConfig, _check_metric
 from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
 __all__ = [
@@ -105,7 +105,7 @@ class LabelSpace:
         norms = np.linalg.norm(emb, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-8:
             raise ValueError("embedding rows must have unit 2-norm")
-        object.__setattr__(self, "embeddings", _freeze(emb))
+        object.__setattr__(self, "embeddings", _freeze(emb, self.embeddings))
         # the point array the kernels see: the embeddings, or their (L, d1, r)
         # reshape under a grouping
         points = self.embeddings
@@ -144,6 +144,7 @@ class RotLossConfig:
     sinkhorn: SinkhornConfig = SinkhornConfig()
 
     def __post_init__(self):
+        _check_metric(self.metric)
         _check_real(self.lambda_gamma, "lambda_gamma")
         _check_count(self.fw_iters, "fw_iters")
 

@@ -14,8 +14,9 @@ range is redone in the log domain (Schmitzer, SIAM J. Sci. Comput. 2019).
 Past ``max|cost| / lambda_beta = 2**53`` a float64 exponent no longer
 resolves a step of 1, and the solve refuses.
 
-``_entropic_plan`` runs that solve for :func:`entropic_ot` and for both
-Frank-Wolfe oracles, and returns the plan's dual log-potentials with it.
+``_entropic_plan`` runs that solve for :func:`entropic_ot`,
+:func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe oracles, and
+returns the plan's dual log-potentials with it.
 
 The log-domain round keeps ``np.exp`` on its vector path, which it leaves
 for exponents below about -708 at 10 to 100 times the cost. Its logsumexp
@@ -31,8 +32,6 @@ row and column sums.
 ``_symmetric_scaling`` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic; the doubly-stochastic metric solver calls it on the
 kernel it builds.
-:func:`exact_ot_small` is an exact LP reference for tiny instances, used to
-cross-check the regularized solver.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "SinkhornConfig",
     "SinkhornConvergenceError",
     "entropic_ot",
-    "exact_ot_small",
 ]
 
 # exp(x) and exp(-x) stay normal float64 numbers for |x| <= 700 (the range
@@ -331,45 +329,3 @@ def _symmetric_scaling(kernel, tol, max_iter):
         residual=residual,
     )
 
-
-def exact_ot_small(cost: np.ndarray, row_weights, col_weights) -> tuple[TransportPlan, float]:
-    """Exact linear-program transport for tiny instances (m * n <= 16).
-
-    Solves ``min <plan, cost>`` over the transport polytope with an exact LP
-    solver and returns the optimal plan and value. Intended as a reference
-    oracle for the regularized solver, so the size cap is deliberate.
-    """
-    from scipy.optimize import linprog  # loaded here: only this reference needs it
-
-    cost = _as_float_array(cost, "cost", 2)
-    m, n = cost.shape
-    if m * n > 16:
-        raise ValueError(f"exact_ot_small is limited to m*n <= 16, got {m}x{n}")
-    p = _check_simplex(row_weights, "row_weights", m)
-    q = _check_simplex(col_weights, "col_weights", n)
-
-    # Equality constraints: every row sum and all but one column sum (the last
-    # is implied by total mass).
-    a_eq = []
-    b_eq = []
-    for i in range(m):
-        row = np.zeros((m, n))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(p[i])
-    for j in range(n - 1):
-        col = np.zeros((m, n))
-        col[:, j] = 1.0
-        a_eq.append(col.ravel())
-        b_eq.append(q[j])
-    result = linprog(
-        cost.ravel(),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"LP solver failed: {result.message}")
-    plan = np.clip(result.x.reshape(m, n), 0.0, None)
-    return TransportPlan(matrix=plan), float(result.fun)

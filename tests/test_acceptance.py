@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from lp_reference import exact_ot_small
 from wrot import (
     DSConfig,
     FWConfig,
@@ -29,7 +30,6 @@ from wrot import (
     TransportPlan,
     adversarial_value,
     displacement_second_moment,
-    exact_ot_small,
     feature_selection_objective,
     independent_coupling,
     make_grouping,

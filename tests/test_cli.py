@@ -111,6 +111,23 @@ class TestDistance:
         assert result["gap"] == 0.0
         assert result["iterations"] == 1
 
+    @pytest.mark.parametrize("family", ["pnorm", "w22"])
+    @pytest.mark.parametrize(
+        "flags, field", [(["--fw-iters", "0"], "max_iter"), (["--gap-tol", "-5"], "gap_tol")]
+    )
+    def test_every_family_checks_the_solver_settings(
+        self, cloud_files, family, flags, field, capsys
+    ):
+        """w22 ignores the Frank-Wolfe settings but refuses bad ones, as the
+        other families do."""
+        code, out, err = invoke(
+            ["distance", "--src", cloud_files["src2"], "--tgt", cloud_files["tgt2"],
+             "--family", family, *flags, "--json"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert f"error: {field} must be" in err
+
     def test_identical_clouds_near_zero(self, cloud_files, capsys):
         code, out, _ = invoke(
             ["distance", "--src", cloud_files["separated"],

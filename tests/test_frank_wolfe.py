@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lp_reference import exact_ot_small
 from wrot import (
     DSConfig,
     FWConfig,
@@ -13,7 +14,6 @@ from wrot import (
     TransportPlan,
     adversarial_value,
     displacement_second_moment,
-    exact_ot_small,
     independent_coupling,
     make_grouping,
     make_measure,

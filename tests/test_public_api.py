@@ -1,7 +1,8 @@
 """The package's export list: a pinned set of names, no duplicates, no
 stale names, and exactly the library modules' own exports; the exported
-types that hold arrays compare and hash without raising; and importing the
-package leaves SciPy's heavy submodules unloaded."""
+types that hold arrays compare and hash without raising and leave the
+caller's arrays alone; and ``scripts/runtime_check.py``, which runs every
+public entry point, loads no SciPy module."""
 
 import importlib
 import os
@@ -57,7 +58,6 @@ PUBLIC_NAMES = [
     "displacement_second_moment",
     "entropic_ot",
     "evaluate",
-    "exact_ot_small",
     "feature_selection_objective",
     "feature_weights",
     "independent_coupling",
@@ -78,8 +78,9 @@ PUBLIC_NAMES = [
     "w22_distance",
 ]
 
-# deleted with no caller outside the tests, or as a pass-through to
-# adversarial_value, each from its module
+# deleted with no caller outside the tests (exact_ot_small moved into them,
+# as tests/lp_reference.py), or as a pass-through to adversarial_value, each
+# from its module
 DELETED = [
     ("data_io", "load_grouping"),
     ("data_io", "save_grouping"),
@@ -88,6 +89,7 @@ DELETED = [
     ("metric_solvers", "euclidean_metric"),
     ("metric_solvers", "kl_metric"),
     ("metric_solvers", "pnorm_metric"),
+    ("sinkhorn", "exact_ot_small"),
     ("sinkhorn", "symmetric_scaling"),
 ]
 
@@ -116,24 +118,38 @@ def test_all_is_the_union_of_library_exports():
     assert set(wrot.__all__) == union
 
 
+# each exported type that holds arrays: the arrays a caller passes, by field
+# name, and the build from them
 ARRAY_HOLDERS = {
-    "DiscreteMeasure": lambda: wrot.make_measure(np.eye(2)),
-    "TransportPlan": lambda: wrot.TransportPlan(np.full((2, 2), 0.25)),
-    "FeatureGrouping": lambda: wrot.make_grouping(10, 3, 1),
-    "AdversarialMetric": lambda: wrot.AdversarialMetric(np.eye(2), 1.0, "kl"),
-    "SoftmaxModel": lambda: wrot.SoftmaxModel(np.zeros((3, 2))),
-    "LabelSpace": lambda: wrot.LabelSpace(np.eye(3)),
-    "KLConfig": lambda: wrot.KLConfig(m0=np.eye(2)),
-    "DSConfig": lambda: wrot.DSConfig(m0=np.full((2, 2), 0.5)),
-    "Dataset": lambda: wrot.Dataset(np.zeros((2, 3)), np.eye(2), ("a", "b")),
+    "DiscreteMeasure": (
+        lambda: {"points": np.eye(2), "weights": np.full(2, 0.5)},
+        lambda a: wrot.DiscreteMeasure(**a),
+    ),
+    "TransportPlan": (
+        lambda: {"matrix": np.full((2, 2), 0.25)}, lambda a: wrot.TransportPlan(**a)
+    ),
+    "FeatureGrouping": (
+        lambda: {"permutation": np.arange(12)}, lambda a: wrot.FeatureGrouping(10, 3, **a)
+    ),
+    "AdversarialMetric": (
+        lambda: {"matrix": np.eye(2)}, lambda a: wrot.AdversarialMetric(value=1.0, family="kl", **a)
+    ),
+    "SoftmaxModel": (lambda: {"weights": np.zeros((3, 2))}, lambda a: wrot.SoftmaxModel(**a)),
+    "LabelSpace": (lambda: {"embeddings": np.eye(3)}, lambda a: wrot.LabelSpace(**a)),
+    "KLConfig": (lambda: {"m0": np.eye(2)}, lambda a: wrot.KLConfig(**a)),
+    "DSConfig": (lambda: {"m0": np.full((2, 2), 0.5)}, lambda a: wrot.DSConfig(**a)),
+    "Dataset": (
+        lambda: {"features": np.zeros((2, 3)), "labels": np.eye(2, dtype=np.int8)},
+        lambda a: wrot.Dataset(label_names=("a", "b"), **a),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
 def test_array_holders_compare_and_hash_by_identity(name):
     """Value equality would take the truth value of an array comparison."""
-    make = ARRAY_HOLDERS[name]
-    first, second = make(), make()
+    inputs, build = ARRAY_HOLDERS[name]
+    first, second = build(inputs()), build(inputs())
     assert type(first).__name__ == name
     assert first == first and first != second
     assert hash(first) == hash(first)
@@ -149,23 +165,40 @@ def test_config_holding_arrays_compares_and_hashes():
     assert first != wrot.FWConfig(wrot.KLConfig(m0=np.eye(2)), grouping=grouping)
 
 
-def test_import_loads_neither_scipy_stats_nor_optimize():
-    """``exact_ot_small`` imports what it uses from SciPy when called, and
-    ``evaluate`` ranks with numpy alone, so importing the package and its
-    CLI and evaluating a model loads neither ``scipy.stats`` nor
-    ``scipy.optimize``."""
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_leave_the_callers_arrays_writeable(name):
+    """A holder stores a frozen copy of an array the caller keeps: the
+    caller's array stays writeable, and writing to it leaves the stored
+    field unchanged."""
+    inputs, build = ARRAY_HOLDERS[name]
+    arrays = inputs()
+    holder = build(arrays)
+    for field, array in arrays.items():
+        stored = getattr(holder, field)
+        before = stored.copy()
+        assert array.flags.writeable, field
+        array += 1
+        assert np.array_equal(stored, before), field
+
+
+def test_make_measure_leaves_the_callers_points_writeable():
+    points = np.eye(2)
+    measure = wrot.make_measure(points)
+    points += 1
+    assert np.array_equal(measure.points, np.eye(2))
+
+
+def test_runtime_check_loads_no_scipy():
+    """Every public function, every adversary family, training, evaluation,
+    a checkpoint round trip and the four subcommands run on numpy alone."""
+    root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = (
-        "import sys, numpy as np, wrot, wrot.cli; "
-        "ds = wrot.Dataset(features=np.eye(2), labels=np.eye(2, dtype=int), "
-        "label_names=('a', 'b')); "
-        "wrot.evaluate(wrot.SoftmaxModel(weights=np.eye(2)), ds); "
-        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(root / "scripts" / "runtime_check.py")],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "no scipy module loaded" in result.stdout

@@ -1,4 +1,4 @@
-"""The pinned inventory of settings, and property tests for the two rules
+"""The pinned inventory of settings, and property tests for the three rules
 every setting of the package follows.
 
 The inventory lists every field of an exported config class, every defaulted
@@ -7,12 +7,15 @@ subcommand, so adding or removing a knob is a deliberate edit of a list.
 
 A count (``iterations``, ``max_iter``, ``fw_iters``, ``epochs``, ``k``, and a
 grouping's ``dim`` and ``group_count``) is an ``int`` or numpy integer, not a
-``bool``, and at least 1. A real is a finite number, not a ``bool``, and
-positive (``lambda_beta``, ``lambda_gamma``, ``lambda_m``,
-``learning_rate``) or nonnegative (``gap_tol``, ``weight_decay``). Each
-config, :func:`make_grouping` and :func:`feature_weights` refuses anything
-else with a ``ValueError`` whose message starts with the field's name, and
-still builds from every valid value.
+``bool``, and at least 1; a ``seed``, of training or of a grouping, is one
+at least 0. A real is a finite number, not a ``bool``, and positive
+(``lambda_beta``, ``lambda_gamma``, ``lambda_m``, ``learning_rate``) or
+nonnegative (``gap_tol``, ``weight_decay``). The ``metric`` of
+:class:`FWConfig` and :class:`RotLossConfig` is a :class:`PNormConfig`,
+:class:`KLConfig`, :class:`DSConfig` or ``None``, the identity. Each config,
+:func:`make_grouping` and :func:`feature_weights` refuses anything else with
+a ``ValueError`` whose message starts with the field's name, and still
+builds from every valid value.
 """
 
 import argparse
@@ -158,6 +161,10 @@ SETTINGS = {
     "TrainConfig.weight_decay": (
         "nonnegative", "weight_decay", lambda x: TrainConfig(weight_decay=x)
     ),
+    "TrainConfig.seed": ("seed", "seed", lambda x: TrainConfig(seed=x)),
+    "make_grouping.seed": ("seed", "seed", lambda x: make_grouping(1, 1, x)),
+    "FWConfig.metric": ("metric", "metric", lambda x: FWConfig(x)),
+    "RotLossConfig.metric": ("metric", "metric", lambda x: RotLossConfig(metric=x)),
 }
 # refused only: a large valid count would allocate a permutation that long
 REFUSABLE = {
@@ -171,11 +178,18 @@ NOT_NUMBERS = st.booleans() | st.sampled_from([np.bool_(True), None, "1", [1]])
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf)])
 ZERO = st.sampled_from([0, 0.0, np.int64(0), np.float64(0.0)])
 
+FLOATS = st.floats() | st.floats(0, 1e6).map(np.float64)
+# every object but a metric family's config and None
+NOT_METRICS = (
+    st.text() | st.integers() | st.floats() | st.booleans()
+    | st.sampled_from([PNormConfig, SinkhornConfig(), FWConfig(None), np.eye(2), [1]])
+)
+
 REFUSED = {
-    # a count refuses every float, integral ones included
-    "count": (
-        NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO | st.floats() | st.floats(1, 1e6).map(np.float64)
-    ),
+    # a count or a seed refuses every float, integral ones included
+    "count": NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO | FLOATS,
+    "seed": NOT_NUMBERS | NON_FINITE | NEGATIVE | FLOATS,
+    "metric": NOT_METRICS,
     "positive": NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO,
     "nonnegative": NOT_NUMBERS | NON_FINITE | NEGATIVE,
 }
@@ -187,6 +201,10 @@ POSITIVE_REALS = (
 )
 ACCEPTED = {
     "count": st.integers(1, 10**12) | st.integers(1, 2**31).map(np.int64),
+    "seed": st.integers(0, 10**12) | st.integers(0, 2**31).map(np.int64),
+    "metric": st.sampled_from(
+        [None, PNormConfig(), PNormConfig(k=3), KLConfig(), DSConfig(lambda_m=0.5)]
+    ),
     "positive": POSITIVE_REALS,
     "nonnegative": POSITIVE_REALS | ZERO,
 }
@@ -230,6 +248,15 @@ def test_valid_values_build(setting, data):
         ("make_grouping.dim", True),
         # numpy's AxisError from the permutation draw
         ("make_grouping.group_count", 2.0),
+        # TypeError "unknown metric solver config: str" from the solve
+        ("FWConfig.metric", "pnorm"),
+        ("RotLossConfig.metric", "pnorm"),
+        # sgd_train's generator refused -1 and 1.5, and drew from True as 1
+        ("TrainConfig.seed", -1),
+        ("TrainConfig.seed", 1.5),
+        ("TrainConfig.seed", True),
+        # numpy's "expected non-negative integer", naming no field
+        ("make_grouping.seed", -1),
     ],
 )
 def test_inputs_the_old_checks_let_through_are_refused(setting, value):

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp as scipy_logsumexp
 
+from lp_reference import exact_ot_small
 from wrot import (
     SinkhornConfig,
     SinkhornConvergenceError,
     entropic_ot,
-    exact_ot_small,
     sinkhorn,
 )
 
