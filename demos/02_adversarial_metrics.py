@@ -14,11 +14,11 @@ from wrot import (
     DSConfig,
     KLConfig,
     PNormConfig,
+    TransportPlan,
     adversarial_value,
     displacement_second_moment,
     feature_selection_objective,
     feature_weights,
-    independent_coupling,
     make_measure,
 )
 
@@ -30,7 +30,8 @@ tgt_pts = src_pts + np.array([2.0, 1.0, 0.1, 0.1, 0.1]) * rng.normal(size=(6, 5)
 src = make_measure(src_pts)
 tgt = make_measure(rng.permutation(tgt_pts))
 
-plan = independent_coupling(src, tgt)
+# the product coupling: every source point sends mass to every target point
+plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
 v = displacement_second_moment(plan, src, tgt)
 print("displacement second moment diagonal:")
 print(" ", np.array_str(np.diag(v), precision=3))

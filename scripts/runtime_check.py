@@ -68,9 +68,9 @@ def exercise_library(api, work):
     src = api.make_measure(rng.normal(size=(5, 4)))
     tgt = api.make_measure(rng.normal(size=(6, 4)) + 1.0, rng.random(6) + 0.1)
     grouping = api.make_grouping(4, 2, 0)
-    moment = api.displacement_second_moment(api.independent_coupling(src, tgt), src, tgt)
-    api.displacement_second_moment(api.independent_coupling(src, tgt), src, tgt, grouping)
-    api.entropic_ot(rng.random((5, 6)), src.weights, tgt.weights)
+    plan = api.TransportPlan(matrix=np.outer(src.weights, tgt.weights))
+    moment = api.displacement_second_moment(plan, src, tgt)
+    api.displacement_second_moment(plan, src, tgt, grouping)
     api.w22_distance(src, tgt)
     api.feature_weights(moment)
     api.feature_selection_objective(moment)

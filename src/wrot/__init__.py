@@ -38,7 +38,6 @@ from .measures import (
     FeatureGrouping,
     TransportPlan,
     displacement_second_moment,
-    independent_coupling,
     make_measure,
 )
 from .metric_solvers import (
@@ -59,11 +58,7 @@ from .rot_loss import (
     rot_loss_gradient,
     smooth_target,
 )
-from .sinkhorn import (
-    SinkhornConfig,
-    SinkhornConvergenceError,
-    entropic_ot,
-)
+from .sinkhorn import SinkhornConfig, SinkhornConvergenceError
 
 __version__ = "0.1.0"
 
@@ -91,11 +86,9 @@ __all__ = [
     "TransportPlan",
     "adversarial_value",
     "displacement_second_moment",
-    "entropic_ot",
     "evaluate",
     "feature_selection_objective",
     "feature_weights",
-    "independent_coupling",
     "load_dataset",
     "load_embedding_file",
     "load_embeddings",

@@ -24,7 +24,6 @@ __all__ = [
     "TransportPlan",
     "FeatureGrouping",
     "make_measure",
-    "independent_coupling",
     "displacement_second_moment",
 ]
 
@@ -202,11 +201,6 @@ def make_measure(points, weights=None) -> DiscreteMeasure:
     else:
         weights = _normalized(_as_float_array(weights, "weights", 1), "weights")
     return DiscreteMeasure(points=points, weights=weights)
-
-
-def independent_coupling(src: DiscreteMeasure, tgt: DiscreteMeasure) -> TransportPlan:
-    """The product coupling ``w_src w_tgt^T``."""
-    return TransportPlan(matrix=np.outer(src.weights, tgt.weights))
 
 
 # ---------------------------------------------------------------------------

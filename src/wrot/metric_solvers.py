@@ -120,6 +120,8 @@ class KLConfig:
     ``lambda_m * (sum(M*) - sum(m0))``. Entries of ``V / lambda_m`` beyond the
     float exponent range, or of ``m0 * exp(V / lambda_m)`` or its sum beyond
     the float range, raise ``OverflowError`` rather than produce inf.
+    ``lambda_m`` is absolute: scaling both clouds by c scales ``V`` by c**2
+    but not the penalty, so the value does not scale as c**2.
     """
 
     lambda_m: float = 1.0
@@ -140,7 +142,8 @@ class DSConfig:
     ``<V, M*> - lambda_m * KL(M*, m0)``. The scaling runs to a row-sum
     residual of 1e-8 and raises :class:`~wrot.sinkhorn.SinkhornConvergenceError`
     (with residual) if the kernel cannot be balanced within 10,000 updates. A
-    kernel that overflows raises ``OverflowError``, as for :class:`KLConfig`.
+    kernel that overflows raises ``OverflowError``, and the value does not
+    scale as c**2 with the clouds, as for :class:`KLConfig`.
     """
 
     lambda_m: float = 1.0
@@ -268,9 +271,8 @@ def _adversary(v, config):
         return _pnorm(v, config.k)
     if isinstance(config, KLConfig):
         return _kl(v, config.lambda_m, config.m0)
-    if isinstance(config, DSConfig):
-        return _ds(v, config.lambda_m, config.m0)
-    raise TypeError(f"unknown metric solver config: {type(config).__name__}")
+    # every caller's config passed _check_metric, so this one is a DSConfig
+    return _ds(v, config.lambda_m, config.m0)
 
 
 def adversarial_value(
@@ -279,8 +281,11 @@ def adversarial_value(
     """Dispatch to the configured family's closed-form solver.
 
     ``config=None`` is the fixed identity metric: no adversary, value
-    ``trace(V)``, the plain squared-Euclidean transport cost.
+    ``trace(V)``, the plain squared-Euclidean transport cost. Any other
+    ``config`` raises ``ValueError``, as :class:`~wrot.frank_wolfe.FWConfig`
+    and :class:`~wrot.rot_loss.RotLossConfig` do.
     """
+    _check_metric(config)
     return AdversarialMetric(*_adversary(_check_moment(moment), config))
 
 

@@ -1,33 +1,33 @@
-"""Entropy-regularized transport solvers and matrix scaling.
+"""Entropy-regularized transport solves and matrix scaling.
 
-Two related fixed-point iterations live here. :func:`entropic_ot` solves the
+Two related fixed-point iterations live here. ``_entropic_plan`` solves the
 entropy-regularized linear transport problem
 
     min_{plan in Pi(p, q)}  <plan, cost> + lambda_beta * sum plan * log(plan)
 
-by alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``
-in one round loop. Its first round is a plain multiplicative update while
-that kernel is representable in float64; beyond, it is a log-domain round
-that absorbs the dual potentials into the kernel. Every later round is a
-plain update of the kernel's scalings, and one whose scalings leave a safe
-range is redone in the log domain (Schmitzer, SIAM J. Sci. Comput. 2019).
-Past ``max|cost| / lambda_beta = 2**53`` a float64 exponent no longer
-resolves a step of 1, and the solve refuses.
-
-``_entropic_plan`` runs that solve for :func:`entropic_ot`,
-:func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe oracles, and
-returns the plan's dual log-potentials with it.
+for :func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe oracles, by
+alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``
+in one round loop, and returns the plan's dual log-potentials with it. Its
+first round is a plain multiplicative update while that kernel is
+representable in float64; beyond, it is a log-domain round that absorbs the
+dual potentials into the kernel. Every later round is a plain update of the
+kernel's scalings, and one whose scalings leave a safe range is redone in
+the log domain (Schmitzer, SIAM J. Sci. Comput. 2019). Past ``max|cost| /
+lambda_beta = 2**53`` a float64 exponent no longer resolves a step of 1, and
+the solve refuses.
 
 The log-domain round keeps ``np.exp`` on its vector path, which it leaves
 for exponents below about -708 at 10 to 100 times the cost. Its logsumexp
 clips shifted terms at ``-_EXP_LIMIT``: each finite slice sums to at least
 1, and a term below ``exp(-700)`` is under half the float64 spacing at 1,
-so the sum is the plain formula's bit for bit. The absorbed kernel's exp
-truncates instead: entries whose exponent is below ``-_EXP_LIMIT`` are set
-to 0. None of its entries is then subnormal, which would slow every later
-round's mat-vecs about threefold. The entries dropped are those of the
-round's plan below ``exp(-700)``, far under the float64 spacing of its
-row and column sums.
+so the sum is the plain formula's bit for bit. Every slice maximum the
+round sees is finite, as the cost, the weights' logs and the potentials
+are, so the logsumexp takes a fast path for finite maxima and keeps its
+general path for the others. The absorbed kernel's exp truncates instead:
+entries whose exponent is below ``-_EXP_LIMIT`` are set to 0. None of its
+entries is then subnormal, which would slow every later round's mat-vecs
+about threefold. The entries dropped are those of the round's plan below
+``exp(-700)``, far under the float64 spacing of its row and column sums.
 
 ``_symmetric_scaling`` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic; the doubly-stochastic metric solver calls it on the
@@ -41,19 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    _MASS_TOL,
-    TransportPlan,
-    _as_float_array,
-    _check_count,
-    _check_real,
-    _check_simplex,
-)
+from .measures import _MASS_TOL, _as_float_array, _check_count, _check_real, _check_simplex
 
 __all__ = [
     "SinkhornConfig",
     "SinkhornConvergenceError",
-    "entropic_ot",
 ]
 
 # exp(x) and exp(-x) stay normal float64 numbers for |x| <= 700 (the range
@@ -74,7 +66,7 @@ class SinkhornConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Settings for every entropic Sinkhorn solve: :func:`entropic_ot`,
+    """Settings for every entropic Sinkhorn solve: that of
     :func:`~wrot.frank_wolfe.w22_distance`, and the Frank-Wolfe oracle of
     the distance and the loss. Each runs ``iterations`` rounds of one loop
     whose first round follows ``max|cost| / lambda_beta``, a plain update up
@@ -90,17 +82,27 @@ class SinkhornConfig:
 
 
 def _logsumexp(a, axis):
-    """``log(sum(exp(a), axis))`` shifted by the slice maximum.
+    """``log(sum(exp(a), axis))`` of a 2-d ``a``, shifted by the slice maximum.
 
     Shifted terms are clipped at ``-_EXP_LIMIT``, which keeps ``np.exp`` on
     its fast path. The result is that of the unclipped sum: the slice's
     maximum term is ``exp(0) = 1``, and every clipped term is below
-    ``exp(-700) < 1e-304``, far under half the float64 spacing at 1. A
-    non-finite maximum is shifted by 0 and not clipped, so an all ``-inf``
-    slice gives ``-inf``. Plain numpy: ``scipy.special.logsumexp`` costs
-    several times more per call on the small arrays the iterations pass it.
+    ``exp(-700) < 1e-304``, far under half the float64 spacing at 1.
+
+    When every slice maximum is finite, the only case the round loop
+    produces, the fast path runs these steps with no mask and no error
+    state: each sum is at least 1, so its log is finite. Otherwise the
+    general path shifts a non-finite maximum by 0 and does not clip its
+    slice, so an all ``-inf`` slice gives ``-inf``. Both paths make the same
+    float operations in the same order. Plain numpy:
+    ``scipy.special.logsumexp`` costs several times more per call on the
+    small arrays the iterations pass it.
     """
-    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.maximum.reduce(a, axis=axis, keepdims=True)
+    if np.isfinite(shift).all():
+        terms = a - shift
+        np.maximum(terms, -_EXP_LIMIT, out=terms)
+        return np.log(np.add.reduce(np.exp(terms, out=terms), axis=axis)) + shift.squeeze(axis)
     finite = np.isfinite(shift)
     shift[~finite] = 0.0
     terms = a - shift
@@ -124,10 +126,10 @@ def _exp(x):
 
 
 def _absorbed_kernel(log_kernel, log_p, log_q, g):
-    # One log-domain round from g: f = log u, then g = log v, folded into
-    # the kernel. Returns (exp(log_kernel + f + g), f, g); the kernel's
-    # column sums are q, so its own scalings start at u = v = 1.
-    f = log_p - _logsumexp(log_kernel + g[None, :], axis=1)
+    # One log-domain round from g (zero when None): f = log u, then g = log
+    # v, folded into the kernel. Returns (exp(log_kernel + f + g), f, g);
+    # the kernel's column sums are q, so its own scalings start at u = v = 1.
+    f = log_p - _logsumexp(log_kernel if g is None else log_kernel + g[None, :], axis=1)
     row_scaled = log_kernel + f[:, None]
     g = log_q - _logsumexp(row_scaled, axis=0)
     return _exp(row_scaled + g[None, :]), f, g
@@ -171,7 +173,6 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
     p, q = marginals.active_p, marginals.active_q
     log_p, log_q = marginals.log_p, marginals.log_q
     if log_first:
-        g = np.zeros_like(q) if g is None else g
         kernel, f, g = _absorbed_kernel(log_kernel, log_p, log_q, g)
         v = np.ones_like(q)
     else:
@@ -213,31 +214,6 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
     return kernel, f + np.log(u), g + np.log(v)
 
 
-def entropic_ot(
-    cost: np.ndarray, row_weights, col_weights, config: SinkhornConfig | None = None
-) -> tuple[TransportPlan, float]:
-    """Entropy-regularized transport between ``row_weights`` and ``col_weights``.
-
-    Runs a fixed number of alternating scaling rounds, ending on the column
-    update, so the returned plan's column sums match ``col_weights`` exactly
-    and the row sums carry the remaining error. Rows and columns with zero
-    target mass are excluded from the iteration and left zero in the plan.
-
-    Returns
-    -------
-    (plan, residual)
-        ``plan`` is the coupling; ``residual`` is the maximum absolute
-        deviation of its row and column sums from the requested weights.
-    """
-    if config is None:
-        config = SinkhornConfig()
-    cost = _as_float_array(cost, "cost", 2)
-    marginals = _marginals(row_weights, col_weights, cost.shape)
-    plan = _entropic_plan(cost, marginals, config)[0]
-    rows, cols = plan.sum(axis=1) - marginals.p, plan.sum(axis=0) - marginals.q
-    return TransportPlan(matrix=plan), float(max(np.max(np.abs(rows)), np.max(np.abs(cols))))
-
-
 def _beyond_float_potentials(scale):
     return (
         f"max|cost|/lambda_beta = {scale:.3g} is beyond what float64 dual "
@@ -248,7 +224,8 @@ def _beyond_float_potentials(scale):
 
 def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
     """The one Sinkhorn solve, on prepared :func:`_marginals`, with a warm
-    start.
+    start; :func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe
+    oracles run it.
 
     Runs the one round loop, :func:`_rounds`, on the active block of
     ``cost / lambda_beta``. Its first round is plain when the block's

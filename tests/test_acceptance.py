@@ -31,7 +31,6 @@ from wrot import (
     adversarial_value,
     displacement_second_moment,
     feature_selection_objective,
-    independent_coupling,
     make_grouping,
     make_measure,
     rot_distance,
@@ -145,7 +144,7 @@ def test_criterion_4_gradient_suites():
     families = [PNormConfig(k=1), KLConfig(lambda_m=2.0), DSConfig(lambda_m=2.0)]
     for trial in range(20):
         src, tgt = random_cloud_pair(rng, 3, 4, 3)
-        base = independent_coupling(src, tgt)
+        base = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         # a vertex-pointing direction keeps the perturbed plan inside the
         # transport polytope, so both FD evaluations stay feasible
         vertex, _ = exact_ot_small(
@@ -242,7 +241,7 @@ def test_criterion_5_kronecker_equivalence():
     # <V, B kron I> = <U, B> for the grouped second moment
     grouping = make_grouping(d, 3, seed=5)
     assert grouping.pad == 0
-    plan = independent_coupling(src, tgt)
+    plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
     u = displacement_second_moment(plan, src, tgt, grouping)
     v = displacement_second_moment(plan, src, tgt)
     perm = grouping.permutation
@@ -265,7 +264,7 @@ def test_criterion_6_feature_selection_identity():
     d = 8
     for _ in range(50):
         src, tgt = random_cloud_pair(rng, 4, 5, d)
-        plan = independent_coupling(src, tgt)
+        plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         v = displacement_second_moment(plan, src, tgt)
         lam = float(rng.uniform(0.4, 2.0))
         diag_value = adversarial_value(np.diag(np.diag(v)), KLConfig(lambda_m=lam)).value

@@ -14,7 +14,6 @@ from wrot import (
     TransportPlan,
     adversarial_value,
     displacement_second_moment,
-    independent_coupling,
     make_grouping,
     make_measure,
     rot_distance,
@@ -101,7 +100,7 @@ class TestGradient:
         """Danskin direction check: f(gamma + h delta) - f(gamma) ~ h <g, delta>."""
         rng = np.random.default_rng(8)
         src, tgt = random_instance(rng, 3, 4, 3)
-        base = independent_coupling(src, tgt)
+        base = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         vertex, _ = exact_ot_small(
             rng.uniform(size=(3, 4)), src.weights, tgt.weights
         )
@@ -126,7 +125,7 @@ class TestGradient:
         d, r = 5, 2
         grouping = make_grouping(d, r, seed=7)
         src, tgt = random_instance(rng, 3, 4, d)
-        plan = independent_coupling(src, tgt)
+        plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         u = displacement_second_moment(plan, src, tgt, grouping)
         small = adversarial_value(u, PNormConfig(k=1))
         grad_grouped = _pair_costs_full(*_point_arrays(src, tgt, grouping), small.matrix)
@@ -181,7 +180,7 @@ class TestConvergence:
     def test_objective_convex_in_plan(self):
         rng = np.random.default_rng(12)
         src, tgt = random_instance(rng, 3, 4, 3)
-        g1 = independent_coupling(src, tgt).matrix
+        g1 = TransportPlan(matrix=np.outer(src.weights, tgt.weights)).matrix
         vertex, _ = exact_ot_small(rng.uniform(size=(3, 4)), src.weights, tgt.weights)
         g2 = vertex.matrix
         for metric in (PNormConfig(k=1), KLConfig(lambda_m=1.0), DSConfig(lambda_m=1.0)):

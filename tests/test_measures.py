@@ -7,7 +7,6 @@ from wrot import (
     FeatureGrouping,
     TransportPlan,
     displacement_second_moment,
-    independent_coupling,
     make_grouping,
     make_measure,
 )
@@ -37,7 +36,7 @@ class TestDisplacementMoment:
         rng = np.random.default_rng(42)
         for _ in range(10):
             src, tgt = random_instance(rng, 5, 7, 4)
-            plan = independent_coupling(src, tgt)
+            plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
             expected = brute_force_moment(plan.matrix, src.points, tgt.points)
             got = displacement_second_moment(plan, src, tgt)
             assert_allclose(got, expected, atol=1e-12)
@@ -56,7 +55,7 @@ class TestDisplacementMoment:
         rng = np.random.default_rng(7)
         for _ in range(20):
             src, tgt = random_instance(rng, 4, 6, 5)
-            plan = independent_coupling(src, tgt)
+            plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
             v = displacement_second_moment(plan, src, tgt)
             assert_allclose(v, v.T, atol=1e-14)
             assert np.linalg.eigvalsh(v).min() >= -1e-10
@@ -65,7 +64,7 @@ class TestDisplacementMoment:
         """Mixing plans mixes moments: the map is linear in the coupling."""
         rng = np.random.default_rng(3)
         src, tgt = random_instance(rng, 3, 4, 3)
-        p1 = independent_coupling(src, tgt).matrix
+        p1 = TransportPlan(matrix=np.outer(src.weights, tgt.weights)).matrix
         perm = np.zeros((3, 4))
         perm[0, 0] = perm[1, 1] = perm[2, 2] = 0.25
         perm[2, 3] = 0.25
@@ -83,10 +82,12 @@ class TestDisplacementMoment:
         src = make_measure(rng.normal(size=(3, 4)))
         tgt = make_measure(rng.normal(size=(5, 4)))
         bad_tgt = make_measure(rng.normal(size=(5, 3)))
-        plan = independent_coupling(src, tgt)
+        plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         with pytest.raises(ValueError):
             displacement_second_moment(plan, src, bad_tgt)
-        small = independent_coupling(src, make_measure(rng.normal(size=(2, 4))))
+        small = TransportPlan(
+            matrix=np.outer(src.weights, make_measure(rng.normal(size=(2, 4))).weights)
+        )
         with pytest.raises(ValueError):
             displacement_second_moment(small, src, tgt)
 
@@ -106,7 +107,7 @@ class TestGroupedMoment:
         for d, r in ((6, 3), (6, 2), (8, 4)):
             grouping = make_grouping(d, r, seed=5)
             src, tgt = random_instance(rng, 4, 5, d)
-            plan = independent_coupling(src, tgt)
+            plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
             u = displacement_second_moment(plan, src, tgt, grouping)
 
             def transform(points):
@@ -128,7 +129,7 @@ class TestGroupedMoment:
         grouping = make_grouping(5, 2, seed=3)
         assert grouping.pad == 1
         src, tgt = random_instance(rng, 3, 3, 5)
-        plan = independent_coupling(src, tgt)
+        plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         u = displacement_second_moment(plan, src, tgt, grouping)
         padded_src = np.concatenate([src.points, np.zeros((3, 1))], axis=1)
         padded_tgt = np.concatenate([tgt.points, np.zeros((3, 1))], axis=1)
@@ -144,7 +145,7 @@ class TestGroupedMoment:
         """One row per group with the identity permutation is the full moment."""
         rng = np.random.default_rng(13)
         src, tgt = random_instance(rng, 4, 6, 5)
-        plan = independent_coupling(src, tgt)
+        plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
         full = displacement_second_moment(plan, src, tgt)
         grouped = displacement_second_moment(plan, src, tgt, identity_grouping(5))
         assert_allclose(grouped, full, atol=1e-12)
@@ -153,7 +154,7 @@ class TestGroupedMoment:
         rng = np.random.default_rng(14)
         grouping = make_grouping(7, 3, seed=1)
         src, tgt = random_instance(rng, 5, 4, 7)
-        u = displacement_second_moment(independent_coupling(src, tgt), src, tgt, grouping)
+        u = displacement_second_moment(TransportPlan(matrix=np.outer(src.weights, tgt.weights)), src, tgt, grouping)
         assert np.linalg.eigvalsh(u).min() >= -1e-10
 
 
@@ -257,13 +258,6 @@ class TestMeasureTypes:
             TransportPlan(matrix=np.array([[0.6, -0.1], [0.3, 0.2]]))
         with pytest.raises(ValueError):
             TransportPlan(matrix=np.full((2, 2), 0.3))
-
-    def test_independent_coupling_is_the_product(self):
-        rng = np.random.default_rng(2)
-        src = make_measure(rng.normal(size=(3, 2)), rng.uniform(1, 2, 3))
-        tgt = make_measure(rng.normal(size=(4, 2)), rng.uniform(1, 2, 4))
-        plan = independent_coupling(src, tgt)
-        assert np.array_equal(plan.matrix, np.outer(src.weights, tgt.weights))
 
     def test_grouping_invariants(self):
         with pytest.raises(ValueError):

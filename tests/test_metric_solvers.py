@@ -375,7 +375,7 @@ class TestDispatchAndEuclidean:
         )
 
     def test_dispatch_rejects_unknown(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^metric must be "):
             adversarial_value(np.eye(2), object())
 
     def test_euclidean_is_trace(self):

