@@ -154,7 +154,8 @@ class TestGroupedMoment:
         rng = np.random.default_rng(14)
         grouping = make_grouping(7, 3, seed=1)
         src, tgt = random_instance(rng, 5, 4, 7)
-        u = displacement_second_moment(TransportPlan(matrix=np.outer(src.weights, tgt.weights)), src, tgt, grouping)
+        plan = TransportPlan(matrix=np.outer(src.weights, tgt.weights))
+        u = displacement_second_moment(plan, src, tgt, grouping)
         assert np.linalg.eigvalsh(u).min() >= -1e-10
 
 
