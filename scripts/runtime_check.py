@@ -83,11 +83,12 @@ def exercise_library(api, work):
     for metric in FAMILIES:
         api.adversarial_value(moment, metric)
         for group in (None, grouping):
-            api.rot_distance(src, tgt, FWConfig(metric, max_iter=3, grouping=group))
+            result = api.rot_distance(src, tgt, FWConfig(metric, max_iter=3, grouping=group))
+            result.plan, result.metric  # built on first read
         for space in spaces:
             config = RotLossConfig(metric=metric)
             loss = api.rot_loss(predicted, target, space, config)
-            loss.plan, loss.metric  # built on first read
+            loss.plan, loss.metric
             api.rot_loss_gradient(predicted, target, space, config)
 
     features = rng.normal(size=(12, 4))

@@ -52,7 +52,6 @@ from .metric_solvers import (
 )
 from .rot_loss import (
     LabelSpace,
-    LossValue,
     RotLossConfig,
     rot_loss,
     rot_loss_gradient,
@@ -72,7 +71,6 @@ __all__ = [
     "FWConfig",
     "KLConfig",
     "LabelSpace",
-    "LossValue",
     "MetricSolverConfig",
     "PNormConfig",
     "RotLossConfig",

@@ -6,7 +6,8 @@ transport loss between the current prediction and the smoothed target,
 backpropagates the loss gradient through the softmax Jacobian, and applies
 L2 weight decay. The loss family (robust or plain entropic squared-distance)
 is whatever the :class:`~wrot.rot_loss.RotLossConfig` says; the two trainer
-paths differ only in that configuration.
+paths differ only in that configuration. Training reads only each loss
+result's value, so it never builds the result's plan or worst-case metric.
 
 Evaluation reports micro-averaged AUC (rank statistic over all
 instance-label pairs, ties averaged) and mean average precision (per-instance
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .measures import _as_float_array, _check_count, _check_real, _freeze
+from .measures import _as_float_array, _check_config, _check_count, _check_real, _freeze
 from .rot_loss import LabelSpace, RotLossConfig, rot_loss_gradient, smooth_target
 
 __all__ = [
@@ -101,6 +102,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_config(self.loss, "loss", RotLossConfig)
         _check_real(self.learning_rate, "learning_rate")
         _check_count(self.epochs, "epochs")
         _check_real(self.weight_decay, "weight_decay", positive=False)

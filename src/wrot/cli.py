@@ -80,7 +80,8 @@ def cmd_distance(args) -> int:
         if not solved.converged:
             print(
                 f"warning: duality gap {result['gap']:.3e} above tolerance "
-                f"{args.gap_tol:.3e} after {solved.iterations_used} iterations",
+                f"{args.gap_tol:.3e} after {solved.iterations_used} iterations "
+                "(measured at the iterate before the last step)",
                 file=sys.stderr,
             )
             exit_code = 2

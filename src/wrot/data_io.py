@@ -202,6 +202,8 @@ def load_dataset(features_path, labels_path, label_names=None, num_labels=None) 
     otherwise from the largest index in the file. Every instance must appear
     with at least one label.
     """
+    if num_labels is not None:
+        _check_count(num_labels, "num_labels")
     features = _load_features(features_path)
     if label_names is not None and num_labels is not None and len(label_names) != num_labels:
         raise ValueError("label_names length disagrees with num_labels")

@@ -22,7 +22,8 @@ warm-starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,14 @@ from .measures import (
     DiscreteMeasure,
     FeatureGrouping,
     TransportPlan,
+    _check_config,
     _check_count,
     _check_real,
     _moment_arrays,
     _pair_costs_full,
     _point_arrays,
 )
-from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary, _check_metric
+from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary
 from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
 __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance"]
@@ -54,39 +56,69 @@ class FWConfig:
     grouping: FeatureGrouping | None = None
 
     def __post_init__(self):
-        _check_metric(self.metric)
+        _check_config(self.metric, "metric", MetricSolverConfig, optional=True)
+        _check_config(self.sinkhorn, "sinkhorn", SinkhornConfig)
         _check_count(self.max_iter, "max_iter")
         _check_real(self.gap_tol, "gap_tol", positive=False)
+        _check_config(self.grouping, "grouping", FeatureGrouping, optional=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotResult:
-    """Outcome of a robust-distance solve.
+    """Outcome of a Frank-Wolfe solve: a robust distance or a loss.
 
-    ``value`` is the worst-case transport cost at the final plan, ``metric``
-    the worst-case metric there, ``gap_history`` the duality gap measured at
-    each iterate against the entropic oracle's plan, and ``converged``
-    whether the last gap met the tolerance. That oracle misses the row
-    weights by up to its residual, so ``plan`` can leave the polytope,
-    ``value`` can fall below the true distance, and neither the gap nor
-    ``converged`` certifies it.
+    ``value`` is the worst-case transport cost at the final plan, plus the
+    entropy term for the loss; ``gap_history`` holds the duality gap
+    measured at each iterate against the entropic oracle's plan, and
+    ``converged`` says whether the last gap met the tolerance. A gap is
+    measured before the step, so when ``converged`` is ``False`` the last
+    one is that of the iterate before the final step, not of the returned
+    plan. The loss runs exactly ``fw_iters`` steps at a tolerance of
+    ``-inf``, so its ``converged`` is always ``False``. The oracle misses
+    the row weights by up to its residual, so ``plan`` can leave the
+    polytope, ``value`` can fall below the true minimum, and neither the gap
+    nor ``converged`` certifies it.
+
+    ``plan``, a :class:`~wrot.measures.TransportPlan`, and ``metric``, the
+    d x d worst-case metric (mapped back from the span coordinates a loss
+    may solve on), are built on first read; training and the CLI read
+    neither.
     """
 
     value: float
-    plan: TransportPlan
-    metric: AdversarialMetric
     gap_history: tuple[float, ...]
-    iterations_used: int
     converged: bool
+    _gamma: np.ndarray = field(repr=False)
+    _worst: tuple = field(repr=False)  # the adversary's (matrix, value, family)
+    _basis: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.gap_history)
+
+    @cached_property
+    def plan(self) -> TransportPlan:
+        return TransportPlan(matrix=self._gamma)
+
+    @cached_property
+    def metric(self) -> AdversarialMetric:
+        matrix, value, family = self._worst
+        basis = self._basis
+        # ||V||_F and tr V are basis-invariant, so only the matrix maps back;
+        # the identity maps to the identity, not to the projector B B^T
+        if basis is not None:
+            matrix = np.eye(basis.shape[0]) if family == "euclidean" else basis @ matrix @ basis.T
+        return AdversarialMetric(matrix, value, family)
 
 
-def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
-    """Frank-Wolfe over the transport polytope from the plan ``gamma``.
+def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
+    """Frank-Wolfe over the transport polytope from the product coupling.
 
     ``src`` and ``tgt`` are point arrays as :func:`_point_arrays` returns
-    them, ``metric`` the adversary's config (``None`` for the identity) and
+    them, ``metric`` the adversary's config (``None`` for the identity),
     ``oracle(costs)`` the linear minimization oracle, returning a plan
-    matrix. Each iteration takes the worst-case metric ``M`` at the
+    matrix, and ``marginals`` the prepared weights (``gamma`` starts at
+    ``p q^T``). Each iteration takes the worst-case metric ``M`` at the
     iterate's displacement moment ``V``, the pairwise costs under it (the
     objective's gradient in the plan) and the oracle's plan ``P`` for those
     costs. The pair costs are linear in ``M``, so the duality gap
@@ -101,6 +133,7 @@ def _frank_wolfe(src, tgt, metric, oracle, gamma, max_iter, gap_tol):
     adversary's ``(matrix, value, family)``, taken at the returned ``gamma``.
     """
     gaps: list[float] = []
+    gamma = marginals.p[:, None] * marginals.q
     moment = _moment_arrays(gamma, src, tgt)
     for t in range(max_iter):
         worst = _adversary(moment, metric)
@@ -127,9 +160,8 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
     when the duality gap reaches ``config.gap_tol`` or after
     ``config.max_iter`` iterations.
     """
-    p, q = src.weights, tgt.weights
     src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
-    marginals = _marginals(p, q, (p.size, q.size))
+    marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
 
     def oracle(costs):
         # A cold solve each step on the marginals prepared above. Warm-starting
@@ -139,16 +171,9 @@ def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -
         return _entropic_plan(costs, marginals, config.sinkhorn)[0]
 
     gamma, worst, gaps, converged = _frank_wolfe(
-        src_arr, tgt_arr, config.metric, oracle, np.outer(p, q), config.max_iter, config.gap_tol
+        src_arr, tgt_arr, config.metric, oracle, marginals, config.max_iter, config.gap_tol
     )
-    return RotResult(
-        value=worst.value,
-        plan=TransportPlan(matrix=gamma),
-        metric=AdversarialMetric(*worst),
-        gap_history=tuple(gaps),
-        iterations_used=len(gaps),
-        converged=converged,
-    )
+    return RotResult(worst.value, tuple(gaps), converged, gamma, worst)
 
 
 def w22_distance(

@@ -73,6 +73,14 @@ def _check_real(value, name, positive=True):
         raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}")
 
 
+def _check_config(value, name, kind, optional=False):
+    """A nested config setting: an instance of ``kind``, a class or a union of
+    classes (``optional``: or ``None``)."""
+    if not (isinstance(value, kind) or (optional and value is None)):
+        names = [k.__name__ for k in getattr(kind, "__args__", (kind,))] + ["None"] * optional
+        raise ValueError(f"{name} must be a {' or '.join(names)}, got {value!r}")
+
+
 def _normalized(w, name, scale=1.0):
     """``scale * w / sum(w)`` for a nonnegative vector with positive total."""
     if np.any(w < 0):

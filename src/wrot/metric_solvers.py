@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _as_float_array, _check_count, _check_real, _freeze
+from .measures import _as_float_array, _check_config, _check_count, _check_real, _freeze
 from .sinkhorn import _EXP_LIMIT, _logsumexp, _symmetric_scaling
 
 __all__ = [
@@ -156,15 +156,6 @@ class DSConfig:
 MetricSolverConfig = PNormConfig | KLConfig | DSConfig
 
 
-def _check_metric(metric):
-    """A metric setting: a :data:`MetricSolverConfig`, or ``None`` for the
-    identity metric."""
-    if metric is not None and not isinstance(metric, MetricSolverConfig):
-        raise ValueError(
-            f"metric must be a PNormConfig, KLConfig, DSConfig or None, got {metric!r}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class AdversarialMetric:
     """A worst-case metric: the maximizing matrix, its value, and its family."""
@@ -271,7 +262,7 @@ def _adversary(v, config):
         return _pnorm(v, config.k)
     if isinstance(config, KLConfig):
         return _kl(v, config.lambda_m, config.m0)
-    # every caller's config passed _check_metric, so this one is a DSConfig
+    # every caller's config passed _check_config, so this one is a DSConfig
     return _ds(v, config.lambda_m, config.m0)
 
 
@@ -285,7 +276,7 @@ def adversarial_value(
     ``config`` raises ``ValueError``, as :class:`~wrot.frank_wolfe.FWConfig`
     and :class:`~wrot.rot_loss.RotLossConfig` do.
     """
-    _check_metric(config)
+    _check_config(config, "metric", MetricSolverConfig, optional=True)
     return AdversarialMetric(*_adversary(_check_moment(moment), config))
 
 

@@ -30,9 +30,11 @@ gradient refuses it.
 
 The loss runs the distance's Frank-Wolfe loop,
 :func:`~wrot.frank_wolfe._frank_wolfe`, on the label space's point array as
-both source and target, and passes only its warm-started oracle. With a
-:class:`~wrot.measures.FeatureGrouping` the embeddings are reshaped once to
-``(L, d1, r)``; the moments and pair costs stream over that array, so one
+both source and target, and passes only its warm-started oracle. It returns
+the distance's :class:`~wrot.frank_wolfe.RotResult`: the value, the gaps the
+loop measured, and the plan and worst-case metric, built on first read. With
+a :class:`~wrot.measures.FeatureGrouping` the embeddings are reshaped once
+to ``(L, d1, r)``; the moments and pair costs stream over that array, so one
 Frank-Wolfe step costs O(L^2 d + L d r) plus an ``r x r`` adversary.
 
 An ungrouped space with fewer labels than dimensions (``L < d``) is solved
@@ -43,23 +45,22 @@ coordinates in ``B``. The Frobenius ball's worst case
 ``V / ||V||_F`` is then ``B (V~ / ||V~||_F) B^T`` and the identity's value is
 ``tr V = tr V~``, so both families give the same values, pair costs and
 plans on the coordinates; only the worst-case metric is mapped back to d x d,
-once per call. KL, DS and ``k >= 2`` maximise entrywise functions of ``V``,
-which an orthogonal change of basis does not preserve, so they keep the full
-points, as every grouped space does.
+when the result's ``metric`` is first read. KL, DS and ``k >= 2`` maximise
+entrywise functions of ``V``, which an orthogonal change of basis does not
+preserve, so they keep the full points, as every grouped space does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frank_wolfe import _frank_wolfe
+from .frank_wolfe import RotResult, _frank_wolfe
 from .measures import (
     FeatureGrouping,
-    TransportPlan,
     _as_float_array,
+    _check_config,
     _check_count,
     _check_real,
     _freeze,
@@ -67,13 +68,12 @@ from .measures import (
     _normalized,
     _pair_costs_full,
 )
-from .metric_solvers import AdversarialMetric, MetricSolverConfig, PNormConfig, _check_metric
+from .metric_solvers import MetricSolverConfig, PNormConfig
 from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
 __all__ = [
     "LabelSpace",
     "RotLossConfig",
-    "LossValue",
     "smooth_target",
     "rot_loss",
     "rot_loss_gradient",
@@ -99,6 +99,7 @@ class LabelSpace:
     grouping: FeatureGrouping | None = None
 
     def __post_init__(self):
+        _check_config(self.grouping, "grouping", FeatureGrouping, optional=True)
         emb = _as_float_array(self.embeddings, "embeddings", 2)
         if emb.shape[0] == 0:
             raise ValueError("embeddings have 0 rows; a label space needs at least one label")
@@ -144,40 +145,10 @@ class RotLossConfig:
     sinkhorn: SinkhornConfig = SinkhornConfig()
 
     def __post_init__(self):
-        _check_metric(self.metric)
+        _check_config(self.metric, "metric", MetricSolverConfig, optional=True)
         _check_real(self.lambda_gamma, "lambda_gamma")
         _check_count(self.fw_iters, "fw_iters")
-
-
-@dataclass(frozen=True, eq=False)
-class LossValue:
-    """Loss value with the plan and worst-case metric that produced it.
-
-    ``value`` comes with the solve. ``plan``, the solved coupling as a
-    :class:`~wrot.measures.TransportPlan`, and ``metric``, the d x d
-    worst-case metric (mapped back from the span coordinates when the solve
-    ran there), are built the first time they are read; training reads
-    neither.
-    """
-
-    value: float
-    _gamma: np.ndarray = field(repr=False)
-    _worst: tuple = field(repr=False)  # the adversary's (matrix, value, family)
-    _basis: np.ndarray | None = field(default=None, repr=False)
-
-    @cached_property
-    def plan(self) -> TransportPlan:
-        return TransportPlan(matrix=self._gamma)
-
-    @cached_property
-    def metric(self) -> AdversarialMetric:
-        matrix, value, family = self._worst
-        basis = self._basis
-        # ||V||_F and tr V are basis-invariant, so only the matrix maps back;
-        # the identity maps to the identity, not to the projector B B^T
-        if basis is not None:
-            matrix = np.eye(basis.shape[0]) if family == "euclidean" else basis @ matrix @ basis.T
-        return AdversarialMetric(matrix, value, family)
+        _check_config(self.sinkhorn, "sinkhorn", SinkhornConfig)
 
 
 def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
@@ -187,8 +158,9 @@ def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
     every label gets positive mass, which the loss gradient needs.
     """
     raw = _as_float_array(raw, "raw", 1)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
+    _check_real(alpha, "alpha", positive=False)
+    if alpha >= 1.0:
+        raise ValueError("alpha must be below 1")
     return _normalized(raw, "label weights", 1.0 - alpha) + alpha / raw.shape[0]
 
 
@@ -202,8 +174,8 @@ def _solve(predicted, target, labels, config):
     # once for every step and the gradient's extra solve; a gap tolerance of
     # -inf runs exactly fw_iters steps. Rotation-invariant families on a
     # space with a span basis run on its coordinates (see LabelSpace).
-    # Returns the loss, the marginals, the warm solve (costs -> (plan, f)),
-    # and the points and final metric matrix the solve ran on.
+    # Returns the loss, the marginals, the warm solve (costs -> (plan, f))
+    # and the points the solve ran on.
     marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
     warm = None
 
@@ -219,25 +191,25 @@ def _solve(predicted, target, labels, config):
     if not (metric is None or (isinstance(metric, PNormConfig) and metric.k == 1)):
         basis = None
     points = labels._points if basis is None else labels._coords
-    gamma, worst, _, _ = _frank_wolfe(
+    gamma, worst, gaps, converged = _frank_wolfe(
         points,
         points,
         metric,
         lambda costs: solve(costs)[0],
-        marginals.p[:, None] * marginals.q,
+        marginals,
         config.fw_iters,
         -np.inf,
     )
     positive = gamma[gamma > 0]
     entropy_term = float((positive * np.log(positive)).sum())
     value = worst.value + config.lambda_gamma * entropy_term
-    loss = LossValue(value, gamma, worst, basis)
-    return loss, marginals, solve, points, worst.matrix
+    loss = RotResult(value, tuple(gaps), converged, gamma, worst, basis)
+    return loss, marginals, solve, points
 
 
 def rot_loss(
     predicted, target, labels: LabelSpace, config: RotLossConfig | None = None
-) -> LossValue:
+) -> RotResult:
     """Robust transport loss between ``predicted`` and ``target`` distributions.
 
     Both arguments live on the simplex over ``labels``; zero entries are
@@ -254,7 +226,7 @@ def rot_loss_gradient(
     target,
     labels: LabelSpace,
     config: RotLossConfig | None = None,
-) -> tuple[np.ndarray, LossValue]:
+) -> tuple[np.ndarray, RotResult]:
     """Gradient of the loss in the predicted distribution, and the loss.
 
     Envelope formula at the solved plan: ``lambda (f - mean f)``, with ``f``
@@ -266,17 +238,17 @@ def rot_loss_gradient(
     ``target`` weights and raises ``ValueError`` on a zero; with one-hot
     targets, smooth them with :func:`smooth_target` at ``alpha > 0``.
 
-    Returns ``(gradient, LossValue)``: the loss is the one
+    Returns ``(gradient, RotResult)``: the loss is the one
     :func:`rot_loss` reports, from the same solve.
     """
     if config is None:
         config = RotLossConfig()
-    loss, marginals, solve, points, worst = _solve(predicted, target, labels, config)
+    loss, marginals, solve, points = _solve(predicted, target, labels, config)
     if not marginals.dense:
         raise ValueError(
             "gradient undefined: a predicted or target weight is zero; "
             "smooth the target (smooth_target with alpha > 0) and use "
             "strictly positive predictions"
         )
-    f = solve(_pair_costs_full(points, points, worst))[1]
+    f = solve(_pair_costs_full(points, points, loss._worst.matrix))[1]
     return config.sinkhorn.lambda_beta * (f - f.mean()), loss

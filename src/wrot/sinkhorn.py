@@ -82,7 +82,7 @@ class SinkhornConfig:
 
 
 def _logsumexp(a, axis):
-    """``log(sum(exp(a), axis))`` of a 2-d ``a``, shifted by the slice maximum.
+    """``log(sum(exp(a), axis))`` of a 1-d or 2-d ``a``, shifted by the slice maximum.
 
     Shifted terms are clipped at ``-_EXP_LIMIT``, which keeps ``np.exp`` on
     its fast path. The result is that of the unclipped sum: the slice's

@@ -303,9 +303,9 @@ class TestCarriedMoment:
         src_arr, tgt_arr = _point_arrays(src, tgt)
         plan = rng.random((4, 5))
         plan /= plan.sum()
+        marginals = sinkhorn._marginals(src.weights, tgt.weights, (src.size, tgt.size))
         gamma, worst, gaps, converged = frank_wolfe._frank_wolfe(
-            src_arr, tgt_arr, metric, lambda costs: plan,
-            np.outer(src.weights, tgt.weights), 1, -np.inf,
+            src_arr, tgt_arr, metric, lambda costs: plan, marginals, 1, -np.inf
         )
         assert gamma is plan and len(gaps) == 1 and not converged
         want = _adversary(_moment_arrays(plan, src_arr, tgt_arr), metric)

@@ -104,19 +104,27 @@ def reference_sinkhorn(scaled, p, q, iterations, g, stop_tol):
     return plan
 
 
+def peaked(unit):
+    """``unit`` with its largest entry set to 1, so that ``unit * top``
+    peaks at ``top``."""
+    unit.flat[np.argmax(unit)] = 1.0
+    return unit
+
+
+@pytest.mark.parametrize("top_range", [(1.0, 699.0), (701.0, 3000.0)])
 @bounded
 @given(
     instances(),
-    st.one_of(st.floats(1.0, 699.0), st.floats(701.0, 3000.0)),
     st.one_of(st.none(), st.floats(0.0, 50.0)),
     st.sampled_from([0.0, 1e-13]),
     st.data(),
 )
-def test_rounds_match_a_reference_sinkhorn(instance, top, spread, stop_tol, data):
+def test_rounds_match_a_reference_sinkhorn(top_range, instance, spread, stop_tol, data):
     """Cold or warm, with or without the early stop, and from either first
-    round, a solve gives the plan of alternating log-domain Sinkhorn."""
+    round, a solve gives the plan of alternating log-domain Sinkhorn, on
+    costs peaking below and above the plain kernel's limit."""
     unit, p, q = instance
-    scaled = unit * top
+    scaled = peaked(unit) * data.draw(st.floats(*top_range))
     n = q.shape[0]
     g = None if spread is None else data.draw(vectors(n)) * spread
     config = SinkhornConfig(lambda_beta=1.0, iterations=30)
@@ -164,10 +172,10 @@ def assert_same_rounds(got, want):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+@pytest.mark.parametrize("top_range", [(1.0, 699.0), (600.0, 700.0), (701.0, 3000.0)])
 @bounded
 @given(
     instances(),
-    st.one_of(st.floats(1.0, 699.0), st.floats(600.0, 700.0), st.floats(701.0, 3000.0)),
     st.lists(st.integers(5, 250), max_size=2),
     st.one_of(st.none(), st.floats(0.0, 1000.0)),
     st.integers(1, 30),
@@ -176,15 +184,16 @@ def assert_same_rounds(got, want):
     st.data(),
 )
 def test_one_range_test_per_solve_equals_the_per_round_test(
-    instance, top, tiny, spread, iterations, stop_tol, log_first, data
+    top_range, instance, tiny, spread, iterations, stop_tol, log_first, data
 ):
     """Testing the scalings' range once per solve, and rerunning the rounds
     with the test in each round only when a scaling left it, gives the
     per-round loop's plan and potentials bit for bit: cold or warm, from
-    either first round, with or without the early stop, on costs up to and
-    past the plain kernel's limit and on weights down to 1e-250, which push
-    the scalings out of range."""
+    either first round, with or without the early stop, on costs peaking
+    below, near and past the plain kernel's limit and on weights down to
+    1e-250, which push the scalings out of range."""
     unit, p, q = instance
+    unit, top = peaked(unit), data.draw(st.floats(*top_range))
     for exponent in tiny:
         weights = p if data.draw(st.booleans()) else q
         weights[data.draw(st.integers(0, weights.size - 1))] = 10.0**-exponent
@@ -415,13 +424,12 @@ def test_carried_moment_and_gaps_match_the_plans(
         calls.append((costs.copy(), plan.copy()))
         return plan
 
-    start = np.outer(src.weights, tgt.weights)
     gamma, worst, gaps, converged = _frank_wolfe(
-        src_arr, tgt_arr, metric, oracle, start.copy(), max_iter, gap_tol
+        src_arr, tgt_arr, metric, oracle, marginals, max_iter, gap_tol
     )
     assert len(gaps) == len(calls)
     assert converged or len(gaps) == max_iter
-    iterate = start
+    iterate = np.outer(src.weights, tgt.weights)
     for t, ((costs, plan), gap) in enumerate(zip(calls, gaps)):
         terms = np.sum((iterate + plan) * np.abs(costs))
         assert abs(gap - np.sum((iterate - plan) * costs)) <= 1e-12 * terms
@@ -508,9 +516,8 @@ def full_point_loss(h, y, emb, config):
         )
         return plan
 
-    start = np.outer(h, y)
     gamma, worst, _, _ = _frank_wolfe(
-        emb, emb, config.metric, oracle, start, config.fw_iters, -np.inf
+        emb, emb, config.metric, oracle, marginals, config.fw_iters, -np.inf
     )
     value = worst.value + config.lambda_gamma * float(np.sum(xlogy(gamma, gamma)))
     costs = _pair_costs_full(emb, emb, worst.matrix)

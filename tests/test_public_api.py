@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "FeatureGrouping",
     "KLConfig",
     "LabelSpace",
-    "LossValue",
     "MetricSolverConfig",
     "PNormConfig",
     "RotLossConfig",
@@ -78,8 +77,8 @@ PUBLIC_NAMES = [
 
 # deleted with no caller outside the tests (exact_ot_small moved into them,
 # as tests/lp_reference.py; entropic_ot's checks run _entropic_plan through
-# tests/entropic_reference.py), or as a pass-through to adversarial_value,
-# each from its module
+# tests/entropic_reference.py), as a pass-through to adversarial_value, or
+# folded into another type (LossValue into RotResult), each from its module
 DELETED = [
     ("data_io", "load_grouping"),
     ("data_io", "save_grouping"),
@@ -89,6 +88,7 @@ DELETED = [
     ("metric_solvers", "euclidean_metric"),
     ("metric_solvers", "kl_metric"),
     ("metric_solvers", "pnorm_metric"),
+    ("rot_loss", "LossValue"),
     ("sinkhorn", "entropic_ot"),
     ("sinkhorn", "exact_ot_small"),
     ("sinkhorn", "symmetric_scaling"),

@@ -9,8 +9,15 @@ from scipy.special import logsumexp
 
 from wrot import frank_wolfe, metric_solvers
 from wrot.data_io import make_grouping
-from wrot.frank_wolfe import _frank_wolfe
-from wrot.measures import FeatureGrouping, TransportPlan, _moment_arrays, _pair_costs_full
+from wrot.frank_wolfe import FWConfig, _frank_wolfe, rot_distance
+from wrot.measures import (
+    FeatureGrouping,
+    TransportPlan,
+    _moment_arrays,
+    _pair_costs_full,
+    _point_arrays,
+    make_measure,
+)
 from wrot.metric_solvers import (
     AdversarialMetric,
     DSConfig,
@@ -425,22 +432,30 @@ class TestValidationAtTheBoundary:
     )
     def test_gradient_call_checks_no_moment_and_builds_one_plan(self, monkeypatch, metric):
         """Inside the Frank-Wolfe loop moments, adversaries and oracle plans
-        pass as bare arrays: a gradient call builds no TransportPlan and
-        never re-validates a moment. The first read of the LossValue's plan
-        builds exactly one, and later reads build none. So does the span
-        path of an ungrouped space with fewer labels than dimensions, whose
-        worst case is mapped back to d x d."""
-        emb = unit_rows(np.random.default_rng(35), 6, 8)
+        pass as bare arrays: a gradient call or a distance solve builds no
+        TransportPlan and no AdversarialMetric, and never re-validates a
+        moment. The first read of the result's plan builds exactly one, the
+        first read of its metric one metric, and later reads build none. So
+        does the span path of an ungrouped space with fewer labels than
+        dimensions, whose worst case is mapped back to d x d."""
+        rng = np.random.default_rng(35)
+        emb = unit_rows(rng, 6, 8)
+        src = make_measure(rng.normal(size=(5, 3)))
+        tgt = make_measure(rng.normal(size=(4, 3)) + 1.0, rng.dirichlet(np.ones(4)))
         h = np.random.default_rng(36).dirichlet(np.ones(6))
         y = smooth_target(np.eye(6)[1], alpha=0.05)
         cfg = RotLossConfig(metric=metric, fw_iters=3)
         built, checked = [], []
-        post_init = TransportPlan.__post_init__
+        plan_init = TransportPlan.__post_init__
+        metric_init = AdversarialMetric.__post_init__
         check_moment = metric_solvers._check_moment
 
-        def counting_post_init(plan):
-            built.append(plan)
-            post_init(plan)
+        def counting(init):
+            def counted(obj):
+                built.append(obj)
+                init(obj)
+
+            return counted
 
         def counting_check(moment):
             checked.append(moment)
@@ -448,16 +463,24 @@ class TestValidationAtTheBoundary:
 
         grouped = LabelSpace(embeddings=emb, grouping=make_grouping(8, 4, seed=2))
         span = LabelSpace(embeddings=emb)
-        monkeypatch.setattr(TransportPlan, "__post_init__", counting_post_init)
+        monkeypatch.setattr(TransportPlan, "__post_init__", counting(plan_init))
+        monkeypatch.setattr(AdversarialMetric, "__post_init__", counting(metric_init))
         monkeypatch.setattr(metric_solvers, "_check_moment", counting_check)
-        for labels in (grouped, span):
+        solves = [
+            lambda: rot_loss_gradient(h, y, grouped, cfg)[1],
+            lambda: rot_loss_gradient(h, y, span, cfg)[1],
+            lambda: rot_distance(src, tgt, FWConfig(metric, max_iter=4)),
+        ]
+        for solve in solves:
             built.clear()
-            _, loss = rot_loss_gradient(h, y, labels, cfg)
+            result = solve()
             assert built == []
-            plan = loss.plan
+            plan = result.plan
             assert built == [plan]
-            assert loss.plan is plan and loss.metric is loss.metric
-            assert built == [plan]
+            worst = result.metric
+            assert built == [plan, worst]
+            assert result.plan is plan and result.metric is worst
+            assert built == [plan, worst]
             assert checked == []
 
 
@@ -482,7 +505,7 @@ def eager_loss(h, y, labels, config):
     )
     points = labels._coords if span else labels._points
     gamma, worst, _, _ = _frank_wolfe(
-        points, points, metric, oracle, np.outer(h, y), config.fw_iters, -np.inf
+        points, points, metric, oracle, marginals, config.fw_iters, -np.inf
     )
     if span:
         basis = labels._basis
@@ -491,7 +514,26 @@ def eager_loss(h, y, labels, config):
     return TransportPlan(matrix=gamma), worst
 
 
+def eager_distance(src, tgt, config):
+    """The distance solved as rot_distance solves it, with the plan and the
+    worst-case metric built at once, and the gaps and the stop."""
+    src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
+    marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
+    gamma, worst, gaps, converged = _frank_wolfe(
+        src_arr,
+        tgt_arr,
+        config.metric,
+        lambda costs: _entropic_plan(costs, marginals, config.sinkhorn)[0],
+        marginals,
+        config.max_iter,
+        config.gap_tol,
+    )
+    return TransportPlan(matrix=gamma), AdversarialMetric(*worst), gaps, converged
+
+
 class TestLazyLossValue:
+    """The loss and the distance return one lazy result type, RotResult."""
+
     @pytest.mark.parametrize("space", ["full", "grouped", "span"])
     @pytest.mark.parametrize(
         "metric", ALL_FAMILIES, ids=["p1", "p2", "kl", "ds", "euclidean"]
@@ -514,3 +556,28 @@ class TestLazyLossValue:
         assert np.array_equal(loss.plan.matrix, plan.matrix)
         assert np.array_equal(loss.metric.matrix, worst.matrix)
         assert (loss.metric.value, loss.metric.family) == (worst.value, worst.family)
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "grouped"])
+    @pytest.mark.parametrize("max_iter", [3, 200], ids=["capped", "long"])
+    @pytest.mark.parametrize(
+        "metric", ALL_FAMILIES, ids=["p1", "p2", "kl", "ds", "euclidean"]
+    )
+    def test_distance_plan_and_metric_equal_the_eagerly_built_ones(
+        self, grouped, max_iter, metric
+    ):
+        """A distance solve's plan and worst-case metric, built on first
+        read, equal those built with the solve bit for bit, and its value,
+        gaps and stop are the loop's."""
+        rng = np.random.default_rng(43)
+        src = make_measure(rng.normal(size=(5, 6)), rng.dirichlet(np.ones(5)))
+        tgt = make_measure(rng.normal(size=(4, 6)) + 0.5)
+        grouping = make_grouping(6, 3, seed=5) if grouped else None
+        cfg = FWConfig(metric, max_iter=max_iter, gap_tol=1e-4, grouping=grouping)
+        result = rot_distance(src, tgt, cfg)
+        plan, worst, gaps, converged = eager_distance(src, tgt, cfg)
+        assert result.gap_history == tuple(gaps) and result.converged is converged
+        assert result.iterations_used == len(gaps)
+        assert result.value == worst.value
+        assert np.array_equal(result.plan.matrix, plan.matrix)
+        assert np.array_equal(result.metric.matrix, worst.matrix)
+        assert (result.metric.value, result.metric.family) == (worst.value, worst.family)

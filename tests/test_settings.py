@@ -1,22 +1,29 @@
-"""The pinned inventory of settings, and property tests for the three rules
-every setting of the package follows.
+"""The pinned inventory of settings, and property tests for the rules every
+setting of the package follows.
 
 The inventory lists every field of an exported config class, every defaulted
 parameter of an exported function and every flag of each ``wrot``
 subcommand, so adding or removing a knob is a deliberate edit of a list.
 
-A count (``iterations``, ``max_iter``, ``fw_iters``, ``epochs``, ``k``, and a
-grouping's ``dim`` and ``group_count``) is an ``int`` or numpy integer, not a
-``bool``, and at least 1; a ``seed``, of training or of a grouping, is one
-at least 0. A real is a finite number, not a ``bool``, and positive
-(``lambda_beta``, ``lambda_gamma``, ``lambda_m``, ``learning_rate``) or
-nonnegative (``gap_tol``, ``weight_decay``). The ``metric`` of
-:class:`FWConfig` and :class:`RotLossConfig`, and the ``config`` of
-:func:`adversarial_value`, is a :class:`PNormConfig`, :class:`KLConfig`,
-:class:`DSConfig` or ``None``, the identity. Each config, :func:`make_grouping`,
-:func:`feature_weights` and :func:`adversarial_value` refuses anything else
-with a ``ValueError`` whose message starts with the field's name (``metric``
-for :func:`adversarial_value`), and still builds from every valid value.
+A count (``iterations``, ``max_iter``, ``fw_iters``, ``epochs``, ``k``,
+``num_labels``, and a grouping's ``dim`` and ``group_count``) is an ``int``
+or numpy integer, not a ``bool``, and at least 1; a ``seed``, of training or
+of a grouping, is one at least 0. A real is a finite number, not a
+``bool``, and positive (``lambda_beta``, ``lambda_gamma``, ``lambda_m``,
+``learning_rate``) or nonnegative (``gap_tol``, ``weight_decay``);
+:func:`smooth_target`'s ``alpha`` is a nonnegative real below 1. The
+``metric`` of :class:`FWConfig` and :class:`RotLossConfig`, and the
+``config`` of :func:`adversarial_value`, is a :class:`PNormConfig`,
+:class:`KLConfig`, :class:`DSConfig` or ``None``, the identity. A field that
+holds a nested config holds one of its kind: ``sinkhorn`` a
+:class:`SinkhornConfig`, ``grouping`` (of a config or a :class:`LabelSpace`)
+a :class:`FeatureGrouping` or ``None``, and ``loss`` a
+:class:`RotLossConfig`. Each config, :class:`LabelSpace`,
+:func:`make_grouping`, :func:`feature_weights`, :func:`adversarial_value`,
+:func:`smooth_target` and :func:`load_dataset` (whose ``num_labels`` is a
+count or ``None``) refuses anything else with a ``ValueError`` whose message
+starts with the field's name (``metric`` for :func:`adversarial_value`), and
+still builds from every valid value.
 """
 
 import argparse
@@ -31,8 +38,10 @@ from hypothesis import strategies as st
 import wrot
 from wrot import (
     DSConfig,
+    FeatureGrouping,
     FWConfig,
     KLConfig,
+    LabelSpace,
     PNormConfig,
     RotLossConfig,
     SinkhornConfig,
@@ -40,7 +49,9 @@ from wrot import (
     adversarial_value,
     feature_selection_objective,
     feature_weights,
+    load_dataset,
     make_grouping,
+    smooth_target,
 )
 from wrot.cli import _build_parser
 
@@ -169,12 +180,27 @@ SETTINGS = {
     "adversarial_value.config": (
         "metric", "metric", lambda x: adversarial_value(np.eye(2), x)
     ),
+    "smooth_target.alpha": ("fraction", "alpha", lambda x: smooth_target([1.0, 2.0], x)),
+    "FWConfig.sinkhorn": ("sinkhorn", "sinkhorn", lambda x: FWConfig(PNormConfig(), x)),
+    "RotLossConfig.sinkhorn": ("sinkhorn", "sinkhorn", lambda x: RotLossConfig(sinkhorn=x)),
+    "FWConfig.grouping": (
+        "grouping", "grouping", lambda x: FWConfig(PNormConfig(), grouping=x)
+    ),
+    "TrainConfig.loss": ("loss", "loss", lambda x: TrainConfig(loss=x)),
+    # one label in the grouping's dimension
+    "LabelSpace.grouping": (
+        "grouping", "grouping", lambda x: LabelSpace(np.eye(1, getattr(x, "dim", 4)), x)
+    ),
 }
-# refused only: a large valid count would allocate a permutation that long
+# refused only: a large valid count would allocate a permutation that long, or
+# a label matrix that wide; the label count is checked before the files are read
 REFUSABLE = {
     **SETTINGS,
     "make_grouping.dim": ("count", "dim", lambda x: make_grouping(x, 1, 0)),
     "make_grouping.group_count": ("count", "group_count", lambda x: make_grouping(1, x, 0)),
+    "load_dataset.num_labels": (
+        "optional count", "num_labels", lambda x: load_dataset("x.feat", "y.labels", None, x)
+    ),
 }
 
 NEGATIVE = st.integers(max_value=-1) | st.floats(max_value=0.0, exclude_max=True)
@@ -189,13 +215,29 @@ NOT_METRICS = (
     | st.sampled_from([PNormConfig, SinkhornConfig(), FWConfig(None), np.eye(2), [1]])
 )
 
+GROUPING = make_grouping(10, 3, 1)
+# every object but a config of the nested kind a rule names, which adds the
+# configs of the other kinds
+NOT_CONFIGS = (
+    st.text() | st.integers() | st.floats() | st.booleans()
+    | st.sampled_from([SinkhornConfig, np.eye(2), [1], PNormConfig(), FWConfig(None)])
+)
+
+# a count or a seed refuses every float, integral ones included
+NOT_COUNTS = NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO | FLOATS
+
 REFUSED = {
-    # a count or a seed refuses every float, integral ones included
-    "count": NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO | FLOATS,
+    "count": NOT_COUNTS,
     "seed": NOT_NUMBERS | NON_FINITE | NEGATIVE | FLOATS,
     "metric": NOT_METRICS,
     "positive": NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO,
     "nonnegative": NOT_NUMBERS | NON_FINITE | NEGATIVE,
+    # None, the default, reads the count from the file
+    "optional count": NOT_COUNTS.filter(lambda x: x is not None),
+    "fraction": NOT_NUMBERS | NON_FINITE | NEGATIVE | st.floats(1.0, 1e300) | st.integers(1),
+    "sinkhorn": NOT_CONFIGS | st.sampled_from([None, RotLossConfig(), GROUPING]),
+    "grouping": NOT_CONFIGS | st.sampled_from([SinkhornConfig(), RotLossConfig()]),
+    "loss": NOT_CONFIGS | st.sampled_from([None, SinkhornConfig(), GROUPING]),
 }
 POSITIVE_REALS = (
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -211,6 +253,12 @@ ACCEPTED = {
     ),
     "positive": POSITIVE_REALS,
     "nonnegative": POSITIVE_REALS | ZERO,
+    "fraction": (
+        ZERO | st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 0.999).map(np.float64)
+    ),
+    "sinkhorn": st.sampled_from([SinkhornConfig(), SinkhornConfig(0.5, 3)]),
+    "grouping": st.sampled_from([None, GROUPING, FeatureGrouping(4, 2, np.arange(4))]),
+    "loss": st.sampled_from([RotLossConfig(), RotLossConfig(metric=None, fw_iters=2)]),
 }
 
 
@@ -262,6 +310,18 @@ def test_valid_values_build(setting, data):
         ("TrainConfig.seed", True),
         # numpy's "expected non-negative integer", naming no field
         ("make_grouping.seed", -1),
+        # TypeError from the range comparison
+        ("smooth_target.alpha", "x"),
+        # numpy's TypeError from the label matrix, and a count of 1 shown as
+        # "[0, True)"
+        ("load_dataset.num_labels", 2.0),
+        ("load_dataset.num_labels", True),
+        # AttributeError inside the solve or the epoch loop
+        ("FWConfig.sinkhorn", 0.2),
+        ("FWConfig.grouping", 3),
+        ("RotLossConfig.sinkhorn", None),
+        ("TrainConfig.loss", None),
+        ("LabelSpace.grouping", 3),
     ],
 )
 def test_inputs_the_old_checks_let_through_are_refused(setting, value):
