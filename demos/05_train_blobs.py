@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory(prefix="wrot_demo_") as tmp:
     x_train, y_train = sample(100)
     x_test, y_test = sample(100)
 
-    # binary feature file, tab-separated label lists, text embeddings
+    # .npy feature file, tab-separated label lists, text embeddings
     save_features(work / "train.feat", x_train)
     save_labels(work / "train.labels", np.eye(3, dtype=int)[y_train])
     save_features(work / "test.feat", x_test)

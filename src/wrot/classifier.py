@@ -11,18 +11,19 @@ result's value, so it never builds the result's plan or worst-case metric.
 
 Evaluation reports micro-averaged AUC (rank statistic over all
 instance-label pairs, ties averaged) and mean average precision (per-instance
-label ranking). Checkpoints are a small versioned binary format.
+label ranking). A checkpoint is the weight matrix as a float64 NumPy ``.npy``
+file.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy
 
-from .data_io import Dataset
+from .data_io import Dataset, _read_npy, _write_npy
 from .measures import _as_float_array, _check_config, _check_count, _check_real, _freeze
 from .rot_loss import LabelSpace, RotLossConfig, rot_loss_gradient, smooth_target
 
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 _LOSS_ABORT = 1e6
-
-_CHECKPOINT_MAGIC = b"WROTCKPT"
-_CHECKPOINT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -227,35 +225,14 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: SoftmaxModel, path) -> None:
-    """Write a checkpoint: magic, version byte, dims, row-major float64 weights."""
-    header = _CHECKPOINT_MAGIC + struct.pack(
-        "<BII", _CHECKPOINT_VERSION, model.n_features, model.n_labels
-    )
-    body = np.ascontiguousarray(model.weights, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
+    """Write a checkpoint: the weights as a float64 ``.npy`` array."""
+    _write_npy(path, model.weights, "<f8")
 
 
 def load_model(path) -> SoftmaxModel:
     """Read a checkpoint written by :func:`save_model`."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic_len = len(_CHECKPOINT_MAGIC)
-    if blob[:magic_len] != _CHECKPOINT_MAGIC:
+    if not blob.startswith(npy.MAGIC_PREFIX):
         raise ValueError(f"{path} is not a model checkpoint (bad magic)")
-    offset = magic_len + struct.calcsize("<BII")
-    if len(blob) < offset:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    version, n_features, n_labels = struct.unpack_from("<BII", blob, magic_len)
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    expected = n_features * n_labels * 8
-    if len(blob) - offset != expected:
-        raise ValueError(
-            f"checkpoint payload is {len(blob) - offset} bytes, expected {expected}"
-        )
-    weights = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(
-        n_features, n_labels
-    )
-    return SoftmaxModel(weights=weights.astype(np.float64))
+    return SoftmaxModel(weights=_read_npy(path, blob, "<f8"))

@@ -1,24 +1,25 @@
 """File formats for datasets and label embeddings, and seeded feature groupings.
 
-Feature files are either dense CSV (one instance per row) or a raw binary
-layout: an 8-byte magic string, two little-endian uint32 dims (N, M), then
-N*M little-endian float32 values. Both are read; :func:`save_features`
-writes the binary layout. Label files are text, one instance per
-line: ``index<TAB>comma-separated label indices``. Embedding files are the
-usual text layout with a ``count dim`` header and one ``token v1 .. vdim``
-line each; multi-word labels resolve to the underscore-joined token when
-present, otherwise to the renormalized mean of their constituent tokens.
-A feature grouping has no file: :func:`make_grouping` rebuilds it from
-``(dim, group_count, seed)``.
+Feature files are either dense CSV (one instance per row) or a NumPy
+``.npy`` file holding a nonempty 2-d little-endian float32 array. Both are
+read; :func:`save_features` writes ``.npy``. Label files are text, one
+instance per line: ``index<TAB>comma-separated label indices``. Embedding
+files are the usual text layout with a ``count dim`` header and one
+``token v1 .. vdim`` line each; multi-word labels resolve to the
+underscore-joined token when present, otherwise to the renormalized mean of
+their constituent tokens. A feature grouping has no file:
+:func:`make_grouping` rebuilds it from ``(dim, group_count, seed)``.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .measures import FeatureGrouping, _as_float_array, _check_count, _freeze, _padded_dim
 
@@ -32,7 +33,7 @@ __all__ = [
     "make_grouping",
 ]
 
-_FEATURES_MAGIC = b"WROTFEAT"
+_NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,18 +46,11 @@ class Dataset:
 
     def __post_init__(self):
         features = _as_float_array(self.features, "features", 2)
-        labels = np.asarray(self.labels)
-        if labels.ndim != 2:
-            raise ValueError("labels must be a 2-d indicator array")
+        labels = _check_labels(self.labels)
         if labels.shape[0] != features.shape[0]:
             raise ValueError(
                 f"labels cover {labels.shape[0]} instances, features {features.shape[0]}"
             )
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("label entries must be 0 or 1")
-        if np.any(labels.sum(axis=1) < 1):
-            bad = int(np.nonzero(labels.sum(axis=1) < 1)[0][0])
-            raise ValueError(f"instance {bad} has zero labels")
         names = tuple(str(n) for n in self.label_names)
         if len(names) != labels.shape[1]:
             raise ValueError(
@@ -79,28 +73,55 @@ class Dataset:
         return self.labels.shape[1]
 
 
-def _load_features_binary(blob: bytes, path) -> np.ndarray:
-    header = struct.calcsize("<8sII")
-    if len(blob) < header:
-        raise ValueError(f"{path}: truncated feature header")
-    magic, n, m = struct.unpack_from("<8sII", blob, 0)
-    if n * m == 0:
-        raise ValueError(f"{path}: empty feature file ({n} instances x {m} features)")
-    expected = header + n * m * 4
-    if len(blob) != expected:
+def _check_labels(labels) -> np.ndarray:
+    """``labels`` as a 2-d array of 0/1 entries with a 1 in every row."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ValueError("labels must be a 2-d indicator array")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must hold only 0 or 1 entries")
+    unlabeled = np.flatnonzero(labels.sum(axis=1) < 1)
+    if unlabeled.size:
+        raise ValueError(f"labels: instance {unlabeled[0]} has zero labels")
+    return labels
+
+
+def _read_npy(path, blob: bytes, dtype) -> np.ndarray:
+    """The nonempty 2-d ``dtype`` array of ``blob``, the bytes of an ``.npy`` file.
+
+    The header is checked against the bytes that follow it before any array
+    is made, so a header that claims more data than the file holds allocates
+    nothing, and trailing bytes are refused as well as missing ones.
+    """
+    fh = io.BytesIO(blob)
+    try:
+        shape, fortran_order, found = _NPY_HEADERS[npy.read_magic(fh)](fh)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: truncated or unsupported .npy header") from exc
+    if found != dtype or len(shape) != 2 or 0 in shape:
         raise ValueError(
-            f"{path}: feature payload is {len(blob) - header} bytes, "
-            f"expected {n * m * 4} for {n}x{m}"
+            f"{path}: holds {found.str} data of shape {shape}, "
+            f"expected a nonempty 2-d {dtype} array"
         )
-    data = np.frombuffer(blob, dtype="<f4", offset=header)
-    return data.reshape(n, m).astype(np.float64)
+    expected = math.prod(shape) * found.itemsize
+    if len(blob) - fh.tell() != expected:
+        raise ValueError(
+            f"{path}: payload is {len(blob) - fh.tell()} bytes, expected {expected} for {shape}"
+        )
+    data = np.frombuffer(blob, dtype=dtype, offset=fh.tell())
+    return data.reshape(shape, order="F" if fortran_order else "C")
+
+
+def _write_npy(path, array, dtype) -> None:
+    with open(path, "wb") as fh:
+        npy.write_array(fh, np.asarray(array, dtype=dtype), allow_pickle=False)
 
 
 def _load_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(_FEATURES_MAGIC)] == _FEATURES_MAGIC:
-        return _load_features_binary(blob, path)
+    if blob.startswith(npy.MAGIC_PREFIX):
+        return _read_npy(path, blob, "<f4").astype(np.float64)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -128,17 +149,17 @@ def _load_features(path) -> np.ndarray:
 
 
 def save_features(path, features) -> None:
-    """Write a feature matrix in the binary layout; the readers also take CSV."""
-    features = _as_float_array(features, "features", 2)
-    n, m = features.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sII", _FEATURES_MAGIC, n, m))
-        fh.write(features.astype("<f4").tobytes())
+    """Write a feature matrix as a float32 ``.npy`` array; the readers also take CSV."""
+    _write_npy(path, _as_float_array(features, "features", 2), "<f4")
 
 
 def save_labels(path, labels) -> None:
-    """Write an indicator matrix as ``index<TAB>comma-separated indices`` lines."""
-    labels = np.asarray(labels)
+    """Write an indicator matrix as ``index<TAB>comma-separated indices`` lines.
+
+    ``labels`` is checked as :class:`Dataset` checks it, so every file written
+    loads back: 2-d, entries 0 or 1, and at least one label per row.
+    """
+    labels = _check_labels(labels)
     with open(path, "w", encoding="utf-8") as fh:
         for i, row in enumerate(labels):
             idx = np.nonzero(row)[0]
@@ -196,7 +217,7 @@ def _parse_labels(path, n_instances, n_labels):
 
 
 def load_dataset(features_path, labels_path, label_names=None, num_labels=None) -> Dataset:
-    """Load features (CSV or binary) and tab-separated label lines.
+    """Load features (CSV or ``.npy``) and tab-separated label lines.
 
     The label count comes from ``label_names``/``num_labels`` when given,
     otherwise from the largest index in the file. Every instance must appear

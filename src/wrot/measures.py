@@ -180,10 +180,11 @@ class FeatureGrouping:
                 f"dim={self.dim} in {self.group_count} groups needs pad={self.pad} >= "
                 f"rows_per_group={self.rows_per_group}; no group may be all padding"
             )
-        perm = np.asarray(self.permutation, dtype=np.int64)
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError(f"permutation must list each of the expected {n} indices once")
-        object.__setattr__(self, "permutation", _freeze(perm, self.permutation))
+        perm = np.asarray(self.permutation)
+        valid = perm.dtype.kind in "iu" and perm.shape == (n,)
+        if not (valid and np.array_equal(np.sort(perm), np.arange(n))):
+            raise ValueError(f"permutation must be the expected {n} integer indices, each once")
+        object.__setattr__(self, "permutation", _freeze(perm.astype(np.int64), self.permutation))
 
     @property
     def padded_dim(self) -> int:

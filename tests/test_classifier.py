@@ -2,10 +2,12 @@
 metrics, and the checkpoint format."""
 
 import importlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from npy_faults import FAULTS, fault_bytes, npy_bytes
 
 from wrot.classifier import (
     SoftmaxModel,
@@ -440,16 +442,25 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         blob = bytearray(path.read_bytes())
-        blob[8] = 99
+        blob[6] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match="unsupported .npy header"):
             load_model(path)
 
     def test_truncated_payload(self, tmp_path):
+        """A payload 5 bytes short, or 1 byte long, is refused by its size."""
         model = SoftmaxModel(weights=np.ones((3, 3)))
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-5])
-        with pytest.raises(ValueError, match="bytes"):
+        for damaged, size in [(blob[:-5], 67), (blob + b"\x00", 73)]:
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match=f"payload is {size} bytes, expected 72"):
+                load_model(path)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_damaged_or_foreign_file_rejected_by_path(self, tmp_path, fault):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(fault_bytes(npy_bytes(np.ones((3, 3))), "<f8")[fault])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(path)

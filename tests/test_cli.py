@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from npy_faults import FAULTS, fault_bytes
+from numpy.lib import format as npy
 
+from wrot.classifier import SoftmaxModel, save_model
 from wrot.cli import main
-from wrot.data_io import save_labels
+from wrot.data_io import save_features, save_labels
 
 classifier_mod = importlib.import_module("wrot.classifier")
 
@@ -415,10 +418,10 @@ class TestTrainEval:
         assert "error" in err
 
     def test_eval_truncated_model_header_exits_1(self, blob_files, tmp_path, capsys):
-        """A checkpoint cut inside its 17-byte header is bad input, not a
-        crash: the magic and one byte of the version-and-shape fields."""
+        """A checkpoint cut inside its header is bad input, not a crash: the
+        .npy magic and one byte of the version."""
         model_in = tmp_path / "cut.ckpt"
-        model_in.write_bytes(b"WROTCKPT\x01")
+        model_in.write_bytes(npy.MAGIC_PREFIX + b"\x01")
         code, _, err = invoke(
             ["eval", "--model-in", str(model_in),
              "--features", blob_files["features"],
@@ -427,7 +430,28 @@ class TestTrainEval:
         )
         assert code == 1
         assert err.startswith("error: ")
-        assert "truncated checkpoint header" in err
+        assert "truncated or unsupported .npy header" in err
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("damaged", ["--model-in", "--features"])
+    def test_eval_damaged_or_foreign_file_exits_1(
+        self, blob_files, tmp_path, capsys, damaged, fault
+    ):
+        """Every fault the readers refuse is bad input naming the file."""
+        paths = {"--model-in": tmp_path / "model.ckpt", "--features": tmp_path / "x.npy"}
+        save_model(SoftmaxModel(weights=np.zeros((2, 3))), paths["--model-in"])
+        save_features(paths["--features"], np.loadtxt(blob_files["features"], delimiter=","))
+        dtype = {"--model-in": "<f8", "--features": "<f4"}[damaged]
+        good = paths[damaged].read_bytes()
+        paths[damaged].write_bytes(fault_bytes(good, dtype)[fault])
+        code, _, err = invoke(
+            ["eval", "--model-in", str(paths["--model-in"]),
+             "--features", str(paths["--features"]),
+             "--labels", blob_files["labels"]],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {paths[damaged]}")
 
     def test_zero_learning_rate_exits_1(self, blob_files, tmp_path, capsys):
         code, _, err = invoke(

@@ -1,8 +1,11 @@
 """File-format checks: feature matrices, label lines, embedding files, and
 grouping serialization."""
 
+import re
+
 import numpy as np
 import pytest
+from npy_faults import FAULTS, fault_bytes, npy_bytes
 
 from wrot.data_io import (
     Dataset,
@@ -36,7 +39,7 @@ class TestFeatureFiles:
         save_features(fpath, features)
         lpath, rows = simple_labels_file(tmp_path, n=5)
         ds = load_dataset(fpath, lpath)
-        # binary payload is float32
+        # the .npy payload is float32
         np.testing.assert_allclose(ds.features, features, atol=1e-6)
 
     def test_csv_round_trip_exact(self, tmp_path):
@@ -49,19 +52,30 @@ class TestFeatureFiles:
         np.testing.assert_array_equal(ds.features, features)
 
     def test_truncated_binary_rejected(self, tmp_path):
-        fpath = tmp_path / "features.bin"
+        """A payload 3 bytes short, or 1 byte long, is refused by its size."""
+        fpath = tmp_path / "features.npy"
         save_features(fpath, np.ones((3, 2)))
         blob = fpath.read_bytes()
-        fpath.write_bytes(blob[:-3])
         lpath, _ = simple_labels_file(tmp_path)
-        with pytest.raises(ValueError, match="payload"):
-            load_dataset(fpath, lpath)
+        for damaged, size in [(blob[:-3], 21), (blob + b"\x00", 25)]:
+            fpath.write_bytes(damaged)
+            with pytest.raises(ValueError, match=f"payload is {size} bytes, expected 24"):
+                load_dataset(fpath, lpath)
 
     def test_truncated_header_rejected(self, tmp_path):
-        fpath = tmp_path / "features.bin"
-        fpath.write_bytes(b"WROTFEAT\x03")
+        fpath = tmp_path / "features.npy"
+        save_features(fpath, np.ones((3, 2)))
+        fpath.write_bytes(fpath.read_bytes()[:9])
         lpath, _ = simple_labels_file(tmp_path)
-        with pytest.raises(ValueError, match="truncated feature header"):
+        with pytest.raises(ValueError, match="truncated or unsupported .npy header"):
+            load_dataset(fpath, lpath)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_damaged_or_foreign_file_rejected_by_path(self, tmp_path, fault):
+        fpath = tmp_path / "features.npy"
+        fpath.write_bytes(fault_bytes(npy_bytes(np.ones((3, 2), "<f4")), "<f4")[fault])
+        lpath, _ = simple_labels_file(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(str(fpath))):
             load_dataset(fpath, lpath)
 
     def test_csv_bad_value_reports_line(self, tmp_path):
@@ -86,11 +100,11 @@ class TestFeatureFiles:
             load_dataset(fpath, lpath)
 
     def test_empty_binary_feature_file_rejected(self, tmp_path):
-        fpath = tmp_path / "features.bin"
+        fpath = tmp_path / "features.npy"
         save_features(fpath, np.zeros((0, 3)))
         lpath = tmp_path / "labels.txt"
         lpath.write_text("")
-        with pytest.raises(ValueError, match=r"empty feature file \(0 instances x 3 features\)"):
+        with pytest.raises(ValueError, match=r"<f4 data of shape \(0, 3\), expected a nonempty"):
             load_dataset(fpath, lpath)
 
     def test_binary_garbage_rejected(self, tmp_path):
@@ -108,11 +122,30 @@ class TestLabelFiles:
         return fpath
 
     def test_indicator_round_trip(self, tmp_path):
+        """Integer, bool and float indicators load back as the same rows."""
         indicator = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
         lpath = tmp_path / "labels.txt"
-        write_labels(lpath, indicator)
-        ds = load_dataset(self.features_for(tmp_path, 3), lpath, num_labels=3)
-        np.testing.assert_array_equal(ds.labels, indicator)
+        for dtype in (int, bool, float):
+            write_labels(lpath, indicator.astype(dtype))
+            ds = load_dataset(self.features_for(tmp_path, 3), lpath, num_labels=3)
+            np.testing.assert_array_equal(ds.labels, indicator)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            # written as "1\t", which the reader refuses as a malformed line
+            ([[1, 0], [0, 0]], "labels: instance 1 has zero labels"),
+            # written as labels 0 and 1, which read back as 1
+            ([[2, 0], [0.5, 1]], "labels must hold only 0 or 1 entries"),
+            # numpy's "Calling nonzero on 0d arrays"
+            ([1, 0, 1], "labels must be a 2-d indicator array"),
+        ],
+    )
+    def test_save_labels_refuses_what_load_dataset_cannot_read(self, tmp_path, labels, message):
+        lpath = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match=message):
+            save_labels(lpath, np.array(labels))
+        assert not lpath.exists()
 
     def test_label_count_inferred_from_max_index(self, tmp_path):
         lpath = tmp_path / "labels.txt"

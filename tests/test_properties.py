@@ -660,7 +660,7 @@ float32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 )
 def test_dataset_files_round_trip(case):
     """Features in either format and labels saved as index lines load back
-    equal: the binary layout ``save_features`` writes for float32-representable
+    equal: the ``.npy`` file ``save_features`` writes for float32-representable
     values, CSV with 17 significant digits for any finite float."""
     binary, (features, labels) = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -676,18 +676,51 @@ def test_dataset_files_round_trip(case):
     assert np.array_equal(dataset.labels, labels)
 
 
+# the same values as a C array, a Fortran array and a strided view
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "Fortran": np.asfortranarray,
+    "strided": lambda a: np.repeat(np.repeat(a, 2, axis=0), 3, axis=1)[::2, ::3],
+}
+in_float32_range = st.floats(-3.4e38, 3.4e38)
+
+
 @bounded
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-def test_model_file_round_trips(n_features, n_labels, data):
-    """A checkpoint loads back with the same float64 weights, bit for bit."""
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(sorted(LAYOUTS)), st.data())
+def test_feature_file_round_trips_the_float32_rounding(n, m, layout, data):
+    """``save_features`` writes an ``.npy`` file that numpy reads as the
+    float32 rounding of the input, and ``load_dataset`` as that rounding in
+    float64, bit for bit, whatever the input's memory layout."""
+    values = np.array(data.draw(st.lists(in_float32_range, min_size=n * m, max_size=n * m)))
+    features = LAYOUTS[layout](values.reshape(n, m))
+    rounded = values.reshape(n, m).astype(np.float32)
+    with tempfile.TemporaryDirectory() as tmp:
+        features_path = os.path.join(tmp, "features.npy")
+        labels_path = os.path.join(tmp, "labels.txt")
+        save_features(features_path, features)
+        save_labels(labels_path, np.ones((n, 1), dtype=int))
+        stored = np.load(features_path, allow_pickle=False)
+        dataset = load_dataset(features_path, labels_path)
+    assert stored.dtype == np.float32 and stored.tobytes() == rounded.tobytes()
+    assert dataset.features.tobytes() == rounded.astype(np.float64).tobytes()
+
+
+@bounded
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(sorted(LAYOUTS)), st.data())
+def test_model_file_round_trips(n_features, n_labels, layout, data):
+    """A checkpoint loads back with the same float64 weights, bit for bit,
+    through :func:`load_model` and through numpy, whatever the layout of
+    the weights the model was built from."""
     size = n_features * n_labels
     weights = np.array(data.draw(st.lists(finite, min_size=size, max_size=size)))
-    model = SoftmaxModel(weights=weights.reshape(n_features, n_labels))
+    model = SoftmaxModel(weights=LAYOUTS[layout](weights.reshape(n_features, n_labels)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
         save_model(model, path)
         loaded = load_model(path)
-    assert loaded.weights.tobytes() == model.weights.tobytes()
+        stored = np.load(path, allow_pickle=False)
+    assert loaded.weights.tobytes() == model.weights.tobytes() == weights.tobytes()
+    assert stored.dtype == np.float64 and stored.tobytes() == weights.tobytes()
 
 
 def test_grouping_shape_is_not_free():

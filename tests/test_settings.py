@@ -21,9 +21,11 @@ a :class:`FeatureGrouping` or ``None``, and ``loss`` a
 :class:`RotLossConfig`. Each config, :class:`LabelSpace`,
 :func:`make_grouping`, :func:`feature_weights`, :func:`adversarial_value`,
 :func:`smooth_target` and :func:`load_dataset` (whose ``num_labels`` is a
-count or ``None``) refuses anything else with a ``ValueError`` whose message
-starts with the field's name (``metric`` for :func:`adversarial_value`), and
-still builds from every valid value.
+count or ``None``), and :class:`FeatureGrouping` (whose ``permutation`` holds
+integers, not floats, strings or bools that cast to them), refuses anything
+else with a ``ValueError`` whose message starts with the field's name
+(``metric`` for :func:`adversarial_value`), and still builds from every
+valid value.
 """
 
 import argparse
@@ -193,13 +195,17 @@ SETTINGS = {
     ),
 }
 # refused only: a large valid count would allocate a permutation that long, or
-# a label matrix that wide; the label count is checked before the files are read
+# a label matrix that wide; the label count is checked before the files are read;
+# valid permutations are the ones make_grouping draws
 REFUSABLE = {
     **SETTINGS,
     "make_grouping.dim": ("count", "dim", lambda x: make_grouping(x, 1, 0)),
     "make_grouping.group_count": ("count", "group_count", lambda x: make_grouping(1, x, 0)),
     "load_dataset.num_labels": (
         "optional count", "num_labels", lambda x: load_dataset("x.feat", "y.labels", None, x)
+    ),
+    "FeatureGrouping.permutation": (
+        "permutation", "permutation", lambda x: FeatureGrouping(len(x), len(x), x)
     ),
 }
 
@@ -238,6 +244,15 @@ REFUSED = {
     "sinkhorn": NOT_CONFIGS | st.sampled_from([None, RotLossConfig(), GROUPING]),
     "grouping": NOT_CONFIGS | st.sampled_from([SinkhornConfig(), RotLossConfig()]),
     "loss": NOT_CONFIGS | st.sampled_from([None, SinkhornConfig(), GROUPING]),
+    # a permutation of 1 to 4 indices whose cast to int lists each index once
+    "permutation": (
+        st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))).flatmap(
+            lambda p: st.sampled_from(
+                [np.array(p, dtype=float), [i + 0.5 for i in p], [str(i) for i in p]]
+            )
+        )
+        | st.sampled_from([[False], [True, False], np.array([False, True])])
+    ),
 }
 POSITIVE_REALS = (
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -322,6 +337,10 @@ def test_valid_values_build(setting, data):
         ("RotLossConfig.sinkhorn", None),
         ("TrainConfig.loss", None),
         ("LabelSpace.grouping", 3),
+        # cast to the integer permutation [0 1 2], or [1 0]
+        ("FeatureGrouping.permutation", [0.5, 1.2, 2.9]),
+        ("FeatureGrouping.permutation", ["0", "1", "2"]),
+        ("FeatureGrouping.permutation", np.array([True, False])),
     ],
 )
 def test_inputs_the_old_checks_let_through_are_refused(setting, value):
