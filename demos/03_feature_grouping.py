@@ -35,16 +35,9 @@ src = make_measure(rng.normal(size=(4, d)))
 tgt = make_measure(rng.normal(size=(5, d)))
 sink = SinkhornConfig(lambda_beta=0.05, iterations=300)
 
-full = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1), sinkhorn=sink))
-grouped = rot_distance(
-    src,
-    tgt,
-    FWConfig(
-        metric=PNormConfig(k=1),
-        sinkhorn=sink,
-        grouping=make_grouping(d, d, seed=1),
-    ),
-)
+config = FWConfig(metric=PNormConfig(k=1), sinkhorn=sink)
+full = rot_distance(src, tgt, config)
+grouped = rot_distance(src, tgt, config, grouping=make_grouping(d, d, seed=1))
 print(f"full solve      {full.value:.12f}")
 print(f"singleton groups {grouped.value:.12f}")
 print(f"difference      {abs(full.value - grouped.value):.2e}")

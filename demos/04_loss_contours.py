@@ -15,10 +15,10 @@ import numpy as np
 
 from wrot import (
     DSConfig,
+    FWConfig,
     KLConfig,
     LabelSpace,
     PNormConfig,
-    RotLossConfig,
     SinkhornConfig,
     rot_loss,
     smooth_target,
@@ -43,11 +43,12 @@ grid_n = 7
 grid = np.linspace(0.0, 1.0, grid_n)
 
 for name, metric in families:
-    config = RotLossConfig(
+    # gap_tol=None turns the early stop off: every one of the 40 steps runs
+    config = FWConfig(
         metric=metric,
-        lambda_gamma=0.05,
-        fw_iters=40,
         sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=400),
+        max_iter=40,
+        gap_tol=None,
     )
     surface = np.full((grid_n, grid_n), np.nan)
     for i, x in enumerate(grid):
@@ -56,7 +57,8 @@ for name, metric in families:
             if z < -1e-12:
                 continue
             h = np.array([x, y, max(z, 0.0)])
-            surface[i, j] = rot_loss(h / h.sum(), target, labels, config).value
+            loss = rot_loss(h / h.sum(), target, labels, config, lambda_gamma=0.05)
+            surface[i, j] = loss.value
     peak = np.nanmax(surface)
     surface = surface / peak
 

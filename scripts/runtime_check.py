@@ -37,7 +37,6 @@ from wrot import (
     KLConfig,
     LabelSpace,
     PNormConfig,
-    RotLossConfig,
     TrainConfig,
 )
 from wrot.cli import main as cli_main
@@ -83,11 +82,11 @@ def exercise_library(api, work):
     for metric in FAMILIES:
         api.adversarial_value(moment, metric)
         for group in (None, grouping):
-            result = api.rot_distance(src, tgt, FWConfig(metric, max_iter=3, grouping=group))
+            result = api.rot_distance(src, tgt, FWConfig(metric, max_iter=3), group)
             result.plan, result.metric  # built on first read
         for space in spaces:
-            config = RotLossConfig(metric=metric)
-            loss = api.rot_loss(predicted, target, space, config)
+            config = FWConfig(metric, max_iter=2, gap_tol=None)
+            loss = api.rot_loss(predicted, target, space, config, lambda_gamma=0.05)
             loss.plan, loss.metric
             api.rot_loss_gradient(predicted, target, space, config)
 

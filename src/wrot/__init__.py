@@ -52,7 +52,6 @@ from .metric_solvers import (
 )
 from .rot_loss import (
     LabelSpace,
-    RotLossConfig,
     rot_loss,
     rot_loss_gradient,
     smooth_target,
@@ -73,7 +72,6 @@ __all__ = [
     "LabelSpace",
     "MetricSolverConfig",
     "PNormConfig",
-    "RotLossConfig",
     "RotResult",
     "SinkhornConfig",
     "SinkhornConvergenceError",

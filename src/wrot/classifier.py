@@ -5,8 +5,8 @@ probabilities over labels. Training runs per-sample SGD: each step solves the
 transport loss between the current prediction and the smoothed target,
 backpropagates the loss gradient through the softmax Jacobian, and applies
 L2 weight decay. The loss family (robust or plain entropic squared-distance)
-is whatever the :class:`~wrot.rot_loss.RotLossConfig` says; the two trainer
-paths differ only in that configuration. Training reads only each loss
+is the ``metric`` of the loss's :class:`~wrot.frank_wolfe.FWConfig`; the two
+trainer paths differ only in that configuration. Training reads only each loss
 result's value, so it never builds the result's plan or worst-case metric.
 
 Evaluation reports micro-averaged AUC (rank statistic over all
@@ -25,7 +25,8 @@ from numpy.lib import format as npy
 
 from .data_io import Dataset, _read_npy, _write_npy
 from .measures import _as_float_array, _check_config, _check_count, _check_real, _freeze
-from .rot_loss import LabelSpace, RotLossConfig, rot_loss_gradient, smooth_target
+from .frank_wolfe import FWConfig
+from .rot_loss import _LOSS_CONFIG, LabelSpace, rot_loss_gradient, smooth_target
 
 __all__ = [
     "SoftmaxModel",
@@ -91,16 +92,17 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD settings; ``loss`` picks the family via its ``metric`` field."""
+    """SGD settings; ``loss`` picks the family via its ``metric`` field. Its
+    default is :func:`~wrot.rot_loss.rot_loss`'s: one Frank-Wolfe step."""
 
-    loss: RotLossConfig = RotLossConfig()
+    loss: FWConfig = _LOSS_CONFIG
     learning_rate: float = 0.01
     epochs: int = 50
     weight_decay: float = 0.0005
     seed: int = 0
 
     def __post_init__(self):
-        _check_config(self.loss, "loss", RotLossConfig)
+        _check_config(self.loss, "loss", FWConfig)
         _check_real(self.learning_rate, "learning_rate")
         _check_count(self.epochs, "epochs")
         _check_real(self.weight_decay, "weight_decay", positive=False)
@@ -233,6 +235,8 @@ def load_model(path) -> SoftmaxModel:
     """Read a checkpoint written by :func:`save_model`."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob.startswith(b"WROTCKPT"):
+        raise ValueError(f"{path}: old WROTCKPT binary layout; re-save it with save_model")
     if not blob.startswith(npy.MAGIC_PREFIX):
         raise ValueError(f"{path} is not a model checkpoint (bad magic)")
     return SoftmaxModel(weights=_read_npy(path, blob, "<f8"))

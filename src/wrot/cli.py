@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .data_io import _load_features, load_dataset, load_embedding_file, make_gro
 from .frank_wolfe import FWConfig, rot_distance, w22_distance
 from .measures import make_measure
 from .metric_solvers import DSConfig, KLConfig, PNormConfig
-from .rot_loss import LabelSpace, RotLossConfig, rot_loss
+from .rot_loss import _LAMBDA_GAMMA, _LOSS_CONFIG, LabelSpace, rot_loss
 from .sinkhorn import SinkhornConfig, SinkhornConvergenceError
 
 __all__ = ["main"]
@@ -42,14 +43,16 @@ __all__ = ["main"]
 _FAMILIES = ("pnorm", "kl", "ds", "w22")
 
 
-def _metric_config(family, k, lambda_m):
-    if family == "pnorm":
-        return PNormConfig(k=k)
-    if family == "kl":
-        return KLConfig(lambda_m=lambda_m)
-    if family == "ds":
-        return DSConfig(lambda_m=lambda_m)
-    return None  # w22: fixed identity metric
+def _family(args) -> dict:
+    """The ``metric`` and ``sinkhorn`` of the config the family flags name."""
+    metric = None  # w22: fixed identity metric
+    if args.family == "pnorm":
+        metric = PNormConfig(k=args.k)
+    elif args.family == "kl":
+        metric = KLConfig(lambda_m=args.lambda_m)
+    elif args.family == "ds":
+        metric = DSConfig(lambda_m=args.lambda_m)
+    return {"metric": metric, "sinkhorn": SinkhornConfig(lambda_beta=args.lambda_beta)}
 
 
 def cmd_distance(args) -> int:
@@ -57,20 +60,14 @@ def cmd_distance(args) -> int:
     tgt = make_measure(_load_features(args.tgt))
     # every family's settings are checked, w22's too, before any solve
     grouping = None if args.r is None else make_grouping(src.dim, args.r, args.seed)
-    config = FWConfig(
-        metric=_metric_config(args.family, args.k, args.lambda_m),
-        sinkhorn=SinkhornConfig(lambda_beta=args.lambda_beta),
-        max_iter=args.fw_iters,
-        gap_tol=args.gap_tol,
-        grouping=grouping,
-    )
+    config = FWConfig(**_family(args), max_iter=args.fw_iters, gap_tol=args.gap_tol)
     exit_code = 0
     if args.family == "w22":
         # a grouping's pad, permutation and reshape leave tr V unchanged
         value = w22_distance(src, tgt, config.sinkhorn)
         result = {"value": value, "gap": 0.0, "iterations": 1, "family": "w22"}
     else:
-        solved = rot_distance(src, tgt, config)
+        solved = rot_distance(src, tgt, config, grouping)
         result = {
             "value": solved.value,
             "gap": solved.gap_history[-1],
@@ -109,17 +106,11 @@ def cmd_contour(args) -> int:
         raise ValueError(f"labels not in embedding file: {', '.join(missing)}")
     emb = matrix[[index[n] for n in label_names]]
     labels = LabelSpace(embeddings=emb)
-    config = RotLossConfig(
-        metric=_metric_config(args.family, args.k, args.lambda_m),
-        lambda_gamma=args.lambda_gamma,
-        fw_iters=args.fw_iters,
-        sinkhorn=SinkhornConfig(lambda_beta=args.lambda_beta),
-    )
+    config = replace(_LOSS_CONFIG, **_family(args), max_iter=args.fw_iters)
     target = np.array([0.0, 0.0, 1.0])  # third label is the true one
 
     grid = np.linspace(0.0, 1.0, args.grid_n)
-    points = []
-    values = []
+    points, values = [], []
     for x in grid:
         for y in grid:
             z = 1.0 - x - y
@@ -128,7 +119,8 @@ def cmd_contour(args) -> int:
             h = np.array([x, y, max(z, 0.0)])
             h = h / h.sum()
             points.append((x, y))
-            values.append(rot_loss(h, target, labels, config).value)
+            loss = rot_loss(h, target, labels, config, lambda_gamma=args.lambda_gamma)
+            values.append(loss.value)
     values = np.asarray(values)
     peak = values.max()
     if peak > 0:
@@ -143,30 +135,22 @@ def cmd_contour(args) -> int:
 
 def _train_label_space(args) -> tuple[LabelSpace, list[str]]:
     names, matrix = load_embedding_file(args.embeddings)
-    grouping = None
-    if args.r is not None:
-        grouping = make_grouping(matrix.shape[1], args.r, args.seed)
+    grouping = None if args.r is None else make_grouping(matrix.shape[1], args.r, args.seed)
     return LabelSpace(embeddings=matrix, grouping=grouping), names
 
 
 def cmd_train(args) -> int:
     labels_space, names = _train_label_space(args)
     dataset = load_dataset(args.features, args.labels, label_names=names)
-    loss = RotLossConfig(
-        metric=_metric_config(args.family, args.k, args.lambda_m),
-        sinkhorn=SinkhornConfig(lambda_beta=args.lambda_beta),
-    )
     config = TrainConfig(
-        loss=loss,
+        loss=replace(_LOSS_CONFIG, **_family(args)),
         learning_rate=args.lr,
         epochs=args.epochs,
         weight_decay=args.weight_decay,
         seed=args.seed,
     )
     result = sgd_train(dataset, labels_space, config)
-    for i, (loss_val, secs) in enumerate(
-        zip(result.epoch_losses, result.epoch_seconds)
-    ):
+    for i, (loss_val, secs) in enumerate(zip(result.epoch_losses, result.epoch_seconds)):
         print(f"epoch {i:3d}  loss {loss_val:.6f}  time {secs:.3f}s")
     save_model(result.model, args.model_out)
     print(f"wrote model to {args.model_out}")
@@ -181,9 +165,7 @@ def cmd_eval(args) -> int:
     print(f"map {metrics.mean_average_precision:.6f}")
     if args.metrics_json:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"auc": metrics.auc, "map": metrics.mean_average_precision}, fh
-            )
+            json.dump({"auc": metrics.auc, "map": metrics.mean_average_precision}, fh)
             fh.write("\n")
     return 0
 
@@ -195,50 +177,63 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
-        p.add_argument("--family", choices=_FAMILIES, default="pnorm")
-        p.add_argument("--k", type=int, default=PNormConfig.k, help="p-norm index (p=2k/(2k-1))")
-        p.add_argument("--lambda-m", type=float, default=KLConfig.lambda_m)
-        p.add_argument("--lambda-beta", type=float, default=SinkhornConfig.lambda_beta)
+        p.add_argument("--family", choices=_FAMILIES, default="pnorm",
+                       help="adversary family; w22 fixes the identity metric (default %(default)s)")
+        p.add_argument("--k", type=int, default=PNormConfig.k,
+                       help="p-norm index, p = 2k/(2k-1) (default %(default)s)")
+        p.add_argument("--lambda-m", type=float, default=KLConfig.lambda_m,
+                       help="KL and DS penalty weight (default %(default)s)")
+        p.add_argument("--lambda-beta", type=float, default=SinkhornConfig.lambda_beta,
+                       help="entropic regularizer of the Sinkhorn oracle (default %(default)s)")
 
     p = sub.add_parser("distance", help="robust distance between two point clouds")
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
+    p.add_argument("--src", required=True, help="source points: a CSV or .npy feature file")
+    p.add_argument("--tgt", required=True, help="target points: a CSV or .npy feature file")
     add_family(p)
-    p.add_argument("--r", type=int, help="group count for feature grouping")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fw-iters", type=int, default=FWConfig.max_iter)
-    p.add_argument("--gap-tol", type=float, default=FWConfig.gap_tol)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--r", type=int, help="group count of a random feature grouping (default none)")
+    p.add_argument("--seed", type=int, default=0, help="grouping seed (default %(default)s)")
+    p.add_argument("--fw-iters", type=int, default=FWConfig.max_iter,
+                   help="most Frank-Wolfe steps (default %(default)s)")
+    p.add_argument("--gap-tol", type=float, default=FWConfig.gap_tol,
+                   help="stop once the duality gap is at most this (default %(default)s)")
+    p.add_argument("--json", action="store_true", help="print one JSON object (default text)")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("contour", help="loss surface over a 3-label simplex")
-    p.add_argument("--labels", required=True, help="three comma-separated label names")
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--labels", required=True, help="three comma-separated names, the true one last")
+    p.add_argument("--embeddings", required=True, help="embedding file holding the three labels")
     add_family(p)
-    p.add_argument("--lambda-gamma", type=float, default=RotLossConfig.lambda_gamma)
-    p.add_argument("--fw-iters", type=int, default=RotLossConfig.fw_iters)
-    p.add_argument("--grid-n", type=int, default=101)
-    p.add_argument("--out", required=True)
+    p.add_argument("--lambda-gamma", type=float, default=_LAMBDA_GAMMA,
+                   help="weight of the plan entropy in each loss (default %(default)s)")
+    p.add_argument("--fw-iters", type=int, default=_LOSS_CONFIG.max_iter,
+                   help="Frank-Wolfe steps per loss, all run (default %(default)s)")
+    p.add_argument("--grid-n", type=int, default=101,
+                   help="grid points per simplex side, at least 2 (default %(default)s)")
+    p.add_argument("--out", required=True, help="CSV file to write the x,y,loss rows to")
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("train", help="train the softmax classifier")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--features", required=True, help="training features: a CSV or .npy file")
+    p.add_argument("--labels", required=True, help="training labels: index<TAB>labels lines")
+    p.add_argument("--embeddings", required=True, help="embedding file; its tokens are the labels")
     add_family(p)
-    p.add_argument("--r", type=int)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--model-out", required=True)
+    p.add_argument("--r", type=int, help="group count of a random label grouping (default none)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="seed of the sample order and the grouping (default %(default)s)")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="SGD learning rate (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="passes over the training set (default %(default)s)")
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay,
+                   help="L2 weight decay (default %(default)s)")
+    p.add_argument("--model-out", required=True, help="checkpoint file to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--model-in", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--metrics-json")
+    p.add_argument("--model-in", required=True, help="checkpoint file written by train")
+    p.add_argument("--features", required=True, help="test features: a CSV or .npy file")
+    p.add_argument("--labels", required=True, help="test labels: index<TAB>labels lines")
+    p.add_argument("--metrics-json", help="JSON file to also write auc and map to (default none)")
     p.set_defaults(func=cmd_eval)
     return parser
 

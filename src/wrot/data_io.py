@@ -122,6 +122,8 @@ def _load_features(path) -> np.ndarray:
         blob = fh.read()
     if blob.startswith(npy.MAGIC_PREFIX):
         return _read_npy(path, blob, "<f4").astype(np.float64)
+    if blob.startswith(b"WROTFEAT"):
+        raise ValueError(f"{path}: old WROTFEAT binary layout; re-save it with save_features")
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -149,8 +151,14 @@ def _load_features(path) -> np.ndarray:
 
 
 def save_features(path, features) -> None:
-    """Write a feature matrix as a float32 ``.npy`` array; the readers also take CSV."""
-    _write_npy(path, _as_float_array(features, "features", 2), "<f4")
+    """Write a feature matrix as a float32 ``.npy`` array; the readers also take
+    CSV. An entry beyond the float32 range, which would be written as
+    infinite, is refused before the file is opened."""
+    features = _as_float_array(features, "features", 2)
+    limit = np.finfo(np.float32).max
+    if (np.abs(features) > limit).any():
+        raise ValueError(f"features has an entry beyond the float32 range of ±{limit:.8g}")
+    _write_npy(path, features, "<f4")
 
 
 def save_labels(path, labels) -> None:

@@ -46,21 +46,24 @@ __all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance"]
 
 @dataclass(frozen=True)
 class FWConfig:
-    """Settings for :func:`rot_distance`; ``metric=None`` is the fixed
-    identity metric, whose value is the plain transport cost."""
+    """Settings of :func:`rot_distance` and :func:`~wrot.rot_loss.rot_loss`;
+    ``metric=None`` is the fixed identity metric, whose value is the plain
+    transport cost. A solve stops at a duality gap of at most ``gap_tol``
+    (``None``: never) or after ``max_iter`` steps. These defaults are the
+    distance's: a loss given ``FWConfig(metric)`` runs a converging solve,
+    not the loss's default of one step."""
 
     metric: MetricSolverConfig | None
     sinkhorn: SinkhornConfig = SinkhornConfig()
     max_iter: int = 200
-    gap_tol: float = 1e-6
-    grouping: FeatureGrouping | None = None
+    gap_tol: float | None = 1e-6
 
     def __post_init__(self):
         _check_config(self.metric, "metric", MetricSolverConfig, optional=True)
         _check_config(self.sinkhorn, "sinkhorn", SinkhornConfig)
         _check_count(self.max_iter, "max_iter")
-        _check_real(self.gap_tol, "gap_tol", positive=False)
-        _check_config(self.grouping, "grouping", FeatureGrouping, optional=True)
+        if self.gap_tol is not None:
+            _check_real(self.gap_tol, "gap_tol", positive=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +76,8 @@ class RotResult:
     ``converged`` says whether the last gap met the tolerance. A gap is
     measured before the step, so when ``converged`` is ``False`` the last
     one is that of the iterate before the final step, not of the returned
-    plan. The loss runs exactly ``fw_iters`` steps at a tolerance of
-    ``-inf``, so its ``converged`` is always ``False``. The oracle misses
+    plan. A solve at ``gap_tol=None``, the loss's default, runs exactly
+    ``max_iter`` steps, so its ``converged`` is ``False``. The oracle misses
     the row weights by up to its residual, so ``plan`` can leave the
     polytope, ``value`` can fall below the true minimum, and neither the gap
     nor ``converged`` certifies it.
@@ -123,16 +126,17 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
     objective's gradient in the plan) and the oracle's plan ``P`` for those
     costs. The pair costs are linear in ``M``, so the duality gap
     ``<gamma - P, costs>`` equals the d x d sum ``<V - V(P), M>``, which is
-    what it records; it stops once the gap is at most ``gap_tol``, and
-    otherwise steps ``2 / (t + 2)`` towards ``P``. The moment is linear in
-    the plan, so ``V`` steps with it: one moment per step, of ``P``, plus
-    the starting one. The first step (``theta = 1``) takes ``P`` and its
+    what it records; it stops once the gap is at most ``gap_tol`` (never
+    if ``None``), and otherwise steps ``2 / (t + 2)`` towards ``P``. The
+    moment is linear in the plan, so ``V`` steps with it: one moment per
+    step, of ``P``, plus the starting one. The first step (``theta = 1``) takes ``P`` and its
     moment as they are, since ``0 * gamma + 1 * P == P``; later steps move
     that array in place, so ``oracle`` returns a new array each call.
     Returns ``(gamma, worst, gaps, converged)`` with ``worst``, the
     adversary's ``(matrix, value, family)``, taken at the returned ``gamma``.
     """
     gaps: list[float] = []
+    stop = -np.inf if gap_tol is None else gap_tol
     gamma = marginals.p[:, None] * marginals.q
     moment = _moment_arrays(gamma, src, tgt)
     for t in range(max_iter):
@@ -140,7 +144,7 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
         lmo = oracle(_pair_costs_full(src, tgt, worst.matrix))
         lmo_moment = _moment_arrays(lmo, src, tgt)
         gaps.append(float(((moment - lmo_moment) * worst.matrix).sum()))
-        if gaps[-1] <= gap_tol:
+        if gaps[-1] <= stop:
             return gamma, worst, gaps, True
         if t == 0:  # theta = 1
             gamma, moment = lmo, lmo_moment
@@ -152,15 +156,19 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
     return gamma, _adversary(moment, metric), gaps, False
 
 
-def rot_distance(src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig) -> RotResult:
+def rot_distance(
+    src: DiscreteMeasure, tgt: DiscreteMeasure, config: FWConfig,
+    grouping: FeatureGrouping | None = None,
+) -> RotResult:
     """Robust transport distance between two discrete measures.
 
     Starts from the independent coupling and runs Frank-Wolfe: worst-case
     metric, gradient, entropic linear oracle, convex-combination step. Stops
     when the duality gap reaches ``config.gap_tol`` or after
-    ``config.max_iter`` iterations.
+    ``config.max_iter`` iterations. With a ``grouping``, the adversary
+    solves on its ``r x r`` group moments.
     """
-    src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
+    src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
 
     def oracle(costs):

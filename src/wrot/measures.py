@@ -274,12 +274,14 @@ def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarra
 
 
 def _point_arrays(src, tgt, grouping=None):
-    """Check that ``src`` and ``tgt`` share a dimension; return their point
-    arrays, reshaped to (n, d1, r) when a grouping is given. Both are shifted
+    """Check that ``src`` and ``tgt`` share a dimension and that ``grouping``
+    is a :class:`FeatureGrouping` or ``None``; return their point arrays,
+    reshaped to (n, d1, r) when a grouping is given. Both are shifted
     by the source's mean: moments and pair costs are translation invariant,
     and centred clouds keep their Grams from cancelling far from the origin."""
     if src.dim != tgt.dim:
         raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
+    _check_config(grouping, "grouping", FeatureGrouping, optional=True)
     centre = src.weights @ src.points
     arrays = [m.points - centre for m in ((src,) if tgt is src else (src, tgt))]
     if grouping is not None:

@@ -252,7 +252,7 @@ def _euclidean(v):
 def _adversary(v, config):
     """The configured family's kernel on a moment the package built, square
     and exactly symmetric; only its finiteness is checked. ``config=None`` is
-    the fixed identity metric, as in :class:`~wrot.rot_loss.RotLossConfig`.
+    the fixed identity metric, as in :class:`~wrot.frank_wolfe.FWConfig`.
     Returns a ``_Worst`` (matrix, value, family)."""
     if not np.isfinite(v).all():
         raise ValueError("moment contains non-finite entries")
@@ -274,7 +274,7 @@ def adversarial_value(
     ``config=None`` is the fixed identity metric: no adversary, value
     ``trace(V)``, the plain squared-Euclidean transport cost. Any other
     ``config`` raises ``ValueError``, as :class:`~wrot.frank_wolfe.FWConfig`
-    and :class:`~wrot.rot_loss.RotLossConfig` do.
+    does.
     """
     _check_config(config, "metric", MetricSolverConfig, optional=True)
     return AdversarialMetric(*_adversary(_check_moment(moment), config))

@@ -56,24 +56,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frank_wolfe import RotResult, _frank_wolfe
+from .frank_wolfe import FWConfig, RotResult, _frank_wolfe
 from .measures import (
     FeatureGrouping,
     _as_float_array,
     _check_config,
-    _check_count,
     _check_real,
     _freeze,
     _grouped_reshape,
     _normalized,
     _pair_costs_full,
 )
-from .metric_solvers import MetricSolverConfig, PNormConfig
-from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
+from .metric_solvers import PNormConfig
+from .sinkhorn import _entropic_plan, _marginals
 
 __all__ = [
     "LabelSpace",
-    "RotLossConfig",
     "smooth_target",
     "rot_loss",
     "rot_loss_gradient",
@@ -130,25 +128,10 @@ class LabelSpace:
         return self.embeddings.shape[1]
 
 
-@dataclass(frozen=True)
-class RotLossConfig:
-    """Loss settings. ``metric=None`` selects the fixed identity metric.
-
-    ``lambda_gamma`` weights the plan entropy in the reported value only:
-    the plan and the gradient come from the oracle's ``sinkhorn.lambda_beta``,
-    so it changes no trained model.
-    """
-
-    metric: MetricSolverConfig | None = PNormConfig()
-    lambda_gamma: float = 0.02
-    fw_iters: int = 1
-    sinkhorn: SinkhornConfig = SinkhornConfig()
-
-    def __post_init__(self):
-        _check_config(self.metric, "metric", MetricSolverConfig, optional=True)
-        _check_real(self.lambda_gamma, "lambda_gamma")
-        _check_count(self.fw_iters, "fw_iters")
-        _check_config(self.sinkhorn, "sinkhorn", SinkhornConfig)
+# The loss's defaults: one Frank-Wolfe step from the product coupling, no
+# early stop, and the entropy weight. TrainConfig and wrot contour read them.
+_LOSS_CONFIG = FWConfig(PNormConfig(), max_iter=1, gap_tol=None)
+_LAMBDA_GAMMA = 0.02
 
 
 def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
@@ -164,18 +147,19 @@ def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
     return _normalized(raw, "label weights", 1.0 - alpha) + alpha / raw.shape[0]
 
 
-def _solve(predicted, target, labels, config):
+def _solve(predicted, target, labels, config, lambda_gamma):
     # Composite Frank-Wolfe: only the robust term is linearized; the plan
     # entropy lives in the oracle's own regularizer. At the fixed point the
     # iterate solves min <V(plan), M*> + lambda_beta * sum plan log plan, so
     # running the oracle with lambda_beta equal to lambda_gamma (and enough
     # iterations) lands on the exact regularized optimum. The oracle
     # warm-starts from the previous solve's potential, on marginals prepared
-    # once for every step and the gradient's extra solve; a gap tolerance of
-    # -inf runs exactly fw_iters steps. Rotation-invariant families on a
-    # space with a span basis run on its coordinates (see LabelSpace).
-    # Returns the loss, the marginals, the warm solve (costs -> (plan, f))
-    # and the points the solve ran on.
+    # once for every step and the gradient's extra solve. Rotation-invariant
+    # families on a space with a span basis run on its coordinates (see
+    # LabelSpace). Returns the loss, the marginals, the warm solve
+    # (costs -> (plan, f)) and the points the solve ran on.
+    _check_config(config, "config", FWConfig)
+    _check_real(lambda_gamma, "lambda_gamma")
     marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
     warm = None
 
@@ -197,35 +181,37 @@ def _solve(predicted, target, labels, config):
         metric,
         lambda costs: solve(costs)[0],
         marginals,
-        config.fw_iters,
-        -np.inf,
+        config.max_iter,
+        config.gap_tol,
     )
     positive = gamma[gamma > 0]
     entropy_term = float((positive * np.log(positive)).sum())
-    value = worst.value + config.lambda_gamma * entropy_term
+    value = worst.value + lambda_gamma * entropy_term
     loss = RotResult(value, tuple(gaps), converged, gamma, worst, basis)
     return loss, marginals, solve, points
 
 
 def rot_loss(
-    predicted, target, labels: LabelSpace, config: RotLossConfig | None = None
+    predicted, target, labels: LabelSpace, config: FWConfig = _LOSS_CONFIG,
+    *, lambda_gamma: float = _LAMBDA_GAMMA,
 ) -> RotResult:
     """Robust transport loss between ``predicted`` and ``target`` distributions.
 
     Both arguments live on the simplex over ``labels``; zero entries are
     allowed (the corresponding plan rows/columns are pinned to zero). The
-    returned value includes the ``lambda_gamma`` entropy term.
+    returned value includes the entropy term, weighted by ``lambda_gamma``:
+    the plan and the gradient come from the oracle's
+    ``config.sinkhorn.lambda_beta``, so ``lambda_gamma`` moves the value
+    only. The default ``config`` runs one Frank-Wolfe step under p-norm
+    ``k = 1``; an :class:`~wrot.frank_wolfe.FWConfig` built with its own
+    defaults runs up to 200.
     """
-    if config is None:
-        config = RotLossConfig()
-    return _solve(predicted, target, labels, config)[0]
+    return _solve(predicted, target, labels, config, lambda_gamma)[0]
 
 
 def rot_loss_gradient(
-    predicted,
-    target,
-    labels: LabelSpace,
-    config: RotLossConfig | None = None,
+    predicted, target, labels: LabelSpace, config: FWConfig = _LOSS_CONFIG,
+    *, lambda_gamma: float = _LAMBDA_GAMMA,
 ) -> tuple[np.ndarray, RotResult]:
     """Gradient of the loss in the predicted distribution, and the loss.
 
@@ -239,11 +225,10 @@ def rot_loss_gradient(
     targets, smooth them with :func:`smooth_target` at ``alpha > 0``.
 
     Returns ``(gradient, RotResult)``: the loss is the one
-    :func:`rot_loss` reports, from the same solve.
+    :func:`rot_loss` reports, from the same solve, and ``config`` and
+    ``lambda_gamma`` mean what they mean there.
     """
-    if config is None:
-        config = RotLossConfig()
-    loss, marginals, solve, points = _solve(predicted, target, labels, config)
+    loss, marginals, solve, points = _solve(predicted, target, labels, config, lambda_gamma)
     if not marginals.dense:
         raise ValueError(
             "gradient undefined: a predicted or target weight is zero; "

@@ -4,10 +4,12 @@
 ``FAULTS``. ``good`` is the bytes of a valid file whose array has the
 ``dtype`` the reader expects; the damaged files are cut from or added to it,
 and the foreign ones hold arrays the reader must not take. Each reader must
-refuse every one with a ``ValueError`` that names the path.
+refuse every one with a ``ValueError`` that names the path, and a file in
+its own retired binary layout with one that says how to re-save it.
 """
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -52,3 +54,15 @@ def fault_bytes(good: bytes, dtype) -> dict:
 
 FAULTS = list(fault_bytes(npy_bytes(np.ones((2, 2), "<f4")), "<f4"))
 
+
+# each reader's retired binary layout, and the saver that writes its format now
+OLD_LAYOUTS = {"<f4": ("WROTFEAT", "save_features"), "<f8": ("WROTCKPT", "save_model")}
+
+
+def refusal(path, dtype, fault):
+    """A pattern for the start of the message the ``dtype`` reader gives for
+    ``fault`` at ``path``."""
+    magic, saver = OLD_LAYOUTS[dtype]
+    if fault == f"old {magic} file":
+        return re.escape(f"{path}: old {magic} binary layout; re-save it with {saver}")
+    return re.escape(str(path))

@@ -25,7 +25,6 @@ from wrot import (
     KLConfig,
     LabelSpace,
     PNormConfig,
-    RotLossConfig,
     SinkhornConfig,
     TransportPlan,
     adversarial_value,
@@ -171,12 +170,11 @@ def test_criterion_4_gradient_suites():
         ) / (2 * h)
         assert fd == pytest.approx(float(np.sum(grad * delta)), rel=1e-4)
 
-    # prediction-space gradient: tangency and finite differences at L=3, L=10
+    # prediction-space gradient: tangency and finite differences at L=3, L=10,
+    # with lambda_beta = lambda_gamma = lam, so the gradient is the value's
     def loss_cfg(lam, fw, sk):
-        return RotLossConfig(
-            lambda_gamma=lam,
-            fw_iters=fw,
-            sinkhorn=SinkhornConfig(lambda_beta=lam, iterations=sk),
+        return FWConfig(
+            PNormConfig(), SinkhornConfig(lambda_beta=lam, iterations=sk), fw, gap_tol=None
         )
 
     rng = np.random.default_rng(4)
@@ -185,7 +183,7 @@ def test_criterion_4_gradient_suites():
     h3 = rng.dirichlet(np.ones(3))
     y3 = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
     cfg3 = loss_cfg(0.02, 150, 1000)
-    grad3, _ = rot_loss_gradient(h3, y3, labels3, cfg3)
+    grad3, _ = rot_loss_gradient(h3, y3, labels3, cfg3, lambda_gamma=0.02)
     assert abs(grad3.sum()) < 1e-12
 
     emb10 = unit_rows(rng, 10, 6)
@@ -195,7 +193,7 @@ def test_criterion_4_gradient_suites():
     onehot[3] = 1.0
     y10 = smooth_target(onehot, alpha=0.05)
     cfg10 = loss_cfg(0.05, 60, 600)
-    grad10, _ = rot_loss_gradient(h10, y10, labels10, cfg10)
+    grad10, _ = rot_loss_gradient(h10, y10, labels10, cfg10, lambda_gamma=0.05)
     assert abs(grad10.sum()) < 1e-12
 
     eps = 1e-6
@@ -204,12 +202,13 @@ def test_criterion_4_gradient_suites():
         (grad10, h10, y10, labels10, cfg10, 10, [(0, 4), (2, 7), (5, 9)]),
     ]
     for grad, h, y, labels, cfg, size, pairs in cases:
+        lam = cfg.sinkhorn.lambda_beta
         for i, j in pairs:
             u = np.zeros(size)
             u[i], u[j] = 1.0, -1.0
             u /= np.sqrt(2.0)
-            plus = rot_loss(h + eps * u, y, labels, cfg).value
-            minus = rot_loss(h - eps * u, y, labels, cfg).value
+            plus = rot_loss(h + eps * u, y, labels, cfg, lambda_gamma=lam).value
+            minus = rot_loss(h - eps * u, y, labels, cfg, lambda_gamma=lam).value
             fd = (plus - minus) / (2 * eps)
             assert float(grad @ u) == pytest.approx(fd, rel=1e-3)
     _report(4, "plan-space and prediction-space gradients match FD", started, 60)
@@ -230,8 +229,8 @@ def test_criterion_5_kronecker_equivalence():
     )
     grouped = rot_distance(
         src, tgt, FWConfig(metric=PNormConfig(k=1), sinkhorn=sink,
-                           max_iter=6, gap_tol=0.0,
-                           grouping=make_grouping(d, d, seed=1))
+                           max_iter=6, gap_tol=0.0),
+        make_grouping(d, d, seed=1),
     )
     assert len(plain.gap_history) == len(grouped.gap_history) == 6
     np.testing.assert_allclose(plain.gap_history, grouped.gap_history, atol=1e-9)

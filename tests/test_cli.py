@@ -1,13 +1,15 @@
+import argparse
 import importlib
 import json
+import re
 
 import numpy as np
 import pytest
-from npy_faults import FAULTS, fault_bytes
+from npy_faults import FAULTS, fault_bytes, refusal
 from numpy.lib import format as npy
 
 from wrot.classifier import SoftmaxModel, save_model
-from wrot.cli import main
+from wrot.cli import _build_parser, main
 from wrot.data_io import save_features, save_labels
 
 classifier_mod = importlib.import_module("wrot.classifier")
@@ -213,6 +215,16 @@ class TestDistance:
 
     def test_help_exits_0(self, capsys):
         assert invoke(["--help"], capsys)[0] == 0
+
+    def test_every_option_has_help(self):
+        """Each option of each subcommand says what it sets, and each one
+        with a default shows it."""
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                assert action.help, f"wrot {name} {action.option_strings} has no help"
+                if not (action.required or action.default in (None, False, argparse.SUPPRESS)):
+                    assert "%(default)s" in action.help, f"wrot {name} {action.dest}"
 
     def test_no_subcommand_exits_1(self, capsys):
         assert invoke([], capsys)[0] == 1
@@ -451,7 +463,7 @@ class TestTrainEval:
             capsys,
         )
         assert code == 1
-        assert err.startswith(f"error: {paths[damaged]}")
+        assert re.match("error: " + refusal(paths[damaged], dtype, fault), err)
 
     def test_zero_learning_rate_exits_1(self, blob_files, tmp_path, capsys):
         code, _, err = invoke(

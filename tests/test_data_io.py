@@ -1,11 +1,10 @@
 """File-format checks: feature matrices, label lines, embedding files, and
 grouping serialization."""
 
-import re
 
 import numpy as np
 import pytest
-from npy_faults import FAULTS, fault_bytes, npy_bytes
+from npy_faults import FAULTS, fault_bytes, npy_bytes, refusal
 
 from wrot.data_io import (
     Dataset,
@@ -42,6 +41,20 @@ class TestFeatureFiles:
         # the .npy payload is float32
         np.testing.assert_allclose(ds.features, features, atol=1e-6)
 
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, 3.4028236e38])
+    def test_entries_beyond_float32_refused_before_writing(self, tmp_path, value):
+        """Cast to float32 they would be written as infinite, which
+        load_dataset refuses; the largest float32 itself is written."""
+        fpath = tmp_path / "features.npy"
+        message = r"^features has an entry beyond the float32 range of ±3\.4028235e\+38$"
+        with pytest.raises(ValueError, match=message):
+            save_features(fpath, [[value, 1.0]])
+        assert not fpath.exists()
+        largest = float(np.finfo(np.float32).max)
+        save_features(fpath, [[largest, -largest]])
+        lpath, _ = simple_labels_file(tmp_path, n=1)
+        assert load_dataset(fpath, lpath).features.tolist() == [[largest, -largest]]
+
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         features = rng.normal(size=(4, 6))
@@ -75,7 +88,7 @@ class TestFeatureFiles:
         fpath = tmp_path / "features.npy"
         fpath.write_bytes(fault_bytes(npy_bytes(np.ones((3, 2), "<f4")), "<f4")[fault])
         lpath, _ = simple_labels_file(tmp_path)
-        with pytest.raises(ValueError, match=re.escape(str(fpath))):
+        with pytest.raises(ValueError, match=refusal(fpath, "<f4", fault)):
             load_dataset(fpath, lpath)
 
     def test_csv_bad_value_reports_line(self, tmp_path):

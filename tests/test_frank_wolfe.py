@@ -9,7 +9,6 @@ from wrot import (
     KLConfig,
     LabelSpace,
     PNormConfig,
-    RotLossConfig,
     SinkhornConfig,
     TransportPlan,
     adversarial_value,
@@ -242,11 +241,11 @@ class TestReturnedWorstCase:
         src, tgt = random_instance(rng, 4, 5, 4)
         grouping = make_grouping(4, 2, seed=3) if grouped else None
         metric = PNormConfig(k=1)
-        cfg = converged_config(metric, grouping=grouping)
+        cfg = converged_config(metric)
         if capped:
             # one step: the returned worst case must be the one after it
-            cfg = FWConfig(metric=metric, sinkhorn=cfg.sinkhorn, max_iter=1, grouping=grouping)
-        result = rot_distance(src, tgt, cfg)
+            cfg = FWConfig(metric=metric, sinkhorn=cfg.sinkhorn, max_iter=1)
+        result = rot_distance(src, tgt, cfg, grouping)
         assert result.converged is not capped
         assert result.iterations_used == (1 if capped else len(result.gap_history))
         if grouped:
@@ -262,7 +261,7 @@ class TestCarriedMoment:
     def test_one_moment_per_step_plus_one(self, monkeypatch):
         """The loop takes the starting moment and one per step, of the
         oracle's plan, and none after the loop, whether it stops on the gap
-        or at max_iter; the loss takes fw_iters + 1."""
+        or at max_iter; the loss's three steps take four."""
         events = []
 
         def counted(name, fn):
@@ -290,7 +289,8 @@ class TestCarriedMoment:
         emb = rng.normal(size=(4, 3))
         labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
         events.clear()
-        rot_loss(np.full(4, 0.25), smooth_target(np.eye(4)[1]), labels, RotLossConfig(fw_iters=3))
+        config = FWConfig(PNormConfig(), max_iter=3, gap_tol=None)
+        rot_loss(np.full(4, 0.25), smooth_target(np.eye(4)[1]), labels, config)
         assert events == ["moment"] * 4
 
     @pytest.mark.parametrize("metric", [None, PNormConfig(k=1), KLConfig()], ids=str)
@@ -316,6 +316,33 @@ class TestCarriedMoment:
 # (points, dimension) of the distance benchmark's two log-domain sizes
 TRUNCATION_SIZES = [(32, 8), (128, 24)]
 TRUNCATION_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()]
+
+
+class TestStopRule:
+    """One FWConfig stops the distance and the loss alike: at a gap of at
+    most gap_tol, or, with gap_tol=None, after exactly max_iter steps."""
+
+    def solves(self):
+        rng = np.random.default_rng(16)
+        src, tgt = random_instance(rng, 4, 5, 3)
+        emb = rng.normal(size=(4, 3))
+        labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
+        h, y = np.full(4, 0.25), smooth_target(np.eye(4)[1])
+        return {
+            "distance": lambda cfg: rot_distance(src, tgt, cfg),
+            "loss": lambda cfg: rot_loss(h, y, labels, cfg),
+        }
+
+    @pytest.mark.parametrize("solve", ["distance", "loss"])
+    def test_no_tolerance_runs_every_step(self, solve):
+        result = self.solves()[solve](FWConfig(PNormConfig(), max_iter=5, gap_tol=None))
+        assert result.iterations_used == 5 and result.converged is False
+
+    @pytest.mark.parametrize("solve", ["distance", "loss"])
+    def test_a_tolerance_stops_the_solve(self, solve):
+        result = self.solves()[solve](converged_config(PNormConfig()))
+        assert result.converged is True and result.gap_history[-1] <= 1e-6
+        assert result.iterations_used < 150
 
 
 class TestTruncatedKernel:
@@ -374,9 +401,7 @@ class TestGrouping:
             permutation=np.arange(4),
         )
         full = rot_distance(src, tgt, converged_config(PNormConfig(k=1)))
-        grouped = rot_distance(
-            src, tgt, converged_config(PNormConfig(k=1), grouping=trivial)
-        )
+        grouped = rot_distance(src, tgt, converged_config(PNormConfig(k=1)), trivial)
         assert grouped.value == pytest.approx(full.value, abs=1e-9)
         assert_allclose(grouped.plan.matrix, full.plan.matrix, atol=1e-9)
         assert_allclose(grouped.gap_history, full.gap_history, atol=1e-9)
@@ -385,9 +410,7 @@ class TestGrouping:
         rng = np.random.default_rng(15)
         src, tgt = random_instance(rng, 3, 4, 10)
         grouping = make_grouping(10, 5, seed=2)
-        result = rot_distance(
-            src, tgt, converged_config(PNormConfig(k=1), grouping=grouping)
-        )
+        result = rot_distance(src, tgt, converged_config(PNormConfig(k=1)), grouping)
         assert result.metric.matrix.shape == (5, 5)
         assert result.value > 0
 

@@ -5,7 +5,7 @@ gap, translation and support-permutation invariance of the distances, the
 loss gradient's tangency to the simplex and its agreement with the
 bracket formula on normal plans, the loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
-covariance, the feature, label and model file round trips, the
+covariance, the feature, label, model and embedding file round trips, the
 determinism of ``make_grouping``, the fast paths of logsumexp and symmetric
 scaling, which must equal their plain formulas bit for bit, the finite
 slice maxima that logsumexp's fast path rests on, and the absorbed kernel's
@@ -18,7 +18,9 @@ covers.
 
 import importlib
 import os
+import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,10 +37,11 @@ from wrot import (
     KLConfig,
     LabelSpace,
     PNormConfig,
-    RotLossConfig,
     SinkhornConfig,
     SoftmaxModel,
     load_dataset,
+    load_embedding_file,
+    load_embeddings,
     load_model,
     make_grouping,
     make_measure,
@@ -479,7 +482,7 @@ LOSS_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig(
     st.sampled_from([None, 1, 3, 6]),
     st.integers(1, 4),
 )
-def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, fw_iters):
+def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, max_iter):
     """For every family, ungrouped or grouped, the loss gradient in the
     prediction sums to zero to rounding: it moves along the simplex."""
     rng = np.random.default_rng(seed)
@@ -490,16 +493,17 @@ def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, fw_
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
     raw = rng.integers(0, 2, size=size).astype(float)
     raw[rng.integers(size)] = 1.0
-    config = RotLossConfig(metric=LOSS_FAMILIES[family], fw_iters=fw_iters)
+    config = FWConfig(LOSS_FAMILIES[family], max_iter=max_iter, gap_tol=None)
     grad, loss = rot_loss_gradient(h, smooth_target(raw), labels, config)
     assert np.isfinite(loss.value)
     assert abs(grad.sum()) <= 1e-12
 
 
-def full_point_loss(h, y, emb, config):
+def full_point_loss(h, y, emb, config, lambda_gamma=0.02):
     """Reference for the span path and the potential gradient: the loss
     solved on the point array ``emb`` (the full d-dimensional embeddings, or
-    a grouped reshape), step for step as ``rot_loss_gradient`` solves it.
+    a grouped reshape), step for step as ``rot_loss_gradient`` solves it at
+    its default ``lambda_gamma``.
     Returns the value, plan, worst-case metric matrix and gradient. The
     gradient is the bracket formula, the recentred row means of ``C* +
     lambda_beta (log P + 1)`` with ``P`` one more oracle plan at the final
@@ -517,9 +521,9 @@ def full_point_loss(h, y, emb, config):
         return plan
 
     gamma, worst, _, _ = _frank_wolfe(
-        emb, emb, config.metric, oracle, marginals, config.fw_iters, -np.inf
+        emb, emb, config.metric, oracle, marginals, config.max_iter, config.gap_tol
     )
-    value = worst.value + config.lambda_gamma * float(np.sum(xlogy(gamma, gamma)))
+    value = worst.value + lambda_gamma * float(np.sum(xlogy(gamma, gamma)))
     costs = _pair_costs_full(emb, emb, worst.matrix)
     plan = oracle(costs)
     if plan.min() < np.finfo(float).tiny:
@@ -540,7 +544,7 @@ def assert_close_to_reference(got, want):
     st.sampled_from([PNormConfig(k=1), None]),
     st.integers(1, 3),
 )
-def test_span_path_matches_the_full_point_solve(seed, size, data, metric, fw_iters):
+def test_span_path_matches_the_full_point_solve(seed, size, data, metric, max_iter):
     """An ungrouped space with L < d <= 3L solves p-norm k = 1 and the
     identity metric in L span coordinates; value, plan, gradient and the
     mapped-back d x d worst case match a solve on the full points to 1e-12
@@ -554,7 +558,7 @@ def test_span_path_matches_the_full_point_solve(seed, size, data, metric, fw_ite
     raw = rng.integers(0, 2, size=size).astype(float)
     raw[rng.integers(size)] = 1.0
     y = smooth_target(raw)
-    config = RotLossConfig(metric=metric, fw_iters=fw_iters)
+    config = FWConfig(metric, max_iter=max_iter, gap_tol=None)
     grad, loss = rot_loss_gradient(h, y, labels, config)
     value, plan, worst, want_grad = full_point_loss(h, y, labels.embeddings, config)
     assert loss.value == pytest.approx(value, rel=1e-12)
@@ -574,7 +578,7 @@ def test_span_path_matches_the_full_point_solve(seed, size, data, metric, fw_ite
     st.sampled_from([0.2, 0.05, 0.02, 0.005]),
 )
 def test_potential_gradient_matches_the_bracket_formula(
-    seed, size, family, groups, fw_iters, lambda_beta
+    seed, size, family, groups, max_iter, lambda_beta
 ):
     """The gradient read from the oracle's row potential, ``lambda_beta (f -
     mean f)``, matches the bracket formula to 1e-12 relative for every
@@ -590,10 +594,8 @@ def test_potential_gradient_matches_the_bracket_formula(
     raw = rng.integers(0, 2, size=size).astype(float)
     raw[rng.integers(size)] = 1.0
     y = smooth_target(raw)
-    config = RotLossConfig(
-        metric=LOSS_FAMILIES[family],
-        fw_iters=fw_iters,
-        sinkhorn=SinkhornConfig(lambda_beta=lambda_beta),
+    config = FWConfig(
+        LOSS_FAMILIES[family], SinkhornConfig(lambda_beta=lambda_beta), max_iter, gap_tol=None
     )
     want = full_point_loss(h, y, labels._points, config)[3]
     assume(want is not None)
@@ -629,7 +631,8 @@ def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, fam
 
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
     with mock.patch.object(rot_loss_module, "_frank_wolfe", spy):
-        rot_loss_gradient(h, smooth_target(np.eye(size)[0]), labels, RotLossConfig(metric=metric))
+        config = FWConfig(metric, max_iter=1, gap_tol=None)
+        rot_loss_gradient(h, smooth_target(np.eye(size)[0]), labels, config)
     in_span = r is None and size < dim and metric in (None, PNormConfig(k=1))
     assert len(seen) == 1
     assert seen[0] is (labels._coords if in_span else labels._points)
@@ -721,6 +724,70 @@ def test_model_file_round_trips(n_features, n_labels, layout, data):
         stored = np.load(path, allow_pickle=False)
     assert loaded.weights.tobytes() == model.weights.tobytes() == weights.tobytes()
     assert stored.dtype == np.float64 and stored.tobytes() == weights.tobytes()
+
+
+# magnitudes whose squares neither underflow nor overflow inside np.linalg.norm
+embedding_entries = st.floats(-1e100, 1e100).filter(lambda x: x == 0 or abs(x) >= 1e-100)
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+@bounded
+@given(
+    st.lists(st.text("abcd", min_size=1, max_size=3), min_size=1, max_size=5, unique=True),
+    st.integers(1, 6),
+    st.booleans(),
+    st.data(),
+)
+def test_embedding_files_round_trip(words, dim, compound, data):
+    """A ``count dim`` file of ``repr`` floats loads back in file order with
+    each row ``v / ||v||`` bit for bit. ``load_embeddings`` takes a name's
+    underscore token when the file has it, and otherwise the unit mean of its
+    words' vectors, which is refused by name when it is zero. A zero vector
+    is refused with an error that names its label."""
+
+    def nonzero_vector():
+        v = np.array(data.draw(st.lists(embedding_entries, min_size=dim, max_size=dim)))
+        v[0] += not v.any()
+        return v
+
+    vectors = {word: nonzero_vector() for word in words}
+    pair = [words[0], words[-1]]
+    if compound:
+        vectors["_".join(pair)] = nonzero_vector()
+    zero_at = data.draw(st.integers(0, len(vectors)))
+
+    def write(path, entries):
+        lines = [f"{t} {' '.join(repr(float(x)) for x in v)}\n" for t, v in entries]
+        path.write_text(f"{len(entries)} {dim}\n" + "".join(lines), encoding="utf-8")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, zero_path = Path(tmp) / "emb.txt", Path(tmp) / "zero.txt"
+        entries = list(vectors.items())
+        write(path, entries)
+        write(zero_path, entries[:zero_at] + [("zz", np.zeros(dim))] + entries[zero_at:])
+        names, matrix = load_embedding_file(path)
+        rows = load_embeddings(path, words)
+        name = " ".join(pair)
+        mean = np.mean([vectors[w] for w in pair], axis=0)
+        if compound or mean.any():
+            joined = load_embeddings(path, [name])
+        else:
+            with pytest.raises(ValueError, match=f"zero embedding for {re.escape(name)}$"):
+                load_embeddings(path, [name])
+        with pytest.raises(ValueError, match="zero embedding for zz$"):
+            load_embedding_file(zero_path)
+        with pytest.raises(ValueError, match="zero embedding for zz$"):
+            load_embeddings(zero_path, ["zz"])
+    assert names == list(vectors)
+    assert matrix.tobytes() == np.array([unit(v) for v in vectors.values()]).tobytes()
+    assert rows.tobytes() == matrix[: len(words)].tobytes()
+    if compound:
+        assert joined.tobytes() == unit(vectors["_".join(pair)]).tobytes()
+    elif mean.any():
+        assert joined.tobytes() == unit(mean).tobytes()
 
 
 def test_grouping_shape_is_not_free():

@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "LabelSpace",
     "MetricSolverConfig",
     "PNormConfig",
-    "RotLossConfig",
     "RotResult",
     "SinkhornConfig",
     "SinkhornConvergenceError",
@@ -78,7 +77,8 @@ PUBLIC_NAMES = [
 # deleted with no caller outside the tests (exact_ot_small moved into them,
 # as tests/lp_reference.py; entropic_ot's checks run _entropic_plan through
 # tests/entropic_reference.py), as a pass-through to adversarial_value, or
-# folded into another type (LossValue into RotResult), each from its module
+# folded into another type (LossValue into RotResult, RotLossConfig into
+# FWConfig), each from its module
 DELETED = [
     ("data_io", "load_grouping"),
     ("data_io", "save_grouping"),
@@ -89,6 +89,7 @@ DELETED = [
     ("metric_solvers", "kl_metric"),
     ("metric_solvers", "pnorm_metric"),
     ("rot_loss", "LossValue"),
+    ("rot_loss", "RotLossConfig"),
     ("sinkhorn", "entropic_ot"),
     ("sinkhorn", "exact_ot_small"),
     ("sinkhorn", "symmetric_scaling"),
@@ -159,11 +160,10 @@ def test_array_holders_compare_and_hash_by_identity(name):
 
 def test_config_holding_arrays_compares_and_hashes():
     metric = wrot.KLConfig(m0=np.eye(2))
-    grouping = wrot.make_grouping(10, 3, 1)
-    first = wrot.FWConfig(metric, grouping=grouping)
-    second = wrot.FWConfig(metric, grouping=grouping)
+    first = wrot.FWConfig(metric)
+    second = wrot.FWConfig(metric)
     assert first == second and hash(first) == hash(second)
-    assert first != wrot.FWConfig(wrot.KLConfig(m0=np.eye(2)), grouping=grouping)
+    assert first != wrot.FWConfig(wrot.KLConfig(m0=np.eye(2)))
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))

@@ -27,7 +27,6 @@ from wrot.metric_solvers import (
 )
 from wrot.rot_loss import (
     LabelSpace,
-    RotLossConfig,
     rot_loss,
     rot_loss_gradient,
     smooth_target,
@@ -40,15 +39,12 @@ def unit_rows(rng, n, d):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def converged_cfg(lam=0.02, fw=150, sk=1000, metric=PNormConfig(k=1)):
-    # lambda_beta equal to lambda_gamma puts the oracle fixed point at the
-    # regularized optimum itself; iteration counts sized for 3x3 problems.
-    return RotLossConfig(
-        lambda_gamma=lam,
-        metric=metric,
-        fw_iters=fw,
-        sinkhorn=SinkhornConfig(lambda_beta=lam, iterations=sk),
-    )
+def converged_kw(lam=0.02, fw=150, sk=1000, metric=PNormConfig(k=1)):
+    """Keyword arguments of rot_loss for a solve that runs all ``fw`` steps.
+    lambda_beta equal to lambda_gamma puts the oracle fixed point at the
+    regularized optimum itself; iteration counts sized for 3x3 problems."""
+    sinkhorn = SinkhornConfig(lambda_beta=lam, iterations=sk)
+    return {"config": FWConfig(metric, sinkhorn, fw, gap_tol=None), "lambda_gamma": lam}
 
 
 def pair_cost(emb, metric):
@@ -156,17 +152,18 @@ class TestLabelSpace:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            RotLossConfig(lambda_gamma=0.0)
-        with pytest.raises(ValueError):
-            RotLossConfig(fw_iters=0)
+    def test_rejects_bad_settings(self):
+        labels = LabelSpace(embeddings=np.eye(2))
+        with pytest.raises(ValueError, match="^lambda_gamma must be positive"):
+            rot_loss([0.5, 0.5], [0.5, 0.5], labels, lambda_gamma=0.0)
+        with pytest.raises(ValueError, match="^max_iter must be at least 1"):
+            FWConfig(None, max_iter=0)
 
 
 class TestLossValues:
     def test_identical_one_hots_force_the_plan(self):
         labels = LabelSpace(embeddings=np.eye(2))
-        res = rot_loss([1.0, 0.0], [1.0, 0.0], labels, converged_cfg(fw=5, sk=50))
+        res = rot_loss([1.0, 0.0], [1.0, 0.0], labels, **converged_kw(fw=5, sk=50))
         assert res.value == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(res.plan.matrix, [[1.0, 0.0], [0.0, 0.0]])
 
@@ -178,7 +175,7 @@ class TestLossValues:
         rng = np.random.default_rng(5)
         h = rng.dirichlet(np.ones(3))
         y = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.1)
-        res = rot_loss(h, y, labels, converged_cfg(lam=0.05))
+        res = rot_loss(h, y, labels, **converged_kw(lam=0.05))
         ind = np.outer(h, y)
         np.testing.assert_allclose(res.plan.matrix, ind, atol=1e-12)
         assert res.value == pytest.approx(
@@ -189,7 +186,7 @@ class TestLossValues:
     def test_matches_alternation_oracle(self, seed):
         emb, h, y = random_instance(seed)
         labels = LabelSpace(embeddings=emb)
-        got = rot_loss(h, y, labels, converged_cfg()).value
+        got = rot_loss(h, y, labels, **converged_kw()).value
         want = alternation_value(emb, h, y, lam=0.02, k=1)
         assert got == pytest.approx(want, abs=1e-5)
 
@@ -199,19 +196,19 @@ class TestLossValues:
         # bounded below by the scaled negative max entropy
         emb, h, y = random_instance(11)
         labels = LabelSpace(embeddings=emb)
-        cfg = converged_cfg(lam=0.05, fw=60, sk=500, metric=metric)
-        value = rot_loss(h, y, labels, cfg).value
+        kw = converged_kw(lam=0.05, fw=60, sk=500, metric=metric)
+        value = rot_loss(h, y, labels, **kw).value
         assert value >= -0.05 * np.log(9.0) - 1e-12
 
     def test_plan_marginals_feasible(self):
         emb, h, y = random_instance(3)
-        res = rot_loss(h, y, LabelSpace(embeddings=emb), converged_cfg())
+        res = rot_loss(h, y, LabelSpace(embeddings=emb), **converged_kw())
         np.testing.assert_allclose(res.plan.matrix.sum(axis=1), h, atol=1e-9)
         np.testing.assert_allclose(res.plan.matrix.sum(axis=0), y, atol=1e-9)
 
     def test_worst_case_cost_structure(self):
         emb, h, y = random_instance(9)
-        res = rot_loss(h, y, LabelSpace(embeddings=emb), converged_cfg())
+        res = rot_loss(h, y, LabelSpace(embeddings=emb), **converged_kw())
         costs = pair_cost(emb, res.metric.matrix)
         np.testing.assert_allclose(costs, costs.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(costs), 0.0, atol=1e-12)
@@ -224,21 +221,21 @@ class TestLossValues:
         emb = unit_rows(rng, 3, 4)
         labels = LabelSpace(embeddings=emb)
         y = smooth_target(np.array([1.0, 0.0, 0.0]), alpha=0.05)
-        cfg = converged_cfg(metric=metric)
+        kw = converged_kw(metric=metric)
         for _ in range(2):
             h1 = rng.dirichlet(np.ones(3))
             h2 = rng.dirichlet(np.ones(3))
-            mid = rot_loss(0.5 * h1 + 0.5 * h2, y, labels, cfg).value
+            mid = rot_loss(0.5 * h1 + 0.5 * h2, y, labels, **kw).value
             ends = 0.5 * (
-                rot_loss(h1, y, labels, cfg).value
-                + rot_loss(h2, y, labels, cfg).value
+                rot_loss(h1, y, labels, **kw).value
+                + rot_loss(h2, y, labels, **kw).value
             )
             assert mid <= ends + 1e-6
 
     def test_boundary_prediction_allowed(self):
         # zero entries in h pin the corresponding plan rows to zero
         emb, _, y = random_instance(2)
-        res = rot_loss([0.0, 0.3, 0.7], y, LabelSpace(embeddings=emb), converged_cfg())
+        res = rot_loss([0.0, 0.3, 0.7], y, LabelSpace(embeddings=emb), **converged_kw())
         assert np.isfinite(res.value)
         np.testing.assert_allclose(res.plan.matrix[0], 0.0, atol=1e-300)
 
@@ -246,30 +243,30 @@ class TestLossValues:
 class TestGradient:
     def test_symmetric_instance_is_zero(self):
         labels = LabelSpace(embeddings=np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        cfg = converged_cfg(lam=0.1, fw=60, sk=500)
-        grad, _ = rot_loss_gradient([0.5, 0.5], [0.5, 0.5], labels, cfg)
+        kw = converged_kw(lam=0.1, fw=60, sk=500)
+        grad, _ = rot_loss_gradient([0.5, 0.5], [0.5, 0.5], labels, **kw)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("metric", ALL_FAMILIES)
     def test_tangent_sum_is_zero(self, metric):
         emb, h, y = random_instance(13)
-        cfg = converged_cfg(lam=0.05, fw=40, sk=400, metric=metric)
-        grad, _ = rot_loss_gradient(h, y, LabelSpace(embeddings=emb), cfg)
+        kw = converged_kw(lam=0.05, fw=40, sk=400, metric=metric)
+        grad, _ = rot_loss_gradient(h, y, LabelSpace(embeddings=emb), **kw)
         assert abs(grad.sum()) < 1e-12
 
     @pytest.mark.parametrize("metric", ALL_FAMILIES)
     def test_matches_finite_differences(self, metric):
         emb, h, y = random_instance(4)
         labels = LabelSpace(embeddings=emb)
-        cfg = converged_cfg(metric=metric)
-        grad, _ = rot_loss_gradient(h, y, labels, cfg)
+        kw = converged_kw(metric=metric)
+        grad, _ = rot_loss_gradient(h, y, labels, **kw)
         eps = 1e-6
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             u = np.zeros(3)
             u[i], u[j] = 1.0, -1.0
             u /= np.sqrt(2.0)
-            plus = rot_loss(h + eps * u, y, labels, cfg).value
-            minus = rot_loss(h - eps * u, y, labels, cfg).value
+            plus = rot_loss(h + eps * u, y, labels, **kw).value
+            minus = rot_loss(h - eps * u, y, labels, **kw).value
             fd = (plus - minus) / (2 * eps)
             assert float(grad @ u) == pytest.approx(fd, rel=1e-3)
 
@@ -281,15 +278,15 @@ class TestGradient:
         onehot = np.zeros(10)
         onehot[3] = 1.0
         y = smooth_target(onehot, alpha=0.05)
-        cfg = converged_cfg(lam=0.05, fw=60, sk=600)
-        grad, _ = rot_loss_gradient(h, y, labels, cfg)
+        kw = converged_kw(lam=0.05, fw=60, sk=600)
+        grad, _ = rot_loss_gradient(h, y, labels, **kw)
         eps = 1e-6
         for i, j in [(0, 4), (2, 7), (5, 9), (1, 8)]:
             u = np.zeros(10)
             u[i], u[j] = 1.0, -1.0
             u /= np.sqrt(2.0)
-            plus = rot_loss(h + eps * u, y, labels, cfg).value
-            minus = rot_loss(h - eps * u, y, labels, cfg).value
+            plus = rot_loss(h + eps * u, y, labels, **kw).value
+            minus = rot_loss(h - eps * u, y, labels, **kw).value
             fd = (plus - minus) / (2 * eps)
             assert float(grad @ u) == pytest.approx(fd, rel=1e-3)
 
@@ -297,7 +294,7 @@ class TestGradient:
         emb, h, _ = random_instance(6)
         y = smooth_target(np.array([1.0, 0.0, 0.0]), alpha=0.0)
         with pytest.raises(ValueError, match="gradient undefined"):
-            rot_loss_gradient(h, y, LabelSpace(embeddings=emb), converged_cfg())
+            rot_loss_gradient(h, y, LabelSpace(embeddings=emb), **converged_kw())
 
     def test_underflowed_plan_entries_keep_the_gradient(self):
         """At lambda_beta = 0.004 the antipodal labels' cost / lambda_beta is
@@ -308,8 +305,8 @@ class TestGradient:
         labels = LabelSpace(embeddings=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
         h = np.array([0.5, 0.3, 0.2])
         y = np.array([0.2, 0.5, 0.3])
-        cfg = converged_cfg(lam=0.004, fw=1, metric=None)
-        grad, loss = rot_loss_gradient(h, y, labels, cfg)
+        kw = converged_kw(lam=0.004, fw=1, metric=None)
+        grad, loss = rot_loss_gradient(h, y, labels, **kw)
         assert np.any(loss.plan.matrix == 0.0)
         assert np.all(np.isfinite(grad))
         assert abs(grad.sum()) <= 1e-12
@@ -318,18 +315,18 @@ class TestGradient:
             u = np.zeros(3)
             u[i], u[j] = 1.0, -1.0
             u /= np.sqrt(2.0)
-            plus = rot_loss(h + eps * u, y, labels, cfg).value
-            minus = rot_loss(h - eps * u, y, labels, cfg).value
+            plus = rot_loss(h + eps * u, y, labels, **kw).value
+            minus = rot_loss(h - eps * u, y, labels, **kw).value
             fd = (plus - minus) / (2 * eps)
             assert float(grad @ u) == pytest.approx(fd, rel=1e-3)
 
     def test_return_loss_consistency(self):
         emb, h, y = random_instance(8)
         labels = LabelSpace(embeddings=emb)
-        cfg = converged_cfg()
-        grad, loss = rot_loss_gradient(h, y, labels, cfg)
-        np.testing.assert_array_equal(grad, rot_loss_gradient(h, y, labels, cfg)[0])
-        direct = rot_loss(h, y, labels, cfg)
+        kw = converged_kw()
+        grad, loss = rot_loss_gradient(h, y, labels, **kw)
+        np.testing.assert_array_equal(grad, rot_loss_gradient(h, y, labels, **kw)[0])
+        direct = rot_loss(h, y, labels, **kw)
         assert loss.value == direct.value
         np.testing.assert_array_equal(loss.plan.matrix, direct.plan.matrix)
 
@@ -343,9 +340,9 @@ class TestGroupingAndCaches:
         )
         h = rng.dirichlet(np.ones(3))
         y = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
-        cfg = converged_cfg(lam=0.05, fw=60, sk=500)
-        plain = rot_loss(h, y, LabelSpace(embeddings=emb), cfg)
-        grouped = rot_loss(h, y, LabelSpace(embeddings=emb, grouping=trivial), cfg)
+        kw = converged_kw(lam=0.05, fw=60, sk=500)
+        plain = rot_loss(h, y, LabelSpace(embeddings=emb), **kw)
+        grouped = rot_loss(h, y, LabelSpace(embeddings=emb, grouping=trivial), **kw)
         assert grouped.value == pytest.approx(plain.value, abs=1e-12)
         np.testing.assert_allclose(grouped.plan.matrix, plain.plan.matrix, atol=1e-12)
 
@@ -355,7 +352,7 @@ class TestGroupingAndCaches:
         grouping = make_grouping(6, 3, seed=1)
         h = rng.dirichlet(np.ones(4))
         y = smooth_target(np.array([0.0, 0.0, 1.0, 0.0]), alpha=0.05)
-        cfg = converged_cfg(lam=0.05, fw=60, sk=500)
+        kw = converged_kw(lam=0.05, fw=60, sk=500)
         labels = LabelSpace(embeddings=emb, grouping=grouping)
 
         # the oracle: per-pair r x r Grams of the reshaped embedding
@@ -384,10 +381,10 @@ class TestGroupingAndCaches:
             _pair_costs_full(arr, arr, metric), gram_pair_costs(arr, arr, metric), atol=1e-12
         )
 
-        streamed = rot_loss(h, y, labels, cfg)
+        streamed = rot_loss(h, y, labels, **kw)
         monkeypatch.setattr(frank_wolfe, "_moment_arrays", gram_moment)
         monkeypatch.setattr(frank_wolfe, "_pair_costs_full", gram_pair_costs)
-        assembled = rot_loss(h, y, labels, cfg)
+        assembled = rot_loss(h, y, labels, **kw)
         assert streamed.value == pytest.approx(assembled.value, abs=1e-12)
         np.testing.assert_allclose(
             streamed.plan.matrix, assembled.plan.matrix, atol=1e-12
@@ -420,9 +417,9 @@ class TestContourOrdering:
         labels = LabelSpace(embeddings=emb)
         assert np.linalg.norm(emb[0] - emb[2]) < np.linalg.norm(emb[1] - emb[2])
         y = smooth_target(np.array([0.0, 0.0, 1.0]), alpha=0.02)
-        cfg = converged_cfg(lam=0.05, fw=80, sk=600, metric=metric)
-        near = rot_loss([1.0, 0.0, 0.0], y, labels, cfg).value
-        far = rot_loss([0.0, 1.0, 0.0], y, labels, cfg).value
+        kw = converged_kw(lam=0.05, fw=80, sk=600, metric=metric)
+        near = rot_loss([1.0, 0.0, 0.0], y, labels, **kw).value
+        far = rot_loss([0.0, 1.0, 0.0], y, labels, **kw).value
         assert near < far
 
 
@@ -444,7 +441,7 @@ class TestValidationAtTheBoundary:
         tgt = make_measure(rng.normal(size=(4, 3)) + 1.0, rng.dirichlet(np.ones(4)))
         h = np.random.default_rng(36).dirichlet(np.ones(6))
         y = smooth_target(np.eye(6)[1], alpha=0.05)
-        cfg = RotLossConfig(metric=metric, fw_iters=3)
+        cfg = FWConfig(metric, max_iter=3, gap_tol=None)
         built, checked = [], []
         plan_init = TransportPlan.__post_init__
         metric_init = AdversarialMetric.__post_init__
@@ -505,7 +502,7 @@ def eager_loss(h, y, labels, config):
     )
     points = labels._coords if span else labels._points
     gamma, worst, _, _ = _frank_wolfe(
-        points, points, metric, oracle, marginals, config.fw_iters, -np.inf
+        points, points, metric, oracle, marginals, config.max_iter, config.gap_tol
     )
     if span:
         basis = labels._basis
@@ -514,10 +511,10 @@ def eager_loss(h, y, labels, config):
     return TransportPlan(matrix=gamma), worst
 
 
-def eager_distance(src, tgt, config):
+def eager_distance(src, tgt, config, grouping):
     """The distance solved as rot_distance solves it, with the plan and the
     worst-case metric built at once, and the gaps and the stop."""
-    src_arr, tgt_arr = _point_arrays(src, tgt, config.grouping)
+    src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
     gamma, worst, gaps, converged = _frank_wolfe(
         src_arr,
@@ -550,7 +547,7 @@ class TestLazyLossValue:
         assert (labels._basis is not None) == (space == "span")
         h = rng.dirichlet(np.ones(size))
         y = smooth_target(np.eye(size)[2], alpha=0.05)
-        cfg = RotLossConfig(metric=metric, fw_iters=3)
+        cfg = FWConfig(metric, max_iter=3, gap_tol=None)
         loss = rot_loss(h, y, labels, cfg)
         plan, worst = eager_loss(h, y, labels, cfg)
         assert np.array_equal(loss.plan.matrix, plan.matrix)
@@ -572,9 +569,9 @@ class TestLazyLossValue:
         src = make_measure(rng.normal(size=(5, 6)), rng.dirichlet(np.ones(5)))
         tgt = make_measure(rng.normal(size=(4, 6)) + 0.5)
         grouping = make_grouping(6, 3, seed=5) if grouped else None
-        cfg = FWConfig(metric, max_iter=max_iter, gap_tol=1e-4, grouping=grouping)
-        result = rot_distance(src, tgt, cfg)
-        plan, worst, gaps, converged = eager_distance(src, tgt, cfg)
+        cfg = FWConfig(metric, max_iter=max_iter, gap_tol=1e-4)
+        result = rot_distance(src, tgt, cfg, grouping)
+        plan, worst, gaps, converged = eager_distance(src, tgt, cfg, grouping)
         assert result.gap_history == tuple(gaps) and result.converged is converged
         assert result.iterations_used == len(gaps)
         assert result.value == worst.value

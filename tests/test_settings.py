@@ -5,27 +5,29 @@ The inventory lists every field of an exported config class, every defaulted
 parameter of an exported function and every flag of each ``wrot``
 subcommand, so adding or removing a knob is a deliberate edit of a list.
 
-A count (``iterations``, ``max_iter``, ``fw_iters``, ``epochs``, ``k``,
-``num_labels``, and a grouping's ``dim`` and ``group_count``) is an ``int``
-or numpy integer, not a ``bool``, and at least 1; a ``seed``, of training or
-of a grouping, is one at least 0. A real is a finite number, not a
-``bool``, and positive (``lambda_beta``, ``lambda_gamma``, ``lambda_m``,
-``learning_rate``) or nonnegative (``gap_tol``, ``weight_decay``);
+A count (``iterations``, ``max_iter``, ``epochs``, ``k``, ``num_labels``,
+and a grouping's ``dim`` and ``group_count``) is an ``int`` or numpy
+integer, not a ``bool``, and at least 1; a ``seed``, of training or of a
+grouping, is one at least 0. A real is a finite number, not a ``bool``, and
+positive (``lambda_beta``, ``lambda_gamma`` of :func:`rot_loss` and
+:func:`rot_loss_gradient`, ``lambda_m``, ``learning_rate``) or nonnegative
+(``weight_decay``); ``gap_tol`` is a nonnegative real or ``None``, and
 :func:`smooth_target`'s ``alpha`` is a nonnegative real below 1. The
-``metric`` of :class:`FWConfig` and :class:`RotLossConfig`, and the
-``config`` of :func:`adversarial_value`, is a :class:`PNormConfig`,
-:class:`KLConfig`, :class:`DSConfig` or ``None``, the identity. A field that
-holds a nested config holds one of its kind: ``sinkhorn`` a
-:class:`SinkhornConfig`, ``grouping`` (of a config or a :class:`LabelSpace`)
-a :class:`FeatureGrouping` or ``None``, and ``loss`` a
-:class:`RotLossConfig`. Each config, :class:`LabelSpace`,
-:func:`make_grouping`, :func:`feature_weights`, :func:`adversarial_value`,
-:func:`smooth_target` and :func:`load_dataset` (whose ``num_labels`` is a
-count or ``None``), and :class:`FeatureGrouping` (whose ``permutation`` holds
-integers, not floats, strings or bools that cast to them), refuses anything
-else with a ``ValueError`` whose message starts with the field's name
-(``metric`` for :func:`adversarial_value`), and still builds from every
-valid value.
+``metric`` of :class:`FWConfig`, and the ``config`` of
+:func:`adversarial_value`, is a :class:`PNormConfig`, :class:`KLConfig`,
+:class:`DSConfig` or ``None``, the identity. A field that holds a nested
+config holds one of its kind: ``sinkhorn`` a :class:`SinkhornConfig`,
+``grouping`` (of :class:`LabelSpace`, :func:`rot_distance` or
+:func:`displacement_second_moment`) a :class:`FeatureGrouping` or ``None``,
+and ``loss``, like the ``config`` of the loss functions, a :class:`FWConfig`.
+Each config, :class:`LabelSpace`, :func:`make_grouping`,
+:func:`feature_weights`, :func:`adversarial_value`, :func:`smooth_target`,
+the loss functions, :func:`rot_distance`, :func:`displacement_second_moment`
+and :func:`load_dataset` (whose ``num_labels`` is a count or ``None``), and
+:class:`FeatureGrouping` (whose ``permutation`` holds integers, not floats,
+strings or bools that cast to them), refuses anything else with a
+``ValueError`` whose message starts with the field's name (``metric`` for
+:func:`adversarial_value`), and still builds from every valid value.
 """
 
 import argparse
@@ -45,14 +47,19 @@ from wrot import (
     KLConfig,
     LabelSpace,
     PNormConfig,
-    RotLossConfig,
     SinkhornConfig,
     TrainConfig,
+    TransportPlan,
     adversarial_value,
+    displacement_second_moment,
     feature_selection_objective,
     feature_weights,
     load_dataset,
     make_grouping,
+    make_measure,
+    rot_distance,
+    rot_loss,
+    rot_loss_gradient,
     smooth_target,
 )
 from wrot.cli import _build_parser
@@ -62,17 +69,12 @@ CONFIG_FIELDS = [
     "DSConfig.lambda_m",
     "DSConfig.m0",
     "FWConfig.gap_tol",
-    "FWConfig.grouping",
     "FWConfig.max_iter",
     "FWConfig.metric",
     "FWConfig.sinkhorn",
     "KLConfig.lambda_m",
     "KLConfig.m0",
     "PNormConfig.k",
-    "RotLossConfig.fw_iters",
-    "RotLossConfig.lambda_gamma",
-    "RotLossConfig.metric",
-    "RotLossConfig.sinkhorn",
     "SinkhornConfig.iterations",
     "SinkhornConfig.lambda_beta",
     "TrainConfig.epochs",
@@ -88,8 +90,11 @@ FUNCTION_DEFAULTS = [
     "load_dataset.label_names",
     "load_dataset.num_labels",
     "make_measure.weights",
+    "rot_distance.grouping",
     "rot_loss.config",
+    "rot_loss.lambda_gamma",
     "rot_loss_gradient.config",
+    "rot_loss_gradient.lambda_gamma",
     "sgd_train.config",
     "smooth_target.alpha",
     "w22_distance.config",
@@ -144,18 +149,32 @@ def test_cli_flags_are_the_pinned_list():
 
 bounded = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
+
+def two_points(grouping):
+    """A measure of two points in the grouping's dimension, or in 4."""
+    return make_measure(np.eye(2, getattr(grouping, "dim", 4)))
+
+
+def two_label_loss(solve, keyword):
+    """``solve`` on the uniform prediction and target over two labels, with
+    its ``keyword`` argument as the one argument of the returned function."""
+    return lambda x: solve([0.5, 0.5], [0.5, 0.5], LabelSpace(np.eye(2)), **{keyword: x})
+
+
 # (rule, field, build): build passes one value to the field or argument
 SETTINGS = {
     "SinkhornConfig.iterations": ("count", "iterations", lambda x: SinkhornConfig(iterations=x)),
     "FWConfig.max_iter": ("count", "max_iter", lambda x: FWConfig(PNormConfig(), max_iter=x)),
-    "RotLossConfig.fw_iters": ("count", "fw_iters", lambda x: RotLossConfig(fw_iters=x)),
     "TrainConfig.epochs": ("count", "epochs", lambda x: TrainConfig(epochs=x)),
     "PNormConfig.k": ("count", "k", lambda x: PNormConfig(k=x)),
     "SinkhornConfig.lambda_beta": (
         "positive", "lambda_beta", lambda x: SinkhornConfig(lambda_beta=x)
     ),
-    "RotLossConfig.lambda_gamma": (
-        "positive", "lambda_gamma", lambda x: RotLossConfig(lambda_gamma=x)
+    "rot_loss.lambda_gamma": (
+        "positive", "lambda_gamma", two_label_loss(rot_loss, "lambda_gamma")
+    ),
+    "rot_loss_gradient.lambda_gamma": (
+        "positive", "lambda_gamma", two_label_loss(rot_loss_gradient, "lambda_gamma")
     ),
     "TrainConfig.learning_rate": (
         "positive", "learning_rate", lambda x: TrainConfig(learning_rate=x)
@@ -170,7 +189,7 @@ SETTINGS = {
         "positive", "lambda_m", lambda x: feature_selection_objective(np.zeros((2, 2)), x)
     ),
     "FWConfig.gap_tol": (
-        "nonnegative", "gap_tol", lambda x: FWConfig(PNormConfig(), gap_tol=x)
+        "optional nonnegative", "gap_tol", lambda x: FWConfig(PNormConfig(), gap_tol=x)
     ),
     "TrainConfig.weight_decay": (
         "nonnegative", "weight_decay", lambda x: TrainConfig(weight_decay=x)
@@ -178,17 +197,26 @@ SETTINGS = {
     "TrainConfig.seed": ("seed", "seed", lambda x: TrainConfig(seed=x)),
     "make_grouping.seed": ("seed", "seed", lambda x: make_grouping(1, 1, x)),
     "FWConfig.metric": ("metric", "metric", lambda x: FWConfig(x)),
-    "RotLossConfig.metric": ("metric", "metric", lambda x: RotLossConfig(metric=x)),
     "adversarial_value.config": (
         "metric", "metric", lambda x: adversarial_value(np.eye(2), x)
     ),
     "smooth_target.alpha": ("fraction", "alpha", lambda x: smooth_target([1.0, 2.0], x)),
     "FWConfig.sinkhorn": ("sinkhorn", "sinkhorn", lambda x: FWConfig(PNormConfig(), x)),
-    "RotLossConfig.sinkhorn": ("sinkhorn", "sinkhorn", lambda x: RotLossConfig(sinkhorn=x)),
-    "FWConfig.grouping": (
-        "grouping", "grouping", lambda x: FWConfig(PNormConfig(), grouping=x)
+    "rot_distance.grouping": (
+        "grouping",
+        "grouping",
+        lambda x: rot_distance(two_points(x), two_points(x), FWConfig(None, max_iter=1), x),
+    ),
+    "displacement_second_moment.grouping": (
+        "grouping",
+        "grouping",
+        lambda x: displacement_second_moment(
+            TransportPlan(np.full((2, 2), 0.25)), two_points(x), two_points(x), x
+        ),
     ),
     "TrainConfig.loss": ("loss", "loss", lambda x: TrainConfig(loss=x)),
+    "rot_loss.config": ("loss", "config", two_label_loss(rot_loss, "config")),
+    "rot_loss_gradient.config": ("loss", "config", two_label_loss(rot_loss_gradient, "config")),
     # one label in the grouping's dimension
     "LabelSpace.grouping": (
         "grouping", "grouping", lambda x: LabelSpace(np.eye(1, getattr(x, "dim", 4)), x)
@@ -226,7 +254,7 @@ GROUPING = make_grouping(10, 3, 1)
 # configs of the other kinds
 NOT_CONFIGS = (
     st.text() | st.integers() | st.floats() | st.booleans()
-    | st.sampled_from([SinkhornConfig, np.eye(2), [1], PNormConfig(), FWConfig(None)])
+    | st.sampled_from([SinkhornConfig, FWConfig, np.eye(2), [1], PNormConfig()])
 )
 
 # a count or a seed refuses every float, integral ones included
@@ -238,11 +266,13 @@ REFUSED = {
     "metric": NOT_METRICS,
     "positive": NOT_NUMBERS | NON_FINITE | NEGATIVE | ZERO,
     "nonnegative": NOT_NUMBERS | NON_FINITE | NEGATIVE,
+    # None, the default of the loss, runs every step
+    "optional nonnegative": (NOT_NUMBERS | NON_FINITE | NEGATIVE).filter(lambda x: x is not None),
     # None, the default, reads the count from the file
     "optional count": NOT_COUNTS.filter(lambda x: x is not None),
     "fraction": NOT_NUMBERS | NON_FINITE | NEGATIVE | st.floats(1.0, 1e300) | st.integers(1),
-    "sinkhorn": NOT_CONFIGS | st.sampled_from([None, RotLossConfig(), GROUPING]),
-    "grouping": NOT_CONFIGS | st.sampled_from([SinkhornConfig(), RotLossConfig()]),
+    "sinkhorn": NOT_CONFIGS | st.sampled_from([None, FWConfig(None), GROUPING]),
+    "grouping": NOT_CONFIGS | st.sampled_from([SinkhornConfig(), FWConfig(None)]),
     "loss": NOT_CONFIGS | st.sampled_from([None, SinkhornConfig(), GROUPING]),
     # a permutation of 1 to 4 indices whose cast to int lists each index once
     "permutation": (
@@ -268,12 +298,15 @@ ACCEPTED = {
     ),
     "positive": POSITIVE_REALS,
     "nonnegative": POSITIVE_REALS | ZERO,
+    "optional nonnegative": POSITIVE_REALS | ZERO | st.none(),
     "fraction": (
         ZERO | st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 0.999).map(np.float64)
     ),
     "sinkhorn": st.sampled_from([SinkhornConfig(), SinkhornConfig(0.5, 3)]),
     "grouping": st.sampled_from([None, GROUPING, FeatureGrouping(4, 2, np.arange(4))]),
-    "loss": st.sampled_from([RotLossConfig(), RotLossConfig(metric=None, fw_iters=2)]),
+    "loss": st.sampled_from(
+        [FWConfig(PNormConfig(), max_iter=1, gap_tol=None), FWConfig(None, max_iter=2)]
+    ),
 }
 
 
@@ -308,7 +341,7 @@ def test_valid_values_build(setting, data):
         ("feature_weights.lambda_m", np.inf),
         ("FWConfig.gap_tol", np.nan),
         ("SinkhornConfig.lambda_beta", np.inf),
-        ("RotLossConfig.lambda_gamma", np.inf),
+        ("rot_loss.lambda_gamma", np.inf),
         ("TrainConfig.learning_rate", np.inf),
         ("TrainConfig.weight_decay", np.nan),
         ("PNormConfig.k", True),
@@ -317,7 +350,6 @@ def test_valid_values_build(setting, data):
         ("make_grouping.group_count", 2.0),
         # TypeError "unknown metric solver config: str" from the solve
         ("FWConfig.metric", "pnorm"),
-        ("RotLossConfig.metric", "pnorm"),
         ("adversarial_value.config", "pnorm"),
         # sgd_train's generator refused -1 and 1.5, and drew from True as 1
         ("TrainConfig.seed", -1),
@@ -333,8 +365,7 @@ def test_valid_values_build(setting, data):
         ("load_dataset.num_labels", True),
         # AttributeError inside the solve or the epoch loop
         ("FWConfig.sinkhorn", 0.2),
-        ("FWConfig.grouping", 3),
-        ("RotLossConfig.sinkhorn", None),
+        ("rot_distance.grouping", 3),
         ("TrainConfig.loss", None),
         ("LabelSpace.grouping", 3),
         # cast to the integer permutation [0 1 2], or [1 0]
