@@ -93,7 +93,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     """SGD settings; ``loss`` picks the family via its ``metric`` field. Its
-    default is :func:`~wrot.rot_loss.rot_loss`'s: one Frank-Wolfe step."""
+    default is :func:`~wrot.rot_loss.rot_loss`'s: one Frank-Wolfe step.
+    Each loss runs exactly ``loss.max_iter`` steps, so a ``loss`` with a
+    ``gap_tol`` other than ``None`` is refused: ``FWConfig(metric)`` would
+    otherwise train on the distance's converging solve of up to 200."""
 
     loss: FWConfig = _LOSS_CONFIG
     learning_rate: float = 0.01
@@ -103,6 +106,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_config(self.loss, "loss", FWConfig)
+        if self.loss.gap_tol is not None:
+            raise ValueError("loss must be run to max_iter: training takes only gap_tol=None")
         _check_real(self.learning_rate, "learning_rate")
         _check_count(self.epochs, "epochs")
         _check_real(self.weight_decay, "weight_decay", positive=False)

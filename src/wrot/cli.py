@@ -110,7 +110,8 @@ def cmd_contour(args) -> int:
     target = np.array([0.0, 0.0, 1.0])  # third label is the true one
 
     grid = np.linspace(0.0, 1.0, args.grid_n)
-    points, values = [], []
+    points = []
+    values = []
     for x in grid:
         for y in grid:
             z = 1.0 - x - y
@@ -133,14 +134,12 @@ def cmd_contour(args) -> int:
     return 0
 
 
-def _train_label_space(args) -> tuple[LabelSpace, list[str]]:
-    names, matrix = load_embedding_file(args.embeddings)
-    grouping = None if args.r is None else make_grouping(matrix.shape[1], args.r, args.seed)
-    return LabelSpace(embeddings=matrix, grouping=grouping), names
-
-
 def cmd_train(args) -> int:
-    labels_space, names = _train_label_space(args)
+    names, matrix = load_embedding_file(args.embeddings)
+    grouping = None
+    if args.r is not None:
+        grouping = make_grouping(matrix.shape[1], args.r, args.seed)
+    labels_space = LabelSpace(embeddings=matrix, grouping=grouping)
     dataset = load_dataset(args.features, args.labels, label_names=names)
     config = TrainConfig(
         loss=replace(_LOSS_CONFIG, **_family(args)),
@@ -150,7 +149,9 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     result = sgd_train(dataset, labels_space, config)
-    for i, (loss_val, secs) in enumerate(zip(result.epoch_losses, result.epoch_seconds)):
+    for i, (loss_val, secs) in enumerate(
+        zip(result.epoch_losses, result.epoch_seconds)
+    ):
         print(f"epoch {i:3d}  loss {loss_val:.6f}  time {secs:.3f}s")
     save_model(result.model, args.model_out)
     print(f"wrote model to {args.model_out}")
@@ -165,7 +166,9 @@ def cmd_eval(args) -> int:
     print(f"map {metrics.mean_average_precision:.6f}")
     if args.metrics_json:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump({"auc": metrics.auc, "map": metrics.mean_average_precision}, fh)
+            json.dump(
+                {"auc": metrics.auc, "map": metrics.mean_average_precision}, fh
+            )
             fh.write("\n")
     return 0
 

@@ -210,25 +210,24 @@ def rot_loss(
 
 
 def rot_loss_gradient(
-    predicted, target, labels: LabelSpace, config: FWConfig = _LOSS_CONFIG,
-    *, lambda_gamma: float = _LAMBDA_GAMMA,
+    predicted, target, labels: LabelSpace, config: FWConfig = _LOSS_CONFIG
 ) -> tuple[np.ndarray, RotResult]:
     """Gradient of the loss in the predicted distribution, and the loss.
 
     Envelope formula at the solved plan: ``lambda (f - mean f)``, with ``f``
     the row log-potential of one more oracle solve at the final pair costs
     and ``lambda`` the oracle's ``lambda_beta``, the regularizer that plan
-    solved. Configure ``lambda_beta == lambda_gamma`` to differentiate the
-    reported value itself. The result sums to zero to rounding (movement
+    solved. Set ``lambda_beta`` to :func:`rot_loss`'s ``lambda_gamma`` to
+    differentiate its value itself. The result sums to zero to rounding (movement
     along the simplex). It requires strictly positive ``predicted`` and
     ``target`` weights and raises ``ValueError`` on a zero; with one-hot
     targets, smooth them with :func:`smooth_target` at ``alpha > 0``.
 
     Returns ``(gradient, RotResult)``: the loss is the one
-    :func:`rot_loss` reports, from the same solve, and ``config`` and
-    ``lambda_gamma`` mean what they mean there.
+    :func:`rot_loss` reports at its default ``lambda_gamma``, from the same
+    solve, and ``config`` means what it means there.
     """
-    loss, marginals, solve, points = _solve(predicted, target, labels, config, lambda_gamma)
+    loss, marginals, solve, points = _solve(predicted, target, labels, config, _LAMBDA_GAMMA)
     if not marginals.dense:
         raise ValueError(
             "gradient undefined: a predicted or target weight is zero; "

@@ -183,7 +183,7 @@ def test_criterion_4_gradient_suites():
     h3 = rng.dirichlet(np.ones(3))
     y3 = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
     cfg3 = loss_cfg(0.02, 150, 1000)
-    grad3, _ = rot_loss_gradient(h3, y3, labels3, cfg3, lambda_gamma=0.02)
+    grad3, _ = rot_loss_gradient(h3, y3, labels3, cfg3)
     assert abs(grad3.sum()) < 1e-12
 
     emb10 = unit_rows(rng, 10, 6)
@@ -193,7 +193,7 @@ def test_criterion_4_gradient_suites():
     onehot[3] = 1.0
     y10 = smooth_target(onehot, alpha=0.05)
     cfg10 = loss_cfg(0.05, 60, 600)
-    grad10, _ = rot_loss_gradient(h10, y10, labels10, cfg10, lambda_gamma=0.05)
+    grad10, _ = rot_loss_gradient(h10, y10, labels10, cfg10)
     assert abs(grad10.sum()) < 1e-12
 
     eps = 1e-6

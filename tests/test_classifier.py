@@ -2,6 +2,7 @@
 metrics, and the checkpoint format."""
 
 import importlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from wrot.classifier import (
 from wrot.data_io import Dataset, make_grouping
 from wrot.frank_wolfe import FWConfig
 from wrot.measures import TransportPlan
-from wrot.metric_solvers import PNormConfig
+from wrot.metric_solvers import DSConfig, KLConfig, PNormConfig
 from wrot.rot_loss import LabelSpace, rot_loss, rot_loss_gradient, smooth_target
 from wrot.sinkhorn import SinkhornConfig
 
@@ -124,6 +125,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-1e-9)
 
+    @pytest.mark.parametrize("metric", [PNormConfig(), KLConfig(), DSConfig(), None])
+    def test_a_distance_config_cannot_become_the_loss(self, metric):
+        """A loss that once read RotLossConfig(metric=...) now names an
+        FWConfig; written FWConfig(metric), it carries the distance's
+        converging solve of up to 200 steps, which training refuses. The
+        one-step loss of that family is the default with the metric
+        swapped in, or gap_tol=None with max_iter=1 stated."""
+        with pytest.raises(ValueError, match="^loss must be run to max_iter"):
+            TrainConfig(loss=FWConfig(metric))
+        with pytest.raises(ValueError, match="^loss must be run to max_iter"):
+            TrainConfig(loss=FWConfig(metric, max_iter=1))
+        stated = TrainConfig(loss=FWConfig(metric, max_iter=1, gap_tol=None)).loss
+        assert stated == replace(TrainConfig().loss, metric=metric)
+
 
 class TestSgdTrain:
     @pytest.mark.parametrize("grouped", [False, True], ids=["span", "grouped"])
@@ -148,17 +163,18 @@ class TestSgdTrain:
 
     def test_lambda_gamma_moves_only_the_reported_loss(self):
         """The gradient sgd_train steps on is the oracle's potential at
-        lambda_beta, so the entropy weight lambda_gamma moves the loss value
-        and not one bit of the gradient or the plan."""
+        lambda_beta and takes no lambda_gamma: the entropy weight moves the
+        value rot_loss reports and not one bit of the plan the gradient
+        stands on."""
         labels = three_label_space()
         h, y = np.array([0.5, 0.3, 0.2]), smooth_target(np.eye(3)[1])
-        (grad, loss), (other_grad, other_loss) = (
-            rot_loss_gradient(h, y, labels, TrainConfig().loss, lambda_gamma=lam)
-            for lam in (0.02, 0.5)
+        _, stepped = rot_loss_gradient(h, y, labels, TrainConfig().loss)
+        low, high = (
+            rot_loss(h, y, labels, TrainConfig().loss, lambda_gamma=lam) for lam in (0.02, 0.5)
         )
-        assert grad.tobytes() == other_grad.tobytes()
-        assert loss.plan.matrix.tobytes() == other_loss.plan.matrix.tobytes()
-        assert loss.value != other_loss.value
+        for loss in (low, high):
+            assert loss.plan.matrix.tobytes() == stepped.plan.matrix.tobytes()
+        assert low.value == stepped.value != high.value
 
     def test_single_sample_loss_descends(self):
         # fixed sample, squared-distance loss: the per-epoch trace must be

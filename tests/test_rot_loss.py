@@ -40,9 +40,10 @@ def unit_rows(rng, n, d):
 
 
 def converged_kw(lam=0.02, fw=150, sk=1000, metric=PNormConfig(k=1)):
-    """Keyword arguments of rot_loss for a solve that runs all ``fw`` steps.
-    lambda_beta equal to lambda_gamma puts the oracle fixed point at the
-    regularized optimum itself; iteration counts sized for 3x3 problems."""
+    """Keyword arguments of rot_loss for a solve that runs all ``fw`` steps;
+    rot_loss_gradient takes the ``config`` alone. lambda_beta equal to
+    lambda_gamma puts the oracle fixed point at the regularized optimum
+    itself; iteration counts sized for 3x3 problems."""
     sinkhorn = SinkhornConfig(lambda_beta=lam, iterations=sk)
     return {"config": FWConfig(metric, sinkhorn, fw, gap_tol=None), "lambda_gamma": lam}
 
@@ -244,14 +245,14 @@ class TestGradient:
     def test_symmetric_instance_is_zero(self):
         labels = LabelSpace(embeddings=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         kw = converged_kw(lam=0.1, fw=60, sk=500)
-        grad, _ = rot_loss_gradient([0.5, 0.5], [0.5, 0.5], labels, **kw)
+        grad, _ = rot_loss_gradient([0.5, 0.5], [0.5, 0.5], labels, kw["config"])
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("metric", ALL_FAMILIES)
     def test_tangent_sum_is_zero(self, metric):
         emb, h, y = random_instance(13)
         kw = converged_kw(lam=0.05, fw=40, sk=400, metric=metric)
-        grad, _ = rot_loss_gradient(h, y, LabelSpace(embeddings=emb), **kw)
+        grad, _ = rot_loss_gradient(h, y, LabelSpace(embeddings=emb), kw["config"])
         assert abs(grad.sum()) < 1e-12
 
     @pytest.mark.parametrize("metric", ALL_FAMILIES)
@@ -259,7 +260,7 @@ class TestGradient:
         emb, h, y = random_instance(4)
         labels = LabelSpace(embeddings=emb)
         kw = converged_kw(metric=metric)
-        grad, _ = rot_loss_gradient(h, y, labels, **kw)
+        grad, _ = rot_loss_gradient(h, y, labels, kw["config"])
         eps = 1e-6
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             u = np.zeros(3)
@@ -279,7 +280,7 @@ class TestGradient:
         onehot[3] = 1.0
         y = smooth_target(onehot, alpha=0.05)
         kw = converged_kw(lam=0.05, fw=60, sk=600)
-        grad, _ = rot_loss_gradient(h, y, labels, **kw)
+        grad, _ = rot_loss_gradient(h, y, labels, kw["config"])
         eps = 1e-6
         for i, j in [(0, 4), (2, 7), (5, 9), (1, 8)]:
             u = np.zeros(10)
@@ -294,7 +295,7 @@ class TestGradient:
         emb, h, _ = random_instance(6)
         y = smooth_target(np.array([1.0, 0.0, 0.0]), alpha=0.0)
         with pytest.raises(ValueError, match="gradient undefined"):
-            rot_loss_gradient(h, y, LabelSpace(embeddings=emb), **converged_kw())
+            rot_loss_gradient(h, y, LabelSpace(embeddings=emb), converged_kw()["config"])
 
     def test_underflowed_plan_entries_keep_the_gradient(self):
         """At lambda_beta = 0.004 the antipodal labels' cost / lambda_beta is
@@ -306,7 +307,7 @@ class TestGradient:
         h = np.array([0.5, 0.3, 0.2])
         y = np.array([0.2, 0.5, 0.3])
         kw = converged_kw(lam=0.004, fw=1, metric=None)
-        grad, loss = rot_loss_gradient(h, y, labels, **kw)
+        grad, loss = rot_loss_gradient(h, y, labels, kw["config"])
         assert np.any(loss.plan.matrix == 0.0)
         assert np.all(np.isfinite(grad))
         assert abs(grad.sum()) <= 1e-12
@@ -324,8 +325,8 @@ class TestGradient:
         emb, h, y = random_instance(8)
         labels = LabelSpace(embeddings=emb)
         kw = converged_kw()
-        grad, loss = rot_loss_gradient(h, y, labels, **kw)
-        np.testing.assert_array_equal(grad, rot_loss_gradient(h, y, labels, **kw)[0])
+        grad, loss = rot_loss_gradient(h, y, labels, kw["config"])
+        np.testing.assert_array_equal(grad, rot_loss_gradient(h, y, labels, kw["config"])[0])
         direct = rot_loss(h, y, labels, **kw)
         assert loss.value == direct.value
         np.testing.assert_array_equal(loss.plan.matrix, direct.plan.matrix)

@@ -9,8 +9,8 @@ A count (``iterations``, ``max_iter``, ``epochs``, ``k``, ``num_labels``,
 and a grouping's ``dim`` and ``group_count``) is an ``int`` or numpy
 integer, not a ``bool``, and at least 1; a ``seed``, of training or of a
 grouping, is one at least 0. A real is a finite number, not a ``bool``, and
-positive (``lambda_beta``, ``lambda_gamma`` of :func:`rot_loss` and
-:func:`rot_loss_gradient`, ``lambda_m``, ``learning_rate``) or nonnegative
+positive (``lambda_beta``, ``lambda_gamma`` of :func:`rot_loss`,
+``lambda_m``, ``learning_rate``) or nonnegative
 (``weight_decay``); ``gap_tol`` is a nonnegative real or ``None``, and
 :func:`smooth_target`'s ``alpha`` is a nonnegative real below 1. The
 ``metric`` of :class:`FWConfig`, and the ``config`` of
@@ -19,7 +19,8 @@ positive (``lambda_beta``, ``lambda_gamma`` of :func:`rot_loss` and
 config holds one of its kind: ``sinkhorn`` a :class:`SinkhornConfig`,
 ``grouping`` (of :class:`LabelSpace`, :func:`rot_distance` or
 :func:`displacement_second_moment`) a :class:`FeatureGrouping` or ``None``,
-and ``loss``, like the ``config`` of the loss functions, a :class:`FWConfig`.
+and ``loss``, like the ``config`` of the loss functions, a :class:`FWConfig`,
+one with ``gap_tol=None`` for :class:`TrainConfig`, which runs every step.
 Each config, :class:`LabelSpace`, :func:`make_grouping`,
 :func:`feature_weights`, :func:`adversarial_value`, :func:`smooth_target`,
 the loss functions, :func:`rot_distance`, :func:`displacement_second_moment`
@@ -94,7 +95,6 @@ FUNCTION_DEFAULTS = [
     "rot_loss.config",
     "rot_loss.lambda_gamma",
     "rot_loss_gradient.config",
-    "rot_loss_gradient.lambda_gamma",
     "sgd_train.config",
     "smooth_target.alpha",
     "w22_distance.config",
@@ -173,9 +173,6 @@ SETTINGS = {
     "rot_loss.lambda_gamma": (
         "positive", "lambda_gamma", two_label_loss(rot_loss, "lambda_gamma")
     ),
-    "rot_loss_gradient.lambda_gamma": (
-        "positive", "lambda_gamma", two_label_loss(rot_loss_gradient, "lambda_gamma")
-    ),
     "TrainConfig.learning_rate": (
         "positive", "learning_rate", lambda x: TrainConfig(learning_rate=x)
     ),
@@ -214,7 +211,7 @@ SETTINGS = {
             TransportPlan(np.full((2, 2), 0.25)), two_points(x), two_points(x), x
         ),
     ),
-    "TrainConfig.loss": ("loss", "loss", lambda x: TrainConfig(loss=x)),
+    "TrainConfig.loss": ("train loss", "loss", lambda x: TrainConfig(loss=x)),
     "rot_loss.config": ("loss", "config", two_label_loss(rot_loss, "config")),
     "rot_loss_gradient.config": ("loss", "config", two_label_loss(rot_loss_gradient, "config")),
     # one label in the grouping's dimension
@@ -274,6 +271,9 @@ REFUSED = {
     "sinkhorn": NOT_CONFIGS | st.sampled_from([None, FWConfig(None), GROUPING]),
     "grouping": NOT_CONFIGS | st.sampled_from([SinkhornConfig(), FWConfig(None)]),
     "loss": NOT_CONFIGS | st.sampled_from([None, SinkhornConfig(), GROUPING]),
+    # training runs every step of its loss, so it refuses an early stop
+    "train loss": NOT_CONFIGS
+    | st.sampled_from([None, SinkhornConfig(), GROUPING, FWConfig(None), FWConfig(None, gap_tol=0)]),
     # a permutation of 1 to 4 indices whose cast to int lists each index once
     "permutation": (
         st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))).flatmap(
@@ -306,6 +306,9 @@ ACCEPTED = {
     "grouping": st.sampled_from([None, GROUPING, FeatureGrouping(4, 2, np.arange(4))]),
     "loss": st.sampled_from(
         [FWConfig(PNormConfig(), max_iter=1, gap_tol=None), FWConfig(None, max_iter=2)]
+    ),
+    "train loss": st.sampled_from(
+        [FWConfig(PNormConfig(), max_iter=1, gap_tol=None), FWConfig(None, max_iter=2, gap_tol=None)]
     ),
 }
 
