@@ -19,9 +19,7 @@ from wrot import (
     KLConfig,
     LabelSpace,
     PNormConfig,
-    SinkhornConfig,
     rot_loss,
-    smooth_target,
 )
 
 emb = np.array([
@@ -30,7 +28,7 @@ emb = np.array([
     [0.8, 0.6, 0.0],    # truth
 ])
 labels = LabelSpace(embeddings=emb)
-target = smooth_target(np.array([0.0, 0.0, 1.0]), alpha=0.02)
+target = np.array([0.0, 0.0, 1.0])
 
 families = [
     ("pnorm k=1", PNormConfig(k=1)),
@@ -43,13 +41,10 @@ grid_n = 7
 grid = np.linspace(0.0, 1.0, grid_n)
 
 for name, metric in families:
-    # gap_tol=None turns the early stop off: every one of the 40 steps runs
-    config = FWConfig(
-        metric=metric,
-        sinkhorn=SinkhornConfig(lambda_beta=0.05, iterations=400),
-        max_iter=40,
-        gap_tol=None,
-    )
+    # The one-hot target admits one plan, h e_y^T, so each loss is the
+    # adversary's value at it plus the entropy term: no Frank-Wolfe step or
+    # Sinkhorn setting moves it, and one step is the whole solve.
+    config = FWConfig(metric, max_iter=1, gap_tol=None)
     surface = np.full((grid_n, grid_n), np.nan)
     for i, x in enumerate(grid):
         for j, y in enumerate(grid):

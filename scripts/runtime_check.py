@@ -6,7 +6,8 @@ The package's only runtime dependency is numpy. This script imports the
 - calls every public function of ``wrot.__all__``, and fails naming any it
   did not call;
 - solves the distance and the loss with every adversary family and the
-  identity metric, with and without a feature grouping;
+  identity metric, with and without a feature grouping, and takes the
+  loss gradient at a one-hot and at a two-hot target;
 - trains a short ``sgd_train``, evaluates it and round-trips its checkpoint;
 - runs the four ``wrot`` subcommands, each of which must exit 0.
 
@@ -77,8 +78,9 @@ def exercise_library(api, work):
     emb = rng.normal(size=(3, 4))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     spaces = [LabelSpace(emb), LabelSpace(emb, grouping)]
-    predicted = api.smooth_target(np.array([1.0, 2.0, 3.0]))
-    target = api.smooth_target(np.eye(3)[0])
+    predicted = np.array([1.0, 2.0, 3.0]) / 6.0
+    # a one-hot target has one plan and no oracle solve; a two-hot one runs the oracle
+    target, two_hot = np.eye(3)[0], np.array([0.5, 0.0, 0.5])
     for metric in FAMILIES:
         api.adversarial_value(moment, metric)
         for group in (None, grouping):
@@ -89,6 +91,7 @@ def exercise_library(api, work):
             loss = api.rot_loss(predicted, target, space, config, lambda_gamma=0.05)
             loss.plan, loss.metric
             api.rot_loss_gradient(predicted, target, space, config)
+            api.rot_loss_gradient(predicted, two_hot, space, config)
 
     features = rng.normal(size=(12, 4))
     api.save_features(work / "x.feat", features)

@@ -54,7 +54,6 @@ from .rot_loss import (
     LabelSpace,
     rot_loss,
     rot_loss_gradient,
-    smooth_target,
 )
 from .sinkhorn import SinkhornConfig, SinkhornConvergenceError
 
@@ -98,6 +97,5 @@ __all__ = [
     "save_labels",
     "save_model",
     "sgd_train",
-    "smooth_target",
     "w22_distance",
 ]

@@ -2,7 +2,7 @@
 
 The model is a single weight matrix; predictions are shift-stable softmax
 probabilities over labels. Training runs per-sample SGD: each step solves the
-transport loss between the current prediction and the smoothed target,
+transport loss between the current prediction and the normalized target,
 backpropagates the loss gradient through the softmax Jacobian, and applies
 L2 weight decay. The loss family (robust or plain entropic squared-distance)
 is the ``metric`` of the loss's :class:`~wrot.frank_wolfe.FWConfig`; the two
@@ -26,7 +26,7 @@ from numpy.lib import format as npy
 from .data_io import Dataset, _read_npy, _write_npy
 from .measures import _as_float_array, _check_config, _check_count, _check_real, _freeze
 from .frank_wolfe import FWConfig
-from .rot_loss import _LOSS_CONFIG, LabelSpace, rot_loss_gradient, smooth_target
+from .rot_loss import _LOSS_CONFIG, LabelSpace, rot_loss_gradient
 
 __all__ = [
     "SoftmaxModel",
@@ -132,8 +132,9 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
 
     Weights start at zero, and each epoch visits the samples in a fresh
     permutation drawn from ``config.seed``. A sample's target is its label
-    row through :func:`~wrot.rot_loss.smooth_target` at the default alpha of
-    1e-3, so every label has positive mass. Each sample's update is
+    row divided by its label count, unsmoothed: a one-hot target has one
+    plan, so its loss and gradient need no oracle solve (see
+    :func:`~wrot.rot_loss.rot_loss_gradient`). Each sample's update is
     ``W <- W - lr * (x (J_softmax grad_h)^T + 2 * weight_decay * W)``, where
     ``grad_h`` is the transport-loss gradient at the current prediction.
     Returns the model with per-epoch mean losses and wall times. Raises
@@ -151,7 +152,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
     n, n_features = features.shape
     rng = np.random.default_rng(config.seed)
     weights = np.zeros((n_features, labels.size))
-    targets = [smooth_target(row) for row in dataset.labels]
+    targets = dataset.labels / dataset.labels.sum(axis=1, keepdims=True)
 
     epoch_losses = []
     epoch_seconds = []

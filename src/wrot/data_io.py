@@ -289,9 +289,15 @@ def _read_embedding_entries(path):
 
 
 def _unit(vec, what):
-    norm = float(np.linalg.norm(vec))
-    if norm <= 0:
+    largest = np.max(np.abs(vec), initial=0.0)
+    if largest == 0.0:
         raise ValueError(f"cannot normalize zero embedding for {what}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or norm == np.inf:
+        # the squared sum under- or overflowed: divide by the largest entry first
+        vec = vec / largest
+        norm = float(np.linalg.norm(vec))
     return vec / norm
 
 

@@ -76,11 +76,13 @@ class RotResult:
     ``converged`` says whether the last gap met the tolerance. A gap is
     measured before the step, so when ``converged`` is ``False`` the last
     one is that of the iterate before the final step, not of the returned
-    plan. A solve at ``gap_tol=None``, the loss's default, runs exactly
-    ``max_iter`` steps, so its ``converged`` is ``False``. The oracle misses
-    the row weights by up to its residual, so ``plan`` can leave the
-    polytope, ``value`` can fall below the true minimum, and neither the gap
-    nor ``converged`` certifies it.
+    plan. A solve at ``gap_tol=None``, the loss's default, never stops
+    early, so its ``converged`` is ``False``. Weights with one positive
+    entry on either side, such as a one-hot target, admit one plan, ``p
+    q^T``: their solve calls no oracle and records one gap of 0.0. The
+    oracle misses the row weights by up to its residual, so ``plan`` can
+    leave the polytope, ``value`` can fall below the true minimum, and
+    neither the gap nor ``converged`` certifies it.
 
     ``plan``, a :class:`~wrot.measures.TransportPlan`, and ``metric``, the
     d x d worst-case metric (mapped back from the span coordinates a loss
@@ -131,14 +133,20 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
     moment is linear in the plan, so ``V`` steps with it: one moment per
     step, of ``P``, plus the starting one. The first step (``theta = 1``) takes ``P`` and its
     moment as they are, since ``0 * gamma + 1 * P == P``; later steps move
-    that array in place, so ``oracle`` returns a new array each call.
-    Returns ``(gamma, worst, gaps, converged)`` with ``worst``, the
-    adversary's ``(matrix, value, family)``, taken at the returned ``gamma``.
+    that array in place, so ``oracle`` returns a new array each call. With
+    one active row or column, ``p q^T`` is the only plan: the loop returns
+    it with the adversary at its moment and one gap of 0.0, and never calls
+    ``oracle``. Returns ``(gamma, worst, gaps, converged)`` with ``worst``,
+    the adversary's ``(matrix, value, family)``, taken at the returned
+    ``gamma``.
     """
     gaps: list[float] = []
     stop = -np.inf if gap_tol is None else gap_tol
     gamma = marginals.p[:, None] * marginals.q
     moment = _moment_arrays(gamma, src, tgt)
+    if min(marginals.active_p.size, marginals.active_q.size) == 1:
+        # one active row or column: p q^T is the polytope's only plan
+        return gamma, _adversary(moment, metric), [0.0], 0.0 <= stop
     for t in range(max_iter):
         worst = _adversary(moment, metric)
         lmo = oracle(_pair_costs_full(src, tgt, worst.matrix))

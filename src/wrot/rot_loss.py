@@ -1,7 +1,7 @@
 """Robust transport losses between prediction and target label distributions.
 
-For a predicted distribution ``h`` and a smoothed target ``y`` over ``L``
-labels with embeddings ``l_1 .. l_L``, the loss is
+For a predicted distribution ``h`` and a target ``y`` over ``L`` labels
+with embeddings ``l_1 .. l_L``, the loss is
 
     min_{plan in Pi(h, y)}  max_M <V(plan), M> + lambda_gamma * sum plan*log(plan)
 
@@ -25,8 +25,13 @@ recentred row means of ``C* + lambda_beta (log plan + 1)`` with no log of a
 plan entry that underflowed. With ``lambda_beta == lambda_gamma`` it is the
 gradient of the reported value, otherwise of the ``lambda_beta``-smoothed
 loss. It sums to zero, and a constant added to ``C*`` moves only mean ``f``.
-A zero weight leaves its plan row or column without a potential, so the
-gradient refuses it.
+A zero predicted weight leaves its plan row without a potential, so the
+gradient refuses it; a zero target weight only drops a column from the
+block the oracle solves. A one-hot target ``e_y`` admits one plan, ``h
+e_y^T``, which the loop returns without an oracle call. The L x 1 oracle's
+row potential is then ``C*[:, y] / lambda_beta + log h`` up to a constant,
+so the gradient, ``C*[:, y] + lambda_beta log h`` recentred, needs no
+Sinkhorn solve.
 
 The loss runs the distance's Frank-Wolfe loop,
 :func:`~wrot.frank_wolfe._frank_wolfe`, on the label space's point array as
@@ -64,7 +69,6 @@ from .measures import (
     _check_real,
     _freeze,
     _grouped_reshape,
-    _normalized,
     _pair_costs_full,
 )
 from .metric_solvers import PNormConfig
@@ -72,7 +76,6 @@ from .sinkhorn import _entropic_plan, _marginals
 
 __all__ = [
     "LabelSpace",
-    "smooth_target",
     "rot_loss",
     "rot_loss_gradient",
 ]
@@ -132,19 +135,6 @@ class LabelSpace:
 # early stop, and the entropy weight. TrainConfig and wrot contour read them.
 _LOSS_CONFIG = FWConfig(PNormConfig(), max_iter=1, gap_tol=None)
 _LAMBDA_GAMMA = 0.02
-
-
-def smooth_target(raw, alpha: float = 1e-3) -> np.ndarray:
-    """Normalize a nonnegative label vector and mix in ``alpha`` of uniform.
-
-    Returns ``(1 - alpha) * raw / sum(raw) + alpha / L``. With ``alpha > 0``
-    every label gets positive mass, which the loss gradient needs.
-    """
-    raw = _as_float_array(raw, "raw", 1)
-    _check_real(alpha, "alpha", positive=False)
-    if alpha >= 1.0:
-        raise ValueError("alpha must be below 1")
-    return _normalized(raw, "label weights", 1.0 - alpha) + alpha / raw.shape[0]
 
 
 def _solve(predicted, target, labels, config, lambda_gamma):
@@ -219,20 +209,24 @@ def rot_loss_gradient(
     and ``lambda`` the oracle's ``lambda_beta``, the regularizer that plan
     solved. Set ``lambda_beta`` to :func:`rot_loss`'s ``lambda_gamma`` to
     differentiate its value itself. The result sums to zero to rounding (movement
-    along the simplex). It requires strictly positive ``predicted`` and
-    ``target`` weights and raises ``ValueError`` on a zero; with one-hot
-    targets, smooth them with :func:`smooth_target` at ``alpha > 0``.
+    along the simplex). It requires strictly positive ``predicted`` weights
+    and raises ``ValueError`` on a zero; ``target`` may have zeros. For a
+    one-hot target ``e_y`` it is ``C*[:, y] + lambda log h``, recentred,
+    with no oracle solve.
 
     Returns ``(gradient, RotResult)``: the loss is the one
     :func:`rot_loss` reports at its default ``lambda_gamma``, from the same
     solve, and ``config`` means what it means there.
     """
     loss, marginals, solve, points = _solve(predicted, target, labels, config, _LAMBDA_GAMMA)
-    if not marginals.dense:
+    if not marginals.rows.all():
         raise ValueError(
-            "gradient undefined: a predicted or target weight is zero; "
-            "smooth the target (smooth_target with alpha > 0) and use "
-            "strictly positive predictions"
+            "gradient undefined: a predicted weight is zero; use strictly positive predictions"
         )
-    f = solve(_pair_costs_full(points, points, loss._worst.matrix))[1]
-    return config.sinkhorn.lambda_beta * (f - f.mean()), loss
+    lam = config.sinkhorn.lambda_beta
+    if marginals.active_q.size == 1:  # one plan: the L x 1 oracle's potential in closed form
+        y = np.flatnonzero(marginals.cols)
+        f = _pair_costs_full(points, points[y], loss._worst.matrix)[:, 0] / lam + marginals.log_p
+    else:
+        f = solve(_pair_costs_full(points, points, loss._worst.matrix))[1]
+    return lam * (f - f.mean()), loss

@@ -1,0 +1,16 @@
+"""Label targets with every weight positive, for tests of the oracle path.
+
+A one-hot target has one transport plan, which the Frank-Wolfe loop
+returns without an oracle call; a test that exercises the oracle, or that
+compares against a formula taking the log of every plan entry, mixes in a
+little of the uniform target first.
+"""
+
+import numpy as np
+
+
+def spread_target(raw, alpha=1e-3):
+    """``(1 - alpha) raw / sum(raw) + alpha / L`` for a nonnegative label
+    vector ``raw`` of length ``L``."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return (1.0 - alpha) * raw / raw.sum() + alpha / raw.shape[0]

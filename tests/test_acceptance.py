@@ -19,6 +19,7 @@ import pytest
 from scipy.special import logsumexp
 
 from lp_reference import exact_ot_small
+from targets import spread_target
 from wrot import (
     DSConfig,
     FWConfig,
@@ -35,7 +36,6 @@ from wrot import (
     rot_distance,
     rot_loss,
     rot_loss_gradient,
-    smooth_target,
     w22_distance,
 )
 from wrot.classifier import TrainConfig, evaluate, sgd_train
@@ -181,7 +181,7 @@ def test_criterion_4_gradient_suites():
     emb3 = unit_rows(rng, 3, 4)
     labels3 = LabelSpace(embeddings=emb3)
     h3 = rng.dirichlet(np.ones(3))
-    y3 = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
+    y3 = spread_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
     cfg3 = loss_cfg(0.02, 150, 1000)
     grad3, _ = rot_loss_gradient(h3, y3, labels3, cfg3)
     assert abs(grad3.sum()) < 1e-12
@@ -191,7 +191,7 @@ def test_criterion_4_gradient_suites():
     h10 = rng.dirichlet(np.ones(10))
     onehot = np.zeros(10)
     onehot[3] = 1.0
-    y10 = smooth_target(onehot, alpha=0.05)
+    y10 = spread_target(onehot, alpha=0.05)
     cfg10 = loss_cfg(0.05, 60, 600)
     grad10, _ = rot_loss_gradient(h10, y10, labels10, cfg10)
     assert abs(grad10.sum()) < 1e-12

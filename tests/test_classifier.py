@@ -22,7 +22,7 @@ from wrot.data_io import Dataset, make_grouping
 from wrot.frank_wolfe import FWConfig
 from wrot.measures import TransportPlan
 from wrot.metric_solvers import DSConfig, KLConfig, PNormConfig
-from wrot.rot_loss import LabelSpace, rot_loss, rot_loss_gradient, smooth_target
+from wrot.rot_loss import LabelSpace, rot_loss, rot_loss_gradient
 from wrot.sinkhorn import SinkhornConfig
 
 classifier_mod = importlib.import_module("wrot.classifier")
@@ -165,9 +165,10 @@ class TestSgdTrain:
         """The gradient sgd_train steps on is the oracle's potential at
         lambda_beta and takes no lambda_gamma: the entropy weight moves the
         value rot_loss reports and not one bit of the plan the gradient
-        stands on."""
+        stands on. The target is a two-label row as sgd_train normalizes it,
+        which reaches the oracle."""
         labels = three_label_space()
-        h, y = np.array([0.5, 0.3, 0.2]), smooth_target(np.eye(3)[1])
+        h, y = np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.0, 0.5])
         _, stepped = rot_loss_gradient(h, y, labels, TrainConfig().loss)
         low, high = (
             rot_loss(h, y, labels, TrainConfig().loss, lambda_gamma=lam) for lam in (0.02, 0.5)
@@ -242,8 +243,8 @@ class TestSgdTrain:
             ),
         )
         trainer_grad = -np.asarray(out.model.weights) / lr
-        # the trainer smooths targets at smooth_target's default alpha
-        target = smooth_target(np.array([0.0, 1.0, 0.0]))
+        # the trainer's target is the label row itself: one-hot, one plan
+        target = np.array([0.0, 1.0, 0.0])
 
         def loss_at(weights):
             z = x @ weights

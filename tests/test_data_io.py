@@ -335,6 +335,16 @@ class TestEmbeddingFiles:
         with pytest.raises(ValueError, match="zero embedding"):
             load_embedding_file(path)
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_rows_beyond_the_squared_sum_range_are_normalized(self, tmp_path, scale):
+        """The squared sum of ``1e-200`` underflows and that of ``1e200``
+        overflows; both rows still normalize to ``[1, 0]``, without a
+        warning, and so do they as a multi-word mean."""
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\na {scale} 0\nb {scale} 0\n")
+        assert np.array_equal(load_embedding_file(path)[1], [[1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(load_embeddings(path, ["a", "a b"]), [[1.0, 0.0], [1.0, 0.0]])
+
 
 class TestGroupings:
     def test_deterministic_per_seed(self):

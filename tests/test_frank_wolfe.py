@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lp_reference import exact_ot_small
+from targets import spread_target
 from wrot import (
     DSConfig,
     FWConfig,
@@ -17,7 +20,6 @@ from wrot import (
     make_measure,
     rot_distance,
     rot_loss,
-    smooth_target,
     w22_distance,
 )
 from wrot import frank_wolfe, sinkhorn
@@ -290,7 +292,7 @@ class TestCarriedMoment:
         labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
         events.clear()
         config = FWConfig(PNormConfig(), max_iter=3, gap_tol=None)
-        rot_loss(np.full(4, 0.25), smooth_target(np.eye(4)[1]), labels, config)
+        rot_loss(np.full(4, 0.25), spread_target(np.eye(4)[1]), labels, config)
         assert events == ["moment"] * 4
 
     @pytest.mark.parametrize("metric", [None, PNormConfig(k=1), KLConfig()], ids=str)
@@ -327,7 +329,7 @@ class TestStopRule:
         src, tgt = random_instance(rng, 4, 5, 3)
         emb = rng.normal(size=(4, 3))
         labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
-        h, y = np.full(4, 0.25), smooth_target(np.eye(4)[1])
+        h, y = np.full(4, 0.25), spread_target(np.eye(4)[1])
         return {
             "distance": lambda cfg: rot_distance(src, tgt, cfg),
             "loss": lambda cfg: rot_loss(h, y, labels, cfg),
@@ -343,6 +345,47 @@ class TestStopRule:
         result = self.solves()[solve](converged_config(PNormConfig()))
         assert result.converged is True and result.gap_history[-1] <= 1e-6
         assert result.iterations_used < 150
+
+
+class TestOnePlan:
+    """Weights with one positive entry on either side admit one plan, p q^T."""
+
+    @pytest.mark.parametrize("gap_tol", [None, 0.0])
+    @pytest.mark.parametrize("solve", ["distance", "loss"])
+    def test_one_plan_calls_no_oracle(self, monkeypatch, solve, gap_tol):
+        """A distance from a one-point measure and a loss at a one-hot target
+        take the plan's moment and the adversary there once, call no oracle,
+        and record one gap of 0.0, which meets any gap_tol but None."""
+        events = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("_moment_arrays", "_adversary", "_entropic_plan"):
+            counted(frank_wolfe, name)
+        counted(importlib.import_module("wrot.rot_loss"), "_entropic_plan")
+        rng = np.random.default_rng(17)
+        config = FWConfig(PNormConfig(), max_iter=5, gap_tol=gap_tol)
+        if solve == "distance":
+            src = make_measure(rng.normal(size=(1, 3)))
+            tgt = make_measure(rng.normal(size=(4, 3)), rng.dirichlet(np.ones(4)))
+            p, q = src.weights, tgt.weights
+            result = rot_distance(src, tgt, config)
+        else:
+            emb = rng.normal(size=(4, 3))
+            labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
+            p, q = rng.dirichlet(np.ones(4)), np.eye(4)[2]
+            result = rot_loss(p, q, labels, config)
+        assert events == ["_moment_arrays", "_adversary"]
+        assert result.gap_history == (0.0,)
+        assert result.converged is (gap_tol is not None)
+        assert np.array_equal(result.plan.matrix, p[:, None] * q)
 
 
 class TestTruncatedKernel:

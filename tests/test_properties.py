@@ -3,7 +3,9 @@ choice, its once-per-solve scaling range test against the per-round one,
 the self-moment kernel, the Frank-Wolfe loop's carried moment and
 gap, translation and support-permutation invariance of the distances, the
 loss gradient's tangency to the simplex and its agreement with the
-bracket formula on normal plans, the loss's span-coordinate path
+bracket formula on normal plans and with central differences on targets
+with zeros, the one-plan exit of one-hot targets and one-point measures
+against the general loop, the loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
 covariance, the feature, label, model and embedding file round trips, the
 determinism of ``make_grouping``, the fast paths of logsumexp and symmetric
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp, xlogy
 
+from targets import spread_target
 from wrot import (
     DSConfig,
     FeatureGrouping,
@@ -51,7 +54,6 @@ from wrot import (
     save_labels,
     save_model,
     sinkhorn,
-    smooth_target,
     w22_distance,
 )
 from wrot.frank_wolfe import _frank_wolfe
@@ -61,6 +63,7 @@ from wrot.sinkhorn import SinkhornConvergenceError
 
 # the package rebinds ``wrot.rot_loss`` to the function; this is the module
 rot_loss_module = importlib.import_module("wrot.rot_loss")
+frank_wolfe_module = importlib.import_module("wrot.frank_wolfe")
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -481,10 +484,13 @@ LOSS_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig(
     st.sampled_from(range(len(LOSS_FAMILIES))),
     st.sampled_from([None, 1, 3, 6]),
     st.integers(1, 4),
+    st.booleans(),
 )
-def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, max_iter):
+def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, max_iter, spread):
     """For every family, ungrouped or grouped, the loss gradient in the
-    prediction sums to zero to rounding: it moves along the simplex."""
+    prediction sums to zero to rounding: it moves along the simplex. The
+    target is a label row normalized as sgd_train does, zeros and one-hot
+    rows included, or that row spread to positive weights."""
     rng = np.random.default_rng(seed)
     emb = rng.normal(size=(size, 6))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
@@ -494,7 +500,8 @@ def test_loss_gradient_is_tangent_to_the_simplex(seed, size, family, groups, max
     raw = rng.integers(0, 2, size=size).astype(float)
     raw[rng.integers(size)] = 1.0
     config = FWConfig(LOSS_FAMILIES[family], max_iter=max_iter, gap_tol=None)
-    grad, loss = rot_loss_gradient(h, smooth_target(raw), labels, config)
+    y = spread_target(raw) if spread else raw / raw.sum()
+    grad, loss = rot_loss_gradient(h, y, labels, config)
     assert np.isfinite(loss.value)
     assert abs(grad.sum()) <= 1e-12
 
@@ -557,7 +564,7 @@ def test_span_path_matches_the_full_point_solve(seed, size, data, metric, max_it
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
     raw = rng.integers(0, 2, size=size).astype(float)
     raw[rng.integers(size)] = 1.0
-    y = smooth_target(raw)
+    y = spread_target(raw)
     config = FWConfig(metric, max_iter=max_iter, gap_tol=None)
     grad, loss = rot_loss_gradient(h, y, labels, config)
     value, plan, worst, want_grad = full_point_loss(h, y, labels.embeddings, config)
@@ -593,7 +600,7 @@ def test_potential_gradient_matches_the_bracket_formula(
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
     raw = rng.integers(0, 2, size=size).astype(float)
     raw[rng.integers(size)] = 1.0
-    y = smooth_target(raw)
+    y = spread_target(raw)
     config = FWConfig(
         LOSS_FAMILIES[family], SinkhornConfig(lambda_beta=lambda_beta), max_iter, gap_tol=None
     )
@@ -632,10 +639,142 @@ def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, fam
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
     with mock.patch.object(rot_loss_module, "_frank_wolfe", spy):
         config = FWConfig(metric, max_iter=1, gap_tol=None)
-        rot_loss_gradient(h, smooth_target(np.eye(size)[0]), labels, config)
+        rot_loss_gradient(h, np.eye(size)[0], labels, config)
     in_span = r is None and size < dim and metric in (None, PNormConfig(k=1))
     assert len(seen) == 1
     assert seen[0] is (labels._coords if in_span else labels._points)
+
+
+def general_loop(src, tgt, metric, oracle, marginals, *rest):
+    """``_frank_wolfe`` without its one-plan exit: the loop reads only ``p``,
+    ``q`` and the active sizes of ``marginals``, which it is told are 2,
+    while the oracle keeps the real ones from its caller."""
+    two = np.ones(2)
+    marginals = marginals._replace(active_p=two, active_q=two)
+    return _frank_wolfe(src, tgt, metric, oracle, marginals, *rest)
+
+
+ONE_PLAN_FAMILIES = LOSS_FAMILIES + [PNormConfig(k=3)]
+
+
+def one_plan_space(rng, size, space):
+    """A label space of ``size`` labels: ungrouped with as many dimensions
+    (``full``), grouped in R^6, or ungrouped in R^(size + 2) with a span
+    basis."""
+    dim = {"full": size, "grouped": 6, "span": size + 2}[space]
+    emb = rng.normal(size=(size, dim))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    grouping = make_grouping(dim, 3, 0) if space == "grouped" else None
+    return LabelSpace(embeddings=emb, grouping=grouping)
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from(range(len(ONE_PLAN_FAMILIES))),
+    st.sampled_from(["full", "grouped", "span"]),
+    st.booleans(),
+    st.integers(1, 5),
+)
+def test_one_plan_exit_matches_the_general_loop(
+    seed, size, family, space, one_hot_target, max_iter
+):
+    """A one-hot target, or a one-point prediction, admits one plan, which
+    the loop returns with no oracle call. Value, plan and worst-case metric
+    match a run of every step of the general loop to 1e-12 relative, and so
+    does the gradient, whose closed form for a one-hot target replaces the
+    L x 1 oracle's row potential; for every family, on full, grouped and
+    span spaces."""
+    rng = np.random.default_rng(seed)
+    labels = one_plan_space(rng, size, space)
+    spread = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
+    one_hot = np.eye(size)[rng.integers(size)]
+    h, y = (spread, one_hot) if one_hot_target else (one_hot, spread)
+    config = FWConfig(ONE_PLAN_FAMILIES[family], max_iter=max_iter, gap_tol=None)
+    if one_hot_target:
+        grad, loss = rot_loss_gradient(h, y, labels, config)
+    else:
+        loss = rot_loss_module.rot_loss(h, y, labels, config)
+    assert loss.gap_history == (0.0,) and loss.converged is False
+    with mock.patch.object(rot_loss_module, "_frank_wolfe", general_loop):
+        general, _, solve, points = rot_loss_module._solve(h, y, labels, config, 0.02)
+    assert general.iterations_used == max_iter
+    assert loss.value == pytest.approx(general.value, rel=1e-12)
+    assert_close_to_reference(loss.plan.matrix, general.plan.matrix)
+    assert_close_to_reference(loss.metric.matrix, general.metric.matrix)
+    if one_hot_target:
+        f = solve(_pair_costs_full(points, points, general._worst.matrix))[1]
+        assert_close_to_reference(grad, config.sinkhorn.lambda_beta * (f - f.mean()))
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from(range(len(ONE_PLAN_FAMILIES))),
+    st.sampled_from([None, 3]),
+    st.booleans(),
+    st.integers(1, 5),
+)
+def test_one_point_distance_matches_the_general_loop(seed, n, family, groups, swap, max_iter):
+    """A distance to or from a one-point measure takes the same exit: its
+    value, plan and worst-case metric match every step of the general loop
+    to 1e-12 relative, and its one gap of 0.0 meets any tolerance."""
+    rng = np.random.default_rng(seed)
+    one = make_measure(rng.normal(size=(1, 6)))
+    many = make_measure(rng.normal(size=(n, 6)) + 0.5, rng.dirichlet(np.ones(n)))
+    src, tgt = (many, one) if swap else (one, many)
+    grouping = None if groups is None else make_grouping(6, groups, seed)
+    metric = ONE_PLAN_FAMILIES[family]
+    result = rot_distance(src, tgt, FWConfig(metric, max_iter=max_iter), grouping)
+    assert result.gap_history == (0.0,) and result.converged is True
+    config = FWConfig(metric, max_iter=max_iter, gap_tol=None)
+    with mock.patch.object(frank_wolfe_module, "_frank_wolfe", general_loop):
+        general = rot_distance(src, tgt, config, grouping)
+    assert general.iterations_used == max_iter
+    assert result.value == pytest.approx(general.value, rel=1e-12)
+    assert_close_to_reference(result.plan.matrix, general.plan.matrix)
+    assert_close_to_reference(result.metric.matrix, general.metric.matrix)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 6),
+    st.integers(2, 6),
+    st.sampled_from(range(len(LOSS_FAMILIES))),
+)
+def test_gradient_at_a_target_with_zeros_matches_finite_differences(seed, size, dim, family):
+    """On a target with zero weights and two or more positive ones, the
+    gradient, read from the oracle's row potential on the target's support,
+    matches central differences of the value at converged settings
+    (lambda_beta = lambda_gamma = 0.1, 100 steps, 500 rounds) to 1e-3 of
+    its norm, along two random simplex directions."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(size, dim))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    labels = LabelSpace(embeddings=emb)
+    h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
+    support = rng.choice(size, int(rng.integers(2, size)), replace=False)
+    y = np.zeros(size)
+    y[support] = rng.dirichlet(np.ones(support.size))
+    lam = 0.1
+    config = FWConfig(
+        LOSS_FAMILIES[family], SinkhornConfig(lambda_beta=lam, iterations=500), 100, gap_tol=None
+    )
+    grad, _ = rot_loss_gradient(h, y, labels, config)
+    eps = 1e-6
+    for _ in range(2):
+        i, j = rng.choice(size, 2, replace=False)
+        u = np.zeros(size)
+        u[i], u[j] = 1.0, -1.0
+        u /= np.sqrt(2.0)
+        plus, minus = (
+            rot_loss_module.rot_loss(h + s * u, y, labels, config, lambda_gamma=lam).value
+            for s in (eps, -eps)
+        )
+        assert abs(grad @ u - (plus - minus) / (2 * eps)) <= 1e-3 * np.linalg.norm(grad)
 
 
 @st.composite

@@ -70,13 +70,13 @@ PUBLIC_NAMES = [
     "save_labels",
     "save_model",
     "sgd_train",
-    "smooth_target",
     "w22_distance",
 ]
 
 # deleted with no caller outside the tests (exact_ot_small moved into them,
 # as tests/lp_reference.py; entropic_ot's checks run _entropic_plan through
-# tests/entropic_reference.py), as a pass-through to adversarial_value, or
+# tests/entropic_reference.py; smooth_target's spread targets are
+# tests/targets.py), as a pass-through to adversarial_value, or
 # folded into another type (LossValue into RotResult, RotLossConfig into
 # FWConfig), each from its module
 DELETED = [
@@ -90,6 +90,7 @@ DELETED = [
     ("metric_solvers", "pnorm_metric"),
     ("rot_loss", "LossValue"),
     ("rot_loss", "RotLossConfig"),
+    ("rot_loss", "smooth_target"),
     ("sinkhorn", "entropic_ot"),
     ("sinkhorn", "exact_ot_small"),
     ("sinkhorn", "symmetric_scaling"),

@@ -1,5 +1,6 @@
-"""Loss-level checks: target smoothing, values against independent oracles,
-the simplex-tangent gradient, and qualitative contour behavior."""
+"""Loss-level checks: values against independent oracles, the
+simplex-tangent gradient and the weights it refuses, and qualitative
+contour behavior."""
 
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from targets import spread_target
 from wrot import frank_wolfe, metric_solvers
 from wrot.data_io import make_grouping
 from wrot.frank_wolfe import FWConfig, _frank_wolfe, rot_distance
@@ -29,7 +31,6 @@ from wrot.rot_loss import (
     LabelSpace,
     rot_loss,
     rot_loss_gradient,
-    smooth_target,
 )
 from wrot.sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
@@ -98,7 +99,7 @@ def random_instance(seed, size=3, dim=4, alpha=0.05):
     h = rng.dirichlet(np.ones(size))
     onehot = np.zeros(size)
     onehot[rng.integers(0, size)] = 1.0
-    return emb, h, smooth_target(onehot, alpha=alpha)
+    return emb, h, spread_target(onehot, alpha=alpha)
 
 
 ALL_FAMILIES = [
@@ -108,38 +109,6 @@ ALL_FAMILIES = [
     DSConfig(lambda_m=2.0),
     None,
 ]
-
-
-class TestSmoothTarget:
-    def test_one_hot_alpha_zero_is_identity(self):
-        y = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(smooth_target(y, alpha=0.0), y)
-
-    def test_multi_hot_normalizes(self):
-        np.testing.assert_allclose(
-            smooth_target(np.array([1.0, 1.0, 0.0]), alpha=0.0),
-            [0.5, 0.5, 0.0],
-            atol=1e-15,
-        )
-
-    def test_mixing_arithmetic(self):
-        got = smooth_target(np.array([0.0, 0.0, 1.0, 0.0]), alpha=0.04)
-        np.testing.assert_allclose(got, [0.01, 0.01, 0.97, 0.01], atol=1e-15)
-
-    def test_positive_and_normalized(self):
-        rng = np.random.default_rng(0)
-        raw = rng.random(7)
-        out = smooth_target(raw, alpha=1e-3)
-        assert np.all(out > 0)
-        assert abs(out.sum() - 1.0) < 1e-12
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            smooth_target(np.zeros(3))
-        with pytest.raises(ValueError):
-            smooth_target(np.array([1.0, -0.5, 0.0]))
-        with pytest.raises(ValueError):
-            smooth_target(np.ones(3), alpha=1.0)
 
 
 class TestLabelSpace:
@@ -175,7 +144,7 @@ class TestLossValues:
         labels = LabelSpace(embeddings=np.tile([1.0, 0.0], (3, 1)))
         rng = np.random.default_rng(5)
         h = rng.dirichlet(np.ones(3))
-        y = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.1)
+        y = spread_target(np.array([0.0, 1.0, 0.0]), alpha=0.1)
         res = rot_loss(h, y, labels, **converged_kw(lam=0.05))
         ind = np.outer(h, y)
         np.testing.assert_allclose(res.plan.matrix, ind, atol=1e-12)
@@ -221,7 +190,7 @@ class TestLossValues:
         rng = np.random.default_rng(21)
         emb = unit_rows(rng, 3, 4)
         labels = LabelSpace(embeddings=emb)
-        y = smooth_target(np.array([1.0, 0.0, 0.0]), alpha=0.05)
+        y = spread_target(np.array([1.0, 0.0, 0.0]), alpha=0.05)
         kw = converged_kw(metric=metric)
         for _ in range(2):
             h1 = rng.dirichlet(np.ones(3))
@@ -278,7 +247,7 @@ class TestGradient:
         h = rng.dirichlet(np.ones(10))
         onehot = np.zeros(10)
         onehot[3] = 1.0
-        y = smooth_target(onehot, alpha=0.05)
+        y = spread_target(onehot, alpha=0.05)
         kw = converged_kw(lam=0.05, fw=60, sk=600)
         grad, _ = rot_loss_gradient(h, y, labels, kw["config"])
         eps = 1e-6
@@ -291,11 +260,22 @@ class TestGradient:
             fd = (plus - minus) / (2 * eps)
             assert float(grad @ u) == pytest.approx(fd, rel=1e-3)
 
-    def test_zero_plan_entries_rejected(self):
+    def test_zero_target_weight_accepted(self):
+        """A zero target weight drops a plan column; the gradient is finite
+        and tangent to the simplex, for a one-hot and a two-hot target."""
         emb, h, _ = random_instance(6)
-        y = smooth_target(np.array([1.0, 0.0, 0.0]), alpha=0.0)
-        with pytest.raises(ValueError, match="gradient undefined"):
-            rot_loss_gradient(h, y, LabelSpace(embeddings=emb), converged_kw()["config"])
+        labels = LabelSpace(embeddings=emb)
+        for y in ([1.0, 0.0, 0.0], [0.5, 0.0, 0.5]):
+            grad, loss = rot_loss_gradient(h, y, labels, converged_kw()["config"])
+            assert np.all(np.isfinite(grad)) and abs(grad.sum()) <= 1e-12
+            np.testing.assert_array_equal(loss.plan.matrix[:, 1], 0.0)
+
+    def test_zero_predicted_weight_rejected(self):
+        emb, _, y = random_instance(6)
+        labels = LabelSpace(embeddings=emb)
+        for target in (y, [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="gradient undefined: a predicted weight"):
+                rot_loss_gradient([0.0, 0.4, 0.6], target, labels, converged_kw()["config"])
 
     def test_underflowed_plan_entries_keep_the_gradient(self):
         """At lambda_beta = 0.004 the antipodal labels' cost / lambda_beta is
@@ -340,7 +320,7 @@ class TestGroupingAndCaches:
             dim=4, group_count=4, permutation=np.arange(4)
         )
         h = rng.dirichlet(np.ones(3))
-        y = smooth_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
+        y = spread_target(np.array([0.0, 1.0, 0.0]), alpha=0.05)
         kw = converged_kw(lam=0.05, fw=60, sk=500)
         plain = rot_loss(h, y, LabelSpace(embeddings=emb), **kw)
         grouped = rot_loss(h, y, LabelSpace(embeddings=emb, grouping=trivial), **kw)
@@ -352,7 +332,7 @@ class TestGroupingAndCaches:
         emb = unit_rows(rng, 4, 6)
         grouping = make_grouping(6, 3, seed=1)
         h = rng.dirichlet(np.ones(4))
-        y = smooth_target(np.array([0.0, 0.0, 1.0, 0.0]), alpha=0.05)
+        y = spread_target(np.array([0.0, 0.0, 1.0, 0.0]), alpha=0.05)
         kw = converged_kw(lam=0.05, fw=60, sk=500)
         labels = LabelSpace(embeddings=emb, grouping=grouping)
 
@@ -417,7 +397,7 @@ class TestContourOrdering:
         ])
         labels = LabelSpace(embeddings=emb)
         assert np.linalg.norm(emb[0] - emb[2]) < np.linalg.norm(emb[1] - emb[2])
-        y = smooth_target(np.array([0.0, 0.0, 1.0]), alpha=0.02)
+        y = spread_target(np.array([0.0, 0.0, 1.0]), alpha=0.02)
         kw = converged_kw(lam=0.05, fw=80, sk=600, metric=metric)
         near = rot_loss([1.0, 0.0, 0.0], y, labels, **kw).value
         far = rot_loss([0.0, 1.0, 0.0], y, labels, **kw).value
@@ -441,7 +421,7 @@ class TestValidationAtTheBoundary:
         src = make_measure(rng.normal(size=(5, 3)))
         tgt = make_measure(rng.normal(size=(4, 3)) + 1.0, rng.dirichlet(np.ones(4)))
         h = np.random.default_rng(36).dirichlet(np.ones(6))
-        y = smooth_target(np.eye(6)[1], alpha=0.05)
+        y = spread_target(np.eye(6)[1], alpha=0.05)
         cfg = FWConfig(metric, max_iter=3, gap_tol=None)
         built, checked = [], []
         plan_init = TransportPlan.__post_init__
@@ -547,7 +527,7 @@ class TestLazyLossValue:
         labels = LabelSpace(embeddings=emb, grouping=grouping)
         assert (labels._basis is not None) == (space == "span")
         h = rng.dirichlet(np.ones(size))
-        y = smooth_target(np.eye(size)[2], alpha=0.05)
+        y = spread_target(np.eye(size)[2], alpha=0.05)
         cfg = FWConfig(metric, max_iter=3, gap_tol=None)
         loss = rot_loss(h, y, labels, cfg)
         plan, worst = eager_loss(h, y, labels, cfg)

@@ -11,8 +11,7 @@ integer, not a ``bool``, and at least 1; a ``seed``, of training or of a
 grouping, is one at least 0. A real is a finite number, not a ``bool``, and
 positive (``lambda_beta``, ``lambda_gamma`` of :func:`rot_loss`,
 ``lambda_m``, ``learning_rate``) or nonnegative
-(``weight_decay``); ``gap_tol`` is a nonnegative real or ``None``, and
-:func:`smooth_target`'s ``alpha`` is a nonnegative real below 1. The
+(``weight_decay``); ``gap_tol`` is a nonnegative real or ``None``. The
 ``metric`` of :class:`FWConfig`, and the ``config`` of
 :func:`adversarial_value`, is a :class:`PNormConfig`, :class:`KLConfig`,
 :class:`DSConfig` or ``None``, the identity. A field that holds a nested
@@ -22,9 +21,9 @@ config holds one of its kind: ``sinkhorn`` a :class:`SinkhornConfig`,
 and ``loss``, like the ``config`` of the loss functions, a :class:`FWConfig`,
 one with ``gap_tol=None`` for :class:`TrainConfig`, which runs every step.
 Each config, :class:`LabelSpace`, :func:`make_grouping`,
-:func:`feature_weights`, :func:`adversarial_value`, :func:`smooth_target`,
-the loss functions, :func:`rot_distance`, :func:`displacement_second_moment`
-and :func:`load_dataset` (whose ``num_labels`` is a count or ``None``), and
+:func:`feature_weights`, :func:`adversarial_value`, the loss functions,
+:func:`rot_distance`, :func:`displacement_second_moment` and
+:func:`load_dataset` (whose ``num_labels`` is a count or ``None``), and
 :class:`FeatureGrouping` (whose ``permutation`` holds integers, not floats,
 strings or bools that cast to them), refuses anything else with a
 ``ValueError`` whose message starts with the field's name (``metric`` for
@@ -61,7 +60,6 @@ from wrot import (
     rot_distance,
     rot_loss,
     rot_loss_gradient,
-    smooth_target,
 )
 from wrot.cli import _build_parser
 
@@ -96,7 +94,6 @@ FUNCTION_DEFAULTS = [
     "rot_loss.lambda_gamma",
     "rot_loss_gradient.config",
     "sgd_train.config",
-    "smooth_target.alpha",
     "w22_distance.config",
 ]
 CLI_FLAGS = {
@@ -197,7 +194,6 @@ SETTINGS = {
     "adversarial_value.config": (
         "metric", "metric", lambda x: adversarial_value(np.eye(2), x)
     ),
-    "smooth_target.alpha": ("fraction", "alpha", lambda x: smooth_target([1.0, 2.0], x)),
     "FWConfig.sinkhorn": ("sinkhorn", "sinkhorn", lambda x: FWConfig(PNormConfig(), x)),
     "rot_distance.grouping": (
         "grouping",
@@ -267,7 +263,6 @@ REFUSED = {
     "optional nonnegative": (NOT_NUMBERS | NON_FINITE | NEGATIVE).filter(lambda x: x is not None),
     # None, the default, reads the count from the file
     "optional count": NOT_COUNTS.filter(lambda x: x is not None),
-    "fraction": NOT_NUMBERS | NON_FINITE | NEGATIVE | st.floats(1.0, 1e300) | st.integers(1),
     "sinkhorn": NOT_CONFIGS | st.sampled_from([None, FWConfig(None), GROUPING]),
     "grouping": NOT_CONFIGS | st.sampled_from([SinkhornConfig(), FWConfig(None)]),
     "loss": NOT_CONFIGS | st.sampled_from([None, SinkhornConfig(), GROUPING]),
@@ -299,9 +294,6 @@ ACCEPTED = {
     "positive": POSITIVE_REALS,
     "nonnegative": POSITIVE_REALS | ZERO,
     "optional nonnegative": POSITIVE_REALS | ZERO | st.none(),
-    "fraction": (
-        ZERO | st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 0.999).map(np.float64)
-    ),
     "sinkhorn": st.sampled_from([SinkhornConfig(), SinkhornConfig(0.5, 3)]),
     "grouping": st.sampled_from([None, GROUPING, FeatureGrouping(4, 2, np.arange(4))]),
     "loss": st.sampled_from(
@@ -360,8 +352,6 @@ def test_valid_values_build(setting, data):
         ("TrainConfig.seed", True),
         # numpy's "expected non-negative integer", naming no field
         ("make_grouping.seed", -1),
-        # TypeError from the range comparison
-        ("smooth_target.alpha", "x"),
         # numpy's TypeError from the label matrix, and a count of 1 shown as
         # "[0, True)"
         ("load_dataset.num_labels", 2.0),
