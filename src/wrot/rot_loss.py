@@ -225,8 +225,8 @@ def rot_loss_gradient(
         )
     lam = config.sinkhorn.lambda_beta
     if marginals.active_q.size == 1:  # one plan: the L x 1 oracle's potential in closed form
-        y = np.flatnonzero(marginals.cols)
-        f = _pair_costs_full(points, points[y], loss._worst.matrix)[:, 0] / lam + marginals.log_p
+        costs = _pair_costs_full(points, points[marginals.cols], loss._worst.matrix)
+        f = costs[:, 0] / lam + marginals.log_p
     else:
         f = solve(_pair_costs_full(points, points, loss._worst.matrix))[1]
     return lam * (f - f.mean()), loss
