@@ -14,7 +14,6 @@ from wrot import (
     SinkhornConfig,
     make_measure,
     rot_distance,
-    w22_distance,
 )
 
 # ---------------------------------------------------------------------------
@@ -31,7 +30,7 @@ src = make_measure(np.array([[0.0, 0.0], [1.0, 1.0]]))
 tgt = make_measure(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 result = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1)))
-plain = w22_distance(src, tgt)
+plain = rot_distance(src, tgt, FWConfig(metric=None)).value  # identity metric
 
 print("square corners instance")
 print(f"  robust value   {result.value:.5f}   (exact: {np.sqrt(0.5):.5f})")
@@ -56,7 +55,7 @@ print(f"{'k':>3} {'W2^2/d^(1/p)':>14} {'robust':>10} {'W2^2':>10}")
 for trial in range(3):
     src = make_measure(rng.normal(size=(5, d)))
     tgt = make_measure(rng.normal(size=(5, d)))
-    plain = w22_distance(src, tgt, sink)
+    plain = rot_distance(src, tgt, FWConfig(None, sink)).value
     for k in (1, 2):
         p = 2 * k / (2 * k - 1)
         cfg = FWConfig(metric=PNormConfig(k=k), sinkhorn=sink, gap_tol=1e-4)

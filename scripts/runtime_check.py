@@ -119,8 +119,12 @@ def run_commands(work):
     commands = [
         ["distance", "--src", f"{w}/x.csv", "--tgt", f"{w}/x.feat", "--gap-tol", "1e6", "--json"],
         ["distance", "--src", f"{w}/x.csv", "--tgt", f"{w}/x.feat", "--family", "w22"],
+        ["distance", "--src", f"{w}/x.csv", "--tgt", f"{w}/x.feat", "--family", "w22",
+         "--r", "2"],
         ["contour", "--labels", ",".join(LABELS), "--embeddings", f"{w}/emb.txt",
          "--grid-n", "3", "--out", f"{w}/contour.csv"],
+        ["contour", "--labels", ",".join(LABELS), "--embeddings", f"{w}/emb.txt",
+         "--family", "w22", "--grid-n", "3", "--out", f"{w}/contour.csv"],
         ["train", "--features", f"{w}/x.feat", "--labels", f"{w}/y.labels",
          "--embeddings", f"{w}/emb.txt", "--epochs", "1", "--model-out", f"{w}/cli.bin"],
         ["eval", "--model-in", f"{w}/cli.bin", "--features", f"{w}/x.feat",

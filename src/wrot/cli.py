@@ -2,10 +2,14 @@
 
 Subcommands:
 
-* ``distance``: robust (or plain entropic) transport distance between two
-  feature files, optionally with a random feature grouping.
+* ``distance``: robust transport distance between two feature files,
+  optionally with a random feature grouping. Every family, w22 (the
+  identity metric, the plain entropic W2^2) too, runs the Frank-Wolfe loop
+  and reports its measured gap and iterations.
 * ``contour``: loss values over the prediction simplex for three labels,
   written as an ``x,y,loss`` CSV (losses normalized so the maximum is 1).
+  The target is one-hot, whose one plan needs no Frank-Wolfe step or
+  Sinkhorn oracle, so the command takes neither's settings.
 * ``train``: fit the softmax classifier with a transport loss and write a
   checkpoint.
 * ``eval``: AUC / mean average precision of a checkpoint on a dataset.
@@ -32,7 +36,7 @@ from .classifier import (
     sgd_train,
 )
 from .data_io import _load_features, load_dataset, load_embedding_file, make_grouping
-from .frank_wolfe import FWConfig, rot_distance, w22_distance
+from .frank_wolfe import FWConfig, rot_distance
 from .measures import make_measure
 from .metric_solvers import DSConfig, KLConfig, PNormConfig
 from .rot_loss import _LAMBDA_GAMMA, _LOSS_CONFIG, LabelSpace, rot_loss
@@ -43,45 +47,37 @@ __all__ = ["main"]
 _FAMILIES = ("pnorm", "kl", "ds", "w22")
 
 
-def _family(args) -> dict:
-    """The ``metric`` and ``sinkhorn`` of the config the family flags name."""
-    metric = None  # w22: fixed identity metric
+def _metric(args):
+    """The adversary config the family flags name; ``None``, for w22, is the identity."""
     if args.family == "pnorm":
-        metric = PNormConfig(k=args.k)
-    elif args.family == "kl":
-        metric = KLConfig(lambda_m=args.lambda_m)
-    elif args.family == "ds":
-        metric = DSConfig(lambda_m=args.lambda_m)
-    return {"metric": metric, "sinkhorn": SinkhornConfig(lambda_beta=args.lambda_beta)}
+        return PNormConfig(k=args.k)
+    if args.family == "kl":
+        return KLConfig(lambda_m=args.lambda_m)
+    if args.family == "ds":
+        return DSConfig(lambda_m=args.lambda_m)
+    return None
 
 
 def cmd_distance(args) -> int:
     src = make_measure(_load_features(args.src))
     tgt = make_measure(_load_features(args.tgt))
-    # every family's settings are checked, w22's too, before any solve
     grouping = None if args.r is None else make_grouping(src.dim, args.r, args.seed)
-    config = FWConfig(**_family(args), max_iter=args.fw_iters, gap_tol=args.gap_tol)
-    exit_code = 0
-    if args.family == "w22":
-        # a grouping's pad, permutation and reshape leave tr V unchanged
-        value = w22_distance(src, tgt, config.sinkhorn)
-        result = {"value": value, "gap": 0.0, "iterations": 1, "family": "w22"}
-    else:
-        solved = rot_distance(src, tgt, config, grouping)
-        result = {
-            "value": solved.value,
-            "gap": solved.gap_history[-1],
-            "iterations": solved.iterations_used,
-            "family": args.family,
-        }
-        if not solved.converged:
-            print(
-                f"warning: duality gap {result['gap']:.3e} above tolerance "
-                f"{args.gap_tol:.3e} after {solved.iterations_used} iterations "
-                "(measured at the iterate before the last step)",
-                file=sys.stderr,
-            )
-            exit_code = 2
+    sinkhorn = SinkhornConfig(lambda_beta=args.lambda_beta)
+    config = FWConfig(_metric(args), sinkhorn, max_iter=args.fw_iters, gap_tol=args.gap_tol)
+    solved = rot_distance(src, tgt, config, grouping)
+    result = {
+        "value": solved.value,
+        "gap": solved.gap_history[-1],
+        "iterations": solved.iterations_used,
+        "family": args.family,
+    }
+    if not solved.converged:
+        print(
+            f"warning: duality gap {result['gap']:.3e} above tolerance "
+            f"{args.gap_tol:.3e} after {solved.iterations_used} iterations "
+            "(measured at the iterate before the last step)",
+            file=sys.stderr,
+        )
     if args.json:
         print(json.dumps(result))
     else:
@@ -89,7 +85,7 @@ def cmd_distance(args) -> int:
         print(f"value      {result['value']:.10g}")
         print(f"gap        {result['gap']:.3e}")
         print(f"iterations {result['iterations']}")
-    return exit_code
+    return 0 if solved.converged else 2
 
 
 def cmd_contour(args) -> int:
@@ -106,7 +102,8 @@ def cmd_contour(args) -> int:
         raise ValueError(f"labels not in embedding file: {', '.join(missing)}")
     emb = matrix[[index[n] for n in label_names]]
     labels = LabelSpace(embeddings=emb)
-    config = replace(_LOSS_CONFIG, **_family(args), max_iter=args.fw_iters)
+    # a one-hot target has one plan: no Frank-Wolfe step or oracle to set
+    config = replace(_LOSS_CONFIG, metric=_metric(args))
     target = np.array([0.0, 0.0, 1.0])  # third label is the true one
 
     grid = np.linspace(0.0, 1.0, args.grid_n)
@@ -141,8 +138,9 @@ def cmd_train(args) -> int:
         grouping = make_grouping(matrix.shape[1], args.r, args.seed)
     labels_space = LabelSpace(embeddings=matrix, grouping=grouping)
     dataset = load_dataset(args.features, args.labels, label_names=names)
+    sinkhorn = SinkhornConfig(lambda_beta=args.lambda_beta)
     config = TrainConfig(
-        loss=replace(_LOSS_CONFIG, **_family(args)),
+        loss=replace(_LOSS_CONFIG, metric=_metric(args), sinkhorn=sinkhorn),
         learning_rate=args.lr,
         epochs=args.epochs,
         weight_decay=args.weight_decay,
@@ -181,18 +179,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", choices=_FAMILIES, default="pnorm",
-                       help="adversary family; w22 fixes the identity metric (default %(default)s)")
+                       help="adversary family; w22 is the identity metric (default %(default)s)")
         p.add_argument("--k", type=int, default=PNormConfig.k,
                        help="p-norm index, p = 2k/(2k-1) (default %(default)s)")
         p.add_argument("--lambda-m", type=float, default=KLConfig.lambda_m,
                        help="KL and DS penalty weight (default %(default)s)")
-        p.add_argument("--lambda-beta", type=float, default=SinkhornConfig.lambda_beta,
-                       help="entropic regularizer of the Sinkhorn oracle (default %(default)s)")
 
     p = sub.add_parser("distance", help="robust distance between two point clouds")
     p.add_argument("--src", required=True, help="source points: a CSV or .npy feature file")
     p.add_argument("--tgt", required=True, help="target points: a CSV or .npy feature file")
     add_family(p)
+    p.add_argument("--lambda-beta", type=float, default=SinkhornConfig.lambda_beta,
+                   help="entropic regularizer of the Sinkhorn oracle (default %(default)s)")
     p.add_argument("--r", type=int, help="group count of a random feature grouping (default none)")
     p.add_argument("--seed", type=int, default=0, help="grouping seed (default %(default)s)")
     p.add_argument("--fw-iters", type=int, default=FWConfig.max_iter,
@@ -208,8 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_family(p)
     p.add_argument("--lambda-gamma", type=float, default=_LAMBDA_GAMMA,
                    help="weight of the plan entropy in each loss (default %(default)s)")
-    p.add_argument("--fw-iters", type=int, default=_LOSS_CONFIG.max_iter,
-                   help="Frank-Wolfe steps per loss, all run (default %(default)s)")
     p.add_argument("--grid-n", type=int, default=101,
                    help="grid points per simplex side, at least 2 (default %(default)s)")
     p.add_argument("--out", required=True, help="CSV file to write the x,y,loss rows to")
@@ -220,6 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="training labels: index<TAB>labels lines")
     p.add_argument("--embeddings", required=True, help="embedding file; its tokens are the labels")
     add_family(p)
+    p.add_argument("--lambda-beta", type=float, default=SinkhornConfig.lambda_beta,
+                   help="entropic regularizer of the Sinkhorn oracle (default %(default)s)")
     p.add_argument("--r", type=int, help="group count of a random label grouping (default none)")
     p.add_argument("--seed", type=int, default=TrainConfig.seed,
                    help="seed of the sample order and the grouping (default %(default)s)")

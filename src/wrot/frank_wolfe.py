@@ -197,13 +197,12 @@ def w22_distance(
 ) -> float:
     """Squared-Euclidean transport cost ``<plan, cost>`` of the entropic plan.
 
-    A single regularized solve with the pairwise squared-distance cost: the
-    plan is that of ``config.iterations`` Sinkhorn rounds (10 by default),
-    ending on the column update, so its column sums are ``tgt``'s weights
-    and its row sums miss ``src``'s. The returned value is the transport
-    term alone (no entropy). It is not a bound on the exact squared
-    2-Wasserstein distance: with row sums off the marginal, it usually
-    reads below it at the default settings.
+    One Sinkhorn solve with the pairwise squared-distance cost, ending on the
+    column update, so the plan's row sums miss ``src``'s weights; the value
+    is the transport term alone, and usually reads below the exact squared
+    2-Wasserstein distance. It equals ``rot_distance(src, tgt, FWConfig(None,
+    config)).value`` to rounding, at one oracle solve instead of two, and
+    stays only because the ``distance`` benchmark calls it.
     """
     cost = _pair_costs_full(*_point_arrays(src, tgt), np.eye(src.dim))
     marginals = _marginals(src.weights, tgt.weights, cost.shape)

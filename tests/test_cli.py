@@ -113,8 +113,23 @@ class TestDistance:
         assert code == 0
         result = json.loads(out)
         assert result["value"] == pytest.approx(1.0, abs=1e-3)
+        # every pairing costs 1, so the oracle's plan is the starting p q^T:
+        # the loop measures a gap of 0 at its first iterate and stops
         assert result["gap"] == 0.0
         assert result["iterations"] == 1
+
+    def test_grouped_w22_matches_the_ungrouped_value(self, cloud_files, capsys):
+        """A grouping's pad, permutation and reshape leave tr V unchanged."""
+        values = []
+        for extra in ([], ["--r", "2"]):
+            code, out, _ = invoke(
+                ["distance", "--src", cloud_files["a"], "--tgt", cloud_files["b"],
+                 "--family", "w22", "--json", *extra],
+                capsys,
+            )
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
 
     @pytest.mark.parametrize("family", ["pnorm", "w22"])
     @pytest.mark.parametrize(
@@ -123,8 +138,8 @@ class TestDistance:
     def test_every_family_checks_the_solver_settings(
         self, cloud_files, family, flags, field, capsys
     ):
-        """w22 ignores the Frank-Wolfe settings but refuses bad ones, as the
-        other families do."""
+        """w22 runs the same Frank-Wolfe loop as the other families, so it
+        refuses the same bad settings."""
         code, out, err = invoke(
             ["distance", "--src", cloud_files["src2"], "--tgt", cloud_files["tgt2"],
              "--family", family, *flags, "--json"],
@@ -174,10 +189,13 @@ class TestDistance:
         started = [line.split()[0] for line in out.strip().split("\n")]
         assert started == ["family", "value", "gap", "iterations"]
 
-    def test_nonconvergence_warns_and_exits_2(self, cloud_files, capsys):
+    @pytest.mark.parametrize("family", ["pnorm", "w22"])
+    def test_nonconvergence_warns_and_exits_2(self, cloud_files, family, capsys):
+        """w22 runs the same Frank-Wolfe loop, so it too honours --fw-iters
+        and --gap-tol and reports the gap it measured."""
         code, out, err = invoke(
             ["distance", "--src", cloud_files["a"], "--tgt", cloud_files["b"],
-             "--fw-iters", "1", "--gap-tol", "0", "--json"],
+             "--family", family, "--fw-iters", "1", "--gap-tol", "0", "--json"],
             capsys,
         )
         assert code == 2
@@ -290,6 +308,21 @@ class TestContour:
         _, rows = read_contour(out_csv)
         value = {(x, y): loss for x, y, loss in rows}
         assert value[(1.0, 0.0)] < value[(0.0, 1.0)]
+
+    @pytest.mark.parametrize("flag, value", [("--fw-iters", "3"), ("--lambda-beta", "0.1")])
+    def test_solver_settings_are_not_contour_flags(
+        self, contour_embeddings, flag, value, tmp_path, capsys
+    ):
+        """contour scores against a one-hot target, whose one plan needs no
+        Frank-Wolfe step and no Sinkhorn oracle, so neither setting could
+        move what it writes."""
+        code, _, err = invoke(
+            ["contour", "--labels", "alpha,beta,gamma", "--embeddings", contour_embeddings,
+             "--out", str(tmp_path / "c.csv"), flag, value],
+            capsys,
+        )
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_unknown_label_exits_1(self, contour_embeddings, tmp_path, capsys):
         code, _, err = invoke(

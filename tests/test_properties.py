@@ -8,7 +8,8 @@ with zeros, the one-plan exit of one-hot targets and one-point measures
 against the general loop, the loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
 covariance, the feature, label, model and embedding file round trips, the
-determinism of ``make_grouping``, the fast paths of logsumexp and symmetric
+determinism of ``make_grouping``, the identity-metric loop against
+``w22_distance``, the fast paths of logsumexp and symmetric
 scaling, which must equal their plain formulas bit for bit, the finite
 slice maxima that logsumexp's fast path rests on, and the absorbed kernel's
 truncated exp and its cold start.
@@ -334,6 +335,37 @@ def test_distances_ignore_a_common_shift(seed, exponent):
         want = rot_distance(src, tgt, config).value
         assert rot_distance(*moved, config).value == pytest.approx(want, rel=1e-9)
     assert w22_distance(*moved) == pytest.approx(w22_distance(src, tgt), rel=1e-9)
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.integers(1, 16),
+    st.sampled_from([0.2, 0.02]),
+    st.booleans(),
+    st.data(),
+)
+def test_identity_metric_loop_equals_w22(seed, m, n, dim, lam, grouped, data):
+    """At the identity metric the Frank-Wolfe loop is the plain entropic
+    W2^2: ``rot_distance`` with ``metric=None`` equals ``w22_distance`` to
+    1e-12 relative, with or without a feature grouping, in either Sinkhorn
+    domain, and stops converged within 2 iterations. Its costs never move,
+    so the second oracle plan is the first and the gap is 0."""
+    rng = np.random.default_rng(seed)
+    src = make_measure(rng.normal(size=(m, dim)), rng.uniform(0.05, 1.0, m))
+    tgt = make_measure(rng.normal(size=(n, dim)) + 0.5, rng.uniform(0.05, 1.0, n))
+    grouping = None
+    if grouped:
+        # group counts that leave no group all padding
+        counts = [r for r in range(1, dim + 1) if -(-dim // r) * r - dim < -(-dim // r)]
+        grouping = make_grouping(dim, data.draw(st.sampled_from(counts)), seed)
+    sink = SinkhornConfig(lambda_beta=lam)
+    result = rot_distance(src, tgt, FWConfig(None, sink), grouping)
+    assert result.value == pytest.approx(w22_distance(src, tgt, sink), rel=1e-12)
+    assert result.iterations_used <= 2
+    assert result.converged
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

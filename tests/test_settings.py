@@ -98,8 +98,8 @@ FUNCTION_DEFAULTS = [
 ]
 CLI_FLAGS = {
     "contour": [
-        "--embeddings", "--family", "--fw-iters", "--grid-n", "--k", "--labels",
-        "--lambda-beta", "--lambda-gamma", "--lambda-m", "--out",
+        "--embeddings", "--family", "--grid-n", "--k", "--labels", "--lambda-gamma",
+        "--lambda-m", "--out",
     ],
     "distance": [
         "--family", "--fw-iters", "--gap-tol", "--json", "--k", "--lambda-beta", "--lambda-m",
