@@ -127,7 +127,7 @@ class EvalMetrics:
     mean_average_precision: float
 
 
-def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None = None) -> TrainResult:
+def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Train a softmax model on ``dataset`` with per-sample SGD.
 
     Weights start at zero, and each epoch visits the samples in a fresh
@@ -140,8 +140,8 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig | None =
     Returns the model with per-epoch mean losses and wall times. Raises
     :class:`TrainingDivergedError` if any per-sample loss exceeds 1e6.
     """
-    if config is None:
-        config = TrainConfig()
+    _check_config(labels, "labels", LabelSpace)
+    _check_config(config, "config", TrainConfig)
     if dataset.n_labels != labels.size:
         raise ValueError(
             f"dataset has {dataset.n_labels} labels, label space has {labels.size}"

@@ -40,15 +40,15 @@ def _as_float_array(x, name, ndim):
     return arr
 
 
-def _check_simplex(w, name, size, tol=1e-8):
+def _check_simplex(w, name, size):
     """Validate a probability vector of the given length, summing to 1
-    within ``tol``."""
+    within 1e-12."""
     w = _as_float_array(w, name, 1)
     if w.shape[0] != size:
         raise ValueError(f"{name} has length {w.shape[0]}, expected {size}")
     if (w < 0).any():
         raise ValueError(f"{name} must be nonnegative")
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"{name} must sum to 1")
     return w
 
@@ -81,14 +81,14 @@ def _check_config(value, name, kind, optional=False):
         raise ValueError(f"{name} must be a {' or '.join(names)}, got {value!r}")
 
 
-def _normalized(w, name, scale=1.0):
-    """``scale * w / sum(w)`` for a nonnegative vector with positive total."""
+def _normalized(w, name):
+    """``w / sum(w)`` for a nonnegative vector with positive total."""
     if np.any(w < 0):
         raise ValueError(f"{name} must be nonnegative")
     total = w.sum()
     if total <= 0:
         raise ValueError(f"{name} must have positive total mass")
-    return scale * w / total
+    return w / total
 
 
 def _freeze(arr, source=None):
@@ -105,7 +105,7 @@ def _freeze(arr, source=None):
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """A weighted point cloud: ``points`` is m x d, ``weights`` sums to 1
-    within 1e-12 (:func:`make_measure` normalizes)."""
+    within 1e-12 or is refused (:func:`make_measure` normalizes)."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -114,7 +114,7 @@ class DiscreteMeasure:
         points = _as_float_array(self.points, "points", 2)
         if points.shape[0] < 1:
             raise ValueError("a measure needs at least one support point")
-        weights = _check_simplex(self.weights, "weights", points.shape[0], tol=_WEIGHT_SUM_TOL)
+        weights = _check_simplex(self.weights, "weights", points.shape[0])
         object.__setattr__(self, "points", _freeze(points, self.points))
         object.__setattr__(self, "weights", _freeze(weights, self.weights))
 
@@ -274,11 +274,13 @@ def _grouped_reshape(points: np.ndarray, grouping: FeatureGrouping) -> np.ndarra
 
 
 def _point_arrays(src, tgt, grouping=None):
-    """Check that ``src`` and ``tgt`` share a dimension and that ``grouping``
-    is a :class:`FeatureGrouping` or ``None``; return their point arrays,
+    """Check that ``src`` and ``tgt`` are measures of one dimension and that
+    ``grouping`` is a :class:`FeatureGrouping` or ``None``; return their point arrays,
     reshaped to (n, d1, r) when a grouping is given. Both are shifted
     by the source's mean: moments and pair costs are translation invariant,
     and centred clouds keep their Grams from cancelling far from the origin."""
+    _check_config(src, "src", DiscreteMeasure)
+    _check_config(tgt, "tgt", DiscreteMeasure)
     if src.dim != tgt.dim:
         raise ValueError(f"point dimensions differ: {src.dim} vs {tgt.dim}")
     _check_config(grouping, "grouping", FeatureGrouping, optional=True)
@@ -305,8 +307,10 @@ def displacement_second_moment(
     ``<V, kron(B, I)> = <U, B>`` holds, where ``U`` is the reduced moment, so
     it carries all the information a grouped metric can see.
     """
+    _check_config(plan, "plan", TransportPlan)
+    arrays = _point_arrays(src, tgt, grouping)
     if plan.shape != (src.size, tgt.size):
         raise ValueError(
             f"plan shape {plan.shape} does not match measures ({src.size}, {tgt.size})"
         )
-    return _moment_arrays(plan.matrix, *_point_arrays(src, tgt, grouping))
+    return _moment_arrays(plan.matrix, *arrays)

@@ -148,6 +148,7 @@ def _solve(predicted, target, labels, config, lambda_gamma):
     # families on a space with a span basis run on its coordinates (see
     # LabelSpace). Returns the loss, the marginals, the warm solve
     # (costs -> (plan, f)) and the points the solve ran on.
+    _check_config(labels, "labels", LabelSpace)
     _check_config(config, "config", FWConfig)
     _check_real(lambda_gamma, "lambda_gamma")
     marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
@@ -187,14 +188,16 @@ def rot_loss(
 ) -> RotResult:
     """Robust transport loss between ``predicted`` and ``target`` distributions.
 
-    Both arguments live on the simplex over ``labels``; zero entries are
-    allowed (the corresponding plan rows/columns are pinned to zero). The
-    returned value includes the entropy term, weighted by ``lambda_gamma``:
-    the plan and the gradient come from the oracle's
-    ``config.sinkhorn.lambda_beta``, so ``lambda_gamma`` moves the value
-    only. The default ``config`` runs one Frank-Wolfe step under p-norm
-    ``k = 1``; an :class:`~wrot.frank_wolfe.FWConfig` built with its own
-    defaults runs up to 200.
+    Both arguments live on the simplex over ``labels``: a sum more than
+    1e-12 from 1 is refused with ``predicted must sum to 1`` or ``target
+    must sum to 1``. Zero entries are allowed (the corresponding plan
+    rows/columns are pinned to zero). The returned value includes the
+    entropy term, weighted by ``lambda_gamma``: the plan and the gradient
+    come from the oracle's ``config.sinkhorn.lambda_beta``, so
+    ``lambda_gamma`` moves the value only. The default ``config`` runs one
+    Frank-Wolfe step under p-norm ``k = 1``; an
+    :class:`~wrot.frank_wolfe.FWConfig` built with its own defaults runs up
+    to 200.
     """
     return _solve(predicted, target, labels, config, lambda_gamma)[0]
 
@@ -210,9 +213,10 @@ def rot_loss_gradient(
     solved. Set ``lambda_beta`` to :func:`rot_loss`'s ``lambda_gamma`` to
     differentiate its value itself. The result sums to zero to rounding (movement
     along the simplex). It requires strictly positive ``predicted`` weights
-    and raises ``ValueError`` on a zero; ``target`` may have zeros. For a
-    one-hot target ``e_y`` it is ``C*[:, y] + lambda log h``, recentred,
-    with no oracle solve.
+    and raises ``ValueError`` on a zero; ``target`` may have zeros. Both
+    must sum to 1 within 1e-12, as for :func:`rot_loss`. For a one-hot
+    target ``e_y`` it is ``C*[:, y] + lambda log h``, recentred, with no
+    oracle solve.
 
     Returns ``(gradient, RotResult)``: the loss is the one
     :func:`rot_loss` reports at its default ``lambda_gamma``, from the same

@@ -18,16 +18,16 @@ the solve refuses.
 
 The log-domain round keeps ``np.exp`` on its vector path, which it leaves
 for exponents below about -708 at 10 to 100 times the cost. Its logsumexp
-clips shifted terms at ``-_EXP_LIMIT``: each finite slice sums to at least
-1, and a term below ``exp(-700)`` is under half the float64 spacing at 1,
-so the sum is the plain formula's bit for bit. Every slice maximum the
-round sees is finite, as the cost, the weights' logs and the potentials
-are, so the logsumexp takes a fast path for finite maxima and keeps its
-general path for the others. The absorbed kernel's exp truncates instead:
-entries whose exponent is below ``-_EXP_LIMIT`` are set to 0. None of its
-entries is then subnormal, which would slow every later round's mat-vecs
-about threefold. The entries dropped are those of the round's plan below
-``exp(-700)``, far under the float64 spacing of its row and column sums.
+clips shifted terms at ``-_EXP_LIMIT``: each slice sums to at least 1, and
+a term below ``exp(-700)`` is under half the float64 spacing at 1, so the
+sum is the plain formula's bit for bit. It has one path, for finite slice
+maxima, which the properties ``test_every_slice_maximum_the_solve_sees_is_finite``
+and ``test_every_feature_selection_maximum_is_finite`` pin for both callers.
+The absorbed kernel's exp truncates instead: entries whose exponent is
+below ``-_EXP_LIMIT`` are set to 0. None of its entries is then
+subnormal, which would slow every later round's mat-vecs about threefold.
+The entries dropped are those of the round's plan below ``exp(-700)``,
+far under the float64 spacing of its row and column sums.
 
 ``_symmetric_scaling`` finds the diagonal that makes a symmetric positive
 kernel doubly stochastic; the doubly-stochastic metric solver calls it on the
@@ -82,34 +82,22 @@ class SinkhornConfig:
 
 
 def _logsumexp(a, axis):
-    """``log(sum(exp(a), axis))`` of a 1-d or 2-d ``a``, shifted by the slice maximum.
+    """``log(sum(exp(a), axis))`` of a 1-d or 2-d ``a`` whose slice maxima
+    are all finite (``test_every_slice_maximum_the_solve_sees_is_finite``
+    and ``test_every_feature_selection_maximum_is_finite`` check both
+    callers), shifted by the slice maximum.
 
     Shifted terms are clipped at ``-_EXP_LIMIT``, which keeps ``np.exp`` on
     its fast path. The result is that of the unclipped sum: the slice's
     maximum term is ``exp(0) = 1``, and every clipped term is below
-    ``exp(-700) < 1e-304``, far under half the float64 spacing at 1.
-
-    When every slice maximum is finite, the only case the round loop
-    produces, the fast path runs these steps with no mask and no error
-    state: each sum is at least 1, so its log is finite. Otherwise the
-    general path shifts a non-finite maximum by 0 and does not clip its
-    slice, so an all ``-inf`` slice gives ``-inf``. Both paths make the same
-    float operations in the same order. Plain numpy:
-    ``scipy.special.logsumexp`` costs several times more per call on the
-    small arrays the iterations pass it.
+    ``exp(-700) < 1e-304``, far under half the float64 spacing at 1. Plain
+    numpy: ``scipy.special.logsumexp`` costs several times more per call on
+    the small arrays the iterations pass it.
     """
     shift = np.maximum.reduce(a, axis=axis, keepdims=True)
-    if np.isfinite(shift).all():
-        terms = a - shift
-        np.maximum(terms, -_EXP_LIMIT, out=terms)
-        return np.log(np.add.reduce(np.exp(terms, out=terms), axis=axis)) + shift.squeeze(axis)
-    finite = np.isfinite(shift)
-    shift[~finite] = 0.0
     terms = a - shift
-    np.maximum(terms, np.where(finite, -_EXP_LIMIT, -np.inf), out=terms)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(terms, out=terms), axis=axis))
-    return out + np.squeeze(shift, axis=axis)
+    np.maximum(terms, -_EXP_LIMIT, out=terms)
+    return np.log(np.add.reduce(np.exp(terms, out=terms), axis=axis)) + shift.squeeze(axis)
 
 
 def _exp(x):
@@ -189,8 +177,8 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
             u = np.ones_like(p)
             scalings = [u]
             for t in range(int(log_first), iterations):
-                # ndarray.dot runs the BLAS gemv that @ runs, bit for bit, at
-                # a fraction of its dispatch cost on the loss's 3 x 3 kernels
+                # ndarray.dot runs the BLAS gemv that @ runs, bit for bit,
+                # with less dispatch overhead per call
                 ku = kernel.dot(v)
                 # After a column update only the row sums carry error. The check
                 # waits for one full round, so a warm v never returns without u.

@@ -9,10 +9,11 @@ against the general loop, the loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
 covariance, the feature, label, model and embedding file round trips, the
 determinism of ``make_grouping``, the identity-metric loop against
-``w22_distance``, the fast paths of logsumexp and symmetric
-scaling, which must equal their plain formulas bit for bit, the finite
-slice maxima that logsumexp's fast path rests on, and the absorbed kernel's
-truncated exp and its cold start.
+``w22_distance``, the loss's one sum rule for its weights, the clipped
+logsumexp and the one-mat-vec symmetric scaling, which must equal their
+plain formulas bit for bit, the finite slice maxima that logsumexp rests
+on, in the solve and in ``feature_selection_objective``, and the absorbed
+kernel's truncated exp and its cold start.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -43,6 +44,7 @@ from wrot import (
     PNormConfig,
     SinkhornConfig,
     SoftmaxModel,
+    feature_selection_objective,
     load_dataset,
     load_embedding_file,
     load_embeddings,
@@ -50,6 +52,7 @@ from wrot import (
     make_grouping,
     make_measure,
     rot_distance,
+    rot_loss,
     rot_loss_gradient,
     save_features,
     save_labels,
@@ -65,6 +68,7 @@ from wrot.sinkhorn import SinkhornConvergenceError
 # the package rebinds ``wrot.rot_loss`` to the function; this is the module
 rot_loss_module = importlib.import_module("wrot.rot_loss")
 frank_wolfe_module = importlib.import_module("wrot.frank_wolfe")
+metric_solvers_module = importlib.import_module("wrot.metric_solvers")
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -809,6 +813,53 @@ def test_gradient_at_a_target_with_zeros_matches_finite_differences(seed, size, 
         assert abs(grad @ u - (plus - minus) / (2 * eps)) <= 1e-3 * np.linalg.norm(grad)
 
 
+# a sum error the 1e-12 rule accepts (the drawn vectors sum to 1 within a
+# few 1e-16), and one it refuses, of either sign
+ACCEPTED_SUM_ERRORS = st.floats(-0.99e-12, 0.99e-12)
+REFUSED_SUM_ERRORS = st.floats(1e-11, 1e-8) | st.floats(-1e-8, -1e-11)
+
+
+@bounded
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.sampled_from(["predicted", "target"]),
+    st.booleans(),
+    st.data(),
+)
+def test_loss_weights_follow_the_one_sum_rule(seed, size, hot, side, refused, data):
+    """``rot_loss`` and ``rot_loss_gradient`` solve weights whose sum is
+    within 1e-12 of 1, and the result's plan builds, on one-hot and
+    multi-hot targets; a sum off by 1e-11 to 1e-8 is refused at the entry,
+    by the argument's name."""
+    rng = np.random.default_rng(seed)
+    labels = LabelSpace(np.eye(size))
+    h = rng.uniform(0.1, 1.0, size)
+    weights = {"predicted": h / h.sum(), "target": np.zeros(size)}
+    weights["target"][rng.choice(size, min(hot, size), replace=False)] = 1.0 / min(hot, size)
+    error = data.draw(REFUSED_SUM_ERRORS if refused else ACCEPTED_SUM_ERRORS)
+    weights[side][np.argmax(weights[side])] += error
+    args = (weights["predicted"], weights["target"], labels)
+    if refused:
+        for solve in (rot_loss, rot_loss_gradient):
+            with pytest.raises(ValueError, match=f"^{side} must sum to 1"):
+                solve(*args)
+    else:
+        for loss in (rot_loss(*args), rot_loss_gradient(*args)[1]):
+            assert loss.plan.shape == (size, size)
+
+
+@pytest.mark.parametrize("target", [[0.5, 0.5 + 5e-9, 0.0], [0.0, 1.0 + 5e-9, 0.0]])
+@pytest.mark.parametrize("solve", [rot_loss, rot_loss_gradient])
+def test_a_target_off_by_5e_9_is_refused_at_the_entry(target, solve):
+    """Both targets passed the old 1e-8 rule: the two-hot one then failed
+    in the oracle with an OverflowError that blamed lambda_beta, and the
+    one-hot one when its plan was first read."""
+    with pytest.raises(ValueError, match="^target must sum to 1"):
+        solve([0.3, 0.3, 0.4], target, LabelSpace(np.eye(3)))
+
+
 @st.composite
 def labelled_features(draw, elements):
     """An n x m feature matrix of the given elements and an n x L indicator
@@ -1013,35 +1064,28 @@ def assert_truncated_exp(x):
 
 def unclipped_logsumexp(a, axis):
     shift = np.max(a, axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
-    with np.errstate(divide="ignore", under="ignore"):
+    with np.errstate(under="ignore"):
         out = np.log(np.sum(np.exp(a - shift), axis=axis))
     return out + np.squeeze(shift, axis=axis)
 
 
+FINITE_TERMS = st.one_of(st.floats(-40.0, 40.0), st.floats(-3000.0, -650.0))
+
+
 @bounded
 @given(
-    arrays(
-        st.one_of(
-            st.floats(-40.0, 40.0),
-            st.floats(-3000.0, -650.0),
-            st.just(-np.inf),
-        ),
-        max_side=24,
-    ),
-    st.lists(st.integers(0, 23), max_size=3),
+    arrays(FINITE_TERMS | st.just(-np.inf), max_side=24),
     st.sampled_from([0, 1]),
+    st.data(),
 )
-def test_clipped_logsumexp_equals_the_unclipped_sum(a, empty_rows, axis):
-    """Clipping the shifted terms at -700 leaves every slice's logsumexp
-    unchanged bit for bit: slices with -inf entries, terms more than 700
-    below the maximum, and all -inf slices, which stay -inf."""
+def test_clipped_logsumexp_equals_the_unclipped_sum(a, axis, data):
+    """Clipping the shifted terms at -700 leaves the logsumexp of every
+    slice with a finite entry, the function's precondition, unchanged bit
+    for bit: slices with -inf entries, and terms more than 700 below the
+    maximum."""
     a = a.copy()
-    for row in empty_rows:
-        if axis == 1:
-            a[row % a.shape[0], :] = -np.inf
-        else:
-            a[:, row % a.shape[1]] = -np.inf
+    for row in a if axis == 1 else a.T:  # views of a's slices
+        row[data.draw(st.integers(0, row.size - 1))] = data.draw(FINITE_TERMS)
     assert np.array_equal(sinkhorn._logsumexp(a, axis), unclipped_logsumexp(a, axis))
 
 
@@ -1058,8 +1102,8 @@ def test_clipped_logsumexp_equals_the_unclipped_sum(a, empty_rows, axis):
 def test_every_slice_maximum_the_solve_sees_is_finite(
     redo, top_range, instance, spread, iterations, zero_weight, data
 ):
-    """The logsumexp fast path serves finite slice maxima only, and the solve
-    passes it no other: plain and log-domain first rounds, cold and warm,
+    """Logsumexp serves finite slice maxima only, and the solve passes it no
+    other: plain and log-domain first rounds, cold and warm,
     with zero weights, and with rounds redone in the log domain, either by
     a weight of 1e-250 that pushes the scalings out of range or by a range
     test that fails in every round."""
@@ -1091,6 +1135,24 @@ def test_every_slice_maximum_the_solve_sees_is_finite(
         assert maxima
     for shift in maxima:
         assert np.isfinite(shift).all()
+
+
+@bounded
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8), st.floats(1e-300, 1e300))
+def test_every_feature_selection_maximum_is_finite(diagonal, lambda_m):
+    """``feature_selection_objective``, logsumexp's other caller, passes it
+    the diagonal shifted by its own maximum, so the one slice maximum is
+    exactly 0 at any diagonal within +-1e300 and any lambda_m from 1e-300
+    to 1e300, where the quotients of the other entries reach -inf."""
+    inner, maxima = metric_solvers_module._logsumexp, []
+
+    def checked(a, axis):
+        maxima.append(np.maximum.reduce(a, axis=axis))
+        return inner(a, axis)
+
+    with mock.patch.object(metric_solvers_module, "_logsumexp", checked):
+        assert np.isfinite(feature_selection_objective(np.diag(diagonal), lambda_m))
+    assert maxima == [0.0]
 
 
 @bounded

@@ -19,15 +19,22 @@ config holds one of its kind: ``sinkhorn`` a :class:`SinkhornConfig`,
 ``grouping`` (of :class:`LabelSpace`, :func:`rot_distance` or
 :func:`displacement_second_moment`) a :class:`FeatureGrouping` or ``None``,
 and ``loss``, like the ``config`` of the loss functions, a :class:`FWConfig`,
-one with ``gap_tol=None`` for :class:`TrainConfig`, which runs every step.
+one with ``gap_tol=None`` for :class:`TrainConfig`, which runs every step;
+the ``config`` of :func:`w22_distance` is a :class:`SinkhornConfig`, that of
+:func:`sgd_train` a :class:`TrainConfig`.
 Each config, :class:`LabelSpace`, :func:`make_grouping`,
 :func:`feature_weights`, :func:`adversarial_value`, the loss functions,
-:func:`rot_distance`, :func:`displacement_second_moment` and
-:func:`load_dataset` (whose ``num_labels`` is a count or ``None``), and
-:class:`FeatureGrouping` (whose ``permutation`` holds integers, not floats,
-strings or bools that cast to them), refuses anything else with a
+:func:`rot_distance`, :func:`w22_distance`, :func:`sgd_train`,
+:func:`displacement_second_moment` and :func:`load_dataset` (whose
+``num_labels`` is a count or ``None``), and :class:`FeatureGrouping`
+(whose ``permutation`` holds integers, not floats, strings or bools that
+cast to them), refuses anything else with a
 ``ValueError`` whose message starts with the field's name (``metric`` for
-:func:`adversarial_value`), and still builds from every valid value.
+:func:`adversarial_value`), and still builds from every valid value. A
+structured positional argument of another type (a measure or the config of
+:func:`rot_distance`, the plan of :func:`displacement_second_moment`, the
+label space of the loss functions and :func:`sgd_train`) is refused the same
+way, by the argument's name.
 """
 
 import argparse
@@ -41,6 +48,7 @@ from hypothesis import strategies as st
 
 import wrot
 from wrot import (
+    Dataset,
     DSConfig,
     FeatureGrouping,
     FWConfig,
@@ -60,6 +68,8 @@ from wrot import (
     rot_distance,
     rot_loss,
     rot_loss_gradient,
+    sgd_train,
+    w22_distance,
 )
 from wrot.cli import _build_parser
 
@@ -152,6 +162,12 @@ def two_points(grouping):
     return make_measure(np.eye(2, getattr(grouping, "dim", 4)))
 
 
+MEASURE = two_points(None)
+# two one-hot samples of two labels, and their label space
+TWO_SAMPLES = Dataset(np.eye(2), np.eye(2, dtype=np.int8), ("a", "b"))
+TWO_LABELS = LabelSpace(np.eye(2))
+
+
 def two_label_loss(solve, keyword):
     """``solve`` on the uniform prediction and target over two labels, with
     its ``keyword`` argument as the one argument of the returned function."""
@@ -208,6 +224,10 @@ SETTINGS = {
         ),
     ),
     "TrainConfig.loss": ("train loss", "loss", lambda x: TrainConfig(loss=x)),
+    "w22_distance.config": (
+        "sinkhorn", "config", lambda x: w22_distance(MEASURE, MEASURE, x)
+    ),
+    "sgd_train.config": ("train", "config", lambda x: sgd_train(TWO_SAMPLES, TWO_LABELS, x)),
     "rot_loss.config": ("loss", "config", two_label_loss(rot_loss, "config")),
     "rot_loss_gradient.config": ("loss", "config", two_label_loss(rot_loss_gradient, "config")),
     # one label in the grouping's dimension
@@ -269,6 +289,8 @@ REFUSED = {
     # training runs every step of its loss, so it refuses an early stop
     "train loss": NOT_CONFIGS
     | st.sampled_from([None, SinkhornConfig(), GROUPING, FWConfig(None), FWConfig(None, gap_tol=0)]),
+    "train": NOT_CONFIGS
+    | st.sampled_from([None, TrainConfig, SinkhornConfig(), FWConfig(None, max_iter=1, gap_tol=None)]),
     # a permutation of 1 to 4 indices whose cast to int lists each index once
     "permutation": (
         st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))).flatmap(
@@ -301,6 +323,9 @@ ACCEPTED = {
     ),
     "train loss": st.sampled_from(
         [FWConfig(PNormConfig(), max_iter=1, gap_tol=None), FWConfig(None, max_iter=2, gap_tol=None)]
+    ),
+    "train": st.sampled_from(
+        [TrainConfig(epochs=1), TrainConfig(FWConfig(None, max_iter=2, gap_tol=None), epochs=2, seed=3)]
     ),
 }
 
@@ -361,6 +386,8 @@ def test_valid_values_build(setting, data):
         ("rot_distance.grouping", 3),
         ("TrainConfig.loss", None),
         ("LabelSpace.grouping", 3),
+        ("w22_distance.config", FWConfig(None)),
+        ("sgd_train.config", FWConfig(None, max_iter=1, gap_tol=None)),
         # cast to the integer permutation [0 1 2], or [1 0]
         ("FeatureGrouping.permutation", [0.5, 1.2, 2.9]),
         ("FeatureGrouping.permutation", ["0", "1", "2"]),
@@ -372,3 +399,36 @@ def test_inputs_the_old_checks_let_through_are_refused(setting, value):
     _, field, build = REFUSABLE[setting]
     with pytest.raises(ValueError, match=f"^{field} must be "):
         build(value)
+
+
+# (argument, call): a call with one structured positional argument of
+# another type
+POSITIONAL = {
+    # AttributeError inside the solve or the epoch loop
+    "rot_distance.config": ("config", lambda: rot_distance(MEASURE, MEASURE, SinkhornConfig())),
+    "rot_distance.src": ("src", lambda: rot_distance(np.eye(2, 4), MEASURE, FWConfig(None))),
+    "rot_distance.tgt": ("tgt", lambda: rot_distance(MEASURE, np.eye(2, 4), FWConfig(None))),
+    "displacement_second_moment.plan": (
+        "plan", lambda: displacement_second_moment(np.full((2, 2), 0.25), MEASURE, MEASURE)
+    ),
+    "displacement_second_moment.src": (
+        "src",
+        lambda: displacement_second_moment(
+            TransportPlan(np.full((2, 2), 0.25)), np.eye(2, 4), MEASURE
+        ),
+    ),
+    "w22_distance.tgt": ("tgt", lambda: w22_distance(MEASURE, np.eye(2, 4))),
+    # a ValueError about the length of the weights, or about the label count
+    "rot_loss.labels": ("labels", lambda: rot_loss([0.5, 0.5], [0.5, 0.5], np.eye(2))),
+    "rot_loss_gradient.labels": (
+        "labels", lambda: rot_loss_gradient([0.5, 0.5], [0.5, 0.5], np.eye(2))
+    ),
+    "sgd_train.labels": ("labels", lambda: sgd_train(TWO_SAMPLES, np.eye(2))),
+}
+
+
+@pytest.mark.parametrize("case", POSITIONAL)
+def test_wrong_structured_arguments_are_refused_by_name(case):
+    argument, call = POSITIONAL[case]
+    with pytest.raises(ValueError, match=f"^{argument} must be a "):
+        call()

@@ -327,16 +327,6 @@ class TestLogSumExp:
                     atol=0.0,
                 )
 
-    def test_all_neg_inf_slices(self):
-        a = np.array([[-np.inf, -np.inf, -np.inf], [-2.0, -np.inf, 700.0]])
-        for axis in (0, 1):
-            expected = scipy_logsumexp(a, axis=axis)
-            got = sinkhorn._logsumexp(a, axis)
-            finite = np.isfinite(expected)
-            assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=0.0)
-            assert np.array_equal(got[~finite], expected[~finite])
-        assert sinkhorn._logsumexp(a, 1)[0] == -np.inf
-
     @pytest.mark.parametrize("stop_tol", [0.0, 1e-9])
     def test_log_iterations_plan_unchanged_from_scipy(self, monkeypatch, stop_tol):
         rng = np.random.default_rng(4)
