@@ -140,6 +140,7 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig = TrainC
     Returns the model with per-epoch mean losses and wall times. Raises
     :class:`TrainingDivergedError` if any per-sample loss exceeds 1e6.
     """
+    _check_config(dataset, "dataset", Dataset)
     _check_config(labels, "labels", LabelSpace)
     _check_config(config, "config", TrainConfig)
     if dataset.n_labels != labels.size:
@@ -195,6 +196,8 @@ def evaluate(model: SoftmaxModel, dataset: Dataset) -> EvalMetrics:
     instance's labels by score and averages precision at the relevant ranks.
     Raises ``ValueError`` when the dataset's label count is not the model's.
     """
+    _check_config(model, "model", SoftmaxModel)
+    _check_config(dataset, "dataset", Dataset)
     if dataset.n_labels != model.n_labels:
         raise ValueError(
             f"dataset has {dataset.n_labels} labels, model has {model.n_labels}"
@@ -234,6 +237,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def save_model(model: SoftmaxModel, path) -> None:
     """Write a checkpoint: the weights as a float64 ``.npy`` array."""
+    _check_config(model, "model", SoftmaxModel)
     _write_npy(path, model.weights, "<f8")
 
 

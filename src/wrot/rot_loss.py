@@ -143,11 +143,12 @@ def _solve(predicted, target, labels, config, lambda_gamma):
     # iterate solves min <V(plan), M*> + lambda_beta * sum plan log plan, so
     # running the oracle with lambda_beta equal to lambda_gamma (and enough
     # iterations) lands on the exact regularized optimum. The oracle
-    # warm-starts from the previous solve's potential, on marginals prepared
-    # once for every step and the gradient's extra solve. Rotation-invariant
-    # families on a space with a span basis run on its coordinates (see
-    # LabelSpace). Returns the loss, the marginals, the warm solve
-    # (costs -> (plan, f)) and the points the solve ran on.
+    # warm-starts from the previous solve's potential and runs the
+    # configured rounds, on marginals prepared once for every step and the
+    # gradient's extra solve. Rotation-invariant families on a space with a
+    # span basis run on its coordinates (see LabelSpace). Returns the loss,
+    # the marginals, the warm solve (costs -> (plan, f)) and the points the
+    # solve ran on.
     _check_config(labels, "labels", LabelSpace)
     _check_config(config, "config", FWConfig)
     _check_real(lambda_gamma, "lambda_gamma")
@@ -156,9 +157,7 @@ def _solve(predicted, target, labels, config, lambda_gamma):
 
     def solve(costs):
         nonlocal warm
-        plan, f, warm = _entropic_plan(
-            costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
-        )
+        plan, f, warm = _entropic_plan(costs, marginals, config.sinkhorn, state=warm)
         return plan, f
 
     metric = config.metric

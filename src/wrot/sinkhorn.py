@@ -66,12 +66,13 @@ class SinkhornConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Settings for every entropic Sinkhorn solve: that of
-    :func:`~wrot.frank_wolfe.w22_distance`, and the Frank-Wolfe oracle of
-    the distance and the loss. Each runs ``iterations`` rounds of one loop
-    whose first round follows ``max|cost| / lambda_beta``, a plain update up
-    to 700 and a log-domain round absorbed into the kernel above it. Later
-    rounds are plain; above ``2**53`` the solve raises ``OverflowError``."""
+    """Settings for every entropic Sinkhorn solve. Each solve, of the
+    Frank-Wolfe oracle of the distance and the loss and of
+    :func:`~wrot.frank_wolfe.w22_distance` alike, runs exactly
+    ``iterations`` rounds of one loop. Its first round follows
+    ``max|cost| / lambda_beta``: a plain update up to 700, a log-domain
+    round absorbed into the kernel above it. Later rounds are plain; above
+    ``2**53`` the solve raises ``OverflowError``."""
 
     lambda_beta: float = 0.2
     iterations: int = 10
@@ -147,17 +148,18 @@ def _in_range(scalings):
     return bool(_SCALING_LOW <= low and high <= _SCALING_HIGH)
 
 
-def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=False):
-    # Alternating rounds on exp(log_kernel) from the column potential g (zero
-    # when None); returns (plan, f, g), log plan = log_kernel + f + g. The
-    # first round is a plain update from v = exp(g) or, with log_first, a
-    # log-domain round that absorbs the potentials into the kernel. Every
-    # later round is a plain update of the kernel's scalings (u, v); one
-    # whose scalings leave exp(+-_EXP_LIMIT / 2), or reach 0, inf or NaN, is
-    # redone in the log domain after log v joins g. The range is tested once
-    # per solve, on every round's scalings: only if one left it do the
-    # rounds run again from the start, testing each round. Testing the last
-    # (u, v) alone would not do, as scalings can leave the range and return.
+def _rounds(log_kernel, marginals, iterations, g=None, log_first=False):
+    # Runs all `iterations` alternating rounds on exp(log_kernel) from the
+    # column potential g (zero when None), each ending on a column update;
+    # returns (plan, f, g), log plan = log_kernel + f + g. The first round is
+    # a plain update from v = exp(g) or, with log_first, a log-domain round
+    # that absorbs the potentials into the kernel. Every later round is a
+    # plain update of the kernel's scalings (u, v); one whose scalings leave
+    # exp(+-_EXP_LIMIT / 2), or reach 0, inf or NaN, is redone in the log
+    # domain after log v joins g. The range is tested once per solve, on
+    # every round's scalings: only if one left it do the rounds run again
+    # from the start, testing each round. Testing the last (u, v) alone
+    # would not do, as scalings can leave the range and return.
     p, q = marginals.active_p, marginals.active_q
     log_p, log_q = marginals.log_p, marginals.log_q
     if log_first:
@@ -176,16 +178,10 @@ def _rounds(log_kernel, marginals, iterations, g=None, stop_tol=0.0, log_first=F
             kernel, f, g, v = start
             u = np.ones_like(p)
             scalings = [u]
-            for t in range(int(log_first), iterations):
+            for _ in range(int(log_first), iterations):
                 # ndarray.dot runs the BLAS gemv that @ runs, bit for bit,
                 # with less dispatch overhead per call
-                ku = kernel.dot(v)
-                # After a column update only the row sums carry error. The check
-                # waits for one full round, so a warm v never returns without u.
-                if t > 0 and stop_tol > 0.0:
-                    if np.maximum.reduce(np.abs(u * ku - p)) <= stop_tol:
-                        break
-                u_next = p / ku
+                u_next = p / kernel.dot(v)
                 v_next = q / kernel.T.dot(u_next)
                 if not checked:
                     u, v = u_next, v_next
@@ -210,7 +206,7 @@ def _beyond_float_potentials(scale):
     )
 
 
-def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
+def _entropic_plan(cost, marginals, config, state=None):
     """The one Sinkhorn solve, on prepared :func:`_marginals`, with a warm
     start; :func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe
     oracles run it.
@@ -222,10 +218,10 @@ def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
     plain, and a log round is repeated only when the scalings leave
     ``exp(+-_EXP_LIMIT / 2)``. ``state`` is the column potential ``g = log
     v`` of a previous call with the same marginals; either first round reads
-    it, so a warm start survives a domain switch. ``stop_tol > 0`` ends the
-    rounds early once the row-sum error drops below it, but never before one
-    full round. Returns ``(plan, f, g)``, ``plan`` an ndarray that in-range
-    positive scalings and the mass check make a valid coupling, so it skips
+    it, so a warm start survives a domain switch. Every solve runs
+    ``config.iterations`` rounds and ends on a column update. Returns
+    ``(plan, f, g)``, ``plan`` an ndarray that in-range positive scalings
+    and the mass check make a valid coupling, so it skips
     :class:`~wrot.measures.TransportPlan`. ``f`` and ``g`` are the active
     block's log-potentials, ``log plan = f + g - cost / lambda_beta``, finite
     where the plan underflows; ``g`` is the next call's ``state``. ``cost``
@@ -248,9 +244,7 @@ def _entropic_plan(cost, marginals, config, state=None, stop_tol=0.0):
         # Past 2**53 a float64 exponent no longer resolves a step of 1, so
         # the kernel exp(-cost / lambda_beta + f + g) carries no information.
         raise OverflowError(_beyond_float_potentials(scale))
-    plan, f, g = _rounds(
-        log_kernel, marginals, config.iterations, state, stop_tol, scale > _EXP_LIMIT
-    )
+    plan, f, g = _rounds(log_kernel, marginals, config.iterations, state, scale > _EXP_LIMIT)
     if not marginals.dense:
         sub_plan, plan = plan, np.zeros((m, n))
         plan[np.ix_(marginals.rows, marginals.cols)] = sub_plan

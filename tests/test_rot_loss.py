@@ -28,6 +28,7 @@ from wrot.metric_solvers import (
     adversarial_value,
 )
 from wrot.rot_loss import (
+    _LOSS_CONFIG,
     LabelSpace,
     rot_loss,
     rot_loss_gradient,
@@ -301,6 +302,18 @@ class TestGradient:
             fd = (plus - minus) / (2 * eps)
             assert float(grad @ u) == pytest.approx(fd, rel=1e-3)
 
+    def test_oracle_runs_every_configured_round(self):
+        """At the default config the gradient equals, bit for bit, that of
+        a solve whose every oracle call runs all Sinkhorn rounds. On this
+        2-hot target a stop at a row-sum error of 1e-13 would end some
+        solves early and move the gradient by 1.4e-13."""
+        rng = np.random.default_rng(12)
+        labels = LabelSpace(embeddings=unit_rows(rng, 3, 3))
+        h = rng.dirichlet(np.ones(3))
+        y = np.array([0.5, 0.5, 0.0])
+        grad, _ = rot_loss_gradient(h, y, labels)
+        np.testing.assert_array_equal(grad, eager_loss(h, y, labels, _LOSS_CONFIG)[2])
+
     def test_return_loss_consistency(self):
         emb, h, y = random_instance(8)
         labels = LabelSpace(embeddings=emb)
@@ -466,16 +479,16 @@ def eager_loss(h, y, labels, config):
     """The loss solved as rot_loss solves it, with the plan and the d x d
     worst-case metric built at once: on the span coordinates for p-norm
     k = 1 and the identity on a space with a span basis, else on the
-    space's points."""
+    space's points. Every oracle solve runs all ``config.sinkhorn``
+    rounds. Also returns the gradient that rot_loss_gradient reads from one
+    more oracle solve, for a target with two or more positive weights."""
     marginals = _marginals(h, y, (labels.size,) * 2)
     warm = None
 
     def oracle(costs):
         nonlocal warm
-        plan, _, warm = _entropic_plan(
-            costs, marginals, config.sinkhorn, state=warm, stop_tol=1e-13
-        )
-        return plan
+        plan, f, warm = _entropic_plan(costs, marginals, config.sinkhorn, state=warm)
+        return plan, f
 
     metric = config.metric
     span = labels._basis is not None and (
@@ -483,13 +496,15 @@ def eager_loss(h, y, labels, config):
     )
     points = labels._coords if span else labels._points
     gamma, worst, _, _ = _frank_wolfe(
-        points, points, metric, oracle, marginals, config.max_iter, config.gap_tol
+        points, points, metric, lambda c: oracle(c)[0], marginals, config.max_iter, config.gap_tol
     )
+    f = oracle(_pair_costs_full(points, points, worst.matrix))[1]
+    gradient = config.sinkhorn.lambda_beta * (f - f.mean())
     if span:
         basis = labels._basis
         matrix = np.eye(labels.dim) if metric is None else basis @ worst.matrix @ basis.T
         worst = AdversarialMetric(matrix=matrix, value=worst.value, family=worst.family)
-    return TransportPlan(matrix=gamma), worst
+    return TransportPlan(matrix=gamma), worst, gradient
 
 
 def eager_distance(src, tgt, config, grouping):
@@ -530,7 +545,7 @@ class TestLazyLossValue:
         y = spread_target(np.eye(size)[2], alpha=0.05)
         cfg = FWConfig(metric, max_iter=3, gap_tol=None)
         loss = rot_loss(h, y, labels, cfg)
-        plan, worst = eager_loss(h, y, labels, cfg)
+        plan, worst, _ = eager_loss(h, y, labels, cfg)
         assert np.array_equal(loss.plan.matrix, plan.matrix)
         assert np.array_equal(loss.metric.matrix, worst.matrix)
         assert (loss.metric.value, loss.metric.family) == (worst.value, worst.family)

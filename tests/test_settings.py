@@ -33,13 +33,15 @@ cast to them), refuses anything else with a
 :func:`adversarial_value`), and still builds from every valid value. A
 structured positional argument of another type (a measure or the config of
 :func:`rot_distance`, the plan of :func:`displacement_second_moment`, the
-label space of the loss functions and :func:`sgd_train`) is refused the same
-way, by the argument's name.
+label space of the loss functions and :func:`sgd_train`, the dataset of
+:func:`sgd_train` and :func:`evaluate`, the model of :func:`evaluate` and
+:func:`save_model`) is refused the same way, by the argument's name.
 """
 
 import argparse
 import dataclasses
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -56,10 +58,12 @@ from wrot import (
     LabelSpace,
     PNormConfig,
     SinkhornConfig,
+    SoftmaxModel,
     TrainConfig,
     TransportPlan,
     adversarial_value,
     displacement_second_moment,
+    evaluate,
     feature_selection_objective,
     feature_weights,
     load_dataset,
@@ -68,6 +72,7 @@ from wrot import (
     rot_distance,
     rot_loss,
     rot_loss_gradient,
+    save_model,
     sgd_train,
     w22_distance,
 )
@@ -424,6 +429,11 @@ POSITIONAL = {
         "labels", lambda: rot_loss_gradient([0.5, 0.5], [0.5, 0.5], np.eye(2))
     ),
     "sgd_train.labels": ("labels", lambda: sgd_train(TWO_SAMPLES, np.eye(2))),
+    # AttributeError on the first field read
+    "sgd_train.dataset": ("dataset", lambda: sgd_train(np.eye(2), LabelSpace(np.eye(2)))),
+    "evaluate.model": ("model", lambda: evaluate(np.zeros((2, 2)), TWO_SAMPLES)),
+    "evaluate.dataset": ("dataset", lambda: evaluate(SoftmaxModel(np.zeros((2, 2))), np.eye(2))),
+    "save_model.model": ("model", lambda: save_model(np.zeros((2, 2)), os.devnull)),
 }
 
 
