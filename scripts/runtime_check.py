@@ -71,7 +71,6 @@ def exercise_library(api, work):
     plan = api.TransportPlan(matrix=np.outer(src.weights, tgt.weights))
     moment = api.displacement_second_moment(plan, src, tgt)
     api.displacement_second_moment(plan, src, tgt, grouping)
-    api.w22_distance(src, tgt)
     api.feature_weights(moment)
     api.feature_selection_objective(moment)
 

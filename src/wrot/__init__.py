@@ -32,7 +32,7 @@ from .data_io import (
     save_features,
     save_labels,
 )
-from .frank_wolfe import FWConfig, RotResult, rot_distance, w22_distance
+from .frank_wolfe import FWConfig, RotResult, rot_distance
 from .measures import (
     DiscreteMeasure,
     FeatureGrouping,
@@ -97,5 +97,4 @@ __all__ = [
     "save_labels",
     "save_model",
     "sgd_train",
-    "w22_distance",
 ]

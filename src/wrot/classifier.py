@@ -44,7 +44,9 @@ _LOSS_ABORT = 1e6
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a per-sample loss passes the abort threshold."""
+    """Raised when a per-sample loss passes the abort threshold or is not
+    finite, or when a predicted probability underflowed to 0, where the loss
+    gradient is undefined; ``loss`` is then NaN."""
 
     def __init__(self, message: str, epoch: int, sample: int, loss: float):
         super().__init__(message)
@@ -138,7 +140,10 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig = TrainC
     ``W <- W - lr * (x (J_softmax grad_h)^T + 2 * weight_decay * W)``, where
     ``grad_h`` is the transport-loss gradient at the current prediction.
     Returns the model with per-epoch mean losses and wall times. Raises
-    :class:`TrainingDivergedError` if any per-sample loss exceeds 1e6.
+    :class:`TrainingDivergedError` if any per-sample loss exceeds 1e6 or is
+    not finite, or if a predicted probability is not above 0: a too large
+    ``learning_rate`` drives the softmax to an exact 0, where the loss
+    gradient is undefined.
     """
     _check_config(dataset, "dataset", Dataset)
     _check_config(labels, "labels", LabelSpace)
@@ -164,7 +169,18 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig = TrainC
         for i in order:
             x = features[i]
             h = _softmax_rows(x @ weights)
-            grad_h, loss = rot_loss_gradient(h, targets[i], labels, config.loss)
+            try:
+                grad_h, loss = rot_loss_gradient(h, targets[i], labels, config.loss)
+            except ValueError:
+                # the loss refuses a zero predicted weight, which a softmax
+                # reaches only when a too large learning rate drove it there
+                if np.minimum.reduce(h) > 0.0:
+                    raise
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}, sample {int(i)}: a predicted "
+                    "probability underflowed to 0; lower learning_rate",
+                    epoch=epoch, sample=int(i), loss=float("nan"),
+                ) from None
             if not np.isfinite(loss.value) or abs(loss.value) > _LOSS_ABORT:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, sample {int(i)}: "

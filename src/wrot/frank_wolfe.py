@@ -41,7 +41,7 @@ from .measures import (
 from .metric_solvers import AdversarialMetric, MetricSolverConfig, _adversary
 from .sinkhorn import SinkhornConfig, _entropic_plan, _marginals
 
-__all__ = ["FWConfig", "RotResult", "rot_distance", "w22_distance"]
+__all__ = ["FWConfig", "RotResult", "rot_distance"]
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
     moment is linear in the plan, so ``V`` steps with it: one moment per
     step, of ``P``, plus the starting one. The first step (``theta = 1``) takes ``P`` and its
     moment as they are, since ``0 * gamma + 1 * P == P``; later steps move
-    that array in place, so ``oracle`` returns a new array each call. With
+    that array in place, so ``oracle`` never returns it again. With
     one active row or column, ``p q^T`` is the only plan: the loop returns
     it with the adversary at its moment and one gap of 0.0, and never calls
     ``oracle``. Returns ``(gamma, worst, gaps, converged)`` with ``worst``,
@@ -174,18 +174,30 @@ def rot_distance(
     metric, gradient, entropic linear oracle, convex-combination step. Stops
     when the duality gap reaches ``config.gap_tol`` or after
     ``config.max_iter`` iterations. With a ``grouping``, the adversary
-    solves on its ``r x r`` group moments.
+    solves on its ``r x r`` group moments. With ``metric=None`` the costs
+    never move, so the oracle solves once and every later step reuses that
+    plan.
     """
     _check_config(config, "config", FWConfig)
     src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
+    plan = reused = None
 
     def oracle(costs):
         # A cold solve each step on the marginals prepared above. Warm-starting
         # it from the previous step's scalings, as the loss does, lets a not
         # yet converged oracle return plans that make the measured gap
         # negative and stop the loop early.
-        return _entropic_plan(costs, marginals, config.sinkhorn)[0]
+        nonlocal plan, reused
+        if plan is None or config.metric is not None:
+            plan = _entropic_plan(costs, marginals, config.sinkhorn)[0]
+            return plan
+        # The identity's costs, and so its plan, are the same each step. The
+        # first plan is the loop's iterate, which later steps move in place,
+        # so reuse a copy taken now, while it is still untouched.
+        if reused is None:
+            reused = plan.copy()
+        return reused
 
     gamma, worst, gaps, converged = _frank_wolfe(
         src_arr, tgt_arr, config.metric, oracle, marginals, config.max_iter, config.gap_tol
@@ -196,17 +208,9 @@ def rot_distance(
 def w22_distance(
     src: DiscreteMeasure, tgt: DiscreteMeasure, config: SinkhornConfig = SinkhornConfig()
 ) -> float:
-    """Squared-Euclidean transport cost ``<plan, cost>`` of the entropic plan.
-
-    One Sinkhorn solve with the pairwise squared-distance cost, ending on the
-    column update, so the plan's row sums miss ``src``'s weights; the value
-    is the transport term alone, and usually reads below the exact squared
-    2-Wasserstein distance. It equals ``rot_distance(src, tgt, FWConfig(None,
-    config)).value`` to rounding, at one oracle solve instead of two, and
-    stays only because the ``distance`` benchmark calls it.
-    """
-    _check_config(config, "config", SinkhornConfig)
-    cost = _pair_costs_full(*_point_arrays(src, tgt), np.eye(src.dim))
-    marginals = _marginals(src.weights, tgt.weights, cost.shape)
-    plan = _entropic_plan(cost, marginals, config)[0]
-    return float(np.sum(plan * cost))
+    """Entropic W2^2 as one Frank-Wolfe step of :func:`rot_distance` at the
+    identity metric: ``<plan, cost>`` of one oracle solve on the
+    squared-distance costs. Not public; it stays only for the w22 cells of
+    the ``distance`` benchmark workload, until that workload calls
+    :func:`rot_distance` itself."""
+    return rot_distance(src, tgt, FWConfig(None, config, max_iter=1, gap_tol=None)).value

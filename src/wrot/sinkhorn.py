@@ -5,7 +5,7 @@ entropy-regularized linear transport problem
 
     min_{plan in Pi(p, q)}  <plan, cost> + lambda_beta * sum plan * log(plan)
 
-for :func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe oracles, by
+for both Frank-Wolfe oracles, that of the distance and that of the loss, by
 alternating row/column scaling of the kernel ``exp(-cost / lambda_beta)``
 in one round loop, and returns the plan's dual log-potentials with it. Its
 first round is a plain multiplicative update while that kernel is
@@ -67,8 +67,7 @@ class SinkhornConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Settings for every entropic Sinkhorn solve. Each solve, of the
-    Frank-Wolfe oracle of the distance and the loss and of
-    :func:`~wrot.frank_wolfe.w22_distance` alike, runs exactly
+    Frank-Wolfe oracle of the distance and of the loss alike, runs exactly
     ``iterations`` rounds of one loop. Its first round follows
     ``max|cost| / lambda_beta``: a plain update up to 700, a log-domain
     round absorbed into the kernel above it. Later rounds are plain; above
@@ -208,8 +207,7 @@ def _beyond_float_potentials(scale):
 
 def _entropic_plan(cost, marginals, config, state=None):
     """The one Sinkhorn solve, on prepared :func:`_marginals`, with a warm
-    start; :func:`~wrot.frank_wolfe.w22_distance` and both Frank-Wolfe
-    oracles run it.
+    start; both Frank-Wolfe oracles run it.
 
     Runs the one round loop, :func:`_rounds`, on the active block of
     ``cost / lambda_beta``. Its first round is plain when the block's

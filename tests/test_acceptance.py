@@ -36,7 +36,6 @@ from wrot import (
     rot_distance,
     rot_loss,
     rot_loss_gradient,
-    w22_distance,
 )
 from wrot.classifier import TrainConfig, evaluate, sgd_train
 from wrot.cli import main as cli_main
@@ -74,7 +73,7 @@ def test_criterion_1_quadratic_cost_sandwich():
     sink = SinkhornConfig(lambda_beta=0.02, iterations=100)
     for _ in range(50):
         src, tgt = random_cloud_pair(rng, 5, 5, d)
-        w22 = w22_distance(src, tgt, sink)
+        w22 = rot_distance(src, tgt, FWConfig(None, sink)).value
         for k in (1, 2):
             p = 2 * k / (2 * k - 1)
             cfg = FWConfig(
@@ -93,7 +92,7 @@ def test_criterion_2_two_by_two_frozen_optimum():
     tgt = make_measure(np.array([[1.0, 0.0], [0.0, 1.0]]))
     value = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1))).value
     assert value == pytest.approx(0.70711, abs=1e-3)
-    assert w22_distance(src, tgt) == pytest.approx(1.000, abs=1e-3)
+    assert rot_distance(src, tgt, FWConfig(None)).value == pytest.approx(1.000, abs=1e-3)
     _report(2, "2x2 frozen optima for the robust and plain distances", started, 1)
 
 

@@ -284,6 +284,20 @@ class TestSgdTrain:
         with pytest.raises(TrainingDivergedError):
             sgd_train(ds, labels, TrainConfig(epochs=1))
 
+    def test_underflowed_prediction_aborts(self):
+        """A learning rate of 100 drives a softmax probability to an exact
+        0, where the loss gradient is undefined: a divergence, with no loss."""
+        with pytest.raises(TrainingDivergedError, match="underflowed to 0") as info:
+            sgd_train(
+                blob_dataset(per_class=25),
+                three_label_space(),
+                TrainConfig(learning_rate=100, epochs=5),
+            )
+        error = info.value
+        assert f"epoch {error.epoch}, sample {error.sample}:" in str(error)
+        assert "lower learning_rate" in str(error)
+        assert np.isnan(error.loss)
+
     def test_label_count_mismatch(self):
         labels = three_label_space()
         ds = Dataset(

@@ -518,3 +518,11 @@ class TestTrainEval:
         )
         assert code == 3
         assert "diverged" in err
+
+    def test_underflowed_prediction_exits_3(self, blob_files, tmp_path, capsys):
+        """A learning rate of 1000 drives a softmax probability to an exact
+        0 in the first epoch: a divergence, not bad input."""
+        argv = self.train_argv(blob_files, str(tmp_path / "m.ckpt"), ["--lr", "1000"])
+        code, _, err = invoke(argv, capsys)
+        assert code == 3
+        assert "diverged" in err and "underflowed to 0" in err

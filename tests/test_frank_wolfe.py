@@ -20,7 +20,6 @@ from wrot import (
     make_measure,
     rot_distance,
     rot_loss,
-    w22_distance,
 )
 from wrot import frank_wolfe, sinkhorn
 from wrot.measures import FeatureGrouping, _moment_arrays, _pair_costs_full, _point_arrays
@@ -83,7 +82,7 @@ class TestTwoPointInstance:
 
     def test_w22_is_one(self):
         src, tgt = two_point_instance()
-        assert w22_distance(src, tgt) == pytest.approx(1.0, abs=1e-3)
+        assert rot_distance(src, tgt, FWConfig(None)).value == pytest.approx(1.0, abs=1e-3)
 
 
 class TestGradient:
@@ -315,6 +314,46 @@ class TestCarriedMoment:
         assert worst.value == want.value
 
 
+class TestIdentityOracle:
+    """The identity's costs never move, so a distance at ``metric=None``
+    solves its oracle once and reuses that plan; other families solve once
+    per step."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"max_iter": 3, "gap_tol": None}], ids=["default", "3 steps"]
+    )
+    def test_identity_solves_once_and_matches_cold_solves(self, monkeypatch, overrides):
+        """Counted against a spy on the oracle's solve, the results equal, bit
+        for bit, those of the loop with a cold solve at every step."""
+        calls = []
+        solve = frank_wolfe._entropic_plan
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(frank_wolfe, "_entropic_plan", counted)
+        rng = np.random.default_rng(18)
+        src, tgt = random_instance(rng, 6, 5, 3)
+        sink = SinkhornConfig()
+        marginals = sinkhorn._marginals(src.weights, tgt.weights, (src.size, tgt.size))
+        for metric in (None, PNormConfig(k=1)):
+            config = FWConfig(metric, sink, **overrides)
+            calls.clear()
+            result = rot_distance(src, tgt, config)
+            assert result.iterations_used > 1
+            assert len(calls) == (1 if metric is None else result.iterations_used)
+            gamma, worst, gaps, converged = frank_wolfe._frank_wolfe(
+                *_point_arrays(src, tgt), metric,
+                lambda costs: solve(costs, marginals, sink)[0],
+                marginals, config.max_iter, config.gap_tol,
+            )
+            assert result.value == worst.value
+            assert result.gap_history == tuple(gaps)
+            assert result.converged is converged
+            assert np.array_equal(result.plan.matrix, gamma)
+
+
 # (points, dimension) of the distance benchmark's two log-domain sizes
 TRUNCATION_SIZES = [(32, 8), (128, 24)]
 TRUNCATION_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()]
@@ -469,9 +508,9 @@ class TestW22:
             ]
         )
         _, lp_value = exact_ot_small(cost, src.weights, tgt.weights)
-        value = w22_distance(
-            src, tgt, SinkhornConfig(lambda_beta=0.005, iterations=8000)
-        )
+        value = rot_distance(
+            src, tgt, FWConfig(None, SinkhornConfig(lambda_beta=0.005, iterations=8000))
+        ).value
         # no one-sided bound here: at finite iteration counts the plan is
         # only approximately feasible, so its cost can sit slightly below
         # the exact optimum
@@ -492,8 +531,8 @@ class TestW22:
                     gap_tol=1e-5,
                 )
                 wp = rot_distance(src, tgt, cfg).value
-                w22 = w22_distance(
-                    src, tgt, SinkhornConfig(lambda_beta=0.02, iterations=400)
-                )
+                w22 = rot_distance(
+                    src, tgt, FWConfig(None, SinkhornConfig(lambda_beta=0.02, iterations=400))
+                ).value
                 assert wp <= w22 + 1e-6
                 assert wp >= w22 / d ** (1.0 / p) - 1e-6

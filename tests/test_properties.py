@@ -8,12 +8,13 @@ with zeros, the one-plan exit of one-hot targets and one-point measures
 against the general loop, the loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
 covariance, the feature, label, model and embedding file round trips, the
-determinism of ``make_grouping``, the identity-metric loop against
-``w22_distance``, the loss's one sum rule for its weights, the clipped
-logsumexp and the one-mat-vec symmetric scaling, which must equal their
-plain formulas bit for bit, the finite slice maxima that logsumexp rests
-on, in the solve and in ``feature_selection_objective``, and the absorbed
-kernel's truncated exp and its cold start.
+determinism of ``make_grouping``, the identity-metric loop against one
+entropic solve on the squared-distance costs, the loss's one sum rule for
+its weights, the clipped logsumexp and the one-mat-vec symmetric scaling,
+which must equal their plain formulas bit for bit, the finite slice maxima
+that logsumexp rests on, in the solve and in
+``feature_selection_objective``, and the absorbed kernel's truncated exp
+and its cold start.
 
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; each property still sweeps shapes, weights and scales no fixed seed
@@ -58,7 +59,6 @@ from wrot import (
     save_labels,
     save_model,
     sinkhorn,
-    w22_distance,
 )
 from wrot.frank_wolfe import _frank_wolfe
 from wrot.measures import _grouped_reshape, _moment_arrays, _pair_costs_full, _point_arrays
@@ -276,7 +276,7 @@ def test_wide_clouds_solve_with_default_settings(seed, m, n):
     rng = np.random.default_rng(seed)
     src = make_measure(30.0 * rng.normal(size=(m, 4)))
     tgt = make_measure(30.0 * rng.normal(size=(n, 4)), rng.random(n) + 0.1)
-    assert np.isfinite(w22_distance(src, tgt))
+    assert np.isfinite(rot_distance(src, tgt, FWConfig(None)).value)
     result = rot_distance(src, tgt, FWConfig(metric=PNormConfig(k=1), max_iter=10))
     assert np.isfinite(result.value)
     assert_allclose(result.plan.matrix.sum(axis=0), tgt.weights, rtol=0.0, atol=1e-9)
@@ -327,7 +327,10 @@ def test_distances_ignore_a_common_shift(seed, exponent):
         config = FWConfig(metric=metric, max_iter=5)
         want = rot_distance(src, tgt, config).value
         assert rot_distance(*moved, config).value == pytest.approx(want, rel=1e-9)
-    assert w22_distance(*moved) == pytest.approx(w22_distance(src, tgt), rel=1e-9)
+    identity = FWConfig(None)
+    assert rot_distance(*moved, identity).value == pytest.approx(
+        rot_distance(src, tgt, identity).value, rel=1e-9
+    )
 
 
 @bounded
@@ -342,10 +345,12 @@ def test_distances_ignore_a_common_shift(seed, exponent):
 )
 def test_identity_metric_loop_equals_w22(seed, m, n, dim, lam, grouped, data):
     """At the identity metric the Frank-Wolfe loop is the plain entropic
-    W2^2: ``rot_distance`` with ``metric=None`` equals ``w22_distance`` to
-    1e-12 relative, with or without a feature grouping, in either Sinkhorn
-    domain, and stops converged within 2 iterations. Its costs never move,
-    so the second oracle plan is the first and the gap is 0."""
+    W2^2: ``rot_distance`` with ``metric=None`` equals ``<P, C>``, with
+    ``P`` one entropic solve on the squared-distance costs ``C`` of the
+    centred clouds, to 1e-12 relative, with or without a feature grouping,
+    in either Sinkhorn domain, and stops converged within 2 iterations. Its
+    costs never move, so the second oracle plan is the first and the gap
+    is 0."""
     rng = np.random.default_rng(seed)
     src = make_measure(rng.normal(size=(m, dim)), rng.uniform(0.05, 1.0, m))
     tgt = make_measure(rng.normal(size=(n, dim)) + 0.5, rng.uniform(0.05, 1.0, n))
@@ -356,7 +361,12 @@ def test_identity_metric_loop_equals_w22(seed, m, n, dim, lam, grouped, data):
         grouping = make_grouping(dim, data.draw(st.sampled_from(counts)), seed)
     sink = SinkhornConfig(lambda_beta=lam)
     result = rot_distance(src, tgt, FWConfig(None, sink), grouping)
-    assert result.value == pytest.approx(w22_distance(src, tgt, sink), rel=1e-12)
+    centre = src.weights @ src.points
+    diff = (src.points - centre)[:, None] - (tgt.points - centre)[None]
+    cost = (diff**2).sum(axis=2)
+    marginals = sinkhorn._marginals(src.weights, tgt.weights, cost.shape)
+    plan = sinkhorn._entropic_plan(cost, marginals, sink)[0]
+    assert result.value == pytest.approx(float((plan * cost).sum()), rel=1e-12)
     assert result.iterations_used <= 2
     assert result.converged
 

@@ -20,11 +20,10 @@ config holds one of its kind: ``sinkhorn`` a :class:`SinkhornConfig`,
 :func:`displacement_second_moment`) a :class:`FeatureGrouping` or ``None``,
 and ``loss``, like the ``config`` of the loss functions, a :class:`FWConfig`,
 one with ``gap_tol=None`` for :class:`TrainConfig`, which runs every step;
-the ``config`` of :func:`w22_distance` is a :class:`SinkhornConfig`, that of
-:func:`sgd_train` a :class:`TrainConfig`.
+the ``config`` of :func:`sgd_train` is a :class:`TrainConfig`.
 Each config, :class:`LabelSpace`, :func:`make_grouping`,
 :func:`feature_weights`, :func:`adversarial_value`, the loss functions,
-:func:`rot_distance`, :func:`w22_distance`, :func:`sgd_train`,
+:func:`rot_distance`, :func:`sgd_train`,
 :func:`displacement_second_moment` and :func:`load_dataset` (whose
 ``num_labels`` is a count or ``None``), and :class:`FeatureGrouping`
 (whose ``permutation`` holds integers, not floats, strings or bools that
@@ -74,7 +73,6 @@ from wrot import (
     rot_loss_gradient,
     save_model,
     sgd_train,
-    w22_distance,
 )
 from wrot.cli import _build_parser
 
@@ -109,7 +107,6 @@ FUNCTION_DEFAULTS = [
     "rot_loss.lambda_gamma",
     "rot_loss_gradient.config",
     "sgd_train.config",
-    "w22_distance.config",
 ]
 CLI_FLAGS = {
     "contour": [
@@ -229,9 +226,6 @@ SETTINGS = {
         ),
     ),
     "TrainConfig.loss": ("train loss", "loss", lambda x: TrainConfig(loss=x)),
-    "w22_distance.config": (
-        "sinkhorn", "config", lambda x: w22_distance(MEASURE, MEASURE, x)
-    ),
     "sgd_train.config": ("train", "config", lambda x: sgd_train(TWO_SAMPLES, TWO_LABELS, x)),
     "rot_loss.config": ("loss", "config", two_label_loss(rot_loss, "config")),
     "rot_loss_gradient.config": ("loss", "config", two_label_loss(rot_loss_gradient, "config")),
@@ -391,7 +385,6 @@ def test_valid_values_build(setting, data):
         ("rot_distance.grouping", 3),
         ("TrainConfig.loss", None),
         ("LabelSpace.grouping", 3),
-        ("w22_distance.config", FWConfig(None)),
         ("sgd_train.config", FWConfig(None, max_iter=1, gap_tol=None)),
         # cast to the integer permutation [0 1 2], or [1 0]
         ("FeatureGrouping.permutation", [0.5, 1.2, 2.9]),
@@ -422,7 +415,6 @@ POSITIONAL = {
             TransportPlan(np.full((2, 2), 0.25)), np.eye(2, 4), MEASURE
         ),
     ),
-    "w22_distance.tgt": ("tgt", lambda: w22_distance(MEASURE, np.eye(2, 4))),
     # a ValueError about the length of the weights, or about the label count
     "rot_loss.labels": ("labels", lambda: rot_loss([0.5, 0.5], [0.5, 0.5], np.eye(2))),
     "rot_loss_gradient.labels": (
