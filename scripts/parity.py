@@ -3,13 +3,15 @@
 Runs one cycle of each benchmark workload of ``bench/workloads.py`` per seed
 in both checkouts, each in its own interpreter with the package from that
 checkout's ``src/``, and compares the cycles' output fingerprints with
-``==``. A fingerprint lists every value of the ``distance`` workload (or the
-exception a solve raised); every held-out AUC, ``sgd_train`` epoch loss and
-contour-file hash of ``loss``; and every epoch loss of ``grouped``. Floats
-are compared through ``float.hex``. Where the package has
-``sinkhorn._in_range``, the script also counts the Sinkhorn solves whose
-once-per-solve range test failed, so that their rounds ran again with the
-per-round test, and prints that count for both checkouts.
+``==``; where they differ it prints how many outputs differ, the index of
+the first and both its values. A fingerprint lists every value of the
+``distance`` workload (or the exception a solve raised); every held-out
+AUC, ``sgd_train`` epoch loss and contour-file hash of ``loss``; and every
+epoch loss of ``grouped``. Floats are compared through ``float.hex``.
+Where the package has ``sinkhorn._in_range``, the script also counts the
+Sinkhorn solves whose once-per-solve range test failed, so that their
+rounds ran again with the per-round test, and prints that count for both
+checkouts.
 
 Run from the repository root:
 
@@ -25,6 +27,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +65,19 @@ def fingerprint(root, workload, seed):
     return {"fingerprint": values, "reruns": reruns}
 
 
+def compare(here, there):
+    """``identical``, or how many outputs of the fingerprints ``here`` and
+    ``there`` differ, the first one's index and both its values (floats as
+    ``float.hex``). An output one fingerprint lacks shows as None."""
+    differ = [i for i, (a, b) in enumerate(zip_longest(here, there)) if a != b]
+    if not differ:
+        return "identical"
+    first = differ[0]
+    ours, theirs = (fp[first] if first < len(fp) else None for fp in (here, there))
+    return (f"DIFFERENT in {len(differ)} outputs, first at index {first}: "
+            f"here {ours}, there {theirs}")
+
+
 def run_child(root, workload, seed):
     out = subprocess.run(
         [sys.executable, __file__, "--child", str(root), workload, str(seed)],
@@ -85,11 +101,10 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             here = run_child(ROOT, workload, seed)
             there = run_child(args.other.resolve(), workload, seed)
-            same = here["fingerprint"] == there["fingerprint"]
-            differ += not same
+            verdict = compare(here["fingerprint"], there["fingerprint"])
+            differ += verdict != "identical"
             print(f"{workload} seed {seed}: {len(here['fingerprint'])} outputs, "
-                  f"{'identical' if same else 'DIFFERENT'}; reruns here {here['reruns']}, "
-                  f"there {there['reruns']}")
+                  f"{verdict}; reruns here {here['reruns']}, there {there['reruns']}")
     return 1 if differ else 0
 
 

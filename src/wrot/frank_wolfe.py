@@ -85,9 +85,12 @@ class RotResult:
     neither the gap nor ``converged`` certifies it.
 
     ``plan``, a :class:`~wrot.measures.TransportPlan`, and ``metric``, the
-    d x d worst-case metric (mapped back from the span coordinates a loss
-    may solve on), are built on first read; training and the CLI read
-    neither.
+    worst-case metric, are built on first read; training and the CLI read
+    neither. ``metric`` is d x d (mapped back from the span coordinates a
+    loss may solve on), except under a grouping, of :func:`rot_distance`
+    or of a grouped :class:`~wrot.rot_loss.LabelSpace`: there it is the
+    r x r group matrix ``B``, and the full metric is ``B kron I`` on the
+    grouping's permuted, padded coordinates (README, "Feature grouping").
     """
 
     value: float
@@ -131,12 +134,11 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
     what it records; it stops once the gap is at most ``gap_tol`` (never
     if ``None``), and otherwise steps ``2 / (t + 2)`` towards ``P``. The
     moment is linear in the plan, so ``V`` steps with it: one moment per
-    step, of ``P``, plus the starting one. The first step (``theta = 1``) takes ``P`` and its
-    moment as they are, since ``0 * gamma + 1 * P == P``; later steps move
-    that array in place, so ``oracle`` never returns it again. With
-    one active row or column, ``p q^T`` is the only plan: the loop returns
-    it with the adversary at its moment and one gap of 0.0, and never calls
-    ``oracle``. Returns ``(gamma, worst, gaps, converged)`` with ``worst``,
+    step, of ``P``, plus the starting one. The loop moves only its own
+    ``gamma`` and never writes a plan ``oracle`` returns, so an oracle may
+    return the same array again. With one active row or column, ``p q^T``
+    is the only plan: the loop returns it with the adversary at its moment
+    and one gap of 0.0, and never calls ``oracle``. Returns ``(gamma, worst, gaps, converged)`` with ``worst``,
     the adversary's ``(matrix, value, family)``, taken at the returned
     ``gamma``.
     """
@@ -154,9 +156,6 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
         gaps.append(float(((moment - lmo_moment) * worst.matrix).sum()))
         if gaps[-1] <= stop:
             return gamma, worst, gaps, True
-        if t == 0:  # theta = 1
-            gamma, moment = lmo, lmo_moment
-            continue
         theta = 2.0 / (t + 2.0)
         gamma *= 1.0 - theta
         gamma += theta * lmo
@@ -181,23 +180,19 @@ def rot_distance(
     _check_config(config, "config", FWConfig)
     src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
-    plan = reused = None
+    plan = None
 
     def oracle(costs):
-        # A cold solve each step on the marginals prepared above. Warm-starting
-        # it from the previous step's scalings, as the loss does, lets a not
-        # yet converged oracle return plans that make the measured gap
-        # negative and stop the loop early.
-        nonlocal plan, reused
+        # A cold solve each step on the marginals prepared above, except at
+        # the identity, whose costs and so whose plan never move. Cold or
+        # warm-started from the previous step's scalings, as the loss's is, a
+        # not yet converged oracle can return plans that make the measured
+        # gap negative and stop the loop early; ROADMAP item 3's certified
+        # gap is the fix.
+        nonlocal plan
         if plan is None or config.metric is not None:
             plan = _entropic_plan(costs, marginals, config.sinkhorn)[0]
-            return plan
-        # The identity's costs, and so its plan, are the same each step. The
-        # first plan is the loop's iterate, which later steps move in place,
-        # so reuse a copy taken now, while it is still untouched.
-        if reused is None:
-            reused = plan.copy()
-        return reused
+        return plan
 
     gamma, worst, gaps, converged = _frank_wolfe(
         src_arr, tgt_arr, config.metric, oracle, marginals, config.max_iter, config.gap_tol

@@ -137,7 +137,7 @@ _LOSS_CONFIG = FWConfig(PNormConfig(), max_iter=1, gap_tol=None)
 _LAMBDA_GAMMA = 0.02
 
 
-def _solve(predicted, target, labels, config, lambda_gamma):
+def _solve(predicted, target, labels, config, lambda_gamma, gradient=False):
     # Composite Frank-Wolfe: only the robust term is linearized; the plan
     # entropy lives in the oracle's own regularizer. At the fixed point the
     # iterate solves min <V(plan), M*> + lambda_beta * sum plan log plan, so
@@ -146,13 +146,18 @@ def _solve(predicted, target, labels, config, lambda_gamma):
     # warm-starts from the previous solve's potential and runs the
     # configured rounds, on marginals prepared once for every step and the
     # gradient's extra solve. Rotation-invariant families on a space with a
-    # span basis run on its coordinates (see LabelSpace). Returns the loss,
+    # span basis run on its coordinates (see LabelSpace). For the gradient,
+    # a zero predicted weight is refused before any solve. Returns the loss,
     # the marginals, the warm solve (costs -> (plan, f)) and the points the
     # solve ran on.
     _check_config(labels, "labels", LabelSpace)
     _check_config(config, "config", FWConfig)
     _check_real(lambda_gamma, "lambda_gamma")
     marginals = _marginals(predicted, target, (labels.size,) * 2, ("predicted", "target"))
+    if gradient and not marginals.rows.all():
+        raise ValueError(
+            "gradient undefined: a predicted weight is zero; use strictly positive predictions"
+        )
     warm = None
 
     def solve(costs):
@@ -221,11 +226,9 @@ def rot_loss_gradient(
     :func:`rot_loss` reports at its default ``lambda_gamma``, from the same
     solve, and ``config`` means what it means there.
     """
-    loss, marginals, solve, points = _solve(predicted, target, labels, config, _LAMBDA_GAMMA)
-    if not marginals.rows.all():
-        raise ValueError(
-            "gradient undefined: a predicted weight is zero; use strictly positive predictions"
-        )
+    loss, marginals, solve, points = _solve(
+        predicted, target, labels, config, _LAMBDA_GAMMA, gradient=True
+    )
     lam = config.sinkhorn.lambda_beta
     if marginals.active_q.size == 1:  # one plan: the L x 1 oracle's potential in closed form
         costs = _pair_costs_full(points, points[marginals.cols], loss._worst.matrix)

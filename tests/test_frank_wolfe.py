@@ -297,8 +297,8 @@ class TestCarriedMoment:
     @pytest.mark.parametrize("metric", [None, PNormConfig(k=1), KLConfig()], ids=str)
     def test_first_step_takes_the_oracle_plan_and_moment(self, metric):
         """The first step has theta = 1, so with max_iter = 1 the loop
-        returns the oracle's plan array itself and the worst case at that
-        plan's moment, bit for bit."""
+        returns the oracle's plan, bit for bit but in its own array, and the
+        worst case at that plan's moment."""
         rng = np.random.default_rng(12)
         src, tgt = random_instance(rng, 4, 5, 3)
         src_arr, tgt_arr = _point_arrays(src, tgt)
@@ -308,7 +308,8 @@ class TestCarriedMoment:
         gamma, worst, gaps, converged = frank_wolfe._frank_wolfe(
             src_arr, tgt_arr, metric, lambda costs: plan, marginals, 1, -np.inf
         )
-        assert gamma is plan and len(gaps) == 1 and not converged
+        assert gamma is not plan and np.array_equal(gamma, plan)
+        assert len(gaps) == 1 and not converged
         want = _adversary(_moment_arrays(plan, src_arr, tgt_arr), metric)
         assert np.array_equal(worst.matrix, want.matrix)
         assert worst.value == want.value
@@ -357,6 +358,35 @@ class TestIdentityOracle:
 # (points, dimension) of the distance benchmark's two log-domain sizes
 TRUNCATION_SIZES = [(32, 8), (128, 24)]
 TRUNCATION_FAMILIES = [None, PNormConfig(k=1), PNormConfig(k=2), KLConfig(), DSConfig()]
+
+
+class TestReadOnlyOraclePlans:
+    @pytest.mark.parametrize("metric", TRUNCATION_FAMILIES, ids=str)
+    def test_read_only_plans_match_writeable_copies(self, metric):
+        """The loop moves only its own iterate and never writes a plan its
+        oracle returned: an oracle whose plans are read-only runs every step
+        and gives, bit for bit, what one returning writeable copies gives."""
+        rng = np.random.default_rng(19)
+        src, tgt = random_instance(rng, 6, 5, 3)
+        sink = SinkhornConfig()
+        marginals = sinkhorn._marginals(src.weights, tgt.weights, (src.size, tgt.size))
+
+        def read_only(costs):
+            plan = sinkhorn._entropic_plan(costs, marginals, sink)[0]
+            plan.flags.writeable = False
+            return plan
+
+        runs = [
+            frank_wolfe._frank_wolfe(
+                *_point_arrays(src, tgt), metric, oracle, marginals, 4, None
+            )
+            for oracle in (read_only, lambda costs: read_only(costs).copy())
+        ]
+        (gamma, worst, gaps, converged), (want, want_worst, want_gaps, want_converged) = runs
+        assert len(gaps) == 4 and converged is want_converged is False
+        assert gaps == want_gaps and worst.value == want_worst.value
+        assert np.array_equal(gamma, want)
+        assert np.array_equal(worst.matrix, want_worst.matrix)
 
 
 class TestStopRule:

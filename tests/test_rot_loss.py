@@ -2,6 +2,7 @@
 simplex-tangent gradient and the weights it refuses, and qualitative
 contour behavior."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,33 @@ class TestGradient:
         for target in (y, [1.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="gradient undefined: a predicted weight"):
                 rot_loss_gradient([0.0, 0.4, 0.6], target, labels, converged_kw()["config"])
+
+    def test_zero_predicted_weight_refused_before_any_solve(self, monkeypatch):
+        """The refusal comes before the loss solve: spies on the oracle's
+        solve and on the adversary see no call, for a general and a one-hot
+        target. rot_loss itself still accepts the weights."""
+        calls = []
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(importlib.import_module("wrot.rot_loss"), "_entropic_plan")
+        spy(frank_wolfe, "_adversary")
+        labels = LabelSpace(embeddings=np.eye(3))
+        h = [0.0, 0.5, 0.5]
+        config = FWConfig(PNormConfig(), max_iter=3, gap_tol=None)
+        for target in ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="gradient undefined: a predicted weight"):
+                rot_loss_gradient(h, target, labels, config)
+            assert calls == []
+        assert np.isfinite(rot_loss(h, [0.5, 0.5, 0.0], labels, config).value)
+        assert calls.count("_entropic_plan") == 3
 
     def test_underflowed_plan_entries_keep_the_gradient(self):
         """At lambda_beta = 0.004 the antipodal labels' cost / lambda_beta is
