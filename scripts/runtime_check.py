@@ -6,8 +6,10 @@ The package's only runtime dependency is numpy. This script imports the
 - calls every public function of ``wrot.__all__``, and fails naming any it
   did not call;
 - solves the distance and the loss with every adversary family and the
-  identity metric, with and without a feature grouping, and takes the
-  loss gradient at a one-hot and at a two-hot target;
+  identity metric, with and without a feature grouping, the distance also
+  from and to a one-point measure and the loss also at a one-hot
+  prediction with zero entries, and takes the loss gradient at a one-hot
+  and at a two-hot target;
 - trains a short ``sgd_train``, evaluates it and round-trips its checkpoint;
 - runs the four ``wrot`` subcommands, each of which must exit 0.
 
@@ -78,17 +80,22 @@ def exercise_library(api, work):
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     spaces = [LabelSpace(emb), LabelSpace(emb, grouping)]
     predicted = np.array([1.0, 2.0, 3.0]) / 6.0
-    # a one-hot target has one plan and no oracle solve; a two-hot one runs the oracle
+    # a one-hot target or prediction, or a one-point measure, has one plan and
+    # no oracle solve (and its zero entries no 0 log 0); a two-hot target runs
+    # the oracle
     target, two_hot = np.eye(3)[0], np.array([0.5, 0.0, 0.5])
+    point = api.make_measure(rng.normal(size=(1, 4)))
     for metric in FAMILIES:
         api.adversarial_value(moment, metric)
         for group in (None, grouping):
-            result = api.rot_distance(src, tgt, FWConfig(metric, max_iter=3), group)
-            result.plan, result.metric  # built on first read
+            for pair in ((src, tgt), (point, tgt), (src, point)):
+                result = api.rot_distance(*pair, FWConfig(metric, max_iter=3), group)
+                result.plan, result.metric  # built on first read
         for space in spaces:
             config = FWConfig(metric, max_iter=2, gap_tol=None)
             loss = api.rot_loss(predicted, target, space, config, lambda_gamma=0.05)
             loss.plan, loss.metric
+            api.rot_loss(target, two_hot, space, config).plan
             api.rot_loss_gradient(predicted, target, space, config)
             api.rot_loss_gradient(predicted, two_hot, space, config)
 

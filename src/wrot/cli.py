@@ -35,7 +35,9 @@ from .classifier import (
     save_model,
     sgd_train,
 )
-from .data_io import _load_features, load_dataset, load_embedding_file, make_grouping
+from .data_io import (
+    _load_features, load_dataset, load_embedding_file, load_embeddings, make_grouping,
+)
 from .frank_wolfe import FWConfig, rot_distance
 from .measures import make_measure
 from .metric_solvers import DSConfig, KLConfig, PNormConfig
@@ -95,13 +97,7 @@ def cmd_contour(args) -> int:
     if args.grid_n < 2:
         # a grid needs both ends of [0, 1] to reach the simplex's corners
         raise ValueError(f"--grid-n must be at least 2, got {args.grid_n}")
-    names, matrix = load_embedding_file(args.embeddings)
-    index = {n: i for i, n in enumerate(names)}
-    missing = [n for n in label_names if n not in index]
-    if missing:
-        raise ValueError(f"labels not in embedding file: {', '.join(missing)}")
-    emb = matrix[[index[n] for n in label_names]]
-    labels = LabelSpace(embeddings=emb)
+    labels = LabelSpace(embeddings=load_embeddings(args.embeddings, label_names))
     # a one-hot target has one plan: no Frank-Wolfe step or oracle to set
     config = replace(_LOSS_CONFIG, metric=_metric(args))
     target = np.array([0.0, 0.0, 1.0])  # third label is the true one

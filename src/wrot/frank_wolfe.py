@@ -79,7 +79,8 @@ class RotResult:
     plan. A solve at ``gap_tol=None``, the loss's default, never stops
     early, so its ``converged`` is ``False``. Weights with one positive
     entry on either side, such as a one-hot target, admit one plan, ``p
-    q^T``: their solve calls no oracle and records one gap of 0.0. The
+    q^T``: their solve is :func:`_one_plan`'s closed form, with no oracle
+    and one gap of 0.0, which meets any ``gap_tol`` but ``None``. The
     oracle misses the row weights by up to its residual, so ``plan`` can
     leave the polytope, ``value`` can fall below the true minimum, and
     neither the gap nor ``converged`` certifies it.
@@ -96,7 +97,7 @@ class RotResult:
     value: float
     gap_history: tuple[float, ...]
     converged: bool
-    _gamma: np.ndarray = field(repr=False)
+    _gamma: np.ndarray | tuple = field(repr=False)  # the plan, or (p, q) of p q^T
     _worst: tuple = field(repr=False)  # the adversary's (matrix, value, family)
     _basis: np.ndarray | None = field(default=None, repr=False)
 
@@ -106,7 +107,8 @@ class RotResult:
 
     @cached_property
     def plan(self) -> TransportPlan:
-        return TransportPlan(matrix=self._gamma)
+        gamma = self._gamma
+        return TransportPlan(matrix=np.outer(*gamma) if isinstance(gamma, tuple) else gamma)
 
     @cached_property
     def metric(self) -> AdversarialMetric:
@@ -117,6 +119,19 @@ class RotResult:
         if basis is not None:
             matrix = np.eye(basis.shape[0]) if family == "euclidean" else basis @ matrix @ basis.T
         return AdversarialMetric(matrix, value, family)
+
+
+def _one_plan(weights, points, anchor, metric, costs=False):
+    """The one plan of a side with one positive weight: ``anchor`` (a point
+    array of one point) pairs with each of ``points`` at its ``weights``.
+    With ``D_i = points_i - anchor``, exactly 0 at the anchor, returns the
+    adversary at the moment ``sum_i w_i D_i^T D_i`` and, only if ``costs``,
+    the pair costs ``tr(D_i M D_i^T)`` under its matrix ``M`` (else None)."""
+    disp = points - anchor
+    flat, rows = disp.reshape(disp.shape[0], -1), disp.reshape(-1, points.shape[-1])
+    v = rows.T @ (weights[:, None] * flat).reshape(rows.shape)
+    worst = _adversary(0.5 * (v + v.T), metric)
+    return worst, ((rows @ worst.matrix).reshape(flat.shape) * flat).sum(1) if costs else None
 
 
 def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
@@ -136,19 +151,15 @@ def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
     moment is linear in the plan, so ``V`` steps with it: one moment per
     step, of ``P``, plus the starting one. The loop moves only its own
     ``gamma`` and never writes a plan ``oracle`` returns, so an oracle may
-    return the same array again. With one active row or column, ``p q^T``
-    is the only plan: the loop returns it with the adversary at its moment
-    and one gap of 0.0, and never calls ``oracle``. Returns ``(gamma, worst, gaps, converged)`` with ``worst``,
-    the adversary's ``(matrix, value, family)``, taken at the returned
-    ``gamma``.
+    return the same array again; weights with one positive entry on a side
+    go to :func:`_one_plan` instead. Returns ``(gamma, worst, gaps,
+    converged)``, ``worst`` the adversary's ``(matrix, value, family)`` at
+    the returned ``gamma``.
     """
     gaps: list[float] = []
     stop = -np.inf if gap_tol is None else gap_tol
     gamma = marginals.p[:, None] * marginals.q
     moment = _moment_arrays(gamma, src, tgt)
-    if min(marginals.active_p.size, marginals.active_q.size) == 1:
-        # one active row or column: p q^T is the polytope's only plan
-        return gamma, _adversary(moment, metric), [0.0], 0.0 <= stop
     for t in range(max_iter):
         worst = _adversary(moment, metric)
         lmo = oracle(_pair_costs_full(src, tgt, worst.matrix))
@@ -175,11 +186,19 @@ def rot_distance(
     ``config.max_iter`` iterations. With a ``grouping``, the adversary
     solves on its ``r x r`` group moments. With ``metric=None`` the costs
     never move, so the oracle solves once and every later step reuses that
-    plan.
+    plan. A measure with one positive weight, such as a one-point measure,
+    leaves one plan, which :func:`_one_plan` solves with no oracle.
     """
     _check_config(config, "config", FWConfig)
     src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
+    if min(marginals.active_p.size, marginals.active_q.size) == 1:
+        hot = marginals.active_q.size == 1  # one positive target weight, else one source
+        one = ((marginals.p * marginals.active_q, src_arr, tgt_arr[marginals.cols]) if hot
+               else (marginals.q * marginals.active_p, tgt_arr, src_arr[marginals.rows]))
+        worst = _one_plan(*one, config.metric)[0]
+        gamma = (marginals.p, marginals.q)
+        return RotResult(worst.value, (0.0,), config.gap_tol is not None, gamma, worst)
     plan = None
 
     def oracle(costs):

@@ -27,11 +27,11 @@ gradient of the reported value, otherwise of the ``lambda_beta``-smoothed
 loss. It sums to zero, and a constant added to ``C*`` moves only mean ``f``.
 A zero predicted weight leaves its plan row without a potential, so the
 gradient refuses it; a zero target weight only drops a column from the
-block the oracle solves. A one-hot target ``e_y`` admits one plan, ``h
-e_y^T``, which the loop returns without an oracle call. The L x 1 oracle's
-row potential is then ``C*[:, y] / lambda_beta + log h`` up to a constant,
-so the gradient, ``C*[:, y] + lambda_beta log h`` recentred, needs no
-Sinkhorn solve.
+block the oracle solves. A one-hot target ``e_y`` or prediction admits one
+plan, which :func:`~wrot.frank_wolfe._one_plan` solves in closed form. An
+L x 1 oracle's row potential is ``c / lambda_beta + log h`` up to a
+constant, ``c_i`` the pair cost from ``l_i`` to ``l_y``, so the gradient,
+``c + lambda_beta log h`` recentred, needs no Sinkhorn solve.
 
 The loss runs the distance's Frank-Wolfe loop,
 :func:`~wrot.frank_wolfe._frank_wolfe`, on the label space's point array as
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frank_wolfe import FWConfig, RotResult, _frank_wolfe
+from .frank_wolfe import FWConfig, RotResult, _frank_wolfe, _one_plan
 from .measures import (
     FeatureGrouping,
     _as_float_array,
@@ -146,10 +146,9 @@ def _solve(predicted, target, labels, config, lambda_gamma, gradient=False):
     # warm-starts from the previous solve's potential and runs the
     # configured rounds, on marginals prepared once for every step and the
     # gradient's extra solve. Rotation-invariant families on a space with a
-    # span basis run on its coordinates (see LabelSpace). For the gradient,
-    # a zero predicted weight is refused before any solve. Returns the loss,
-    # the marginals, the warm solve (costs -> (plan, f)) and the points the
-    # solve ran on.
+    # span basis run on its coordinates (see LabelSpace); a one-hot target or
+    # prediction takes _one_plan's closed form. A gradient refuses a zero
+    # predicted weight before any solve. Returns (loss, gradient or None).
     _check_config(labels, "labels", LabelSpace)
     _check_config(config, "config", FWConfig)
     _check_real(lambda_gamma, "lambda_gamma")
@@ -158,32 +157,36 @@ def _solve(predicted, target, labels, config, lambda_gamma, gradient=False):
         raise ValueError(
             "gradient undefined: a predicted weight is zero; use strictly positive predictions"
         )
-    warm = None
-
-    def solve(costs):
-        nonlocal warm
-        plan, f, warm = _entropic_plan(costs, marginals, config.sinkhorn, state=warm)
-        return plan, f
-
-    metric = config.metric
+    metric, lam = config.metric, config.sinkhorn.lambda_beta
     basis = labels._basis
     if not (metric is None or (isinstance(metric, PNormConfig) and metric.k == 1)):
         basis = None
     points = labels._points if basis is None else labels._coords
-    gamma, worst, gaps, converged = _frank_wolfe(
-        points,
-        points,
-        metric,
-        lambda costs: solve(costs)[0],
-        marginals,
-        config.max_iter,
-        config.gap_tol,
-    )
-    positive = gamma[gamma > 0]
-    entropy_term = float((positive * np.log(positive)).sum())
-    value = worst.value + lambda_gamma * entropy_term
+    if min(marginals.active_p.size, marginals.active_q.size) == 1:
+        hot = marginals.active_q.size == 1  # a one-hot target, else a prediction (no gradient)
+        weights = marginals.p * marginals.active_q if hot else marginals.q * marginals.active_p
+        anchor = points[marginals.cols if hot else marginals.rows]
+        worst, costs = _one_plan(weights, points, anchor, metric, costs=gradient)
+        gamma, gaps, converged = (marginals.p, marginals.q), [0.0], config.gap_tol is not None
+        f = costs / lam + marginals.log_p if gradient else None
+    else:
+        warm = None
+
+        def solve(costs):
+            nonlocal warm
+            plan, f, warm = _entropic_plan(costs, marginals, config.sinkhorn, state=warm)
+            return plan, f
+
+        gamma, worst, gaps, converged = _frank_wolfe(
+            points, points, metric, lambda costs: solve(costs)[0],
+            marginals, config.max_iter, config.gap_tol,
+        )
+        weights = gamma
+        f = solve(_pair_costs_full(points, points, worst.matrix))[1] if gradient else None
+    positive = weights[weights > 0]
+    value = worst.value + lambda_gamma * float((positive * np.log(positive)).sum())
     loss = RotResult(value, tuple(gaps), converged, gamma, worst, basis)
-    return loss, marginals, solve, points
+    return loss, lam * (f - f.mean()) if gradient else None
 
 
 def rot_loss(
@@ -226,13 +229,5 @@ def rot_loss_gradient(
     :func:`rot_loss` reports at its default ``lambda_gamma``, from the same
     solve, and ``config`` means what it means there.
     """
-    loss, marginals, solve, points = _solve(
-        predicted, target, labels, config, _LAMBDA_GAMMA, gradient=True
-    )
-    lam = config.sinkhorn.lambda_beta
-    if marginals.active_q.size == 1:  # one plan: the L x 1 oracle's potential in closed form
-        costs = _pair_costs_full(points, points[marginals.cols], loss._worst.matrix)
-        f = costs[:, 0] / lam + marginals.log_p
-    else:
-        f = solve(_pair_costs_full(points, points, loss._worst.matrix))[1]
-    return lam * (f - f.mean()), loss
+    loss, grad = _solve(predicted, target, labels, config, _LAMBDA_GAMMA, gradient=True)
+    return grad, loss

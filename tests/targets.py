@@ -1,9 +1,9 @@
 """Label targets with every weight positive, for tests of the oracle path.
 
-A one-hot target has one transport plan, which the Frank-Wolfe loop
-returns without an oracle call; a test that exercises the oracle, or that
-compares against a formula taking the log of every plan entry, mixes in a
-little of the uniform target first.
+A one-hot target has one transport plan, whose loss is a closed form with
+no Frank-Wolfe loop or oracle call; a test that exercises the oracle, or
+that compares against a formula taking the log of every plan entry, mixes
+in a little of the uniform target first.
 """
 
 import numpy as np

@@ -285,13 +285,15 @@ class TestSgdTrain:
             sgd_train(ds, labels, TrainConfig(epochs=1))
 
     def test_underflowed_prediction_aborts(self):
-        """A learning rate of 100 drives a softmax probability to an exact
-        0, where the loss gradient is undefined: a divergence, with no loss."""
+        """A learning rate of 1000 drives a softmax probability to an exact
+        0, where the loss gradient is undefined: a divergence, with no loss.
+        It does so within the first epoch; at 100 the trajectory is chaotic,
+        and whether it underflows within 5 epochs turns on rounding."""
         with pytest.raises(TrainingDivergedError, match="underflowed to 0") as info:
             sgd_train(
                 blob_dataset(per_class=25),
                 three_label_space(),
-                TrainConfig(learning_rate=100, epochs=5),
+                TrainConfig(learning_rate=1000, epochs=5),
             )
         error = info.value
         assert f"epoch {error.epoch}, sample {error.sample}:" in str(error)

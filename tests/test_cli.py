@@ -332,7 +332,7 @@ class TestContour:
             capsys,
         )
         assert code == 1
-        assert "labels not in embedding file" in err
+        assert "no embedding for label 'nope'" in err
 
     def test_needs_exactly_three_labels(self, contour_embeddings, tmp_path, capsys):
         code, _, err = invoke(

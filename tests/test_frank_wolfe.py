@@ -20,8 +20,9 @@ from wrot import (
     make_measure,
     rot_distance,
     rot_loss,
+    rot_loss_gradient,
 )
-from wrot import frank_wolfe, sinkhorn
+from wrot import frank_wolfe, measures, sinkhorn
 from wrot.measures import FeatureGrouping, _moment_arrays, _pair_costs_full, _point_arrays
 from wrot.metric_solvers import _adversary
 
@@ -417,44 +418,100 @@ class TestStopRule:
 
 
 class TestOnePlan:
-    """Weights with one positive entry on either side admit one plan, p q^T."""
+    """Weights with one positive entry on either side admit one plan, p q^T,
+    whose adversary ``_one_plan`` gives in closed form."""
+
+    @staticmethod
+    def count(monkeypatch, names):
+        """Wrap each name where the solvers look it up; returns the list of
+        names called, in order."""
+        events = []
+        modules = [frank_wolfe, importlib.import_module("wrot.rot_loss"), measures]
+        for module in modules:
+            for name in set(names) & set(vars(module)):
+                fn = getattr(module, name)
+
+                def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                    events.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+        return events
 
     @pytest.mark.parametrize("gap_tol", [None, 0.0])
     @pytest.mark.parametrize("solve", ["distance", "loss"])
     def test_one_plan_calls_no_oracle(self, monkeypatch, solve, gap_tol):
         """A distance from a one-point measure and a loss at a one-hot target
-        take the plan's moment and the adversary there once, call no oracle,
-        and record one gap of 0.0, which meets any gap_tol but None."""
-        events = []
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                events.append(name)
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for name in ("_moment_arrays", "_adversary", "_entropic_plan"):
-            counted(frank_wolfe, name)
-        counted(importlib.import_module("wrot.rot_loss"), "_entropic_plan")
+        take the closed form and the adversary there once, call no oracle,
+        and record one gap of 0.0, which meets any gap_tol but None. The
+        value and worst-case metric match ``_frank_wolfe`` run directly for
+        every step to 1e-12 relative."""
+        events = self.count(
+            monkeypatch, ["_one_plan", "_moment_arrays", "_adversary", "_entropic_plan"]
+        )
         rng = np.random.default_rng(17)
         config = FWConfig(PNormConfig(), max_iter=5, gap_tol=gap_tol)
         if solve == "distance":
             src = make_measure(rng.normal(size=(1, 3)))
             tgt = make_measure(rng.normal(size=(4, 3)), rng.dirichlet(np.ones(4)))
-            p, q = src.weights, tgt.weights
+            p, q, arrays = src.weights, tgt.weights, _point_arrays(src, tgt)
             result = rot_distance(src, tgt, config)
         else:
             emb = rng.normal(size=(4, 3))
             labels = LabelSpace(embeddings=emb / np.linalg.norm(emb, axis=1, keepdims=True))
-            p, q = rng.dirichlet(np.ones(4)), np.eye(4)[2]
+            p, q, arrays = rng.dirichlet(np.ones(4)), np.eye(4)[2], (labels._points,) * 2
             result = rot_loss(p, q, labels, config)
-        assert events == ["_moment_arrays", "_adversary"]
+        assert events == ["_one_plan", "_adversary"]
         assert result.gap_history == (0.0,)
         assert result.converged is (gap_tol is not None)
         assert np.array_equal(result.plan.matrix, p[:, None] * q)
+        monkeypatch.undo()
+        marginals = sinkhorn._marginals(p, q, (p.size, q.size))
+        gamma, worst, gaps, _ = frank_wolfe._frank_wolfe(
+            *arrays,
+            config.metric,
+            lambda costs: sinkhorn._entropic_plan(costs, marginals, config.sinkhorn)[0],
+            marginals,
+            5,
+            None,
+        )
+        assert len(gaps) == 5
+        value = worst.value
+        if solve == "loss":
+            value += 0.02 * float((gamma[gamma > 0] * np.log(gamma[gamma > 0])).sum())
+        assert result.value == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(result.metric.matrix - worst.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "case",
+        ["one-point source", "one-point target", "one positive weight", "one-hot target",
+         "one-hot prediction", "grouped one-hot target", "gradient at a one-hot target"],
+    )
+    def test_each_one_plan_input_calls_one_plan_once(self, monkeypatch, case):
+        """Every one-plan input, of the distance or of the loss, calls
+        ``_one_plan`` once and neither the oracle nor the m x n moment."""
+        rng = np.random.default_rng(18)
+        one = make_measure(rng.normal(size=(1, 4)))
+        many = make_measure(rng.normal(size=(5, 4)), rng.dirichlet(np.ones(5)))
+        sparse = make_measure(rng.normal(size=(3, 4)), [0.0, 1.0, 0.0])
+        emb = rng.normal(size=(5, 4))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        labels = LabelSpace(embeddings=emb)
+        grouped = LabelSpace(embeddings=emb, grouping=make_grouping(4, 2, 0))
+        h, e = rng.dirichlet(np.ones(5)), np.eye(5)[3]
+        config = FWConfig(KLConfig(), max_iter=4, gap_tol=None)
+        solves = {
+            "one-point source": lambda: rot_distance(one, many, config),
+            "one-point target": lambda: rot_distance(many, one, config),
+            "one positive weight": lambda: rot_distance(many, sparse, config),
+            "one-hot target": lambda: rot_loss(h, e, labels, config),
+            "one-hot prediction": lambda: rot_loss(e, h, labels, config),
+            "grouped one-hot target": lambda: rot_loss(h, e, grouped, config),
+            "gradient at a one-hot target": lambda: rot_loss_gradient(h, e, labels, config),
+        }
+        events = self.count(monkeypatch, ["_one_plan", "_moment_arrays", "_entropic_plan"])
+        solves[case]()
+        assert events == ["_one_plan"]
 
 
 class TestTruncatedKernel:

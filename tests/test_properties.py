@@ -4,8 +4,9 @@ the self-moment kernel, the Frank-Wolfe loop's carried moment and
 gap, translation and support-permutation invariance of the distances, the
 loss gradient's tangency to the simplex and its agreement with the
 bracket formula on normal plans and with central differences on targets
-with zeros, the one-plan exit of one-hot targets and one-point measures
-against the general loop, the loss's span-coordinate path
+with zeros, the one-plan closed form of one-hot targets, one-hot
+predictions and one-point measures against the Frank-Wolfe loop, the
+loss's span-coordinate path
 against a solve on the full points, the p-norm distance's scale
 covariance, the feature, label, model and embedding file round trips, the
 determinism of ``make_grouping``, the identity-metric loop against one
@@ -60,14 +61,13 @@ from wrot import (
     save_model,
     sinkhorn,
 )
-from wrot.frank_wolfe import _frank_wolfe
+from wrot.frank_wolfe import RotResult, _frank_wolfe, _one_plan
 from wrot.measures import _grouped_reshape, _moment_arrays, _pair_costs_full, _point_arrays
 from wrot.metric_solvers import _adversary
 from wrot.sinkhorn import SinkhornConvergenceError
 
 # the package rebinds ``wrot.rot_loss`` to the function; this is the module
 rot_loss_module = importlib.import_module("wrot.rot_loss")
-frank_wolfe_module = importlib.import_module("wrot.frank_wolfe")
 metric_solvers_module = importlib.import_module("wrot.metric_solvers")
 bounded = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -652,10 +652,11 @@ def test_potential_gradient_matches_the_bracket_formula(
     st.sampled_from([None, 1, 2, "singletons"]),
 )
 def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, family, groups):
-    """Frank-Wolfe runs on the span coordinates only for p-norm k = 1 and
-    the identity metric on an ungrouped space with fewer labels than
-    dimensions; KL, DS, k = 2 and every grouped space, singleton groups
-    (r = d) included, run on the space's own point array."""
+    """Frank-Wolfe, for a spread target, and ``_one_plan``, for a one-hot
+    one, run on the span coordinates only for p-norm k = 1 and the identity
+    metric on an ungrouped space with fewer labels than dimensions; KL, DS,
+    k = 2 and every grouped space, singleton groups (r = d) included, run on
+    the space's own point array."""
     rng = np.random.default_rng(seed)
     emb = rng.normal(size=(size, dim))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
@@ -665,26 +666,25 @@ def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, fam
     metric = LOSS_FAMILIES[family]
     seen = []
 
-    def spy(src, *args):
-        seen.append(src)
-        return _frank_wolfe(src, *args)
+    def spy(fn, at):
+        def spied(*args, **kwargs):
+            seen.append((fn.__name__, args[at]))
+            return fn(*args, **kwargs)
+
+        return spied
 
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
-    with mock.patch.object(rot_loss_module, "_frank_wolfe", spy):
+    with (
+        mock.patch.object(rot_loss_module, "_frank_wolfe", spy(_frank_wolfe, 0)),
+        mock.patch.object(rot_loss_module, "_one_plan", spy(_one_plan, 1)),
+    ):
         config = FWConfig(metric, max_iter=1, gap_tol=None)
         rot_loss_gradient(h, np.eye(size)[0], labels, config)
+        rot_loss_gradient(h, spread_target(np.eye(size)[0]), labels, config)
     in_span = r is None and size < dim and metric in (None, PNormConfig(k=1))
-    assert len(seen) == 1
-    assert seen[0] is (labels._coords if in_span else labels._points)
-
-
-def general_loop(src, tgt, metric, oracle, marginals, *rest):
-    """``_frank_wolfe`` without its one-plan exit: the loop reads only ``p``,
-    ``q`` and the active sizes of ``marginals``, which it is told are 2,
-    while the oracle keeps the real ones from its caller."""
-    two = np.ones(2)
-    marginals = marginals._replace(active_p=two, active_q=two)
-    return _frank_wolfe(src, tgt, metric, oracle, marginals, *rest)
+    want = labels._coords if in_span else labels._points
+    assert [name for name, _ in seen] == ["_one_plan", "_frank_wolfe"]
+    assert all(points is want for _, points in seen)
 
 
 ONE_PLAN_FAMILIES = LOSS_FAMILIES + [PNormConfig(k=3)]
@@ -713,12 +713,12 @@ def one_plan_space(rng, size, space):
 def test_one_plan_exit_matches_the_general_loop(
     seed, size, family, space, one_hot_target, max_iter
 ):
-    """A one-hot target, or a one-point prediction, admits one plan, which
-    the loop returns with no oracle call. Value, plan and worst-case metric
-    match a run of every step of the general loop to 1e-12 relative, and so
-    does the gradient, whose closed form for a one-hot target replaces the
-    L x 1 oracle's row potential; for every family, on full, grouped and
-    span spaces."""
+    """A one-hot target, or a one-hot prediction, admits one plan, whose
+    loss is ``_one_plan``'s closed form. Value, plan and worst-case metric
+    match every step of ``_frank_wolfe`` run directly, with the loss's warm
+    oracle, to 1e-12 relative, and so does a one-hot target's gradient,
+    ``c + lambda_beta log h`` recentred, against the row potential of one
+    more oracle solve; for every family, on full, grouped and span spaces."""
     rng = np.random.default_rng(seed)
     labels = one_plan_space(rng, size, space)
     spread = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
@@ -728,16 +728,30 @@ def test_one_plan_exit_matches_the_general_loop(
     if one_hot_target:
         grad, loss = rot_loss_gradient(h, y, labels, config)
     else:
-        loss = rot_loss_module.rot_loss(h, y, labels, config)
+        loss = rot_loss(h, y, labels, config)
     assert loss.gap_history == (0.0,) and loss.converged is False
-    with mock.patch.object(rot_loss_module, "_frank_wolfe", general_loop):
-        general, _, solve, points = rot_loss_module._solve(h, y, labels, config, 0.02)
-    assert general.iterations_used == max_iter
+    metric = config.metric
+    basis = labels._basis if metric in (None, PNormConfig(k=1)) else None
+    points = labels._points if basis is None else labels._coords
+    marginals = sinkhorn._marginals(h, y, (size, size))
+    warm = None
+
+    def solve(costs):
+        nonlocal warm
+        plan, f, warm = sinkhorn._entropic_plan(costs, marginals, config.sinkhorn, state=warm)
+        return plan, f
+
+    gamma, worst, gaps, _ = _frank_wolfe(
+        points, points, metric, lambda costs: solve(costs)[0], marginals, max_iter, None
+    )
+    assert len(gaps) == max_iter
+    value = worst.value + 0.02 * float(np.sum(xlogy(gamma, gamma)))
+    general = RotResult(value, tuple(gaps), False, gamma, worst, basis)
     assert loss.value == pytest.approx(general.value, rel=1e-12)
     assert_close_to_reference(loss.plan.matrix, general.plan.matrix)
     assert_close_to_reference(loss.metric.matrix, general.metric.matrix)
     if one_hot_target:
-        f = solve(_pair_costs_full(points, points, general._worst.matrix))[1]
+        f = solve(_pair_costs_full(points, points, worst.matrix))[1]
         assert_close_to_reference(grad, config.sinkhorn.lambda_beta * (f - f.mean()))
 
 
@@ -751,9 +765,10 @@ def test_one_plan_exit_matches_the_general_loop(
     st.integers(1, 5),
 )
 def test_one_point_distance_matches_the_general_loop(seed, n, family, groups, swap, max_iter):
-    """A distance to or from a one-point measure takes the same exit: its
-    value, plan and worst-case metric match every step of the general loop
-    to 1e-12 relative, and its one gap of 0.0 meets any tolerance."""
+    """A distance to or from a one-point measure is ``_one_plan``'s closed
+    form: its value, plan and worst-case metric match every step of
+    ``_frank_wolfe`` run directly, with the distance's cold oracle, to
+    1e-12 relative, and its one gap of 0.0 meets any tolerance."""
     rng = np.random.default_rng(seed)
     one = make_measure(rng.normal(size=(1, 6)))
     many = make_measure(rng.normal(size=(n, 6)) + 0.5, rng.dirichlet(np.ones(n)))
@@ -762,13 +777,19 @@ def test_one_point_distance_matches_the_general_loop(seed, n, family, groups, sw
     metric = ONE_PLAN_FAMILIES[family]
     result = rot_distance(src, tgt, FWConfig(metric, max_iter=max_iter), grouping)
     assert result.gap_history == (0.0,) and result.converged is True
-    config = FWConfig(metric, max_iter=max_iter, gap_tol=None)
-    with mock.patch.object(frank_wolfe_module, "_frank_wolfe", general_loop):
-        general = rot_distance(src, tgt, config, grouping)
-    assert general.iterations_used == max_iter
-    assert result.value == pytest.approx(general.value, rel=1e-12)
-    assert_close_to_reference(result.plan.matrix, general.plan.matrix)
-    assert_close_to_reference(result.metric.matrix, general.metric.matrix)
+    marginals = sinkhorn._marginals(src.weights, tgt.weights, (src.size, tgt.size))
+    gamma, worst, gaps, _ = _frank_wolfe(
+        *_point_arrays(src, tgt, grouping),
+        metric,
+        lambda costs: sinkhorn._entropic_plan(costs, marginals, SinkhornConfig())[0],
+        marginals,
+        max_iter,
+        None,
+    )
+    assert len(gaps) == max_iter
+    assert result.value == pytest.approx(worst.value, rel=1e-12)
+    assert_close_to_reference(result.plan.matrix, gamma)
+    assert_close_to_reference(result.metric.matrix, worst.matrix)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
