@@ -229,13 +229,10 @@ def evaluate(model: SoftmaxModel, dataset: Dataset) -> EvalMetrics:
     ranks = _average_ranks(flat_scores)
     auc = (ranks[flat_rel].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-    ap_values = np.empty(scores.shape[0])
-    for i in range(scores.shape[0]):
-        order = np.argsort(-scores[i], kind="stable")
-        hits = relevance[i][order]
-        hit_ranks = np.nonzero(hits)[0] + 1
-        precision_at_hits = np.cumsum(hits)[hits.astype(bool)] / hit_ranks
-        ap_values[i] = precision_at_hits.mean()
+    # each row's labels by descending score, ties in label order
+    hits = np.take_along_axis(relevance, np.argsort(-scores, axis=1, kind="stable"), axis=1)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, scores.shape[1] + 1)
+    ap_values = (precision * hits).sum(1) / hits.sum(1)
     return EvalMetrics(auc=float(auc), mean_average_precision=float(ap_values.mean()))
 
 

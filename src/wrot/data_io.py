@@ -258,7 +258,6 @@ def _read_embedding_entries(path):
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValueError(f"{path}:1: header must be 'count dim'") from exc
-        names = []
         vectors = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -279,13 +278,12 @@ def _read_embedding_entries(path):
                 raise ValueError(f"{path}:{lineno}: non-finite embedding value")
             if token in vectors:
                 raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-            names.append(token)
             vectors[token] = vec
-    if len(names) != count:
+    if len(vectors) != count:
         raise ValueError(
-            f"{path}: header declares {count} vectors, file has {len(names)}"
+            f"{path}: header declares {count} vectors, file has {len(vectors)}"
         )
-    return names, vectors
+    return vectors
 
 
 def _unit(vec, what):
@@ -308,7 +306,7 @@ def load_embeddings(path, label_names) -> np.ndarray:
     back to the mean of the name's constituent words (all of which must be
     present), renormalized.
     """
-    _, vectors = _read_embedding_entries(path)
+    vectors = _read_embedding_entries(path)
     rows = []
     for name in label_names:
         token = name.replace(" ", "_")
@@ -333,9 +331,8 @@ def load_embedding_file(path):
     Returns ``(names, matrix)``; used when the file itself defines the label
     set (token ``i`` is label ``i``).
     """
-    names, vectors = _read_embedding_entries(path)
-    matrix = np.asarray([_unit(vectors[n], n) for n in names])
-    return names, matrix
+    vectors = _read_embedding_entries(path)
+    return list(vectors), np.asarray([_unit(vec, name) for name, vec in vectors.items()])
 
 
 # ---------------------------------------------------------------------------

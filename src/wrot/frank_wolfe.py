@@ -121,17 +121,23 @@ class RotResult:
         return AdversarialMetric(matrix, value, family)
 
 
-def _one_plan(weights, points, anchor, metric, costs=False):
-    """The one plan of a side with one positive weight: ``anchor`` (a point
-    array of one point) pairs with each of ``points`` at its ``weights``.
-    With ``D_i = points_i - anchor``, exactly 0 at the anchor, returns the
-    adversary at the moment ``sum_i w_i D_i^T D_i`` and, only if ``costs``,
-    the pair costs ``tr(D_i M D_i^T)`` under its matrix ``M`` (else None)."""
+def _one_plan(src, tgt, metric, marginals, gap_tol, costs=False):
+    """:func:`_frank_wolfe` for weights with one positive entry on a side:
+    their one plan, ``p q^T``, pairs that entry's point, the anchor, with
+    each point ``i`` of the other side at its weight ``w_i``. The adversary
+    is taken at ``sum_i w_i D_i^T D_i``, ``D_i`` the displacement from the
+    anchor, with one gap of 0.0. Returns ``_frank_wolfe``'s tuple, then ``w``,
+    then, only if ``costs``, the pair costs ``tr(D_i M D_i^T)`` (else None)."""
+    if marginals.active_q.size == 1:  # one positive target weight, else one source
+        weights, points, anchor = marginals.p * marginals.active_q, src, tgt[marginals.cols]
+    else:
+        weights, points, anchor = marginals.q * marginals.active_p, tgt, src[marginals.rows]
     disp = points - anchor
     flat, rows = disp.reshape(disp.shape[0], -1), disp.reshape(-1, points.shape[-1])
     v = rows.T @ (weights[:, None] * flat).reshape(rows.shape)
     worst = _adversary(0.5 * (v + v.T), metric)
-    return worst, ((rows @ worst.matrix).reshape(flat.shape) * flat).sum(1) if costs else None
+    pair = ((rows @ worst.matrix).reshape(flat.shape) * flat).sum(1) if costs else None
+    return (marginals.p, marginals.q), worst, [0.0], gap_tol is not None, weights, pair
 
 
 def _frank_wolfe(src, tgt, metric, oracle, marginals, max_iter, gap_tol):
@@ -192,13 +198,6 @@ def rot_distance(
     _check_config(config, "config", FWConfig)
     src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
-    if min(marginals.active_p.size, marginals.active_q.size) == 1:
-        hot = marginals.active_q.size == 1  # one positive target weight, else one source
-        one = ((marginals.p * marginals.active_q, src_arr, tgt_arr[marginals.cols]) if hot
-               else (marginals.q * marginals.active_p, tgt_arr, src_arr[marginals.rows]))
-        worst = _one_plan(*one, config.metric)[0]
-        gamma = (marginals.p, marginals.q)
-        return RotResult(worst.value, (0.0,), config.gap_tol is not None, gamma, worst)
     plan = None
 
     def oracle(costs):
@@ -213,9 +212,13 @@ def rot_distance(
             plan = _entropic_plan(costs, marginals, config.sinkhorn)[0]
         return plan
 
-    gamma, worst, gaps, converged = _frank_wolfe(
-        src_arr, tgt_arr, config.metric, oracle, marginals, config.max_iter, config.gap_tol
-    )
+    args = src_arr, tgt_arr, config.metric
+    if min(marginals.active_p.size, marginals.active_q.size) == 1:
+        gamma, worst, gaps, converged = _one_plan(*args, marginals, config.gap_tol)[:4]
+    else:
+        gamma, worst, gaps, converged = _frank_wolfe(
+            *args, oracle, marginals, config.max_iter, config.gap_tol
+        )
     return RotResult(worst.value, tuple(gaps), converged, gamma, worst)
 
 

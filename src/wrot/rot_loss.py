@@ -11,11 +11,12 @@ family (``metric=None`` pins the metric to the identity, which recovers the
 plain entropic squared-distance loss). The minimization is Frank-Wolfe where
 only the robust term is linearized: each step solves an entropic transport
 oracle on the current pairwise costs, so the oracle's own regularization
-``lambda_beta`` carries the entropy. Training typically runs a single
-iteration from the product coupling (fast, slightly smoothed); for an exact
-solve of the ``lambda_gamma``-regularized problem, set the oracle's
-``lambda_beta`` equal to ``lambda_gamma`` and raise the iteration counts, as
-the fixed point of the iteration is then the true optimum.
+``lambda_beta`` carries the entropy. In training, a single-label row takes
+:func:`~wrot.frank_wolfe._one_plan`'s closed form and a multi-label row the
+config's ``max_iter`` steps (one by default); for an exact solve of the
+``lambda_gamma``-regularized problem, set the oracle's ``lambda_beta`` to
+``lambda_gamma`` and raise the iteration counts, as the fixed point of the
+iteration is then the true optimum.
 
 The gradient in ``h`` is the envelope formula's dual potential (Frogner et
 al., NeurIPS 2015): one more oracle solve at the final pair costs ``C*``
@@ -163,11 +164,9 @@ def _solve(predicted, target, labels, config, lambda_gamma, gradient=False):
         basis = None
     points = labels._points if basis is None else labels._coords
     if min(marginals.active_p.size, marginals.active_q.size) == 1:
-        hot = marginals.active_q.size == 1  # a one-hot target, else a prediction (no gradient)
-        weights = marginals.p * marginals.active_q if hot else marginals.q * marginals.active_p
-        anchor = points[marginals.cols if hot else marginals.rows]
-        worst, costs = _one_plan(weights, points, anchor, metric, costs=gradient)
-        gamma, gaps, converged = (marginals.p, marginals.q), [0.0], config.gap_tol is not None
+        gamma, worst, gaps, converged, weights, costs = _one_plan(
+            points, points, metric, marginals, config.gap_tol, costs=gradient
+        )
         f = costs / lam + marginals.log_p if gradient else None
     else:
         warm = None

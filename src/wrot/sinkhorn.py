@@ -182,14 +182,12 @@ def _rounds(log_kernel, marginals, iterations, g=None, log_first=False):
                 # with less dispatch overhead per call
                 u_next = p / kernel.dot(v)
                 v_next = q / kernel.T.dot(u_next)
-                if not checked:
-                    u, v = u_next, v_next
-                    scalings += (u, v)
-                elif _in_range((u_next, v_next)):
-                    u, v = u_next, v_next
-                else:
+                if checked and not _in_range((u_next, v_next)):
                     kernel, f, g = _absorbed_kernel(log_kernel, log_p, log_q, g + np.log(v))
                     u, v = np.ones_like(p), np.ones_like(q)
+                else:
+                    u, v = u_next, v_next
+                    scalings += (u, v)
             if checked or _in_range(scalings):
                 break
     kernel *= u[:, None]

@@ -439,6 +439,35 @@ class TestEvaluate:
         want = (ranks[relevant].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         assert evaluate(model, ds).auc == want
 
+    @pytest.mark.parametrize("n_labels", [5, 14])
+    def test_average_precision_matches_a_per_row_loop(self, n_labels):
+        """All rows' average precision at once is that of sorting and
+        scanning one row at a time, on multi-label rows whose scores tie
+        (zero weight columns give equal scores in a row): to 1e-12
+        relative, as summing the zero terms of a row with more than 8
+        labels can move its pairwise sum by one ulp."""
+        rng = np.random.default_rng(22)
+        features = rng.normal(size=(60, 4))
+        weights = rng.normal(size=(4, n_labels))
+        weights[:, 1] = weights[:, 3] = weights[:, -1] = 0.0
+        labels = (rng.random((60, n_labels)) < 0.4).astype(int)
+        labels[np.arange(60), rng.integers(n_labels, size=60)] = 1
+        model = SoftmaxModel(weights=weights)
+        ds = Dataset(
+            features=features, labels=labels, label_names=tuple(map(str, range(n_labels)))
+        )
+        scores = model.probabilities(features)
+        assert all(len(np.unique(row)) < n_labels for row in scores)
+        ap_values = np.empty(scores.shape[0])
+        for i in range(scores.shape[0]):
+            order = np.argsort(-scores[i], kind="stable")
+            hits = labels[i].astype(bool)[order]
+            hit_ranks = np.nonzero(hits)[0] + 1
+            ap_values[i] = (np.cumsum(hits)[hits] / hit_ranks).mean()
+        assert evaluate(model, ds).mean_average_precision == pytest.approx(
+            ap_values.mean(), rel=1e-12
+        )
+
     @pytest.mark.parametrize("n_labels", [5, 2])
     def test_label_count_mismatch(self, n_labels):
         """A dataset whose label count is not the model's is refused with

@@ -666,17 +666,17 @@ def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, fam
     metric = LOSS_FAMILIES[family]
     seen = []
 
-    def spy(fn, at):
+    def spy(fn):
         def spied(*args, **kwargs):
-            seen.append((fn.__name__, args[at]))
+            seen.append((fn.__name__, args[:2]))
             return fn(*args, **kwargs)
 
         return spied
 
     h = 0.9 * rng.dirichlet(np.ones(size)) + 0.1 / size
     with (
-        mock.patch.object(rot_loss_module, "_frank_wolfe", spy(_frank_wolfe, 0)),
-        mock.patch.object(rot_loss_module, "_one_plan", spy(_one_plan, 1)),
+        mock.patch.object(rot_loss_module, "_frank_wolfe", spy(_frank_wolfe)),
+        mock.patch.object(rot_loss_module, "_one_plan", spy(_one_plan)),
     ):
         config = FWConfig(metric, max_iter=1, gap_tol=None)
         rot_loss_gradient(h, np.eye(size)[0], labels, config)
@@ -684,7 +684,7 @@ def test_only_rotation_invariant_families_solve_in_the_span(seed, size, dim, fam
     in_span = r is None and size < dim and metric in (None, PNormConfig(k=1))
     want = labels._coords if in_span else labels._points
     assert [name for name, _ in seen] == ["_one_plan", "_frank_wolfe"]
-    assert all(points is want for _, points in seen)
+    assert all(src is want and tgt is want for _, (src, tgt) in seen)
 
 
 ONE_PLAN_FAMILIES = LOSS_FAMILIES + [PNormConfig(k=3)]
