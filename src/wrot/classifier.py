@@ -45,11 +45,11 @@ _LOSS_ABORT = 1e6
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a per-sample loss passes the abort threshold or is not
-    finite, or when a predicted probability underflowed to 0, where the loss
-    gradient is undefined; ``loss`` is then NaN."""
+    finite, or a predicted probability is 0 (``loss`` NaN). The message is
+    ``training diverged`` then `` at epoch E, sample S: <reason>``."""
 
-    def __init__(self, message: str, epoch: int, sample: int, loss: float):
-        super().__init__(message)
+    def __init__(self, reason: str, epoch: int, sample: int, loss: float):
+        super().__init__(f"training diverged at epoch {epoch}, sample {sample}: {reason}")
         self.epoch = epoch
         self.sample = sample
         self.loss = loss
@@ -177,17 +177,12 @@ def sgd_train(dataset: Dataset, labels: LabelSpace, config: TrainConfig = TrainC
                 if np.minimum.reduce(h) > 0.0:
                     raise
                 raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}, sample {int(i)}: a predicted "
-                    "probability underflowed to 0; lower learning_rate",
-                    epoch=epoch, sample=int(i), loss=float("nan"),
+                    "a predicted probability underflowed to 0; lower learning_rate",
+                    epoch, int(i), float("nan"),
                 ) from None
             if not np.isfinite(loss.value) or abs(loss.value) > _LOSS_ABORT:
                 raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}, sample {int(i)}: "
-                    f"loss {loss.value!r}",
-                    epoch=epoch,
-                    sample=int(i),
-                    loss=float(loss.value),
+                    f"loss {loss.value!r}", epoch, int(i), float(loss.value)
                 )
             grad_z = h * (grad_h - float(h @ grad_h))
             weights -= config.learning_rate * (

@@ -245,15 +245,10 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, SinkhornConvergenceError,
+            ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SinkhornConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return {TrainingDivergedError: 3, SinkhornConvergenceError: 2}.get(type(exc), 1)
 
 
 if __name__ == "__main__":

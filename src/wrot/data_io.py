@@ -251,11 +251,8 @@ def load_dataset(features_path, labels_path, label_names=None, num_labels=None) 
 
 def _read_embedding_entries(path):
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: header must be 'count dim'")
         try:
-            count, dim = int(header[0]), int(header[1])
+            count, dim = map(int, fh.readline().split())
         except ValueError as exc:
             raise ValueError(f"{path}:1: header must be 'count dim'") from exc
         vectors = {}

@@ -81,14 +81,11 @@ def _check_config(value, name, kind, optional=False):
         raise ValueError(f"{name} must be a {' or '.join(names)}, got {value!r}")
 
 
-def _normalized(w, name):
-    """``w / sum(w)`` for a nonnegative vector with positive total."""
-    if np.any(w < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError(f"{name} must have positive total mass")
-    return w / total
+def _check_points(points):
+    points = _as_float_array(points, "points", 2)
+    if points.shape[0] < 1:
+        raise ValueError("a measure needs at least one support point")
+    return points
 
 
 def _freeze(arr, source=None):
@@ -111,9 +108,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = _as_float_array(self.points, "points", 2)
-        if points.shape[0] < 1:
-            raise ValueError("a measure needs at least one support point")
+        points = _check_points(self.points)
         weights = _check_simplex(self.weights, "weights", points.shape[0])
         object.__setattr__(self, "points", _freeze(points, self.points))
         object.__setattr__(self, "weights", _freeze(weights, self.weights))
@@ -201,15 +196,12 @@ class FeatureGrouping:
 
 def make_measure(points, weights=None) -> DiscreteMeasure:
     """Build a measure from points, normalizing ``weights`` (uniform default)."""
-    points = _as_float_array(points, "points", 2)
-    m = points.shape[0]
-    if m < 1:
-        raise ValueError("a measure needs at least one support point")
-    if weights is None:
-        weights = np.full(m, 1.0 / m)
-    else:
-        weights = _normalized(_as_float_array(weights, "weights", 1), "weights")
-    return DiscreteMeasure(points=points, weights=weights)
+    points = _check_points(points)
+    w = np.ones(points.shape[0]) if weights is None else _as_float_array(weights, "weights", 1)
+    total = w.sum()
+    if not total > 0:
+        raise ValueError("weights must have positive total mass")
+    return DiscreteMeasure(points, w / total)
 
 
 # ---------------------------------------------------------------------------

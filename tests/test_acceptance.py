@@ -19,7 +19,7 @@ import pytest
 from scipy.special import logsumexp
 
 from lp_reference import exact_ot_small
-from targets import spread_target
+from targets import spread_target, unit_rows
 from wrot import (
     DSConfig,
     FWConfig,
@@ -56,11 +56,6 @@ def random_cloud_pair(rng, m, n, d):
         make_measure(rng.normal(size=(m, d))),
         make_measure(rng.normal(size=(n, d))),
     )
-
-
-def unit_rows(rng, n, d):
-    rows = rng.normal(size=(n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def test_criterion_1_quadratic_cost_sandwich():

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["grouped", "distance"])
+@pytest.mark.parametrize("workload", ["grouped", "distance", "loss"])
 def test_harness_runs_one_cycle(workload):
     result = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,

@@ -13,6 +13,7 @@ from wrot.cli import _build_parser, main
 from wrot.data_io import save_features, save_labels
 
 classifier_mod = importlib.import_module("wrot.classifier")
+metric_solvers = importlib.import_module("wrot.metric_solvers")
 
 
 def write_csv(path, features):
@@ -203,6 +204,27 @@ class TestDistance:
         result = json.loads(out)  # the value is still reported
         assert result["iterations"] == 1
         assert result["gap"] > 0
+
+    @pytest.mark.parametrize(
+        "flags, exit_code, message",
+        [
+            (["--lambda-beta", "1e-20"], 1, "max|cost|/lambda_beta = "),
+            (["--family", "ds"], 2, "symmetric scaling residual "),
+        ],
+        ids=["overflow", "unbalanced-ds-scaling"],
+    )
+    def test_a_refused_solve_prints_one_error_and_no_value(
+        self, cloud_files, monkeypatch, flags, exit_code, message, capsys
+    ):
+        """An OverflowError exits 1 and a DS scaling that does not balance
+        (one update allowed) exits 2; neither prints a value."""
+        monkeypatch.setattr(metric_solvers, "_SCALING_MAX_ITER", 1)
+        code, out, err = invoke(
+            ["distance", "--src", cloud_files["a"], "--tgt", cloud_files["b"], *flags, "--json"],
+            capsys,
+        )
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_grouped_distance_is_seeded(self, cloud_files, capsys):
         argv = ["distance", "--src", cloud_files["a"], "--tgt", cloud_files["b"],

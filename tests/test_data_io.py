@@ -313,9 +313,10 @@ class TestEmbeddingFiles:
 
     def test_header_and_row_errors(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("2\n")
-        with pytest.raises(ValueError, match="header"):
-            load_embedding_file(path)
+        for header in ("", "2", "a b", "3 2 1", "3 2.0"):
+            path.write_text(f"{header}\n")
+            with pytest.raises(ValueError, match=r":1: header must be 'count dim'$"):
+                load_embedding_file(path)
         path.write_text("2 2\ncat 1.0 2.0\n")
         with pytest.raises(ValueError, match="declares 2"):
             load_embedding_file(path)

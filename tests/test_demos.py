@@ -1,5 +1,5 @@
 """Every script in ``demos/`` runs to completion against the package in
-``src/``."""
+``src/``, with RuntimeWarnings as errors, as CI's numpy-only job runs it."""
 
 import os
 import subprocess
@@ -25,7 +25,7 @@ def test_demo_exits_zero(demo, tmp_path):
     # demos that write files put them in the temporary directory
     env["TMPDIR"] = str(tmp_path)
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

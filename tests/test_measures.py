@@ -234,11 +234,23 @@ class TestMeasureTypes:
         uniform = make_measure(np.zeros((4, 2)))
         assert_allclose(uniform.weights, 0.25)
 
-    def test_make_measure_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            make_measure(np.zeros((2, 2)), np.array([1.0, -0.5]))
-        with pytest.raises(ValueError):
-            make_measure(np.zeros((2, 2)), np.array([0.0, 0.0]))
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, -0.5], "must be nonnegative"),
+            ([2.0, -1.0], "must be nonnegative"),
+            ([0.0, 0.0], "must have positive total mass"),
+            ([1.0, -1.0], "must have positive total mass"),
+            ([-1.0, -2.0], "must have positive total mass"),
+            ([1.0, -1.0, 1.0], "has length 3, expected 2"),
+        ],
+    )
+    def test_make_measure_rejects_bad_weights(self, weights, message):
+        """A total that is not positive is refused before normalising; the
+        normalised vector's length and signs are :class:`DiscreteMeasure`'s
+        to check, in that order."""
+        with pytest.raises(ValueError, match=f"^weights {message}$"):
+            make_measure(np.zeros((2, 2)), np.array(weights))
 
     def test_make_measure_rejects_an_empty_cloud(self):
         # with uniform and with explicit weights, refused before normalising

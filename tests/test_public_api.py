@@ -208,14 +208,16 @@ def test_make_measure_leaves_the_callers_points_writeable():
 
 def test_runtime_check_loads_no_scipy():
     """Every public function, every adversary family, training, evaluation,
-    a checkpoint round trip and the four subcommands run on numpy alone."""
+    a checkpoint round trip and the four subcommands run on numpy alone,
+    with RuntimeWarnings as errors, as CI's numpy-only job runs them."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "runtime_check.py")],
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(root / "scripts" / "runtime_check.py")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr

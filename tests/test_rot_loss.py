@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from targets import spread_target
+from targets import spread_target, unit_rows
 from wrot import frank_wolfe, metric_solvers
 from wrot.data_io import make_grouping
 from wrot.frank_wolfe import FWConfig, _frank_wolfe, rot_distance
@@ -35,11 +35,6 @@ from wrot.rot_loss import (
     rot_loss_gradient,
 )
 from wrot.sinkhorn import SinkhornConfig, _entropic_plan, _marginals
-
-
-def unit_rows(rng, n, d):
-    m = rng.normal(size=(n, d))
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
 def converged_kw(lam=0.02, fw=150, sk=1000, metric=PNormConfig(k=1)):
