@@ -50,9 +50,13 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, reason: str, epoch: int, sample: int, loss: float):
         super().__init__(f"training diverged at epoch {epoch}, sample {sample}: {reason}")
+        self.reason = reason
         self.epoch = epoch
         self.sample = sample
         self.loss = loss
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.epoch, self.sample, self.loss)
 
 
 @dataclass(frozen=True, eq=False)

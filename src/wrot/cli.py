@@ -129,9 +129,7 @@ def cmd_contour(args) -> int:
 
 def cmd_train(args) -> int:
     names, matrix = load_embedding_file(args.embeddings)
-    grouping = None
-    if args.r is not None:
-        grouping = make_grouping(matrix.shape[1], args.r, args.seed)
+    grouping = None if args.r is None else make_grouping(matrix.shape[1], args.r, args.seed)
     labels_space = LabelSpace(embeddings=matrix, grouping=grouping)
     dataset = load_dataset(args.features, args.labels, label_names=names)
     sinkhorn = SinkhornConfig(lambda_beta=args.lambda_beta)
@@ -143,9 +141,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     result = sgd_train(dataset, labels_space, config)
-    for i, (loss_val, secs) in enumerate(
-        zip(result.epoch_losses, result.epoch_seconds)
-    ):
+    for i, (loss_val, secs) in enumerate(zip(result.epoch_losses, result.epoch_seconds)):
         print(f"epoch {i:3d}  loss {loss_val:.6f}  time {secs:.3f}s")
     save_model(result.model, args.model_out)
     print(f"wrote model to {args.model_out}")

@@ -190,34 +190,27 @@ def rot_distance(
     metric, gradient, entropic linear oracle, convex-combination step. Stops
     when the duality gap reaches ``config.gap_tol`` or after
     ``config.max_iter`` iterations. With a ``grouping``, the adversary
-    solves on its ``r x r`` group moments. With ``metric=None`` the costs
-    never move, so the oracle solves once and every later step reuses that
-    plan. A measure with one positive weight, such as a one-point measure,
-    leaves one plan, which :func:`_one_plan` solves with no oracle.
+    solves on its ``r x r`` group moments. Every family, the identity
+    (``metric=None``) included, solves its oracle once per step; the
+    identity's costs never move, so its second step measures a gap of 0.0.
+    A measure with one positive weight, such as a one-point measure, leaves
+    one plan, which :func:`_one_plan` solves with no oracle.
     """
     _check_config(config, "config", FWConfig)
     src_arr, tgt_arr = _point_arrays(src, tgt, grouping)
     marginals = _marginals(src.weights, tgt.weights, (src.size, tgt.size))
-    plan = None
-
-    def oracle(costs):
-        # A cold solve each step on the marginals prepared above, except at
-        # the identity, whose costs and so whose plan never move. Cold or
-        # warm-started from the previous step's scalings, as the loss's is, a
-        # not yet converged oracle can return plans that make the measured
-        # gap negative and stop the loop early; ROADMAP item 3's certified
-        # gap is the fix.
-        nonlocal plan
-        if plan is None or config.metric is not None:
-            plan = _entropic_plan(costs, marginals, config.sinkhorn)[0]
-        return plan
-
     args = src_arr, tgt_arr, config.metric
     if min(marginals.active_p.size, marginals.active_q.size) == 1:
         gamma, worst, gaps, converged = _one_plan(*args, marginals, config.gap_tol)[:4]
     else:
+        # The oracle solves cold on the marginals prepared above. Cold or
+        # warm-started from the previous step's scalings, as the loss's is, a
+        # not yet converged oracle can return plans that make the measured
+        # gap negative and stop the loop early; ROADMAP item 3's certified
+        # gap is the fix.
         gamma, worst, gaps, converged = _frank_wolfe(
-            *args, oracle, marginals, config.max_iter, config.gap_tol
+            *args, lambda costs: _entropic_plan(costs, marginals, config.sinkhorn)[0],
+            marginals, config.max_iter, config.gap_tol,
         )
     return RotResult(worst.value, tuple(gaps), converged, gamma, worst)
 

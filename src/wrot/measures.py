@@ -198,6 +198,8 @@ def make_measure(points, weights=None) -> DiscreteMeasure:
     """Build a measure from points, normalizing ``weights`` (uniform default)."""
     points = _check_points(points)
     w = np.ones(points.shape[0]) if weights is None else _as_float_array(weights, "weights", 1)
+    with np.errstate(over="ignore"):  # a sum past the float range: scale by the largest
+        w = w / w.max() if w.sum() == np.inf else w
     total = w.sum()
     if not total > 0:
         raise ValueError("weights must have positive total mass")

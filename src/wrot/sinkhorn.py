@@ -63,6 +63,9 @@ class SinkhornConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = float(residual)
 
+    def __reduce__(self):
+        return type(self), (str(self), self.residual)
+
 
 @dataclass(frozen=True)
 class SinkhornConfig:

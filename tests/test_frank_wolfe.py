@@ -317,16 +317,16 @@ class TestCarriedMoment:
 
 
 class TestIdentityOracle:
-    """The identity's costs never move, so a distance at ``metric=None``
-    solves its oracle once and reuses that plan; other families solve once
-    per step."""
+    """Every family, the identity (``metric=None``) included, solves the
+    distance's oracle once per step."""
 
     @pytest.mark.parametrize(
         "overrides", [{}, {"max_iter": 3, "gap_tol": None}], ids=["default", "3 steps"]
     )
-    def test_identity_solves_once_and_matches_cold_solves(self, monkeypatch, overrides):
-        """Counted against a spy on the oracle's solve, the results equal, bit
-        for bit, those of the loop with a cold solve at every step."""
+    def test_one_solve_per_step_matches_cold_solves(self, monkeypatch, overrides):
+        """Counted against a spy on the oracle's solve, one solve per step,
+        and results equal, bit for bit, to those of the loop with a cold
+        solve at every step."""
         calls = []
         solve = frank_wolfe._entropic_plan
 
@@ -344,7 +344,7 @@ class TestIdentityOracle:
             calls.clear()
             result = rot_distance(src, tgt, config)
             assert result.iterations_used > 1
-            assert len(calls) == (1 if metric is None else result.iterations_used)
+            assert len(calls) == result.iterations_used
             gamma, worst, gaps, converged = frank_wolfe._frank_wolfe(
                 *_point_arrays(src, tgt), metric,
                 lambda costs: solve(costs, marginals, sink)[0],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -251,6 +253,18 @@ class TestMeasureTypes:
         to check, in that order."""
         with pytest.raises(ValueError, match=f"^weights {message}$"):
             make_measure(np.zeros((2, 2)), np.array(weights))
+
+    def test_make_measure_normalizes_an_overflowing_total(self):
+        """Finite weights whose sum overflows are scaled by the largest before
+        normalising, with no overflow warning; a finite total is divided as
+        it is."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = make_measure(np.zeros((2, 2)), [1e308, 1e308])
+            finite = make_measure(np.zeros((3, 2)), [1e307, 3e307, 1.0])
+        assert m.weights.tolist() == [0.5, 0.5]
+        w = np.array([1e307, 3e307, 1.0])
+        assert np.array_equal(finite.weights, w / w.sum())
 
     def test_make_measure_rejects_an_empty_cloud(self):
         # with uniform and with explicit weights, refused before normalising

@@ -369,6 +369,8 @@ def test_identity_metric_loop_equals_w22(seed, m, n, dim, lam, grouped, data):
     assert result.value == pytest.approx(float((plan * cost).sum()), rel=1e-12)
     assert result.iterations_used <= 2
     assert result.converged
+    if result.iterations_used == 2:
+        assert result.gap_history[1] == 0.0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -2,12 +2,14 @@
 stale names, and exactly the library modules' own exports; the private
 W2^2 function the benchmark still calls, which is the identity-metric
 distance; the exported types that hold arrays compare and hash without
-raising and leave the caller's arrays alone; and
+raising and leave the caller's arrays alone; the exported errors survive
+``pickle``; and
 ``scripts/runtime_check.py``, which runs every public entry point, loads
 no SciPy module."""
 
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +164,21 @@ ARRAY_HOLDERS = {
         lambda a: wrot.Dataset(label_names=("a", "b"), **a),
     ),
 }
+
+
+def test_errors_survive_pickle():
+    """The type, the message and every field survive a round trip, as
+    they must to leave a ``multiprocessing`` worker."""
+    errors = [
+        (wrot.TrainingDivergedError("loss 2e6", 0, 1, 2e6), ("reason", "epoch", "sample", "loss")),
+        (wrot.SinkhornConvergenceError("x", 1.0), ("residual",)),
+    ]
+    for error, fields in errors:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        for name in fields:
+            assert getattr(copy, name) == getattr(error, name)
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
